@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.hermite import hermval
 
-from .transforms import ChirpPair, DaftDims, apply_synthesis, apply_daft
+from .transforms import (ChirpPair, DaftDims, apply_daft, apply_synthesis,
+                         scale_rows)
 
 # frequency-domain coefficients H_1..H_{O-1} of the frequency-sampled
 # prototype, per overlap factor (H_0 = 1 always)
@@ -198,17 +199,18 @@ def assemble_filter_matrix(filt: PrototypeFilter, K: int) -> FilterBankOperator:
 def apply_filter_bank(y: np.ndarray, filt: PrototypeFilter) -> np.ndarray:
     """Fast synthesis: overlap-add of the windowed periodic extensions.
 
-    ``y`` is N x K (one column per symbol); the output is the length-M
-    time signal, equal to the dense assembled-matrix product.
+    ``y`` is N x K (one column per symbol), optionally with trailing batch
+    axes; the output is the length-M time signal (M x batch), equal to the
+    dense assembled-matrix product.
     """
-    N, K = y.shape
+    N, K = y.shape[:2]
     if N != filt.N:
         raise ValueError("row count must equal the filter bank size")
     idx = np.arange(filt.length) % N
-    s = np.zeros(output_length(filt, K), dtype=complex)
+    s = np.zeros((output_length(filt, K),) + y.shape[2:], dtype=complex)
     hop = N // 2
     for k in range(K):
-        s[k * hop:k * hop + filt.length] += filt.coeffs * y[idx, k]
+        s[k * hop:k * hop + filt.length] += scale_rows(filt.coeffs, y[idx, k])
     return s
 
 

@@ -4,7 +4,9 @@ emission levels, residual self-interference (SIR), and Monte Carlo BER.
 All Monte Carlo loops derive one generator per trial from the master
 seed and the trial index, so results are deterministic, order
 independent, and stable when the trial count grows (earlier trials keep
-their draws).
+their draws). The PAPR and spectrum loops then push the bits of
+``TRIAL_CHUNK`` trials through the transmit chain as one batch, one
+column per trial, with the same results as one frame at a time.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.signal import welch
-from scipy.special import erfc
 
 from .transforms import apply_synthesis, daft_matrix
 from .filterbank import compensation_vector, data_indices, single_symbol_filter
@@ -39,6 +39,14 @@ from .channel import (
 
 SIR_CAP_DB = 150.0
 
+# Trials per batch of the PAPR and spectrum Monte Carlo. Batching shares
+# the fixed cost of the ~40 numpy calls of a frame among the trials. On a
+# 2-vCPU Xeon VM, one AFBM plus one AFDM reference frame took a median
+# 444, 386, 395 and 387-479 us at chunks of 8, 16, 24 and 32, and the
+# peak allocation of a chunk doubles from 16 to 32 (the 4x-interpolated
+# envelopes) without a gain.
+TRIAL_CHUNK = 16
+
 
 @dataclass(frozen=True)
 class CcdfCurve:
@@ -58,6 +66,8 @@ class CcdfCurve:
 
     def level_at(self, probability: float) -> float:
         """Threshold (dB) whose exceedance probability is ``probability``."""
+        if self.samples is None:
+            raise ValueError("level_at needs a curve built with its samples")
         return float(np.quantile(self.samples, 1 - probability))
 
 
@@ -83,7 +93,8 @@ def spectral_interpolate(x: np.ndarray, factor: int) -> np.ndarray:
 
     The Nyquist bin of an even-length input is split in half across the
     two spectrum edges, keeping real signals real and the interpolation
-    exact for band-limited content.
+    exact for band-limited content. Samples run along axis 0; trailing
+    axes are batch, and each output column is contiguous.
     """
     if factor < 1 or int(factor) != factor:
         raise ValueError("factor must be a positive integer")
@@ -91,31 +102,85 @@ def spectral_interpolate(x: np.ndarray, factor: int) -> np.ndarray:
     if factor == 1:
         return x.astype(complex)
     n = len(x)
-    X = np.fft.fft(x)
+    X = np.fft.fft(x, axis=0)
     h = n // 2
-    Z = np.zeros(factor * n, dtype=complex)
+    Z = np.zeros((factor * n,) + x.shape[1:], dtype=complex, order="F")
     Z[:h] = X[:h]
     Z[factor * n - (n - h):] = X[h:]
     if n % 2 == 0:
         Z[h] = X[h] / 2
         Z[factor * n - h] = X[h] / 2
-    return np.fft.ifft(Z) * factor
+    z = np.fft.ifft(Z, axis=0)
+    z *= factor
+    return z
 
 
-def papr(signal, oversample: int = 4) -> float:
-    """Peak-to-average power ratio of the frame envelope, in dB."""
+def papr(signal, oversample: int = 4):
+    """Peak-to-average power ratio of the frame envelope, in dB.
+
+    A 1-D signal gives a float. Trailing batch axes give one value per
+    frame, each computed exactly as for that frame alone.
+    """
     s = signal.s if isinstance(signal, TimeSignal) else np.asarray(signal)
     power = np.abs(s) ** 2
-    if not np.any(power):
+    if not np.all(np.any(power, axis=0)):
         raise ValueError("PAPR undefined for a zero-energy signal")
     if oversample < 1:
         raise ValueError("oversample must be >= 1")
-    env = np.abs(spectral_interpolate(s, oversample)) ** 2
-    return float(10 * np.log10(env.max() / env.mean()))
+    # Fortran order keeps each frame contiguous, so the mean is summed in
+    # the same order as for a lone frame.
+    env = np.asfortranarray(np.abs(spectral_interpolate(s, oversample)))
+    np.square(env, out=env)
+    ratio = 10 * np.log10(env.max(axis=0) / env.mean(axis=0))
+    return float(ratio) if s.ndim == 1 else ratio
+
+
+def _bit_count(source) -> int:
+    return source.data_per_frame * BITS_PER_SYMBOL[source.constellation]
 
 
 def _random_bits(rng: np.random.Generator, count: int) -> np.ndarray:
     return rng.integers(0, 2, size=count)
+
+
+def _trial_bits(count: int, trials: int, seed):
+    """``(t0, bits)`` per chunk of trials; ``bits`` is count x chunk.
+
+    Trial ``t`` draws its bits from its own generator
+    ``default_rng([seed, t])``, exactly as a one-frame loop would.
+    """
+    for t0 in range(0, trials, TRIAL_CHUNK):
+        t1 = min(t0 + TRIAL_CHUNK, trials)
+        yield t0, np.array([_random_bits(np.random.default_rng([seed, t]),
+                                         count) for t in range(t0, t1)]).T
+
+
+def _afbm_transmit(modem: AfbmModem, bits: np.ndarray):
+    """Grid and transmit signal of bits (axis 0; trailing axes are batch)."""
+    p = modem.params
+    frame = place_grid(map_symbols(bits, p.constellation), p.dims.L, p.K)
+    return frame, modem.modulate(frame)
+
+
+def _afdm_transmit(params: AfdmParams, bits: np.ndarray, oversample: int = 1):
+    """Symbol grid ``X`` and burst of the baseline for bits along axis 0.
+
+    With ``oversample`` > 1 each prefixed symbol is band-limited
+    interpolated on its own before the K symbols are concatenated.
+    """
+    syms = map_symbols(bits, params.constellation)
+    X = syms.reshape((params.L_a, params.K) + syms.shape[1:], order="F")
+    symbols = afdm_modulate(X, params.chirps, params.cpp_len)
+    if oversample > 1:
+        symbols = spectral_interpolate(symbols, oversample)
+    return X, symbols.reshape((-1,) + symbols.shape[2:], order="F")
+
+
+def _transmit(source, modem, bits: np.ndarray, afdm_oversample: int = 1):
+    """Transmit signals of stacked bit columns, one column per trial."""
+    if modem is not None:
+        return _afbm_transmit(modem, bits)[1].s
+    return _afdm_transmit(source, bits, afdm_oversample)[1]
 
 
 def random_afbm_frame(params: WaveformParams, rng: np.random.Generator,
@@ -123,22 +188,14 @@ def random_afbm_frame(params: WaveformParams, rng: np.random.Generator,
     """One random data frame and its transmit signal."""
     if modem is None:
         modem = AfbmModem(params)
-    bits = _random_bits(
-        rng, params.data_per_frame * BITS_PER_SYMBOL[params.constellation])
-    frame = place_grid(map_symbols(bits, params.constellation),
-                       params.dims.L, params.K)
-    return bits, frame, modem.modulate(frame)
+    bits = _random_bits(rng, _bit_count(params))
+    return (bits,) + _afbm_transmit(modem, bits)
 
 
 def random_afdm_frame(params: AfdmParams, rng: np.random.Generator):
     """One random baseline frame: K prefixed symbols concatenated."""
-    bits = _random_bits(
-        rng, params.data_per_frame * BITS_PER_SYMBOL[params.constellation])
-    syms = map_symbols(bits, params.constellation)
-    X = syms.reshape((params.L_a, params.K), order="F")
-    chunks = [afdm_modulate(X[:, k], params.chirps, params.cpp_len)
-              for k in range(params.K)]
-    return bits, X, np.concatenate(chunks)
+    bits = _random_bits(rng, _bit_count(params))
+    return (bits,) + _afdm_transmit(params, bits)
 
 
 def papr_ccdf(source, trials: int, thresholds, seed) -> CcdfCurve:
@@ -152,14 +209,8 @@ def papr_ccdf(source, trials: int, thresholds, seed) -> CcdfCurve:
     thresholds = np.asarray(thresholds, dtype=float)
     modem = AfbmModem(source) if isinstance(source, WaveformParams) else None
     samples = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        if modem is not None:
-            _, _, sig = random_afbm_frame(source, rng, modem)
-            s = sig.s
-        else:
-            _, _, s = random_afdm_frame(source, rng)
-        samples[t] = papr(s)
+    for t0, bits in _trial_bits(_bit_count(source), trials, seed):
+        samples[t0:t0 + bits.shape[1]] = papr(_transmit(source, modem, bits))
     probs = np.array([(samples > th).mean() for th in thresholds])
     return CcdfCurve(thresholds=thresholds, probabilities=probs,
                      trials=trials, samples=samples)
@@ -171,6 +222,8 @@ def papr_ccdf(source, trials: int, thresholds, seed) -> CcdfCurve:
 
 def psd_welch(signal, segment: int, overlap_fraction: float = 0.5) -> PsdEstimate:
     """Two-sided averaged periodogram, Hann window, 0 dBr peak."""
+    from scipy.signal import welch  # deferred: scipy.signal is slow to import
+
     s = signal.s if isinstance(signal, TimeSignal) else np.asarray(signal)
     if segment < 8 or segment > len(s):
         raise ValueError("segment must satisfy 8 <= segment <= len(s)")
@@ -234,28 +287,24 @@ def afdm_oobe_signal(params: AfdmParams, rng: np.random.Generator) -> np.ndarray
     the measured spectrum reflects the transmitted band (the digital
     sequence occupies all of its own Nyquist range by construction).
     """
-    _, X, _ = random_afdm_frame(params, rng)
-    chunks = []
-    for k in range(params.K):
-        base = afdm_modulate(X[:, k], params.chirps, params.cpp_len)
-        chunks.append(spectral_interpolate(base, AFDM_OOBE_OVERSAMPLE))
-    return np.concatenate(chunks)
+    bits = _random_bits(rng, _bit_count(params))
+    return _afdm_transmit(params, bits, AFDM_OOBE_OVERSAMPLE)[1]
 
 
 def spectrum_signal(source, frames: int, seed) -> np.ndarray:
     """Concatenate random frames into one long record for Welch averaging."""
     if frames < 1:
         raise ValueError("frames must be >= 1")
-    out = []
-    modem = AfbmModem(source) if isinstance(source, WaveformParams) else None
-    for t in range(frames):
-        rng = np.random.default_rng([seed, t])
-        if modem is not None:
-            _, _, sig = random_afbm_frame(source, rng, modem)
-            out.append(sig.s)
-        else:
-            out.append(afdm_oobe_signal(source, rng))
-    return np.concatenate(out)
+    if isinstance(source, WaveformParams):
+        modem, length = AfbmModem(source), source.M
+    else:
+        modem, length = None, AFDM_OOBE_OVERSAMPLE * source.M
+    # frame t fills column t; column-major order makes them one record
+    record = np.empty((length, frames), dtype=complex, order="F")
+    for t0, bits in _trial_bits(_bit_count(source), frames, seed):
+        record[:, t0:t0 + bits.shape[1]] = _transmit(
+            source, modem, bits, AFDM_OOBE_OVERSAMPLE)
+    return record.reshape(-1, order="F")
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +352,8 @@ def sir_orthogonality(params: WaveformParams, compensated: bool = True) -> float
 
 def qfunc(x) -> np.ndarray:
     """Gaussian tail probability Q(x)."""
+    from scipy.special import erfc
+
     return 0.5 * erfc(np.asarray(x) / np.sqrt(2))
 
 

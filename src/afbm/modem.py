@@ -30,6 +30,7 @@ from .transforms import (
     apply_synthesis,
     apply_synthesis_adjoint,
     daft_matrix,
+    scale_rows,
     synthesis_matrix,
 )
 from .filterbank import (
@@ -95,13 +96,16 @@ class WaveformParams:
 
 @dataclass(frozen=True)
 class GridFrame:
-    """L x K symbol grid; the middle L/2 rows are a zero guard band."""
+    """L x K symbol grid; the middle L/2 rows are a zero guard band.
+
+    Trailing axes after the first two, if any, stack independent frames.
+    """
 
     A: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
         L = self.A.shape[0]
-        if self.A.ndim != 2 or L % 4:
+        if self.A.ndim < 2 or L % 4:
             raise ValueError("grid must be L x K with L divisible by 4")
         if np.any(self.A[L // 4:L - L // 4]):
             raise ValueError("guard rows of the grid must be zero")
@@ -128,8 +132,12 @@ class TimeSignal:
 # ---------------------------------------------------------------------------
 
 def map_symbols(bits: np.ndarray, constellation: str) -> np.ndarray:
-    """Gray-map a 0/1 vector onto unit-average-energy symbols."""
-    bits = np.asarray(bits, dtype=int).ravel()
+    """Gray-map 0/1 bits onto unit-average-energy symbols.
+
+    Bits run along axis 0, consecutive groups forming one symbol; trailing
+    axes are batch (one column per frame).
+    """
+    bits = np.asarray(bits, dtype=int)
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bits must be 0 or 1")
     bps = BITS_PER_SYMBOL.get(constellation)
@@ -137,7 +145,7 @@ def map_symbols(bits: np.ndarray, constellation: str) -> np.ndarray:
         raise ValueError(f"unsupported constellation {constellation!r}")
     if len(bits) % bps:
         raise ValueError(f"bit count must be divisible by {bps}")
-    groups = bits.reshape(-1, bps)
+    groups = bits.reshape((-1, bps) + bits.shape[1:])
     if constellation == "QPSK":
         re = _QPSK_BIT_LEVELS[groups[:, 0]]
         im = _QPSK_BIT_LEVELS[groups[:, 1]]
@@ -176,16 +184,20 @@ def demap_symbols(symbols: np.ndarray, constellation: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def place_grid(d: np.ndarray, L: int, K: int) -> GridFrame:
-    """Fill the first and last L/4 rows of each column with data symbols."""
-    d = np.asarray(d).ravel()
-    if len(d) != (L // 2) * K:
-        raise ValueError(f"expected {(L // 2) * K} symbols, got {len(d)}")
-    A = np.zeros((L, K), dtype=complex)
+    """Fill the first and last L/4 rows of each column with data symbols.
+
+    ``d`` holds the (L/2)*K symbols of a frame along axis 0, column after
+    column; trailing axes are batch.
+    """
+    d = np.asarray(d)
+    if d.ndim == 0 or len(d) != (L // 2) * K:
+        raise ValueError(f"expected {(L // 2) * K} symbols, got {d.size}")
+    batch = d.shape[1:]
+    cols = d.reshape((L // 2, K) + batch, order="F")
+    A = np.zeros((L, K) + batch, dtype=complex)
     q = L // 4
-    for k in range(K):
-        chunk = d[k * (L // 2):(k + 1) * (L // 2)]
-        A[:q, k] = chunk[:q]
-        A[L - q:, k] = chunk[q:]
+    A[:q] = cols[:q]
+    A[L - q:] = cols[q:]
     return GridFrame(A=A)
 
 
@@ -193,8 +205,8 @@ def extract_grid(frame: GridFrame) -> np.ndarray:
     """Read the data rows back out, column by column (inverse of place_grid)."""
     L = frame.L
     q = L // 4
-    return np.concatenate(
-        [np.r_[frame.A[:q, k], frame.A[L - q:, k]] for k in range(frame.K)])
+    rows = np.concatenate([frame.A[:q], frame.A[L - q:]])
+    return rows.reshape((-1,) + rows.shape[2:], order="F")
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +235,7 @@ class AfbmModem:
         p = self.params
         if frame.L != p.dims.L or frame.K != p.K:
             raise ValueError("frame shape does not match params")
-        X = apply_daft(self.b_tx[:, None] * frame.A, p.chirps_pre)
+        X = apply_daft(scale_rows(self.b_tx, frame.A), p.chirps_pre)
         Y = apply_synthesis(X, p.dims, p.chirps_mod)
         s = apply_filter_bank(Y, p.filter)
         return TimeSignal(s=s, f_s=p.sample_rate)
@@ -316,13 +328,16 @@ def afdm_modulate(x: np.ndarray, chirps: ChirpPair, cpp_len: int) -> np.ndarray:
     The prefix copies the tail of the body with the quadratic phase
     continuation that makes a linear delay-Doppler channel act circularly
     on the body, so the channel module's circular model applies exactly.
+    The symbol runs along axis 0; trailing axes are batch (for instance
+    the K symbols of a frame, then the frames of a chunk).
     """
-    x = np.asarray(x).ravel()
+    x = np.asarray(x)
     L_a = len(x)
     if not 0 <= cpp_len < L_a:
         raise ValueError("need 0 <= cpp_len < symbol length")
     body = apply_daft(x, chirps, adjoint=True)
-    prefix = body[L_a - cpp_len:] * _prefix_phase(chirps.c1, L_a, cpp_len)
+    prefix = scale_rows(_prefix_phase(chirps.c1, L_a, cpp_len),
+                        body[L_a - cpp_len:])
     return np.concatenate([prefix, body])
 
 
@@ -335,9 +350,13 @@ def afdm_demodulate(r: np.ndarray, chirps: ChirpPair, cpp_len: int) -> np.ndarra
 
 
 def afdm_modulate_frame(X: np.ndarray, chirps: ChirpPair, cpp_len: int) -> np.ndarray:
-    """Concatenate K prefixed symbols (columns of ``X``) into one burst."""
-    return np.concatenate(
-        [afdm_modulate(X[:, k], chirps, cpp_len) for k in range(X.shape[1])])
+    """Concatenate K prefixed symbols (columns of ``X``) into one burst.
+
+    Trailing axes of ``X`` after the first two are batch; the bursts are
+    returned as columns.
+    """
+    symbols = afdm_modulate(X, chirps, cpp_len)
+    return symbols.reshape((-1,) + symbols.shape[2:], order="F")
 
 
 def afdm_demodulate_frame(r: np.ndarray, L_a: int, K: int, chirps: ChirpPair,

@@ -6,7 +6,8 @@ is exp(+j*2*pi*k*l/n) and chirp diagonals rotate as exp(-j*2*pi*c*m^2).
 
 All constructors return dense matrices; the ``apply_*`` functions are
 FFT-based fast paths that agree with the dense products (tested against
-them) and accept stacked columns.
+them). They transform along axis 0 and treat any trailing axes as batch,
+so one call applies the operator to every column of a stack of frames.
 """
 
 from __future__ import annotations
@@ -128,6 +129,11 @@ def synthesis_matrix(dims: DaftDims, chirps: ChirpPair) -> np.ndarray:
 # fast application paths (FFT-based, vectorized over columns)
 # ---------------------------------------------------------------------------
 
+def scale_rows(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Multiply row i of ``x`` (axis 0, any trailing batch axes) by ``v[i]``."""
+    return v.reshape(v.shape + (1,) * (x.ndim - 1)) * x
+
+
 def apply_dft(x: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """Apply the unitary (+j kernel) DFT matrix, or its adjoint, along axis 0."""
     if adjoint:
@@ -140,12 +146,10 @@ def apply_daft(x: np.ndarray, chirps: ChirpPair, adjoint: bool = False) -> np.nd
     n = x.shape[0]
     p1 = chirp_phase(chirps.c1, n)
     p2 = chirp_phase(chirps.c2, n)
-    if x.ndim > 1:
-        p1 = p1[:, None]
-        p2 = p2[:, None]
     if adjoint:
-        return p2.conj() * np.fft.fft(p1.conj() * x, axis=0, norm="ortho")
-    return p1 * np.fft.ifft(p2 * x, axis=0, norm="ortho")
+        return scale_rows(p2.conj(), np.fft.fft(scale_rows(p1.conj(), x),
+                                                axis=0, norm="ortho"))
+    return scale_rows(p1, np.fft.ifft(scale_rows(p2, x), axis=0, norm="ortho"))
 
 
 def apply_freq_zero_pad(v: np.ndarray, N: int) -> np.ndarray:

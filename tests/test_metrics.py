@@ -1,15 +1,22 @@
 """Unit tests for envelope, spectrum, orthogonality and link metrics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from afbm.metrics import (
+    TRIAL_CHUNK,
     AfdmParams,
     CcdfCurve,
     ChannelSpec,
     WaveformParams,
     afbm_band_edges,
     afdm_band_edges,
+    afdm_oobe_signal,
     ber_experiment,
     compensation_vector,
     data_indices,
@@ -76,6 +83,23 @@ def test_papr_reference_values():
         papr(np.ones(16), oversample=0)
 
 
+def test_papr_of_a_stack_matches_each_frame():
+    rng = np.random.default_rng(63)
+    stack = rng.standard_normal((96, 5)) + 1j * rng.standard_normal((96, 5))
+    batch = papr(stack)
+    assert batch.shape == (5,)
+    assert np.array_equal(batch, [papr(stack[:, b]) for b in range(5)])
+    # a C-ordered stack (frames strided) gives the same bits
+    assert np.array_equal(papr(np.ascontiguousarray(stack)), batch)
+
+
+def test_papr_rejects_a_stack_with_one_zero_energy_frame():
+    stack = np.ones((16, 3), dtype=complex)
+    stack[:, 1] = 0
+    with pytest.raises(ValueError):
+        papr(stack)
+
+
 def test_papr_oversampling_never_reduces_the_peak():
     rng = np.random.default_rng(62)
     for _ in range(10):
@@ -126,6 +150,64 @@ def test_level_at_matches_empirical_quantile(ref_params_frame):
                       thresholds=np.array([8.0]), seed=9)
     lvl = curve.level_at(0.1)
     assert np.mean(curve.samples > lvl) <= 0.1 + 1 / 50
+
+
+def test_level_at_requires_samples():
+    curve = CcdfCurve(thresholds=np.array([1.0, 2.0]),
+                      probabilities=np.array([0.5, 0.1]), trials=10)
+    with pytest.raises(ValueError, match="samples"):
+        curve.level_at(0.1)
+
+
+# trial counts that cross the chunk boundaries of the batched Monte Carlo
+CHUNK_CROSSING_TRIALS = (1, TRIAL_CHUNK - 1, TRIAL_CHUNK + 1,
+                         2 * TRIAL_CHUNK + 3)
+
+
+def _baseline():
+    return AfdmParams(L_a=128, K=8, chirps=ChirpPair(3 / 256, 0.0),
+                      cpp_len=2)
+
+
+def _phydyas_frame(ref_dims, ref_chirps, phydyas256):
+    return WaveformParams(dims=ref_dims, K=8, chirps_pre=ref_chirps,
+                          chirps_mod=ref_chirps, filter=phydyas256)
+
+
+def _frames_one_at_a_time(source, trials, seed, afdm_frame):
+    """Transmit signal of every trial, each from its own generator."""
+    rngs = [np.random.default_rng([seed, t]) for t in range(trials)]
+    if isinstance(source, WaveformParams):
+        modem = AfbmModem(source)
+        return [random_afbm_frame(source, rng, modem)[2].s for rng in rngs]
+    return [afdm_frame(source, rng) for rng in rngs]
+
+
+def _afdm_burst(params, rng):
+    return random_afdm_frame(params, rng)[2]
+
+
+@pytest.mark.parametrize("trials", CHUNK_CROSSING_TRIALS)
+@pytest.mark.parametrize("waveform", ["hermite", "phydyas", "afdm"])
+def test_papr_ccdf_chunks_match_one_frame_at_a_time(
+        waveform, trials, ref_params_frame, ref_dims, ref_chirps, phydyas256):
+    source = {"hermite": ref_params_frame,
+              "phydyas": _phydyas_frame(ref_dims, ref_chirps, phydyas256),
+              "afdm": _baseline()}[waveform]
+    curve = papr_ccdf(source, trials, np.array([6.0]), seed=4)
+    frames = _frames_one_at_a_time(source, trials, 4, _afdm_burst)
+    assert np.array_equal(curve.samples, [papr(s) for s in frames])
+
+
+@pytest.mark.parametrize("trials", CHUNK_CROSSING_TRIALS)
+@pytest.mark.parametrize("waveform", ["phydyas", "afdm"])
+def test_spectrum_signal_chunks_match_one_frame_at_a_time(
+        waveform, trials, ref_dims, ref_chirps, phydyas256):
+    source = (_baseline() if waveform == "afdm"
+              else _phydyas_frame(ref_dims, ref_chirps, phydyas256))
+    expected = np.concatenate(
+        _frames_one_at_a_time(source, trials, 7, afdm_oobe_signal))
+    assert np.array_equal(spectrum_signal(source, trials, seed=7), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +361,27 @@ def test_random_frame_generators_are_deterministic(ref_params_frame):
     assert X3.shape == (64, 2)
     assert len(s3) == (64 + 3) * 2
     assert len(b3) == 2 * p.data_per_frame
+
+
+def test_random_afbm_frame_draws_exactly_the_frame_bits(ref_params):
+    # ber_experiment draws its noise from the same generator afterwards
+    rng = np.random.default_rng(8)
+    bits, _, _ = random_afbm_frame(ref_params, rng)
+    twin = np.random.default_rng(8)
+    assert np.array_equal(bits, twin.integers(0, 2, size=len(bits)))
+    assert rng.random() == twin.random()
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, afbm; print('scipy.signal' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_qfunc_reference_values():

@@ -106,6 +106,22 @@ def test_place_extract_round_trip():
     assert np.array_equal(extract_grid(frame), d)
 
 
+def test_batched_map_place_modulate_match_single_frames(ref_params_frame):
+    # trailing axes are batch: column b of every stage is frame b alone
+    rng = np.random.default_rng(34)
+    bits = rng.integers(0, 2, (ref_params_frame.data_per_frame * 2, 3))
+    modem = AfbmModem(ref_params_frame)
+    frames = place_grid(map_symbols(bits, "QPSK"), 128, 8)
+    assert frames.A.shape == (128, 8, 3)
+    signals = modem.modulate(frames).s
+    assert signals.shape == (ref_params_frame.M, 3)
+    for b in range(3):
+        one = place_grid(map_symbols(bits[:, b], "QPSK"), 128, 8)
+        assert np.array_equal(frames.A[..., b], one.A)
+        assert np.array_equal(extract_grid(frames)[:, b], extract_grid(one))
+        assert np.array_equal(signals[:, b], modem.modulate(one).s)
+
+
 def test_place_grid_validation():
     with pytest.raises(ValueError):
         place_grid(np.zeros(5, dtype=complex), 8, 1)
@@ -290,6 +306,17 @@ def test_afdm_frame_round_trip():
     assert len(s) == (128 + 2) * 4
     back = afdm_demodulate_frame(s, 128, 4, chirps, 2)
     assert np.abs(back - X).max() < 1e-12
+
+
+def test_afdm_modulate_frame_batch_matches_single_frames():
+    rng = np.random.default_rng(46)
+    chirps = ChirpPair(3 / 256, 0.0)
+    X = rng.standard_normal((64, 4, 3)) + 1j * rng.standard_normal((64, 4, 3))
+    bursts = afdm_modulate_frame(X, chirps, 2)
+    assert bursts.shape == ((64 + 2) * 4, 3)
+    for b in range(3):
+        assert np.array_equal(bursts[:, b], np.concatenate(
+            [afdm_modulate(X[:, k, b], chirps, 2) for k in range(4)]))
 
 
 def test_afdm_validation():
