@@ -23,11 +23,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .transforms import (ChirpPair, apply_daft, apply_synthesis,
-                         apply_synthesis_adjoint, daft_matrix)
-from .filterbank import (data_indices, single_symbol_filter,
-                         single_symbol_filter_adjoint)
-from .modem import AfbmModem, TimeSignal, WaveformParams
+from .transforms import ChirpPair, apply_synthesis, daft_matrix
+from .filterbank import data_indices, single_symbol_filter
+from .modem import AfbmModem, GridFrame, TimeSignal, WaveformParams
 
 
 @dataclass(frozen=True)
@@ -219,28 +217,22 @@ def single_path_references(spec: ChannelSpec, make_effective) -> list:
     return refs
 
 
-def data_restricted_channel(H: np.ndarray, params: WaveformParams) -> np.ndarray:
+def data_restricted_channel(H: np.ndarray, modem: AfbmModem) -> np.ndarray:
     """Despread data-to-data channel seen by the symbol detector.
 
-    Runs the full receive chain over the channel response of each
-    transmitted data symbol (single-symbol frame) and keeps the data
-    rows: an (L/2) x (L/2) matrix suitable for linear equalization.
+    Runs the full receive chain of ``modem`` over the channel response
+    of each transmitted data symbol (single-symbol frame) and keeps the
+    data rows: an (L/2) x (L/2) matrix suitable for linear equalization.
     """
+    params = modem.params
     if params.K != 1:
         raise ValueError("detector channel is defined for K = 1")
-    modem = AfbmModem(params)
     L = params.dims.L
     data = data_indices(L)
-    A = np.zeros((L, L // 2), dtype=complex)
-    A[data, np.arange(L // 2)] = 1.0
-    X = apply_daft(modem.b_tx[:, None] * A, params.chirps_pre)
-    Y = apply_synthesis(X, params.dims, params.chirps_mod)
-    S = single_symbol_filter(Y, params.filter)
-    R = H @ S
-    Z = single_symbol_filter_adjoint(R, params.filter)
-    Xt = apply_synthesis_adjoint(Z, params.dims, params.chirps_mod)
-    At = modem.b_rx[:, None] * apply_daft(Xt, params.chirps_pre, adjoint=True)
-    return At[data, :]
+    A = np.zeros((L, 1, L // 2), dtype=complex)
+    A[data, 0, np.arange(L // 2)] = 1.0
+    R = H @ modem.modulate(GridFrame(A=A)).s
+    return modem.demodulate(TimeSignal(s=R)).A[data, 0]
 
 
 def mmse_equalize(x_tilde: np.ndarray, H_d: np.ndarray,

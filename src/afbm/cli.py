@@ -37,6 +37,7 @@ from .channel import (
     single_path_references,
 )
 from . import metrics
+from .metrics import ResultTable
 
 EXPERIMENTS = ("papr", "oobe", "orth", "effchan", "ber")
 
@@ -62,33 +63,6 @@ _DEFAULTS = {
     "seed": 0,
     "out": "results",
 }
-
-
-@dataclass
-class ResultTable:
-    """Rows plus the reproducibility header written to every CSV."""
-
-    metadata: dict
-    columns: tuple
-    rows: list
-
-    def write_csv(self, path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            for key, value in self.metadata.items():
-                fh.write(f"# {key}={value}\n")
-            fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(_format_cell(v) for v in row) + "\n")
-
-
-def _format_cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
 
 
 @dataclass
@@ -327,7 +301,7 @@ def _run_ber(cfg: ExperimentConfig, outdir: Path):
     spec = ChannelSpec(paths=cfg.paths, M=params1.M,
                        c1=params1.chirps_mod.c1)
     table = metrics.ber_experiment(cfg.waveform, spec, cfg.snr_grid,
-                                   cfg.trials, cfg.seed)
+                                   cfg.trials, cfg.seed, xi=cfg.xi)
     _write_two_column(cfg, outdir / "ber.csv", table.columns, table.rows)
     rows = [("ber", cfg.config_id, snr, ber) for snr, ber in table.rows]
     last = table.rows[-1]

@@ -229,26 +229,26 @@ def single_symbol_filter(y: np.ndarray, filt: PrototypeFilter) -> np.ndarray:
 
 def single_symbol_filter_adjoint(r: np.ndarray, filt: PrototypeFilter) -> np.ndarray:
     """Fold windowed length-O*N columns back to period N (adjoint of above)."""
-    if r.shape[0] != filt.length:
-        raise ValueError("row count must equal the filter length")
-    idx = np.arange(filt.length) % filt.N
-    g = filt.coeffs if r.ndim == 1 else filt.coeffs[:, None]
-    z = np.zeros((filt.N,) + r.shape[1:], dtype=complex)
-    np.add.at(z, idx, g * r)
-    return z
+    return apply_filter_bank_adjoint(r, filt, 1)[:, 0]
 
 
 def apply_filter_bank_adjoint(r: np.ndarray, filt: PrototypeFilter, K: int) -> np.ndarray:
-    """Fast analysis: window each symbol's span and fold it to period N."""
+    """Fast analysis: window each symbol's span and fold it to period N.
+
+    ``r`` is the length-M time signal, optionally with trailing batch
+    axes; the output is N x K (x batch). Every span is folded in the same
+    order as for a lone column, so a batch equals per-column calls.
+    """
     N = filt.N
     hop = N // 2
     if len(r) != output_length(filt, K):
         raise ValueError("input length does not match K symbols")
-    idx = np.arange(filt.length) % N
-    z = np.zeros((N, K), dtype=complex)
+    z = np.zeros((N, K) + r.shape[1:], dtype=complex)
     for k in range(K):
-        seg = filt.coeffs * r[k * hop:k * hop + filt.length]
-        np.add.at(z[:, k], idx, seg)
+        seg = scale_rows(filt.coeffs, r[k * hop:k * hop + filt.length])
+        for p in range(0, filt.length, N):
+            part = seg[p:p + N]
+            z[:len(part), k] += part
     return z
 
 

@@ -2,16 +2,20 @@
 emission levels, residual self-interference (SIR), and Monte Carlo BER.
 
 All Monte Carlo loops derive one generator per trial from the master
-seed and the trial index, so results are deterministic, order
-independent, and stable when the trial count grows (earlier trials keep
-their draws). The PAPR and spectrum loops then push the bits of
-``TRIAL_CHUNK`` trials through the transmit chain as one batch, one
-column per trial, with the same results as one frame at a time.
+seed and the trial index (``default_rng([seed, trial])``; the BER loop
+uses ``default_rng([seed, snr_index, trial])``), so results are
+deterministic, order independent, and stable when the trial count grows
+(earlier trials keep their draws). Every loop then pushes the draws of
+``TRIAL_CHUNK`` trials through the chain as one batch, one column per
+trial. PAPR and spectrum samples equal those of one frame at a time bit
+for bit; the BER loop adds the dense channel and the MMSE filter as
+matrix products over the chunk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -33,19 +37,45 @@ from .channel import (
     ChannelSpec,
     build_channel,
     data_restricted_channel,
-    mmse_equalize,
     pick_chirp_params,
 )
 
 SIR_CAP_DB = 150.0
 
-# Trials per batch of the PAPR and spectrum Monte Carlo. Batching shares
-# the fixed cost of the ~40 numpy calls of a frame among the trials. On a
-# 2-vCPU Xeon VM, one AFBM plus one AFDM reference frame took a median
-# 444, 386, 395 and 387-479 us at chunks of 8, 16, 24 and 32, and the
-# peak allocation of a chunk doubles from 16 to 32 (the 4x-interpolated
-# envelopes) without a gain.
+# Trials per batch of the PAPR, spectrum and BER Monte Carlo. Batching
+# shares the fixed cost of the ~40 numpy calls of a frame among the
+# trials. On a 2-vCPU Xeon VM, one AFBM plus one AFDM reference frame
+# took a median 444, 386, 395 and 387-479 us at chunks of 8, 16, 24 and
+# 32, and the peak allocation of a chunk doubles from 16 to 32 (the
+# 4x-interpolated envelopes) without a gain.
 TRIAL_CHUNK = 16
+
+
+@dataclass
+class ResultTable:
+    """Rows plus the reproducibility header written to every CSV."""
+
+    metadata: dict
+    columns: tuple
+    rows: list
+
+    def write_csv(self, path) -> None:
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as fh:
+            for key, value in self.metadata.items():
+                fh.write(f"# {key}={value}\n")
+            fh.write(",".join(self.columns) + "\n")
+            for row in self.rows:
+                fh.write(",".join(_format_cell(v) for v in row) + "\n")
+
+
+def _format_cell(v) -> str:
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return repr(float(v))
 
 
 @dataclass(frozen=True)
@@ -143,16 +173,27 @@ def _random_bits(rng: np.random.Generator, count: int) -> np.ndarray:
     return rng.integers(0, 2, size=count)
 
 
-def _trial_bits(count: int, trials: int, seed):
-    """``(t0, bits)`` per chunk of trials; ``bits`` is count x chunk.
+def _trial_draws(trials: int, key: list, draw):
+    """``(t0, draws)`` per chunk of trials, one column per trial.
 
-    Trial ``t`` draws its bits from its own generator
-    ``default_rng([seed, t])``, exactly as a one-frame loop would.
+    Trial ``t`` calls ``draw`` on its own generator ``default_rng(key +
+    [t])``, exactly as a one-frame loop would; ``draws`` stacks each of
+    the arrays that ``draw`` returns as the columns of one array.
     """
     for t0 in range(0, trials, TRIAL_CHUNK):
         t1 = min(t0 + TRIAL_CHUNK, trials)
-        yield t0, np.array([_random_bits(np.random.default_rng([seed, t]),
-                                         count) for t in range(t0, t1)]).T
+        cols = [draw(np.random.default_rng(key + [t])) for t in range(t0, t1)]
+        yield t0, tuple(np.array(c).T for c in zip(*cols))
+
+
+def _trial_bits(count: int, trials: int, seed):
+    """``(t0, bits)`` per chunk of trials; ``bits`` is count x chunk.
+
+    Trial ``t`` draws its bits from ``default_rng([seed, t])``.
+    """
+    for t0, (bits,) in _trial_draws(
+            trials, [seed], lambda rng: (_random_bits(rng, count),)):
+        yield t0, bits
 
 
 def _afbm_transmit(modem: AfbmModem, bits: np.ndarray):
@@ -357,48 +398,62 @@ def qfunc(x) -> np.ndarray:
     return 0.5 * erfc(np.asarray(x) / np.sqrt(2))
 
 
+def _ber_draw(rng: np.random.Generator, count: int, M: int):
+    """One BER trial's bits, then its real and imaginary noise normals."""
+    return (_random_bits(rng, count), rng.standard_normal(M),
+            rng.standard_normal(M))
+
+
 def ber_experiment(params: WaveformParams, channel_spec: ChannelSpec,
-                   snr_grid, trials: int, seed):
-    """Monte Carlo coded-free BER with MMSE detection, one symbol at a time.
+                   snr_grid, trials: int, seed, xi: int = 0) -> ResultTable:
+    """Monte Carlo coded-free BER with MMSE detection.
 
     Detection runs on the despread data-restricted channel; the noise
     term uses the white per-sample variance (exact for flat-fold
     prototypes, a documented approximation otherwise). Frames use K = 1
     regardless of ``params.K``; the SNR axis refers to the time-domain
-    signal as produced by the channel model.
+    signal as produced by the channel model. ``xi`` is the Doppler guard
+    of the chirp feasibility rule that the channel's paths must meet.
+
+    Trial ``t`` at SNR index ``i`` draws its bits and then its noise from
+    ``default_rng([seed, i, t])``. Chunks of ``TRIAL_CHUNK`` trials run
+    through the chain together, one column per trial; the MMSE filter
+    ``(H_dᴴH_d + σ²I)⁻¹H_dᴴ`` of every column comes from one
+    eigendecomposition ``H_dᴴH_d = V Λ Vᴴ`` of the experiment.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     params1 = replace(params, K=1) if params.K != 1 else params
     ell_max = max(p.delay for p in channel_spec.paths)
     f_max = max(abs(p.doppler) for p in channel_spec.paths)
-    pick_chirp_params(ell_max, f_max, 0, params1.dims.P)  # feasibility gate
+    pick_chirp_params(ell_max, f_max, xi, params1.dims.P)  # feasibility gate
     spec = channel_spec.normalized()
-    if spec.M != params1.M:
-        raise ValueError(f"channel length {spec.M} != frame length {params1.M}")
+    M = params1.M
+    if spec.M != M:
+        raise ValueError(f"channel length {spec.M} != frame length {M}")
     H = build_channel(spec)
-    H_d = data_restricted_channel(H, params1)
     modem = AfbmModem(params1)
-    bps = BITS_PER_SYMBOL[params1.constellation]
+    H_d = data_restricted_channel(H, modem)
+    lam, V = np.linalg.eigh(H_d.conj().T @ H_d)
+    VhHdh = V.conj().T @ H_d.conj().T
+    count = _bit_count(params1)
     rows = []
     for i, snr_db in enumerate(snr_grid):
         snr_lin = 10 ** (snr_db / 10)
         errors = 0
-        total = 0
-        for t in range(trials):
-            rng = np.random.default_rng([seed, i, t])
-            bits, frame, sig = random_afbm_frame(params1, rng, modem)
+        for _, (bits, re, im) in _trial_draws(
+                trials, [seed, i], lambda rng: _ber_draw(rng, count, M)):
+            _, sig = _afbm_transmit(modem, bits)
             r = H @ sig.s
-            nvar = np.sum(np.abs(r) ** 2) / len(r) / snr_lin
-            noise = np.sqrt(nvar / 2) * (
-                rng.standard_normal(len(r)) + 1j * rng.standard_normal(len(r)))
-            grid_rx = modem.demodulate(TimeSignal(s=r + noise, f_s=sig.f_s))
-            est = mmse_equalize(extract_grid(grid_rx), H_d, nvar)
+            # Fortran order sums each column as for a lone frame
+            power = np.asfortranarray(np.abs(r) ** 2)
+            nvar = power.sum(axis=0) / M / snr_lin
+            r += np.sqrt(nvar / 2) * (re + 1j * im)
+            x_tilde = extract_grid(modem.demodulate(TimeSignal(s=r)))
+            est = V @ ((VhHdh @ x_tilde) / (lam[:, None] + nvar))
             errors += int(np.sum(demap_symbols(est, params1.constellation)
                                  != bits))
-            total += len(bits)
-        rows.append((float(snr_db), errors / total))
-    from .cli import ResultTable
+        rows.append((float(snr_db), errors / (trials * count)))
     return ResultTable(
         metadata={"metric": "ber", "seed": seed, "trials": trials,
                   "constellation": params1.constellation},

@@ -48,6 +48,10 @@ _QAM16_GRAY_LEVELS = {(0, 0): -3.0, (0, 1): -1.0, (1, 1): 1.0, (1, 0): 3.0}
 
 BITS_PER_SYMBOL = {"QPSK": 2, "QAM16": 4}
 
+# Gray bit pairs of the QAM16 axis levels, indexed [bit, (level + 3) / 2]
+_QAM16_GRAY_BITS = np.array(
+    sorted(_QAM16_GRAY_LEVELS, key=_QAM16_GRAY_LEVELS.get)).T
+
 
 @dataclass(frozen=True)
 class WaveformParams:
@@ -159,24 +163,24 @@ def map_symbols(bits: np.ndarray, constellation: str) -> np.ndarray:
 
 
 def demap_symbols(symbols: np.ndarray, constellation: str) -> np.ndarray:
-    """Hard-decision inverse of :func:`map_symbols`."""
-    symbols = np.asarray(symbols).ravel()
+    """Hard-decision inverse of :func:`map_symbols`.
+
+    Symbols run along axis 0 and trailing axes are batch; the bits of
+    each symbol are consecutive along axis 0 of the output.
+    """
+    symbols = np.asarray(symbols)
     if constellation == "QPSK":
-        bits = np.empty((len(symbols), 2), dtype=int)
-        bits[:, 0] = symbols.real < 0
-        bits[:, 1] = symbols.imag < 0
-        return bits.ravel()
-    if constellation != "QAM16":
+        groups = np.stack([symbols.real < 0, symbols.imag < 0], axis=1)
+    elif constellation == "QAM16":
+        def axis_bits(v):
+            lvl = np.clip(np.round((v * np.sqrt(10) + 3) / 2), 0, 3)
+            return _QAM16_GRAY_BITS[:, lvl.astype(int)]
+
+        groups = np.concatenate([axis_bits(symbols.real),
+                                 axis_bits(symbols.imag)]).swapaxes(0, 1)
+    else:
         raise ValueError(f"unsupported constellation {constellation!r}")
-
-    def axis_bits(v):
-        lvl = np.clip(np.round((v * np.sqrt(10) + 3) / 2), 0, 3).astype(int)
-        table = {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}
-        return np.array([table[i] for i in lvl], dtype=int)
-
-    re = axis_bits(symbols.real)
-    im = axis_bits(symbols.imag)
-    return np.hstack([re, im]).ravel()
+    return groups.reshape((-1,) + symbols.shape[1:]).astype(int)
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +245,14 @@ class AfbmModem:
         return TimeSignal(s=s, f_s=p.sample_rate)
 
     def demodulate(self, signal: TimeSignal) -> GridFrame:
+        """Receive chain; trailing axes of ``signal.s`` are batch."""
         p = self.params
         r = np.asarray(signal.s)
         if len(r) != p.M:
             raise ValueError(f"expected {p.M} samples, got {len(r)}")
         Z = apply_filter_bank_adjoint(r, p.filter, p.K)
         Xt = apply_synthesis_adjoint(Z, p.dims, p.chirps_mod)
-        At = self.b_rx[:, None] * apply_daft(Xt, p.chirps_pre, adjoint=True)
+        At = scale_rows(self.b_rx, apply_daft(Xt, p.chirps_pre, adjoint=True))
         L = p.dims.L
         At[L // 4:L - L // 4] = 0
         return GridFrame(A=At)

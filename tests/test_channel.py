@@ -23,7 +23,7 @@ from afbm.channel import (
     single_path_references,
 )
 from afbm.filterbank import assemble_filter_matrix, prototype_filter
-from afbm.modem import afdm_modulate
+from afbm.modem import AfbmModem, afdm_modulate
 from afbm.transforms import DaftDims, synthesis_matrix
 
 
@@ -311,14 +311,16 @@ def test_path_separation_accepts_wrapped_effective_channel():
 # ---------------------------------------------------------------------------
 
 def test_data_restricted_channel_identity(ref_params):
-    H_d = data_restricted_channel(np.eye(384, dtype=complex), ref_params)
+    H_d = data_restricted_channel(np.eye(384, dtype=complex),
+                                  AfbmModem(ref_params))
     assert H_d.shape == (64, 64)
     assert np.abs(H_d - np.eye(64)).max() < 1e-12
 
 
 def test_data_restricted_channel_requires_single_symbol(ref_params_frame):
     with pytest.raises(ValueError):
-        data_restricted_channel(np.eye(1280, dtype=complex), ref_params_frame)
+        data_restricted_channel(np.eye(1280, dtype=complex),
+                                AfbmModem(ref_params_frame))
 
 
 def test_mmse_zero_noise_is_zero_forcing():

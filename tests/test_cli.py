@@ -191,6 +191,17 @@ def test_ber_experiment_small(tmp_path):
     assert (tmp_path / "ber" / "ber.csv").exists()
 
 
+def test_ber_run_applies_the_configured_xi(tmp_path):
+    # the declared bounds (ell_max 0, f_max 0) are feasible at xi = 31;
+    # the default paths (delay 2, Doppler 1) are feasible at xi = 0 only
+    cfg = resolve_config({"experiment": "ber", "trials": 1,
+                          "snr_grid": [0.0],
+                          "channel": {"ell_max": 0, "f_max": 0.0, "xi": 31},
+                          "out": str(tmp_path / "ber")})
+    with pytest.raises(ValueError, match="infeasible"):
+        run(cfg)
+
+
 def test_reruns_are_byte_identical(tmp_path):
     data = {"experiment": "effchan", "trials": 1,
             "waveform": SMALL_WAVEFORM}

@@ -23,6 +23,7 @@ from afbm.filterbank import (
     single_symbol_filter_adjoint,
 )
 from afbm.transforms import apply_synthesis, daft_matrix, synthesis_matrix
+from oracles import filter_bank_adjoint_add_at
 
 
 def crandn(rng, *shape):
@@ -159,6 +160,28 @@ def test_single_symbol_filter_matches_dense():
     R = crandn(rng, filt.length, 5)
     back = single_symbol_filter_adjoint(R, filt)
     assert np.abs(back - G1.T @ R).max() < 1e-13
+
+
+@pytest.mark.parametrize("kind,overlap,N,K", [("HERMITE", 1.5, 16, 1),
+                                              ("HERMITE", 1.5, 16, 3),
+                                              ("PHYDYAS", 4, 8, 1),
+                                              ("PHYDYAS", 4, 8, 3),
+                                              ("PHYDYAS", 3, 16, 3)])
+def test_batched_filter_bank_adjoint_is_bit_identical(kind, overlap, N, K):
+    filt = prototype_filter(kind, overlap, N)
+    rng = np.random.default_rng(24)
+    R = crandn(rng, output_length(filt, K), 2, 3)
+    Z = apply_filter_bank_adjoint(R, filt, K)
+    assert Z.shape == (N, K, 2, 3)
+    assert np.array_equal(apply_filter_bank_adjoint(np.asfortranarray(R),
+                                                    filt, K), Z)
+    for j in range(2):
+        for c in range(3):
+            col = R[:, j, c]
+            assert np.array_equal(Z[:, :, j, c],
+                                  apply_filter_bank_adjoint(col, filt, K))
+            assert np.array_equal(Z[:, :, j, c],
+                                  filter_bank_adjoint_add_at(col, filt, K))
 
 
 def test_filter_bank_adjoint_inner_product():

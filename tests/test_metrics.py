@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +37,11 @@ from afbm.metrics import (
     spectral_interpolate,
     spectrum_signal,
 )
-from afbm.channel import PathSpec
+from afbm.channel import PathSpec, pick_chirp_params
 from afbm.filterbank import chain_gains, prototype_filter
-from afbm.modem import AfbmModem
+from afbm.modem import BITS_PER_SYMBOL, AfbmModem
 from afbm.transforms import ChirpPair, DaftDims
+from oracles import ber_trial_errors
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +422,50 @@ def test_ber_matches_qpsk_theory_in_awgn(ref_params):
     measured = table.rows[0][1]
     expected = qfunc(np.sqrt(10 ** (snr_time / 10) * 6.0))
     assert abs(measured - expected) < 0.25 * expected + 5e-4
+
+
+THREE_PATHS = (PathSpec(1.0, 0, 0.0), PathSpec(0.7, 1, 1.0),
+               PathSpec(0.5, 2, -1.0))
+
+
+def _ber_case(name, ref_params):
+    if name == "qpsk-hermite-awgn":
+        return ref_params, (PathSpec(1.0, 0, 0.0),), [-3.0, -1.0, 1.0]
+    if name == "qam16-hermite-multipath":
+        return (replace(ref_params, constellation="QAM16"), THREE_PATHS,
+                [4.0, 8.0, 12.0])
+    chirps = pick_chirp_params(2, 1.0, 0, 128)
+    phydyas = WaveformParams(dims=DaftDims(64, 128, 128), K=1,
+                             chirps_pre=chirps, chirps_mod=chirps,
+                             filter=prototype_filter("PHYDYAS", 4, 128))
+    return phydyas, THREE_PATHS, [-10.0, -7.0, -4.0]
+
+
+@pytest.mark.parametrize("name", ["qpsk-hermite-awgn",
+                                  "qam16-hermite-multipath",
+                                  "qpsk-phydyas4-multipath"])
+def test_ber_experiment_matches_per_frame_oracle(name, ref_params):
+    # trial counts around the TRIAL_CHUNK boundaries; earlier trials keep
+    # their draws, so each count is a prefix of the 35-trial oracle
+    params, paths, grid = _ber_case(name, ref_params)
+    spec = ChannelSpec(paths=paths, M=params.M)
+    per_trial = ber_trial_errors(params, spec, grid, 35, seed=12)
+    assert np.all(per_trial.sum(axis=1) > 0)
+    assert TRIAL_CHUNK == 16
+    bits = params.data_per_frame * BITS_PER_SYMBOL[params.constellation]
+    for trials in (1, 15, 16, 17, 35):
+        table = ber_experiment(params, spec, grid, trials, seed=12)
+        expected = per_trial[:, :trials].sum(axis=1) / (trials * bits)
+        assert [row[1] for row in table.rows] == expected.tolist()
+
+
+def test_ber_experiment_feasibility_gate_uses_xi(ref_params):
+    # 2 (f_max + xi)(ell_max + 1) + ell_max = 6 (1 + xi) + 2 against P = 192
+    spec = ChannelSpec(paths=THREE_PATHS, M=384)
+    for xi in (0, 30):
+        ber_experiment(ref_params, spec, [0.0], trials=1, seed=0, xi=xi)
+    with pytest.raises(ValueError, match="infeasible"):
+        ber_experiment(ref_params, spec, [0.0], trials=1, seed=0, xi=31)
 
 
 def test_ber_experiment_validation(ref_params):

@@ -28,6 +28,8 @@ from afbm.modem import (
     signal_to_csv,
 )
 from afbm.filterbank import prototype_filter
+from afbm.transforms import apply_daft, apply_synthesis_adjoint
+from oracles import demap_symbols_dict, filter_bank_adjoint_add_at
 
 
 def random_frame(rng, params):
@@ -75,6 +77,37 @@ def test_demap_survives_noise_and_clipping():
     assert np.array_equal(demap_symbols(noisy, "QAM16"), bits)
     far = demap_symbols(10 * syms, "QAM16")
     assert set(np.unique(far)) <= {0, 1}
+
+
+@pytest.mark.parametrize("constellation", ["QPSK", "QAM16"])
+def test_demap_matches_dict_oracle(constellation):
+    # every QAM16 level (+-1, +-3) and decision threshold (0, +-2), the
+    # QPSK levels, signed zeros and points beyond the outer levels
+    unit = np.sqrt(10) if constellation == "QAM16" else np.sqrt(2)
+    axis = np.r_[np.array([-10, -4, -3, -2.5, -2, -1.5, -1, -0.5, 0.5, 1,
+                           1.5, 2, 2.5, 3, 4, 10]) / unit,
+                 np.arange(-3, 4, 2) / np.sqrt(10), -2 / np.sqrt(10),
+                 2 / np.sqrt(10), 0.0, -0.0, 1e-300, -1e-300]
+    syms = (axis[:, None] + 1j * axis[None, :]).ravel()
+    assert np.array_equal(demap_symbols(syms, constellation),
+                          demap_symbols_dict(syms, constellation))
+
+
+@pytest.mark.parametrize("constellation", ["QPSK", "QAM16"])
+def test_demap_batch_matches_each_column(constellation):
+    rng = np.random.default_rng(37)
+    bps = 4 if constellation == "QAM16" else 2
+    bits = rng.integers(0, 2, (bps * 40, 6))
+    syms = map_symbols(bits, constellation)
+    syms = syms + 0.2 * (rng.standard_normal(syms.shape)
+                         + 1j * rng.standard_normal(syms.shape))
+    out = demap_symbols(syms, constellation)
+    assert out.shape == bits.shape
+    for b in range(6):
+        assert np.array_equal(out[:, b],
+                              demap_symbols_dict(syms[:, b], constellation))
+    stacked = demap_symbols(syms.reshape(40, 2, 3), constellation)
+    assert np.array_equal(stacked, out.reshape(bps * 40, 2, 3))
 
 
 def test_mapping_validation():
@@ -249,6 +282,34 @@ def test_overlapped_symbols_interfere(ref_dims, ref_chirps, hermite256):
     rx = modem.demodulate(modem.modulate(frame))
     err = np.abs(rx.A - frame.A).max()
     assert 1e-6 < err < 0.2
+
+
+@pytest.mark.parametrize("kind,overlap,K", [("HERMITE", 1.5, 1),
+                                             ("HERMITE", 1.5, 3),
+                                             ("PHYDYAS", 4, 1),
+                                             ("PHYDYAS", 4, 3)])
+def test_batched_demodulate_is_bit_identical(kind, overlap, K):
+    chirps = ChirpPair(0.02, 0.0)
+    params = WaveformParams(dims=DaftDims(16, 24, 32), K=K, chirps_pre=chirps,
+                            chirps_mod=chirps,
+                            filter=prototype_filter(kind, overlap, 32))
+    modem = AfbmModem(params)
+    rng = np.random.default_rng(38)
+    R = rng.standard_normal((params.M, 5)) + 1j * rng.standard_normal(
+        (params.M, 5))
+    A = modem.demodulate(TimeSignal(s=R)).A
+    assert A.shape == (16, K, 5)
+    assert np.array_equal(
+        modem.demodulate(TimeSignal(s=np.asfortranarray(R))).A, A)
+    for b in range(5):
+        assert np.array_equal(A[..., b],
+                              modem.demodulate(TimeSignal(s=R[:, b])).A)
+        # the receive chain with the np.add.at analysis filter bank
+        Z = filter_bank_adjoint_add_at(R[:, b], params.filter, K)
+        Xt = apply_synthesis_adjoint(Z, params.dims, chirps)
+        At = modem.b_rx[:, None] * apply_daft(Xt, chirps, adjoint=True)
+        At[4:12] = 0
+        assert np.array_equal(A[..., b], At)
 
 
 def test_demodulate_rejects_wrong_length(ref_params):
