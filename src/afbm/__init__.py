@@ -8,59 +8,6 @@ with a config-driven experiment CLI.
 
 __version__ = "0.1.0"
 
-from .transforms import (
-    ChirpPair,
-    DaftDims,
-    apply_daft,
-    apply_synthesis,
-    apply_synthesis_adjoint,
-    daft_matrix,
-    dft_matrix,
-    synthesis_matrix,
-)
-from .filterbank import (
-    CompensationVector,
-    FilterBankOperator,
-    PrototypeFilter,
-    assemble_filter_matrix,
-    compensation_vector,
-    filter_blocks,
-    prototype_filter,
-)
-from .modem import (
-    AfbmModem,
-    AfdmParams,
-    GridFrame,
-    TimeSignal,
-    WaveformParams,
-    afbm_demodulate,
-    afbm_modulate,
-    afdm_demodulate,
-    afdm_modulate,
-    demap_symbols,
-    extract_grid,
-    map_symbols,
-    place_grid,
-)
-from .channel import (
-    ChannelSpec,
-    EffectiveChannel,
-    PathSpec,
-    apply_channel,
-    build_channel,
-    effective_channel,
-    mmse_equalize,
-    path_separation_metric,
-    pick_chirp_params,
-)
-from .metrics import (
-    CcdfCurve,
-    PsdEstimate,
-    ber_experiment,
-    oobe_floor,
-    oobe_level,
-    papr,
-    papr_ccdf,
-    psd_welch,
-    sir_orthogonality,
-)
+from .transforms import ChirpPair, DaftDims
+from .filterbank import prototype_filter
+from .modem import WaveformParams

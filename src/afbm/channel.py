@@ -13,19 +13,20 @@ exp(-j*2*pi*c1*(M^2 - 2*M*(l_r - m))) for row m < l_r and ones elsewhere.
 
 Also here: the chirp-rate feasibility rule for keeping paths separable,
 the end-to-end effective channel of the filtered waveform, a path
-separation score, and an MMSE equalizer.
+separation score, and the data-to-data channel that the BER detector
+equalizes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .transforms import ChirpPair, apply_synthesis, daft_matrix
-from .filterbank import data_indices, single_symbol_filter
-from .modem import AfbmModem, GridFrame, TimeSignal, WaveformParams
+from .transforms import ChirpPair, daft_matrix
+from .filterbank import data_indices
+from .modem import AfbmModem, GridFrame, TimeSignal, WaveformParams, spread
 
 
 @dataclass(frozen=True)
@@ -69,14 +70,6 @@ class ChannelSpec:
         return ChannelSpec(paths=paths, M=self.M, c1=self.c1)
 
 
-@dataclass(frozen=True)
-class EffectiveChannel:
-    """End-to-end L x L operator between spread symbols and demodulated
-    samples (no compensation, single multicarrier symbol)."""
-
-    H_eff: np.ndarray = field(repr=False, compare=False)
-
-
 def pick_chirp_params(ell_max: int, f_max: float, xi: int, P: int) -> ChirpPair:
     """Chirp rates keeping delay-Doppler paths separable on a P-point grid.
 
@@ -98,6 +91,14 @@ def pick_chirp_params(ell_max: int, f_max: float, xi: int, P: int) -> ChirpPair:
     return ChirpPair(c1=(2 * alpha + 1) / (2 * P), c2=0.0)
 
 
+def check_paths_feasible(paths, xi: int, P: int) -> None:
+    """Raise ``ValueError`` unless the paths' largest delay and largest
+    |Doppler| meet the feasibility rule of :func:`pick_chirp_params` on a
+    P-point grid."""
+    pick_chirp_params(max(p.delay for p in paths),
+                      max(abs(p.doppler) for p in paths), xi, P)
+
+
 def build_channel(spec: ChannelSpec) -> np.ndarray:
     """Dense M x M circular delay-Doppler matrix of the given paths."""
     M = spec.M
@@ -114,47 +115,16 @@ def build_channel(spec: ChannelSpec) -> np.ndarray:
     return H
 
 
-def apply_channel(signal: TimeSignal, H: np.ndarray, snr_db: float,
-                  seed=None) -> TimeSignal:
-    """Propagate through ``H`` and add complex white Gaussian noise.
-
-    The per-sample noise variance is set from the actual received energy
-    so that 10*log10(||H s||^2 / ||n||^2) targets ``snr_db``; ``snr_db =
-    inf`` disables noise entirely. Deterministic under a fixed seed.
-    """
-    s = np.asarray(signal.s)
-    if H.shape[1] != len(s):
-        raise ValueError(f"channel expects {H.shape[1]} samples, got {len(s)}")
-    r = H @ s
-    if not np.isinf(snr_db):
-        rng = np.random.default_rng(seed)
-        nvar = np.sum(np.abs(r) ** 2) / len(r) / 10 ** (snr_db / 10)
-        noise = np.sqrt(nvar / 2) * (rng.standard_normal(len(r))
-                                     + 1j * rng.standard_normal(len(r)))
-        r = r + noise
-    return TimeSignal(s=r, f_s=signal.f_s)
-
-
-def _spread_matrix(params: WaveformParams) -> np.ndarray:
-    """Columns of the single-symbol uncompensated chain G~ * Q (M x L)."""
-    cols = apply_synthesis(np.eye(params.dims.L, dtype=complex),
-                           params.dims, params.chirps_mod)
-    return single_symbol_filter(cols, params.filter)
-
-
-def effective_channel(H: np.ndarray, params: WaveformParams) -> EffectiveChannel:
-    """End-to-end L x L channel of one symbol: adjoint chain * H * chain.
-
-    Spreading and filtering are applied column-wise through the fast
-    transforms; equals the dense triple product of the assembled
-    operators.
-    """
+def effective_channel(H: np.ndarray, params: WaveformParams) -> np.ndarray:
+    """End-to-end L x L channel of one symbol, ``Bᴴ H B``, between spread
+    symbols and despread samples (no compensation); ``B`` is the
+    :func:`spread` of the identity."""
     if params.K != 1:
         raise ValueError("effective channel is defined for K = 1")
-    B = _spread_matrix(params)
+    B = spread(np.eye(params.dims.L, dtype=complex)[:, None, :], params)
     if H.shape != (B.shape[0],) * 2:
         raise ValueError(f"channel must be {B.shape[0]} x {B.shape[0]}")
-    return EffectiveChannel(H_eff=B.conj().T @ (H @ B))
+    return B.conj().T @ (H @ B)
 
 
 def afdm_effective_channel(H: np.ndarray, chirps: ChirpPair) -> np.ndarray:
@@ -179,14 +149,10 @@ def path_separation_metric(H_eff, references, xi: int = 0) -> float:
     an offset as the circular diagonal of its peak energy. Identical
     paths may share a reference. No closed-form offset rule is assumed.
     """
-    if isinstance(H_eff, EffectiveChannel):
-        H_eff = H_eff.H_eff
     energy = circular_diagonal_energy(H_eff)
     n = len(energy)
     predicted = set()
     for ref in references:
-        if isinstance(ref, EffectiveChannel):
-            ref = ref.H_eff
         predicted.add(int(np.argmax(circular_diagonal_energy(ref))))
     keep = np.zeros(n, dtype=bool)
     for off in predicted:
@@ -233,25 +199,3 @@ def data_restricted_channel(H: np.ndarray, modem: AfbmModem) -> np.ndarray:
     A[data, 0, np.arange(L // 2)] = 1.0
     R = H @ modem.modulate(GridFrame(A=A)).s
     return modem.demodulate(TimeSignal(s=R)).A[data, 0]
-
-
-def mmse_equalize(x_tilde: np.ndarray, H_d: np.ndarray,
-                  noise_var: float) -> np.ndarray:
-    """Linear MMSE estimate (H_dᴴ H_d + noise_var I)⁻¹ H_dᴴ x̃.
-
-    With ``noise_var = 0`` this is zero-forcing and raises if the system
-    is singular.
-    """
-    x_tilde = np.asarray(x_tilde).ravel()
-    n = H_d.shape[1]
-    if H_d.shape[0] != len(x_tilde):
-        raise ValueError("dimension mismatch between channel and input")
-    A = H_d.conj().T @ H_d + noise_var * np.eye(n)
-    return np.linalg.solve(A, H_d.conj().T @ x_tilde)
-
-
-def normalized_path_parameters(delay_s: float, doppler_hz: float,
-                               sample_rate: float, block_len: int):
-    """Physical delay/Doppler to sample delay and cycles-per-block shift."""
-    return (int(round(delay_s * sample_rate)),
-            doppler_hz * block_len / sample_rate)

@@ -31,6 +31,7 @@ from .channel import (
     PathSpec,
     afdm_effective_channel,
     build_channel,
+    check_paths_feasible,
     effective_channel,
     path_separation_metric,
     pick_chirp_params,
@@ -189,20 +190,14 @@ def load_config(path) -> ExperimentConfig:
 # experiment runners
 # ---------------------------------------------------------------------------
 
-def _table(cfg: ExperimentConfig, rows: list) -> ResultTable:
-    return ResultTable(
-        metadata={"config_hash": cfg.config_hash, "seed": cfg.seed,
-                  "version": __version__, "experiment": cfg.experiment},
-        columns=("metric", "config", "x", "y"),
-        rows=rows)
+def _metadata(cfg: ExperimentConfig) -> dict:
+    """The reproducibility header of every CSV file a run writes."""
+    return {"config_hash": cfg.config_hash, "seed": cfg.seed,
+            "version": __version__, "experiment": cfg.experiment}
 
 
 def _write_two_column(cfg, path, columns, pairs) -> None:
-    ResultTable(
-        metadata={"config_hash": cfg.config_hash, "seed": cfg.seed,
-                  "version": __version__, "experiment": cfg.experiment},
-        columns=columns,
-        rows=list(pairs)).write_csv(path)
+    ResultTable(_metadata(cfg), columns, list(pairs)).write_csv(path)
 
 
 def _run_papr(cfg: ExperimentConfig, outdir: Path):
@@ -264,6 +259,8 @@ def _run_orth(cfg: ExperimentConfig, outdir: Path):
 
 
 def _run_effchan(cfg: ExperimentConfig, outdir: Path):
+    for size in (cfg.waveform.dims.P, cfg.afdm.L_a):
+        check_paths_feasible(cfg.paths, cfg.xi, size)
     params1 = replace(cfg.waveform, K=1)
     spec = ChannelSpec(paths=cfg.paths, M=params1.M,
                        c1=params1.chirps_mod.c1).normalized()
@@ -279,13 +276,13 @@ def _run_effchan(cfg: ExperimentConfig, outdir: Path):
         bspec, lambda H: afdm_effective_channel(H, cfg.afdm.chirps))
     bscore = path_separation_metric(beff, brefs, cfg.xi)
 
-    mag = np.abs(eff.H_eff)
+    mag = np.abs(eff)
+    header = dict(_metadata(cfg), shape=f"{mag.shape[0]}x{mag.shape[1]}")
     path = outdir / "effchan_magnitude.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(f"# config_hash={cfg.config_hash}\n# seed={cfg.seed}\n"
-                 f"# version={__version__}\n# experiment=effchan\n"
-                 f"# shape={mag.shape[0]}x{mag.shape[1]}\n")
+        for key, value in header.items():
+            fh.write(f"# {key}={value}\n")
         for row in mag:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
@@ -319,7 +316,7 @@ def run(cfg: ExperimentConfig) -> ResultTable:
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows, summary = _RUNNERS[cfg.experiment](cfg, outdir)
-    table = _table(cfg, rows)
+    table = ResultTable(_metadata(cfg), ("metric", "config", "x", "y"), rows)
     table.write_csv(outdir / "results.csv")
     print(summary)
     return table

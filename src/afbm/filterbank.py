@@ -1,6 +1,6 @@
-"""Prototype filters, the block-Toeplitz synthesis stage, and the
-compensation vector that restores complex orthogonality of the filtered
-chain.
+"""Prototype filters, the overlap-add filter bank and its adjoint, and
+the compensation vector that restores complex orthogonality of the
+filtered chain.
 
 The three built-in prototypes:
 
@@ -14,9 +14,6 @@ The three built-in prototypes:
   what makes the compensated transceiver chain exactly orthogonal at
   overlap <= 1.5. Finally the pulse is scaled to unit energy.
 * ``RECT`` -- constant window, overlap 1, test-only.
-
-Custom pulses can be loaded from a single-column CSV file as a
-documented escape hatch.
 """
 
 from __future__ import annotations
@@ -64,24 +61,6 @@ class PrototypeFilter:
     @property
     def length(self) -> int:
         return len(self.coeffs)
-
-
-@dataclass(frozen=True)
-class FilterBankOperator:
-    """Assembled block-Toeplitz synthesis matrix for K symbols."""
-
-    N: int
-    K: int
-    overlap: float
-    blocks: list = field(repr=False, compare=False)
-    matrix: np.ndarray = field(repr=False, compare=False)
-
-
-@dataclass(frozen=True)
-class CompensationVector:
-    """Per-subcarrier real gains; zero on the guard half of the indices."""
-
-    values: np.ndarray = field(repr=False, compare=False)
 
 
 def _check_overlap(overlap: float, N: int) -> int:
@@ -145,63 +124,16 @@ def prototype_filter(kind: str, overlap: float, N: int) -> PrototypeFilter:
     return PrototypeFilter(kind=kind, overlap=float(overlap), N=N, coeffs=g)
 
 
-def prototype_filter_from_csv(path, overlap: float, N: int) -> PrototypeFilter:
-    """Escape hatch: load custom pulse coefficients (one per line)."""
-    g = np.loadtxt(path, dtype=float, ndmin=1)
-    if len(g) != _check_overlap(overlap, N):
-        raise ValueError(
-            f"file holds {len(g)} coefficients, expected {overlap * N:g}")
-    g = g / np.linalg.norm(g)
-    return PrototypeFilter(kind="CUSTOM", overlap=float(overlap), N=N, coeffs=g)
-
-
-def export_coeffs_csv(filt: PrototypeFilter, path) -> None:
-    """Write the pulse as a single-column CSV, full double precision."""
-    np.savetxt(path, filt.coeffs, fmt="%.17g")
-
-
-def filter_blocks(filt: PrototypeFilter) -> list:
-    """Split the pulse into its 2*overlap diagonal half-blocks of size N/2."""
-    half = filt.N // 2
-    nblocks = int(round(2 * filt.overlap))
-    return [np.diag(filt.coeffs[p * half:(p + 1) * half])
-            for p in range(nblocks)]
-
-
 def output_length(filt: PrototypeFilter, K: int) -> int:
     """Number of time samples produced by K symbols overlapped every N/2."""
     return filt.length + (filt.N // 2) * (K - 1)
-
-
-def assemble_filter_matrix(filt: PrototypeFilter, K: int) -> FilterBankOperator:
-    """Dense block-Toeplitz synthesis matrix.
-
-    Each symbol contributes two adjacent width-N/2 column blocks; the
-    even-index diagonal half-blocks stack down the first column at
-    successive block-rows, the odd-index ones down the second column,
-    and consecutive symbols are delayed by one block-row (N/2 samples).
-    """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    half = filt.N // 2
-    blocks = filter_blocks(filt)
-    M = output_length(filt, K)
-    G = np.zeros((M, filt.N * K))
-    for k in range(K):
-        for p, block in enumerate(blocks):
-            r = (p + k) * half
-            c = k * filt.N + (p % 2) * half
-            G[r:r + half, c:c + half] = block
-    return FilterBankOperator(N=filt.N, K=K, overlap=filt.overlap,
-                              blocks=blocks, matrix=G)
 
 
 def apply_filter_bank(y: np.ndarray, filt: PrototypeFilter) -> np.ndarray:
     """Fast synthesis: overlap-add of the windowed periodic extensions.
 
     ``y`` is N x K (one column per symbol), optionally with trailing batch
-    axes; the output is the length-M time signal (M x batch), equal to the
-    dense assembled-matrix product.
+    axes; the output is the length-M time signal (M x batch).
     """
     N, K = y.shape[:2]
     if N != filt.N:
@@ -212,24 +144,6 @@ def apply_filter_bank(y: np.ndarray, filt: PrototypeFilter) -> np.ndarray:
     for k in range(K):
         s[k * hop:k * hop + filt.length] += scale_rows(filt.coeffs, y[idx, k])
     return s
-
-
-def single_symbol_filter(y: np.ndarray, filt: PrototypeFilter) -> np.ndarray:
-    """Window the periodic extension of independent length-N columns.
-
-    Unlike :func:`apply_filter_bank`, columns here are separate K=1
-    inputs, not successive overlapping symbols; output has O*N rows.
-    """
-    if y.shape[0] != filt.N:
-        raise ValueError("row count must equal the filter bank size")
-    idx = np.arange(filt.length) % filt.N
-    g = filt.coeffs if y.ndim == 1 else filt.coeffs[:, None]
-    return g * y[idx]
-
-
-def single_symbol_filter_adjoint(r: np.ndarray, filt: PrototypeFilter) -> np.ndarray:
-    """Fold windowed length-O*N columns back to period N (adjoint of above)."""
-    return apply_filter_bank_adjoint(r, filt, 1)[:, 0]
 
 
 def apply_filter_bank_adjoint(r: np.ndarray, filt: PrototypeFilter, K: int) -> np.ndarray:
@@ -276,8 +190,9 @@ def data_indices(L: int) -> np.ndarray:
 
 def compensation_vector(dims: DaftDims, chirps_pre: ChirpPair,
                         chirps_mod: ChirpPair,
-                        filt: PrototypeFilter) -> CompensationVector:
-    """Inverse square-root chain gains at the data positions, zero elsewhere."""
+                        filt: PrototypeFilter) -> np.ndarray:
+    """Per-subcarrier real gains: inverse square-root chain gains at the
+    data positions, zero on the guard half of the indices."""
     c = chain_gains(dims, chirps_pre, chirps_mod, filt)
     data = data_indices(dims.L)
     bad = c[data] <= _SINGULAR_TOL
@@ -287,4 +202,4 @@ def compensation_vector(dims: DaftDims, chirps_pre: ChirpPair,
             f"{data[bad].tolist()}")
     b = np.zeros(dims.L)
     b[data] = 1 / np.sqrt(c[data])
-    return CompensationVector(values=b)
+    return b

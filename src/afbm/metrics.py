@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .transforms import apply_synthesis, daft_matrix
-from .filterbank import compensation_vector, data_indices, single_symbol_filter
+from .transforms import apply_daft
+from .filterbank import compensation_vector, data_indices
 from .modem import (
     AfbmModem,
     AfdmParams,
@@ -32,12 +32,13 @@ from .modem import (
     demap_symbols,
     place_grid,
     extract_grid,
+    spread,
 )
 from .channel import (
     ChannelSpec,
     build_channel,
+    check_paths_feasible,
     data_restricted_channel,
-    pick_chirp_params,
 )
 
 SIR_CAP_DB = 150.0
@@ -196,15 +197,16 @@ def _trial_bits(count: int, trials: int, seed):
         yield t0, bits
 
 
-def _afbm_transmit(modem: AfbmModem, bits: np.ndarray):
-    """Grid and transmit signal of bits (axis 0; trailing axes are batch)."""
+def _afbm_transmit(modem: AfbmModem, bits: np.ndarray) -> np.ndarray:
+    """Transmit signal of bits (axis 0; trailing axes are batch)."""
     p = modem.params
     frame = place_grid(map_symbols(bits, p.constellation), p.dims.L, p.K)
-    return frame, modem.modulate(frame)
+    return modem.modulate(frame).s
 
 
-def _afdm_transmit(params: AfdmParams, bits: np.ndarray, oversample: int = 1):
-    """Symbol grid ``X`` and burst of the baseline for bits along axis 0.
+def _afdm_transmit(params: AfdmParams, bits: np.ndarray,
+                   oversample: int = 1) -> np.ndarray:
+    """Burst of the baseline for bits along axis 0 (trailing axes batch).
 
     With ``oversample`` > 1 each prefixed symbol is band-limited
     interpolated on its own before the K symbols are concatenated.
@@ -214,29 +216,7 @@ def _afdm_transmit(params: AfdmParams, bits: np.ndarray, oversample: int = 1):
     symbols = afdm_modulate(X, params.chirps, params.cpp_len)
     if oversample > 1:
         symbols = spectral_interpolate(symbols, oversample)
-    return X, symbols.reshape((-1,) + symbols.shape[2:], order="F")
-
-
-def _transmit(source, modem, bits: np.ndarray, afdm_oversample: int = 1):
-    """Transmit signals of stacked bit columns, one column per trial."""
-    if modem is not None:
-        return _afbm_transmit(modem, bits)[1].s
-    return _afdm_transmit(source, bits, afdm_oversample)[1]
-
-
-def random_afbm_frame(params: WaveformParams, rng: np.random.Generator,
-                      modem: AfbmModem = None):
-    """One random data frame and its transmit signal."""
-    if modem is None:
-        modem = AfbmModem(params)
-    bits = _random_bits(rng, _bit_count(params))
-    return (bits,) + _afbm_transmit(modem, bits)
-
-
-def random_afdm_frame(params: AfdmParams, rng: np.random.Generator):
-    """One random baseline frame: K prefixed symbols concatenated."""
-    bits = _random_bits(rng, _bit_count(params))
-    return (bits,) + _afdm_transmit(params, bits)
+    return symbols.reshape((-1,) + symbols.shape[2:], order="F")
 
 
 def papr_ccdf(source, trials: int, thresholds, seed) -> CcdfCurve:
@@ -251,7 +231,9 @@ def papr_ccdf(source, trials: int, thresholds, seed) -> CcdfCurve:
     modem = AfbmModem(source) if isinstance(source, WaveformParams) else None
     samples = np.empty(trials)
     for t0, bits in _trial_bits(_bit_count(source), trials, seed):
-        samples[t0:t0 + bits.shape[1]] = papr(_transmit(source, modem, bits))
+        s = (_afdm_transmit(source, bits) if modem is None
+             else _afbm_transmit(modem, bits))
+        samples[t0:t0 + bits.shape[1]] = papr(s)
     probs = np.array([(samples > th).mean() for th in thresholds])
     return CcdfCurve(thresholds=thresholds, probabilities=probs,
                      trials=trials, samples=samples)
@@ -321,17 +303,6 @@ def afdm_band_edges():
     return (-half, half)
 
 
-def afdm_oobe_signal(params: AfdmParams, rng: np.random.Generator) -> np.ndarray:
-    """Baseline burst rendered at 2x rate for spectrum measurement.
-
-    Each prefixed symbol is band-limited-interpolated independently, so
-    the measured spectrum reflects the transmitted band (the digital
-    sequence occupies all of its own Nyquist range by construction).
-    """
-    bits = _random_bits(rng, _bit_count(params))
-    return _afdm_transmit(params, bits, AFDM_OOBE_OVERSAMPLE)[1]
-
-
 def spectrum_signal(source, frames: int, seed) -> np.ndarray:
     """Concatenate random frames into one long record for Welch averaging."""
     if frames < 1:
@@ -343,8 +314,9 @@ def spectrum_signal(source, frames: int, seed) -> np.ndarray:
     # frame t fills column t; column-major order makes them one record
     record = np.empty((length, frames), dtype=complex, order="F")
     for t0, bits in _trial_bits(_bit_count(source), frames, seed):
-        record[:, t0:t0 + bits.shape[1]] = _transmit(
-            source, modem, bits, AFDM_OOBE_OVERSAMPLE)
+        record[:, t0:t0 + bits.shape[1]] = (
+            _afdm_transmit(source, bits, AFDM_OOBE_OVERSAMPLE)
+            if modem is None else _afbm_transmit(modem, bits))
     return record.reshape(-1, order="F")
 
 
@@ -353,7 +325,8 @@ def spectrum_signal(source, frames: int, seed) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def orthogonality_gram(params: WaveformParams, compensated: bool = True) -> np.ndarray:
-    """Gram matrix of the compensated single-symbol transmit chain.
+    """Gram matrix ``BᴴB`` of the compensated single-symbol transmit
+    chain, ``B`` the :func:`spread` of the precoded identity.
 
     With ``compensated=False`` the per-subcarrier gains are replaced by
     a uniform data-position mask, exposing the raw filter interference.
@@ -361,13 +334,12 @@ def orthogonality_gram(params: WaveformParams, compensated: bool = True) -> np.n
     L = params.dims.L
     if compensated:
         b = compensation_vector(params.dims, params.chirps_pre,
-                                params.chirps_mod, params.filter).values
+                                params.chirps_mod, params.filter)
     else:
         b = np.zeros(L)
         b[data_indices(L)] = 1.0
-    C_f = daft_matrix(params.chirps_pre, L) * b[None, :]
-    B = single_symbol_filter(
-        apply_synthesis(C_f, params.dims, params.chirps_mod), params.filter)
+    B = spread(apply_daft(np.diag(b), params.chirps_pre)[:, None, :],
+               params)
     return B.conj().T @ B
 
 
@@ -424,9 +396,7 @@ def ber_experiment(params: WaveformParams, channel_spec: ChannelSpec,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     params1 = replace(params, K=1) if params.K != 1 else params
-    ell_max = max(p.delay for p in channel_spec.paths)
-    f_max = max(abs(p.doppler) for p in channel_spec.paths)
-    pick_chirp_params(ell_max, f_max, xi, params1.dims.P)  # feasibility gate
+    check_paths_feasible(channel_spec.paths, xi, params1.dims.P)
     spec = channel_spec.normalized()
     M = params1.M
     if spec.M != M:
@@ -443,8 +413,7 @@ def ber_experiment(params: WaveformParams, channel_spec: ChannelSpec,
         errors = 0
         for _, (bits, re, im) in _trial_draws(
                 trials, [seed, i], lambda rng: _ber_draw(rng, count, M)):
-            _, sig = _afbm_transmit(modem, bits)
-            r = H @ sig.s
+            r = H @ _afbm_transmit(modem, bits)
             # Fortran order sums each column as for a lone frame
             power = np.asfortranarray(np.abs(r) ** 2)
             nvar = power.sum(axis=0) / M / snr_lin

@@ -6,10 +6,12 @@ Transmit chain per frame (grid ``A`` of shape L x K, guard rows zero):
 
 1. per-subcarrier compensation and L-point affine precoding,
    ``X = W_L diag(b_tx) A``;
-2. per-symbol spreading to N samples through the synthesis operator;
-3. overlapped filtering, symbols delayed every N/2 samples.
+2. :func:`spread`: per-symbol spreading to N samples through the
+   synthesis operator, then overlapped filtering, symbols delayed every
+   N/2 samples, ``s = G (I_K ⊗ Q) X``.
 
-The receiver runs the adjoint of each stage in reverse order; the final
+The receiver runs the adjoint of each stage in reverse order
+(:func:`despread`, then the adjoint affine transform); the final
 compensation applies ``diag(b_rx)`` after the adjoint affine transform,
 so that the end-to-end ideal-channel response is exactly the Gram matrix
 of the compensated transmit chain. With a flat-fold prototype (overlap
@@ -29,17 +31,13 @@ from .transforms import (
     apply_daft,
     apply_synthesis,
     apply_synthesis_adjoint,
-    daft_matrix,
     scale_rows,
-    synthesis_matrix,
 )
 from .filterbank import (
     PrototypeFilter,
     apply_filter_bank,
     apply_filter_bank_adjoint,
-    assemble_filter_matrix,
     compensation_vector,
-    data_indices,
     output_length,
 )
 
@@ -217,6 +215,25 @@ def extract_grid(frame: GridFrame) -> np.ndarray:
 # transceiver
 # ---------------------------------------------------------------------------
 
+def spread(X: np.ndarray, params: WaveformParams) -> np.ndarray:
+    """Precoded symbols to time samples, ``G (I_K ⊗ Q) X``.
+
+    ``X`` is L x K, optionally with trailing batch axes; K is read from
+    ``X.shape[1]``, so single-symbol columns of any waveform spread on
+    their own. The output is the length-M time signal (M x batch).
+    """
+    return apply_filter_bank(
+        apply_synthesis(X, params.dims, params.chirps_mod), params.filter)
+
+
+def despread(r: np.ndarray, params: WaveformParams) -> np.ndarray:
+    """Adjoint of :func:`spread` for ``params.K`` symbols: a length-M time
+    signal (x batch) to L x K (x batch)."""
+    return apply_synthesis_adjoint(
+        apply_filter_bank_adjoint(r, params.filter, params.K),
+        params.dims, params.chirps_mod)
+
+
 class AfbmModem:
     """Precomputed modulator/demodulator for one parameter set.
 
@@ -225,9 +242,8 @@ class AfbmModem:
 
     def __init__(self, params: WaveformParams):
         self.params = params
-        comp = compensation_vector(params.dims, params.chirps_pre,
-                                   params.chirps_mod, params.filter)
-        b = comp.values
+        b = compensation_vector(params.dims, params.chirps_pre,
+                                params.chirps_mod, params.filter)
         if params.compensation == "split":
             self.b_tx = b
             self.b_rx = b
@@ -240,9 +256,7 @@ class AfbmModem:
         if frame.L != p.dims.L or frame.K != p.K:
             raise ValueError("frame shape does not match params")
         X = apply_daft(scale_rows(self.b_tx, frame.A), p.chirps_pre)
-        Y = apply_synthesis(X, p.dims, p.chirps_mod)
-        s = apply_filter_bank(Y, p.filter)
-        return TimeSignal(s=s, f_s=p.sample_rate)
+        return TimeSignal(s=spread(X, p), f_s=p.sample_rate)
 
     def demodulate(self, signal: TimeSignal) -> GridFrame:
         """Receive chain; trailing axes of ``signal.s`` are batch."""
@@ -250,39 +264,11 @@ class AfbmModem:
         r = np.asarray(signal.s)
         if len(r) != p.M:
             raise ValueError(f"expected {p.M} samples, got {len(r)}")
-        Z = apply_filter_bank_adjoint(r, p.filter, p.K)
-        Xt = apply_synthesis_adjoint(Z, p.dims, p.chirps_mod)
-        At = scale_rows(self.b_rx, apply_daft(Xt, p.chirps_pre, adjoint=True))
+        At = scale_rows(self.b_rx, apply_daft(despread(r, p), p.chirps_pre,
+                                              adjoint=True))
         L = p.dims.L
         At[L // 4:L - L // 4] = 0
         return GridFrame(A=At)
-
-
-def afbm_modulate(frame: GridFrame, params: WaveformParams) -> TimeSignal:
-    return AfbmModem(params).modulate(frame)
-
-
-def afbm_demodulate(signal: TimeSignal, params: WaveformParams) -> GridFrame:
-    return AfbmModem(params).demodulate(signal)
-
-
-def precoded_symbol_matrix(params: WaveformParams, tx_side: bool = True) -> np.ndarray:
-    """Dense L x L compensated precoder ``W_L diag(b)`` of one symbol."""
-    modem = AfbmModem(params)
-    b = modem.b_tx if tx_side else modem.b_rx
-    return daft_matrix(params.chirps_pre, params.dims.L) * b[None, :]
-
-
-def dense_transmit_matrix(params: WaveformParams) -> np.ndarray:
-    """Explicit M x LK frame matrix: filtering of the spread, precoded grid.
-
-    Reference oracle for the fast path; modulate(frame) equals this
-    matrix times ``vec(A)`` (columns stacked in symbol order).
-    """
-    G = assemble_filter_matrix(params.filter, params.K).matrix
-    Qc = synthesis_matrix(params.dims, params.chirps_mod) @ \
-        precoded_symbol_matrix(params)
-    return G @ np.kron(np.eye(params.K), Qc)
 
 
 # ---------------------------------------------------------------------------
@@ -344,62 +330,3 @@ def afdm_modulate(x: np.ndarray, chirps: ChirpPair, cpp_len: int) -> np.ndarray:
     prefix = scale_rows(_prefix_phase(chirps.c1, L_a, cpp_len),
                         body[L_a - cpp_len:])
     return np.concatenate([prefix, body])
-
-
-def afdm_demodulate(r: np.ndarray, chirps: ChirpPair, cpp_len: int) -> np.ndarray:
-    """Strip the prefix and apply the forward affine transform."""
-    r = np.asarray(r).ravel()
-    if cpp_len < 0 or len(r) <= cpp_len:
-        raise ValueError("signal shorter than its prefix")
-    return apply_daft(r[cpp_len:], chirps)
-
-
-def afdm_modulate_frame(X: np.ndarray, chirps: ChirpPair, cpp_len: int) -> np.ndarray:
-    """Concatenate K prefixed symbols (columns of ``X``) into one burst.
-
-    Trailing axes of ``X`` after the first two are batch; the bursts are
-    returned as columns.
-    """
-    symbols = afdm_modulate(X, chirps, cpp_len)
-    return symbols.reshape((-1,) + symbols.shape[2:], order="F")
-
-
-def afdm_demodulate_frame(r: np.ndarray, L_a: int, K: int, chirps: ChirpPair,
-                          cpp_len: int) -> np.ndarray:
-    """Split a burst back into K symbols and demodulate each."""
-    step = L_a + cpp_len
-    r = np.asarray(r).ravel()
-    if len(r) != step * K:
-        raise ValueError(f"expected {step * K} samples, got {len(r)}")
-    return np.stack(
-        [afdm_demodulate(r[k * step:(k + 1) * step], chirps, cpp_len)
-         for k in range(K)], axis=1)
-
-
-# ---------------------------------------------------------------------------
-# CSV round trips for cross-tool inspection
-# ---------------------------------------------------------------------------
-
-def signal_to_csv(signal: TimeSignal, path) -> None:
-    rows = np.column_stack(
-        [np.arange(len(signal.s)), signal.s.real, signal.s.imag])
-    np.savetxt(path, rows, fmt=["%d", "%.17g", "%.17g"], delimiter=",",
-               header="index,real,imag")
-
-
-def signal_from_csv(path, f_s: float = 1.0) -> TimeSignal:
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
-    return TimeSignal(s=rows[:, 1] + 1j * rows[:, 2], f_s=f_s)
-
-
-def frame_to_csv(frame: GridFrame, path) -> None:
-    a = frame.A.ravel(order="F")
-    rows = np.column_stack([np.arange(len(a)), a.real, a.imag])
-    np.savetxt(path, rows, fmt=["%d", "%.17g", "%.17g"], delimiter=",",
-               header="index,real,imag")
-
-
-def frame_from_csv(path, L: int, K: int) -> GridFrame:
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
-    a = rows[:, 1] + 1j * rows[:, 2]
-    return GridFrame(A=a.reshape((L, K), order="F"))

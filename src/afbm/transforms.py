@@ -4,10 +4,10 @@ Every DFT-like matrix here uses unitary (1/sqrt(n)) scaling so that all
 transform round trips are exact isometries. The DFT kernel sign convention
 is exp(+j*2*pi*k*l/n) and chirp diagonals rotate as exp(-j*2*pi*c*m^2).
 
-All constructors return dense matrices; the ``apply_*`` functions are
-FFT-based fast paths that agree with the dense products (tested against
-them). They transform along axis 0 and treat any trailing axes as batch,
-so one call applies the operator to every column of a stack of frames.
+``dft_matrix`` and ``daft_matrix`` build dense matrices; the ``apply_*``
+functions are the FFT-based fast paths, tested against dense oracles.
+They transform along axis 0 and treat any trailing axes as batch, so one
+call applies the operator to every column of a stack of frames.
 """
 
 from __future__ import annotations
@@ -76,53 +76,10 @@ def chirp_phase(c: float, n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * c * np.arange(n) ** 2)
 
 
-def chirp_diag(c: float, n: int) -> np.ndarray:
-    """n x n diagonal chirp matrix with entries exp(-j*2*pi*c*m^2)."""
-    return np.diag(chirp_phase(c, n))
-
-
 def daft_matrix(chirps: ChirpPair, n: int) -> np.ndarray:
     """Affine transform matrix: chirp(c1) * DFT * chirp(c2), unitary."""
     return (chirp_phase(chirps.c1, n)[:, None] * dft_matrix(n)
             * chirp_phase(chirps.c2, n)[None, :])
-
-
-def truncated_daft(dims: DaftDims, chirps: ChirpPair) -> np.ndarray:
-    """First L rows of the P-point affine transform (an L x P isometry)."""
-    if dims.L > dims.P:
-        raise ValueError("truncation requires L <= P")
-    return daft_matrix(chirps, dims.P)[:dims.L, :]
-
-
-def freq_zero_pad(N: int, P: int) -> np.ndarray:
-    """N x P placement matrix embedding P spectrum bins into N.
-
-    The last P/2 input entries land at the top of the output, the first
-    P/2 at the bottom, with N-P zeros in between, so a spectrum centered
-    on the circular origin stays centered after padding. T^T T = I_P.
-    """
-    if N < P:
-        raise ValueError("zero padding requires N >= P")
-    if N % 2 or P % 2:
-        raise ValueError("N and P must be even")
-    T = np.zeros((N, P))
-    T[:P // 2, P // 2:] = np.eye(P // 2)
-    T[N - P // 2:, :P // 2] = np.eye(P // 2)
-    return T
-
-
-def synthesis_matrix(dims: DaftDims, chirps: ChirpPair) -> np.ndarray:
-    """Dense N x L per-symbol synthesis operator.
-
-    Composition: adjoint of the truncated P-point affine transform,
-    P-point DFT, zero padding into N bins, then the adjoint N-point DFT.
-    Columns are orthonormal.
-    """
-    F_N = dft_matrix(dims.N)
-    F_P = dft_matrix(dims.P)
-    T = freq_zero_pad(dims.N, dims.P)
-    Wt = truncated_daft(dims, chirps)
-    return F_N.conj().T @ T @ F_P @ Wt.conj().T
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,174 @@
-"""Straightforward per-element and per-frame reference implementations.
+"""Dense operators and straightforward per-element and per-frame reference
+implementations.
 
-The package runs these computations vectorized over stacks of frames;
-the versions here do one element or one frame at a time, the plain way,
-so the tests can check the fast paths against them.
+The package applies every operator through FFT fast paths, vectorized
+over stacks of frames; the versions here build the explicit matrices or
+do one element, symbol or frame at a time, the plain way, so the tests
+can check the fast paths against them.
 """
 
 import numpy as np
 
-from afbm.channel import (build_channel, data_restricted_channel,
-                          mmse_equalize, pick_chirp_params)
+from afbm.channel import (build_channel, check_paths_feasible,
+                          data_restricted_channel)
 from afbm.filterbank import output_length
-from afbm.metrics import random_afbm_frame
-from afbm.modem import AfbmModem, TimeSignal, extract_grid
+from afbm.metrics import AFDM_OOBE_OVERSAMPLE, spectral_interpolate
+from afbm.modem import (BITS_PER_SYMBOL, AfbmModem, TimeSignal, afdm_modulate,
+                        extract_grid, map_symbols, place_grid)
+from afbm.transforms import apply_daft, chirp_phase, daft_matrix, dft_matrix
 
 _QAM16_AXIS_BITS = {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}
+
+
+# ---------------------------------------------------------------------------
+# dense operators
+# ---------------------------------------------------------------------------
+
+def chirp_diag(c, n):
+    """n x n diagonal chirp matrix with entries exp(-j*2*pi*c*m^2)."""
+    return np.diag(chirp_phase(c, n))
+
+
+def truncated_daft(dims, chirps):
+    """First L rows of the P-point affine transform (an L x P isometry)."""
+    if dims.L > dims.P:
+        raise ValueError("truncation requires L <= P")
+    return daft_matrix(chirps, dims.P)[:dims.L, :]
+
+
+def freq_zero_pad(N, P):
+    """N x P placement matrix embedding P spectrum bins into N.
+
+    The last P/2 input entries land at the top of the output, the first
+    P/2 at the bottom, with N-P zeros in between, so a spectrum centered
+    on the circular origin stays centered after padding. T^T T = I_P.
+    """
+    if N < P:
+        raise ValueError("zero padding requires N >= P")
+    if N % 2 or P % 2:
+        raise ValueError("N and P must be even")
+    T = np.zeros((N, P))
+    T[:P // 2, P // 2:] = np.eye(P // 2)
+    T[N - P // 2:, :P // 2] = np.eye(P // 2)
+    return T
+
+
+def synthesis_matrix(dims, chirps):
+    """Dense N x L per-symbol synthesis operator.
+
+    Composition: adjoint of the truncated P-point affine transform,
+    P-point DFT, zero padding into N bins, then the adjoint N-point DFT.
+    Columns are orthonormal.
+    """
+    F_N = dft_matrix(dims.N)
+    F_P = dft_matrix(dims.P)
+    T = freq_zero_pad(dims.N, dims.P)
+    Wt = truncated_daft(dims, chirps)
+    return F_N.conj().T @ T @ F_P @ Wt.conj().T
+
+
+def filter_blocks(filt):
+    """Split the pulse into its 2*overlap diagonal half-blocks of size N/2."""
+    half = filt.N // 2
+    nblocks = int(round(2 * filt.overlap))
+    return [np.diag(filt.coeffs[p * half:(p + 1) * half])
+            for p in range(nblocks)]
+
+
+def assemble_filter_matrix(filt, K):
+    """Dense M x NK block-Toeplitz filter bank matrix.
+
+    Each symbol contributes two adjacent width-N/2 column blocks; the
+    even-index diagonal half-blocks stack down the first column at
+    successive block-rows, the odd-index ones down the second column,
+    and consecutive symbols are delayed by one block-row (N/2 samples).
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    half = filt.N // 2
+    G = np.zeros((output_length(filt, K), filt.N * K))
+    for k in range(K):
+        for p, block in enumerate(filter_blocks(filt)):
+            r = (p + k) * half
+            c = k * filt.N + (p % 2) * half
+            G[r:r + half, c:c + half] = block
+    return G
+
+
+def precoded_symbol_matrix(params):
+    """Dense L x L compensated precoder ``W_L diag(b_tx)`` of one symbol."""
+    b = AfbmModem(params).b_tx
+    return daft_matrix(params.chirps_pre, params.dims.L) * b[None, :]
+
+
+def dense_transmit_matrix(params):
+    """Explicit M x LK frame matrix: filtering of the spread, precoded grid.
+
+    ``modulate(frame)`` equals this matrix times ``vec(A)`` (columns
+    stacked in symbol order).
+    """
+    G = assemble_filter_matrix(params.filter, params.K)
+    Qc = synthesis_matrix(params.dims, params.chirps_mod) @ \
+        precoded_symbol_matrix(params)
+    return G @ np.kron(np.eye(params.K), Qc)
+
+
+# ---------------------------------------------------------------------------
+# receivers, channel and detector, one frame at a time
+# ---------------------------------------------------------------------------
+
+def afdm_demodulate(r, chirps, cpp_len):
+    """Strip the prefix and apply the forward affine transform."""
+    r = np.asarray(r).ravel()
+    if cpp_len < 0 or len(r) <= cpp_len:
+        raise ValueError("signal shorter than its prefix")
+    return apply_daft(r[cpp_len:], chirps)
+
+
+def afdm_demodulate_frame(r, L_a, K, chirps, cpp_len):
+    """Split a burst back into K symbols and demodulate each."""
+    step = L_a + cpp_len
+    r = np.asarray(r).ravel()
+    if len(r) != step * K:
+        raise ValueError(f"expected {step * K} samples, got {len(r)}")
+    return np.stack(
+        [afdm_demodulate(r[k * step:(k + 1) * step], chirps, cpp_len)
+         for k in range(K)], axis=1)
+
+
+def apply_channel(signal, H, snr_db, seed=None):
+    """Propagate through ``H`` and add complex white Gaussian noise.
+
+    The per-sample noise variance is set from the actual received energy
+    so that 10*log10(||H s||^2 / ||n||^2) targets ``snr_db``; ``snr_db =
+    inf`` disables noise entirely. ``seed`` may be a generator, whose
+    stream then continues.
+    """
+    s = np.asarray(signal.s)
+    if H.shape[1] != len(s):
+        raise ValueError(f"channel expects {H.shape[1]} samples, got {len(s)}")
+    r = H @ s
+    if not np.isinf(snr_db):
+        rng = np.random.default_rng(seed)
+        nvar = np.sum(np.abs(r) ** 2) / len(r) / 10 ** (snr_db / 10)
+        noise = np.sqrt(nvar / 2) * (rng.standard_normal(len(r))
+                                     + 1j * rng.standard_normal(len(r)))
+        r = r + noise
+    return TimeSignal(s=r, f_s=signal.f_s)
+
+
+def mmse_equalize(x_tilde, H_d, noise_var):
+    """Linear MMSE estimate (H_dᴴ H_d + noise_var I)⁻¹ H_dᴴ x̃.
+
+    With ``noise_var = 0`` this is zero-forcing and raises if the system
+    is singular.
+    """
+    x_tilde = np.asarray(x_tilde).ravel()
+    n = H_d.shape[1]
+    if H_d.shape[0] != len(x_tilde):
+        raise ValueError("dimension mismatch between channel and input")
+    A = H_d.conj().T @ H_d + noise_var * np.eye(n)
+    return np.linalg.solve(A, H_d.conj().T @ x_tilde)
 
 
 def demap_symbols_dict(symbols, constellation):
@@ -42,6 +197,48 @@ def filter_bank_adjoint_add_at(r, filt, K):
     return z
 
 
+# ---------------------------------------------------------------------------
+# random frames
+# ---------------------------------------------------------------------------
+
+def _frame_bits(params, rng):
+    count = params.data_per_frame * BITS_PER_SYMBOL[params.constellation]
+    return rng.integers(0, 2, size=count)
+
+
+def random_afbm_frame(params, rng, modem=None):
+    """One random data frame: its bits, grid and transmit signal."""
+    if modem is None:
+        modem = AfbmModem(params)
+    bits = _frame_bits(params, rng)
+    frame = place_grid(map_symbols(bits, params.constellation),
+                       params.dims.L, params.K)
+    return bits, frame, modem.modulate(frame)
+
+
+def _afdm_symbols(params, rng):
+    bits = _frame_bits(params, rng)
+    X = map_symbols(bits, params.constellation).reshape(
+        (params.L_a, params.K), order="F")
+    return bits, X, [afdm_modulate(X[:, k], params.chirps, params.cpp_len)
+                     for k in range(params.K)]
+
+
+def random_afdm_frame(params, rng):
+    """One random baseline frame, its K prefixed symbols built one by one
+    and concatenated: bits, symbol grid and burst."""
+    bits, X, symbols = _afdm_symbols(params, rng)
+    return bits, X, np.concatenate(symbols)
+
+
+def afdm_oobe_signal(params, rng):
+    """Baseline burst at 2x rate, each prefixed symbol band-limited
+    interpolated on its own."""
+    _, _, symbols = _afdm_symbols(params, rng)
+    return np.concatenate([spectral_interpolate(s, AFDM_OOBE_OVERSAMPLE)
+                           for s in symbols])
+
+
 def ber_trial_errors(params, channel_spec, snr_grid, trials, seed):
     """Bit errors of each trial (SNR x trial) of the BER experiment.
 
@@ -49,24 +246,19 @@ def ber_trial_errors(params, channel_spec, snr_grid, trials, seed):
     then its real and imaginary noise from ``default_rng([seed, i, t])``,
     and is detected with :func:`mmse_equalize` and a per-symbol demap.
     """
-    ell_max = max(p.delay for p in channel_spec.paths)
-    f_max = max(abs(p.doppler) for p in channel_spec.paths)
-    pick_chirp_params(ell_max, f_max, 0, params.dims.P)
+    check_paths_feasible(channel_spec.paths, 0, params.dims.P)
     H = build_channel(channel_spec.normalized())
     modem = AfbmModem(params)
     H_d = data_restricted_channel(H, modem)
     errors = np.zeros((len(snr_grid), trials), dtype=int)
     for i, snr_db in enumerate(snr_grid):
-        snr_lin = 10 ** (snr_db / 10)
         for t in range(trials):
             rng = np.random.default_rng([seed, i, t])
             bits, _, sig = random_afbm_frame(params, rng, modem)
-            r = H @ sig.s
-            nvar = np.sum(np.abs(r) ** 2) / len(r) / snr_lin
-            noise = np.sqrt(nvar / 2) * (
-                rng.standard_normal(len(r)) + 1j * rng.standard_normal(len(r)))
-            grid_rx = modem.demodulate(TimeSignal(s=r + noise, f_s=sig.f_s))
-            est = mmse_equalize(extract_grid(grid_rx), H_d, nvar)
+            rx = apply_channel(sig, H, snr_db, seed=rng)
+            nvar = np.sum(np.abs(H @ sig.s) ** 2) / params.M / 10 ** (
+                snr_db / 10)
+            est = mmse_equalize(extract_grid(modem.demodulate(rx)), H_d, nvar)
             errors[i, t] = np.sum(
                 demap_symbols_dict(est, params.constellation) != bits)
     return errors

@@ -1,10 +1,12 @@
 """Tests for config handling, experiment dispatch and CSV reproducibility."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from afbm.channel import check_paths_feasible
 from afbm.cli import (
     EXPERIMENTS,
     ResultTable,
@@ -23,6 +25,7 @@ def write_config(tmp_path, data, name="exp.cfg"):
 
 
 SMALL_WAVEFORM = {"L": 32, "P": 48, "N": 64, "K": 1}
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +203,24 @@ def test_ber_run_applies_the_configured_xi(tmp_path):
                           "out": str(tmp_path / "ber")})
     with pytest.raises(ValueError, match="infeasible"):
         run(cfg)
+
+
+def test_effchan_rejects_paths_beyond_the_declared_bounds(tmp_path, capsys):
+    # the declared bounds (ell_max 0, f_max 0) are feasible, the path is
+    # not: 2 * 3 * (40 + 1) + 40 = 286 > P = 128
+    data = read_config_file(CONFIG_DIR / "fig2.cfg")
+    data["channel"] = dict(data["channel"], ell_max=0, f_max=0.0, paths=[
+        {"gain": 1.0, "delay": 40, "doppler": 3.0}])
+    cfg = write_config(tmp_path, data)
+    code = main(["effchan", "--config", str(cfg),
+                 "--out", str(tmp_path / "eff")])
+    assert code == 1
+    assert "infeasible" in capsys.readouterr().err
+    assert not (tmp_path / "eff" / "results.csv").exists()
+    for path in sorted(CONFIG_DIR.glob("*.cfg")):
+        bundled = load_config(path)
+        for size in (bundled.waveform.dims.P, bundled.afdm.L_a):
+            check_paths_feasible(bundled.paths, bundled.xi, size)
 
 
 def test_reruns_are_byte_identical(tmp_path):

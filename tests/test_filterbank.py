@@ -9,21 +9,17 @@ from afbm.filterbank import (
     PrototypeFilter,
     apply_filter_bank,
     apply_filter_bank_adjoint,
-    assemble_filter_matrix,
     chain_gains,
     compensation_vector,
     data_indices,
-    export_coeffs_csv,
-    filter_blocks,
     fold_power,
     output_length,
     prototype_filter,
-    prototype_filter_from_csv,
-    single_symbol_filter,
-    single_symbol_filter_adjoint,
 )
-from afbm.transforms import apply_synthesis, daft_matrix, synthesis_matrix
-from oracles import filter_bank_adjoint_add_at
+from afbm.modem import WaveformParams, spread
+from afbm.transforms import daft_matrix
+from oracles import (assemble_filter_matrix, filter_bank_adjoint_add_at,
+                     filter_blocks, synthesis_matrix)
 
 
 def crandn(rng, *shape):
@@ -126,8 +122,8 @@ def test_output_length_formula():
 
 def test_assemble_filter_matrix_shape():
     filt = prototype_filter("HERMITE", 1.5, 16)
-    op = assemble_filter_matrix(filt, 3)
-    assert op.matrix.shape == (24 + 8 * 2, 3 * 16)
+    G = assemble_filter_matrix(filt, 3)
+    assert G.shape == (24 + 8 * 2, 3 * 16)
     with pytest.raises(ValueError):
         assemble_filter_matrix(filt, 0)
 
@@ -139,7 +135,7 @@ def test_assemble_filter_matrix_shape():
                                               ("RECT", 1, 8, 5)])
 def test_overlap_add_matches_dense(kind, overlap, N, K):
     filt = prototype_filter(kind, overlap, N)
-    G = assemble_filter_matrix(filt, K).matrix
+    G = assemble_filter_matrix(filt, K)
     rng = np.random.default_rng(21)
     for _ in range(10):
         Y = crandn(rng, N, K)
@@ -151,14 +147,15 @@ def test_overlap_add_matches_dense(kind, overlap, N, K):
 
 
 def test_single_symbol_filter_matches_dense():
+    # independent K = 1 inputs ride the trailing batch axis
     filt = prototype_filter("PHYDYAS", 3, 16)
-    G1 = assemble_filter_matrix(filt, 1).matrix
+    G1 = assemble_filter_matrix(filt, 1)
     rng = np.random.default_rng(22)
     Y = crandn(rng, 16, 5)
-    out = single_symbol_filter(Y, filt)
+    out = apply_filter_bank(Y[:, None, :], filt)
     assert np.abs(out - G1 @ Y).max() < 1e-13
     R = crandn(rng, filt.length, 5)
-    back = single_symbol_filter_adjoint(R, filt)
+    back = apply_filter_bank_adjoint(R, filt, 1)[:, 0]
     assert np.abs(back - G1.T @ R).max() < 1e-13
 
 
@@ -219,7 +216,7 @@ def test_chain_gains_match_bruteforce():
     chirps = ChirpPair(0.017, 0.003)
     filt = prototype_filter("PHYDYAS", 2, 32)
     gains = chain_gains(dims, chirps, chirps, filt)
-    B = (assemble_filter_matrix(filt, 1).matrix
+    B = (assemble_filter_matrix(filt, 1)
          @ synthesis_matrix(dims, chirps)
          @ daft_matrix(chirps, dims.L))
     assert np.abs(gains - np.real(np.diag(B.conj().T @ B))).max() < 1e-12
@@ -227,7 +224,7 @@ def test_chain_gains_match_bruteforce():
 
 
 def test_compensation_vector_structure(ref_dims, ref_chirps, hermite256):
-    b = compensation_vector(ref_dims, ref_chirps, ref_chirps, hermite256).values
+    b = compensation_vector(ref_dims, ref_chirps, ref_chirps, hermite256)
     data = data_indices(128)
     guard = np.setdiff1d(np.arange(128), data)
     assert np.all(b[guard] == 0)
@@ -240,7 +237,7 @@ def test_compensation_rect_uniform():
     dims = DaftDims(8, 8, 8)
     chirps = ChirpPair(0.0, 0.0)
     filt = prototype_filter("RECT", 1, 8)
-    b = compensation_vector(dims, chirps, chirps, filt).values
+    b = compensation_vector(dims, chirps, chirps, filt)
     data = data_indices(8)
     assert np.abs(b[data] - b[data][0]).max() < 1e-12
 
@@ -259,29 +256,9 @@ def test_gram_diagonal_equals_gains_through_fast_path():
     dims = DaftDims(16, 24, 32)
     chirps = ChirpPair(0.01, 0.0)
     filt = prototype_filter("HERMITE", 1.5, 32)
+    params = WaveformParams(dims=dims, K=1, chirps_pre=chirps,
+                            chirps_mod=chirps, filter=filt)
     W = daft_matrix(chirps, dims.L)
-    cols = single_symbol_filter(
-        apply_synthesis(W, dims, chirps), filt)
+    cols = spread(W[:, None, :], params)
     diag = np.sum(np.abs(cols) ** 2, axis=0)
     assert np.abs(diag - chain_gains(dims, chirps, chirps, filt)).max() < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# CSV round trip
-# ---------------------------------------------------------------------------
-
-def test_coeffs_csv_round_trip(tmp_path):
-    filt = prototype_filter("PHYDYAS", 4, 64)
-    path = tmp_path / "proto.csv"
-    export_coeffs_csv(filt, path)
-    loaded = prototype_filter_from_csv(path, 4, 64)
-    assert np.array_equal(loaded.coeffs, filt.coeffs)
-    assert loaded.length == filt.length
-
-
-def test_coeffs_csv_wrong_length_rejected(tmp_path):
-    filt = prototype_filter("RECT", 1, 8)
-    path = tmp_path / "proto.csv"
-    export_coeffs_csv(filt, path)
-    with pytest.raises(ValueError):
-        prototype_filter_from_csv(path, 2, 8)

@@ -17,7 +17,6 @@ from afbm.metrics import (
     WaveformParams,
     afbm_band_edges,
     afdm_band_edges,
-    afdm_oobe_signal,
     ber_experiment,
     compensation_vector,
     data_indices,
@@ -31,8 +30,6 @@ from afbm.metrics import (
     place_grid,
     psd_welch,
     qfunc,
-    random_afbm_frame,
-    random_afdm_frame,
     sir_orthogonality,
     spectral_interpolate,
     spectrum_signal,
@@ -41,7 +38,8 @@ from afbm.channel import PathSpec, pick_chirp_params
 from afbm.filterbank import chain_gains, prototype_filter
 from afbm.modem import BITS_PER_SYMBOL, AfbmModem
 from afbm.transforms import ChirpPair, DaftDims
-from oracles import ber_trial_errors
+from oracles import (afdm_oobe_signal, ber_trial_errors, random_afbm_frame,
+                     random_afdm_frame)
 
 
 # ---------------------------------------------------------------------------

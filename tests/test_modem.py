@@ -1,5 +1,7 @@
 """Unit tests for symbol mapping, the modem chain and the prefix baseline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,25 +13,19 @@ from afbm.modem import (
     GridFrame,
     TimeSignal,
     WaveformParams,
-    afbm_demodulate,
-    afbm_modulate,
-    afdm_demodulate,
-    afdm_demodulate_frame,
     afdm_modulate,
-    afdm_modulate_frame,
     demap_symbols,
-    dense_transmit_matrix,
+    despread,
     extract_grid,
-    frame_from_csv,
-    frame_to_csv,
     map_symbols,
     place_grid,
-    signal_from_csv,
-    signal_to_csv,
+    spread,
 )
 from afbm.filterbank import prototype_filter
 from afbm.transforms import apply_daft, apply_synthesis_adjoint
-from oracles import demap_symbols_dict, filter_bank_adjoint_add_at
+from oracles import (afdm_demodulate, afdm_demodulate_frame,
+                     demap_symbols_dict, dense_transmit_matrix,
+                     filter_bank_adjoint_add_at)
 
 
 def random_frame(rng, params):
@@ -200,7 +196,8 @@ def test_waveform_params_validation(ref_dims, ref_chirps, hermite256):
 
 def test_modulate_output_length(ref_params_frame):
     rng = np.random.default_rng(34)
-    sig = afbm_modulate(random_frame(rng, ref_params_frame), ref_params_frame)
+    sig = AfbmModem(ref_params_frame).modulate(
+        random_frame(rng, ref_params_frame))
     assert isinstance(sig, TimeSignal)
     assert len(sig.s) == 1280
     assert sig.f_s == ref_params_frame.sample_rate
@@ -312,10 +309,53 @@ def test_batched_demodulate_is_bit_identical(kind, overlap, K):
         assert np.array_equal(A[..., b], At)
 
 
+PROTOTYPES = [("HERMITE", 1.5), ("PHYDYAS", 1), ("PHYDYAS", 2),
+              ("PHYDYAS", 3), ("PHYDYAS", 4), ("RECT", 1)]
+FLAT_FOLD = {("HERMITE", 1.5), ("PHYDYAS", 1), ("RECT", 1)}
+
+
+def crandn(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("case", range(30))
+def test_chain_adjoints_and_round_trip_for_random_configs(case):
+    # a seeded random valid (L, P, N, K, chirps, prototype); both chirp
+    # pairs are drawn independently with c2 != 0
+    rng = np.random.default_rng([47, case])
+    kind, overlap = PROTOTYPES[case % len(PROTOTYPES)]
+    N = int(rng.choice([8, 16, 32, 64]))
+    L = 4 * int(rng.integers(1, N // 4 + 1))
+    P = int(rng.choice(np.arange(L, N + 1, 2)))
+    chirps = [ChirpPair(float(rng.uniform(0, 0.1)),
+                        float(rng.uniform(0.001, 0.05))) for _ in range(2)]
+    params = WaveformParams(dims=DaftDims(L, P, N), K=int(rng.integers(1, 4)),
+                            chirps_pre=chirps[0], chirps_mod=chirps[1],
+                            filter=prototype_filter(kind, overlap, N))
+    X = crandn(rng, L, params.K, 2)
+    r = crandn(rng, params.M, 2)
+    tol = 1e-12 * np.linalg.norm(X) * np.linalg.norm(r)
+    assert abs(np.vdot(spread(X, params), r)
+               - np.vdot(X, despread(r, params))) < tol
+
+    modem = AfbmModem(params)
+    frame = place_grid(crandn(rng, L // 2 * params.K, 2), L, params.K)
+    tol = 1e-12 * np.linalg.norm(frame.A) * np.linalg.norm(r)
+    assert abs(np.vdot(modem.modulate(frame).s, r)
+               - np.vdot(frame.A, modem.demodulate(TimeSignal(r)).A)) < tol
+
+    if (kind, overlap) in FLAT_FOLD:
+        frame = place_grid(crandn(rng, L // 2), L, 1)
+        for compensation in ("split", "tx"):
+            modem = AfbmModem(replace(params, K=1, compensation=compensation))
+            back = modem.demodulate(modem.modulate(frame)).A
+            assert np.abs(back - frame.A).max() < 1e-12
+
+
 def test_demodulate_rejects_wrong_length(ref_params):
     with pytest.raises(ValueError):
-        afbm_demodulate(TimeSignal(np.zeros(100, dtype=complex),
-                                   ref_params.sample_rate), ref_params)
+        AfbmModem(ref_params).demodulate(
+            TimeSignal(np.zeros(100, dtype=complex), ref_params.sample_rate))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +403,7 @@ def test_afdm_frame_round_trip():
     rng = np.random.default_rng(45)
     chirps = ChirpPair(3 / 256, 0.0)
     X = rng.standard_normal((128, 4)) + 1j * rng.standard_normal((128, 4))
-    s = afdm_modulate_frame(X, chirps, 2)
+    s = afdm_modulate(X, chirps, 2).ravel(order="F")
     assert len(s) == (128 + 2) * 4
     back = afdm_demodulate_frame(s, 128, 4, chirps, 2)
     assert np.abs(back - X).max() < 1e-12
@@ -373,11 +413,12 @@ def test_afdm_modulate_frame_batch_matches_single_frames():
     rng = np.random.default_rng(46)
     chirps = ChirpPair(3 / 256, 0.0)
     X = rng.standard_normal((64, 4, 3)) + 1j * rng.standard_normal((64, 4, 3))
-    bursts = afdm_modulate_frame(X, chirps, 2)
-    assert bursts.shape == ((64 + 2) * 4, 3)
+    symbols = afdm_modulate(X, chirps, 2)
+    assert symbols.shape == (64 + 2, 4, 3)
     for b in range(3):
-        assert np.array_equal(bursts[:, b], np.concatenate(
-            [afdm_modulate(X[:, k, b], chirps, 2) for k in range(4)]))
+        for k in range(4):
+            assert np.array_equal(symbols[:, k, b],
+                                  afdm_modulate(X[:, k, b], chirps, 2))
 
 
 def test_afdm_validation():
@@ -395,26 +436,3 @@ def test_afdm_params_frame_length():
     p = AfdmParams(L_a=128, K=8, chirps=ChirpPair(3 / 256, 0.0), cpp_len=2)
     assert p.M == (128 + 2) * 8
     assert p.data_per_frame == 128 * 8
-
-
-# ---------------------------------------------------------------------------
-# CSV round trips
-# ---------------------------------------------------------------------------
-
-def test_signal_csv_round_trip(tmp_path, ref_params):
-    rng = np.random.default_rng(46)
-    sig = afbm_modulate(random_frame(rng, ref_params), ref_params)
-    path = tmp_path / "signal.csv"
-    signal_to_csv(sig, path)
-    loaded = signal_from_csv(path, f_s=sig.f_s)
-    assert np.abs(loaded.s - sig.s).max() < 1e-12
-    assert loaded.f_s == sig.f_s
-
-
-def test_frame_csv_round_trip(tmp_path, ref_params_frame):
-    rng = np.random.default_rng(47)
-    frame = random_frame(rng, ref_params_frame)
-    path = tmp_path / "frame.csv"
-    frame_to_csv(frame, path)
-    loaded = frame_from_csv(path, 128, 8)
-    assert np.abs(loaded.A - frame.A).max() < 1e-12

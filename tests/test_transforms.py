@@ -12,14 +12,11 @@ from afbm.transforms import (
     apply_freq_zero_pad_adjoint,
     apply_synthesis,
     apply_synthesis_adjoint,
-    chirp_diag,
     chirp_phase,
     daft_matrix,
     dft_matrix,
-    freq_zero_pad,
-    synthesis_matrix,
-    truncated_daft,
 )
+from oracles import chirp_diag, freq_zero_pad, synthesis_matrix, truncated_daft
 
 
 def crandn(rng, *shape):
