@@ -11,10 +11,14 @@ phase that makes the circular model identical to linear propagation of a
 chirp-periodic-prefixed block: its first l_r diagonal entries are
 exp(-j*2*pi*c1*(M^2 - 2*M*(l_r - m))) for row m < l_r and ones elsewhere.
 
+:meth:`ChannelSpec.apply` applies ``H`` without building it: path r
+rolls the input down by l_r samples and scales row m by h_r times the
+m-th entries of Phi_r and Z^{f_r}, O(paths * M) per column.
+
 Also here: the chirp-rate feasibility rule for keeping paths separable,
-the end-to-end effective channel of the filtered waveform, a path
-separation score, and the data-to-data channel that the BER detector
-equalizes.
+the effective channels ``Bᴴ H B`` of a waveform basis ``B`` (the whole
+channel and each distinct path), a path separation score, and the
+data-to-data channel that the BER detector equalizes.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .transforms import ChirpPair, daft_matrix
+from .transforms import ChirpPair, scale_rows
 from .filterbank import data_indices
-from .modem import AfbmModem, GridFrame, TimeSignal, WaveformParams, spread
+from .modem import AfbmModem, GridFrame, TimeSignal
 
 
 @dataclass(frozen=True)
@@ -38,8 +42,11 @@ class PathSpec:
     doppler: float
 
     def __post_init__(self):
-        if self.delay < 0 or int(self.delay) != self.delay:
-            raise ValueError("delay must be a nonnegative integer")
+        if (isinstance(self.delay, bool)
+                or not isinstance(self.delay, (int, np.integer))
+                or self.delay < 0):
+            raise ValueError(
+                f"delay must be a nonnegative integer, got {self.delay!r}")
         if not np.isfinite(self.doppler):
             raise ValueError("doppler must be finite")
 
@@ -68,6 +75,26 @@ class ChannelSpec:
         scale = 1 / math.sqrt(power)
         paths = tuple(replace(p, gain=p.gain * scale) for p in self.paths)
         return ChannelSpec(paths=paths, M=self.M, c1=self.c1)
+
+    def apply(self, S: np.ndarray) -> np.ndarray:
+        """``H S``: the sum over paths of gain times prefix phase times
+        Doppler ramp times ``S`` rolled down by the delay, along axis 0;
+        trailing axes of ``S`` are batch."""
+        S = np.asarray(S)
+        M = self.M
+        if len(S) != M:
+            raise ValueError(f"channel expects {M} samples, got {len(S)}")
+        m = np.arange(M)
+        out = np.zeros(S.shape, dtype=complex)
+        for p in self.paths:
+            d = p.gain * np.exp(-2j * np.pi * p.doppler * m / M)
+            head = m[:p.delay]
+            d[:p.delay] *= np.exp(
+                -2j * np.pi * self.c1 * (M ** 2 - 2 * M * (p.delay - head)))
+            # rows m >= delay take S[m - delay]; the first delay rows wrap
+            out[p.delay:] += scale_rows(d[p.delay:], S[:M - p.delay])
+            out[:p.delay] += scale_rows(d[:p.delay], S[M - p.delay:])
+        return out
 
 
 def pick_chirp_params(ell_max: int, f_max: float, xi: int, P: int) -> ChirpPair:
@@ -99,38 +126,26 @@ def check_paths_feasible(paths, xi: int, P: int) -> None:
                       max(abs(p.doppler) for p in paths), xi, P)
 
 
-def build_channel(spec: ChannelSpec) -> np.ndarray:
-    """Dense M x M circular delay-Doppler matrix of the given paths."""
-    M = spec.M
-    H = np.zeros((M, M), dtype=complex)
-    m = np.arange(M)
+def effective_channels(spec: ChannelSpec, B: np.ndarray):
+    """Effective channels ``Bᴴ H B`` of a basis ``B`` (M x n, one column
+    per symbol position, e.g. the :func:`spread` identity or the baseline's
+    adjoint affine transform).
+
+    Returns ``(total, references)``: ``references`` holds ``Bᴴ H_r B`` of
+    the unit-gain channel of each distinct ``(delay, doppler)`` path, in
+    first-seen order, and ``total`` is their sum weighted by each path's
+    gain, which is ``Bᴴ H B`` because the map is linear in ``H``.
+    """
+    Bh = B.conj().T
+    refs = {}
+    total = 0
     for p in spec.paths:
-        doppler = np.exp(-2j * np.pi * p.doppler * m / M)
-        phi = np.ones(M, dtype=complex)
-        if p.delay:
-            head = np.arange(p.delay)
-            phi[:p.delay] = np.exp(
-                -2j * np.pi * spec.c1 * (M ** 2 - 2 * M * (p.delay - head)))
-        H[m, (m - p.delay) % M] += p.gain * phi * doppler
-    return H
-
-
-def effective_channel(H: np.ndarray, params: WaveformParams) -> np.ndarray:
-    """End-to-end L x L channel of one symbol, ``Bᴴ H B``, between spread
-    symbols and despread samples (no compensation); ``B`` is the
-    :func:`spread` of the identity."""
-    if params.K != 1:
-        raise ValueError("effective channel is defined for K = 1")
-    B = spread(np.eye(params.dims.L, dtype=complex)[:, None, :], params)
-    if H.shape != (B.shape[0],) * 2:
-        raise ValueError(f"channel must be {B.shape[0]} x {B.shape[0]}")
-    return B.conj().T @ (H @ B)
-
-
-def afdm_effective_channel(H: np.ndarray, chirps: ChirpPair) -> np.ndarray:
-    """Chirp-domain channel of the prefix-based baseline: W * H * Wᴴ."""
-    W = daft_matrix(chirps, H.shape[0])
-    return W @ H @ W.conj().T
+        key = (p.delay, p.doppler)
+        if key not in refs:
+            one = replace(spec, paths=(replace(p, gain=1.0),))
+            refs[key] = Bh @ one.apply(B)
+        total = total + p.gain * refs[key]
+    return total, list(refs.values())
 
 
 def circular_diagonal_energy(H: np.ndarray) -> np.ndarray:
@@ -145,50 +160,28 @@ def path_separation_metric(H_eff, references, xi: int = 0) -> float:
     """Fraction of channel energy within ``xi`` of the per-path offsets.
 
     ``references`` are single-path effective channels (one per distinct
-    path) computed by brute force through the same chain; each predicts
-    an offset as the circular diagonal of its peak energy. Identical
-    paths may share a reference. No closed-form offset rule is assumed.
+    path, as :func:`effective_channels` returns them); each predicts an
+    offset as the circular diagonal of its peak energy. No closed-form
+    offset rule is assumed.
     """
     energy = circular_diagonal_energy(H_eff)
-    n = len(energy)
-    predicted = set()
-    for ref in references:
-        predicted.add(int(np.argmax(circular_diagonal_energy(ref))))
-    keep = np.zeros(n, dtype=bool)
-    for off in predicted:
-        for d in range(-xi, xi + 1):
-            keep[(off + d) % n] = True
+    offsets = np.array([np.argmax(circular_diagonal_energy(r))
+                        for r in references], dtype=int)
+    keep = np.zeros(len(energy), dtype=bool)
+    keep[np.add.outer(offsets, np.arange(-xi, xi + 1)) % len(energy)] = True
     total = energy.sum()
     if total <= 0:
         raise ValueError("effective channel has no energy")
     return float(energy[keep].sum() / total)
 
 
-def single_path_references(spec: ChannelSpec, make_effective) -> list:
-    """Unit-gain single-path effective channels for each distinct path.
-
-    ``make_effective`` maps a dense channel matrix to the effective-domain
-    matrix (e.g. a closure over ``effective_channel`` or the baseline's
-    chirp-domain conjugation).
-    """
-    refs = []
-    seen = set()
-    for p in spec.paths:
-        key = (p.delay, p.doppler)
-        if key in seen:
-            continue
-        seen.add(key)
-        one = ChannelSpec(paths=(replace(p, gain=1.0),), M=spec.M, c1=spec.c1)
-        refs.append(make_effective(build_channel(one)))
-    return refs
-
-
-def data_restricted_channel(H: np.ndarray, modem: AfbmModem) -> np.ndarray:
+def data_restricted_channel(spec: ChannelSpec, modem: AfbmModem) -> np.ndarray:
     """Despread data-to-data channel seen by the symbol detector.
 
-    Runs the full receive chain of ``modem`` over the channel response
-    of each transmitted data symbol (single-symbol frame) and keeps the
-    data rows: an (L/2) x (L/2) matrix suitable for linear equalization.
+    Runs the full receive chain of ``modem`` over the response of the
+    channel ``spec`` to each transmitted data symbol (single-symbol
+    frame) and keeps the data rows: an (L/2) x (L/2) matrix suitable for
+    linear equalization.
     """
     params = modem.params
     if params.K != 1:
@@ -197,5 +190,5 @@ def data_restricted_channel(H: np.ndarray, modem: AfbmModem) -> np.ndarray:
     data = data_indices(L)
     A = np.zeros((L, 1, L // 2), dtype=complex)
     A[data, 0, np.arange(L // 2)] = 1.0
-    R = H @ modem.modulate(GridFrame(A=A)).s
+    R = spec.apply(modem.modulate(GridFrame(A=A)).s)
     return modem.demodulate(TimeSignal(s=R)).A[data, 0]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -23,19 +24,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .transforms import ChirpPair, DaftDims
+from .transforms import ChirpPair, DaftDims, apply_daft
 from .filterbank import prototype_filter
-from .modem import AfdmParams, WaveformParams
+from .modem import AfdmParams, WaveformParams, spread
 from .channel import (
     ChannelSpec,
     PathSpec,
-    afdm_effective_channel,
-    build_channel,
     check_paths_feasible,
-    effective_channel,
+    effective_channels,
     path_separation_metric,
     pick_chirp_params,
-    single_path_references,
 )
 from . import metrics
 from .metrics import ResultTable
@@ -103,12 +101,38 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+# every key of the schema: those with a default, and the optional ones
+_KNOWN_KEYS = _merge(_DEFAULTS, {
+    "waveform": dict.fromkeys(("c1", "c1_pre", "c2_pre")),
+    "afdm": dict.fromkeys(("cpp_len", "c1", "c2"))})
+
+
 def _as_complex(g) -> complex:
     if isinstance(g, (list, tuple)):
         if len(g) != 2:
             raise ValueError("complex gain must be [real, imag]")
         return complex(g[0], g[1])
     return complex(g)
+
+
+def _check_keys(data: dict, known: dict, where: str = "") -> None:
+    """Reject a key the schema lacks by its dotted path, naming the nearest."""
+    for key, value in data.items():
+        if key not in known:
+            from difflib import get_close_matches  # only on this error path
+            near = get_close_matches(str(key), list(known), n=1)
+            hint = f"; did you mean {where + near[0]!r}?" if near else ""
+            raise ValueError(f"unknown config key {where + str(key)!r}{hint}")
+        if isinstance(known[key], dict) and isinstance(value, dict):
+            _check_keys(value, known[key], f"{where}{key}.")
+
+
+def _int(value, name: str, minimum: int) -> int:
+    """``value`` if it is an int (a bool is not) of at least ``minimum``."""
+    if type(value) is not int or value < minimum:
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def read_config_file(path) -> dict:
@@ -130,55 +154,56 @@ def read_config_file(path) -> dict:
 def resolve_config(data: dict) -> ExperimentConfig:
     """Apply defaults and build every referenced object, validating all
     module-level invariants before any computation starts."""
+    _check_keys(data, _KNOWN_KEYS)
     resolved = _merge(_DEFAULTS, data)
     experiment = resolved["experiment"]
     if experiment not in EXPERIMENTS:
         raise ValueError(
             f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}")
-    trials = resolved["trials"]
-    if not isinstance(trials, int) or trials < 1:
-        raise ValueError("trials must be a positive integer")
-    seed = resolved["seed"]
-    if not isinstance(seed, int) or seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+    trials = _int(resolved["trials"], "trials", 1)
+    seed = _int(resolved["seed"], "seed", 0)
+    snr_grid = tuple(resolved["snr_grid"])
+    if not snr_grid or not all(type(v) in (int, float) and math.isfinite(v)
+                               for v in snr_grid):
+        raise ValueError(f"snr_grid must be a non-empty list of finite "
+                         f"numbers, got {list(snr_grid)!r}")
 
     wf = resolved["waveform"]
     ch = resolved["channel"]
+    _int(wf["K"], "waveform.K", 1)  # DaftDims checks L, P and N
     dims = DaftDims(L=wf["L"], P=wf["P"], N=wf["N"])
     filt = prototype_filter(wf["filter"], wf["overlap"], wf["N"])
-    ell_max, f_max, xi = ch["ell_max"], ch["f_max"], ch["xi"]
-    if "c1" in wf:
-        chirps_mod = ChirpPair(c1=wf["c1"], c2=wf.get("c2", 0.0))
-    else:
-        picked = pick_chirp_params(ell_max, f_max, xi, dims.P)
-        chirps_mod = ChirpPair(c1=picked.c1, c2=wf.get("c2", 0.0))
-    if "c1_pre" in wf or "c2_pre" in wf:
-        chirps_pre = ChirpPair(c1=wf.get("c1_pre", chirps_mod.c1),
-                               c2=wf.get("c2_pre", chirps_mod.c2))
-    else:
-        chirps_pre = chirps_mod
+    ell_max = _int(ch["ell_max"], "channel.ell_max", 0)
+    xi = _int(ch["xi"], "channel.xi", 0)
+    f_max = ch["f_max"]
+    c1 = (wf["c1"] if "c1" in wf
+          else pick_chirp_params(ell_max, f_max, xi, dims.P).c1)
+    chirps_mod = ChirpPair(c1=c1, c2=wf.get("c2", 0.0))
+    chirps_pre = ChirpPair(c1=wf.get("c1_pre", chirps_mod.c1),
+                           c2=wf.get("c2_pre", chirps_mod.c2))
     waveform = WaveformParams(
         dims=dims, K=wf["K"], chirps_pre=chirps_pre, chirps_mod=chirps_mod,
         filter=filt, constellation=wf["constellation"],
         compensation=wf["compensation"])
 
     af = resolved["afdm"]
-    cpp_len = af.get("cpp_len", ell_max)
-    if "c1" in af:
-        afdm_chirps = ChirpPair(c1=af["c1"], c2=af.get("c2", 0.0))
-    else:
-        picked = pick_chirp_params(ell_max, f_max, xi, dims.L)
-        afdm_chirps = ChirpPair(c1=picked.c1, c2=af.get("c2", 0.0))
+    cpp_len = _int(af.get("cpp_len", ell_max), "afdm.cpp_len", 0)
+    c1 = (af["c1"] if "c1" in af
+          else pick_chirp_params(ell_max, f_max, xi, dims.L).c1)
+    afdm_chirps = ChirpPair(c1=c1, c2=af.get("c2", 0.0))
     afdm = AfdmParams(L_a=dims.L, K=wf["K"], chirps=afdm_chirps,
                       cpp_len=cpp_len, constellation=wf["constellation"])
 
+    for i, p in enumerate(ch["paths"]):
+        _check_keys(p, _DEFAULTS["channel"]["paths"][0],
+                    f"channel.paths[{i}].")
     paths = tuple(
         PathSpec(gain=_as_complex(p["gain"]), delay=p["delay"],
                  doppler=p["doppler"])
         for p in ch["paths"])
     return ExperimentConfig(
         experiment=experiment, waveform=waveform, afdm=afdm, paths=paths,
-        xi=xi, snr_grid=tuple(resolved["snr_grid"]), trials=trials,
+        xi=xi, snr_grid=snr_grid, trials=trials,
         seed=seed, out=resolved["out"], resolved=resolved)
 
 
@@ -264,16 +289,16 @@ def _run_effchan(cfg: ExperimentConfig, outdir: Path):
     params1 = replace(cfg.waveform, K=1)
     spec = ChannelSpec(paths=cfg.paths, M=params1.M,
                        c1=params1.chirps_mod.c1).normalized()
-    eff = effective_channel(build_channel(spec), params1)
-    refs = single_path_references(
-        spec, lambda H: effective_channel(H, params1))
+    basis = spread(np.eye(params1.dims.L, dtype=complex)[:, None, :], params1)
+    eff, refs = effective_channels(spec, basis)
     score = path_separation_metric(eff, refs, cfg.xi)
 
-    bspec = ChannelSpec(paths=cfg.paths, M=cfg.afdm.L_a,
+    L_a = cfg.afdm.L_a
+    bspec = ChannelSpec(paths=cfg.paths, M=L_a,
                         c1=cfg.afdm.chirps.c1).normalized()
-    beff = afdm_effective_channel(build_channel(bspec), cfg.afdm.chirps)
-    brefs = single_path_references(
-        bspec, lambda H: afdm_effective_channel(H, cfg.afdm.chirps))
+    bbasis = apply_daft(np.eye(L_a, dtype=complex), cfg.afdm.chirps,
+                        adjoint=True)
+    beff, brefs = effective_channels(bspec, bbasis)
     bscore = path_separation_metric(beff, brefs, cfg.xi)
 
     mag = np.abs(eff)

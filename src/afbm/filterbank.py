@@ -139,6 +139,10 @@ def apply_filter_bank(y: np.ndarray, filt: PrototypeFilter) -> np.ndarray:
     if N != filt.N:
         raise ValueError("row count must equal the filter bank size")
     idx = np.arange(filt.length) % N
+    if K == 1:  # window the gathered samples in place: one M x batch array
+        s = np.asarray(y[idx, 0], dtype=complex)
+        s *= filt.coeffs.reshape((-1,) + (1,) * (y.ndim - 2))
+        return s
     s = np.zeros((output_length(filt, K),) + y.shape[2:], dtype=complex)
     hop = N // 2
     for k in range(K):

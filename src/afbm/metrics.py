@@ -8,8 +8,8 @@ deterministic, order independent, and stable when the trial count grows
 (earlier trials keep their draws). Every loop then pushes the draws of
 ``TRIAL_CHUNK`` trials through the chain as one batch, one column per
 trial. PAPR and spectrum samples equal those of one frame at a time bit
-for bit; the BER loop adds the dense channel and the MMSE filter as
-matrix products over the chunk.
+for bit; the BER loop adds the channel, applied path by path, and the
+MMSE filter as matrix products over the chunk.
 """
 
 from __future__ import annotations
@@ -34,12 +34,7 @@ from .modem import (
     extract_grid,
     spread,
 )
-from .channel import (
-    ChannelSpec,
-    build_channel,
-    check_paths_feasible,
-    data_restricted_channel,
-)
+from .channel import ChannelSpec, check_paths_feasible, data_restricted_channel
 
 SIR_CAP_DB = 150.0
 
@@ -399,11 +394,8 @@ def ber_experiment(params: WaveformParams, channel_spec: ChannelSpec,
     check_paths_feasible(channel_spec.paths, xi, params1.dims.P)
     spec = channel_spec.normalized()
     M = params1.M
-    if spec.M != M:
-        raise ValueError(f"channel length {spec.M} != frame length {M}")
-    H = build_channel(spec)
     modem = AfbmModem(params1)
-    H_d = data_restricted_channel(H, modem)
+    H_d = data_restricted_channel(spec, modem)
     lam, V = np.linalg.eigh(H_d.conj().T @ H_d)
     VhHdh = V.conj().T @ H_d.conj().T
     count = _bit_count(params1)
@@ -413,7 +405,7 @@ def ber_experiment(params: WaveformParams, channel_spec: ChannelSpec,
         errors = 0
         for _, (bits, re, im) in _trial_draws(
                 trials, [seed, i], lambda rng: _ber_draw(rng, count, M)):
-            r = H @ _afbm_transmit(modem, bits)
+            r = spec.apply(_afbm_transmit(modem, bits))
             # Fortran order sums each column as for a lone frame
             power = np.asfortranarray(np.abs(r) ** 2)
             nvar = power.sum(axis=0) / M / snr_lin

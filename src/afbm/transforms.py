@@ -1,13 +1,13 @@
 """Unitary operators of the affine filter bank modulation core.
 
-Every DFT-like matrix here uses unitary (1/sqrt(n)) scaling so that all
+Every DFT-like operator here uses unitary (1/sqrt(n)) scaling so that all
 transform round trips are exact isometries. The DFT kernel sign convention
 is exp(+j*2*pi*k*l/n) and chirp diagonals rotate as exp(-j*2*pi*c*m^2).
 
-``dft_matrix`` and ``daft_matrix`` build dense matrices; the ``apply_*``
-functions are the FFT-based fast paths, tested against dense oracles.
-They transform along axis 0 and treat any trailing axes as batch, so one
-call applies the operator to every column of a stack of frames.
+The ``apply_*`` functions are FFT-based fast paths, tested against the
+dense matrices of the test oracles. They transform along axis 0 and
+treat any trailing axes as batch, so one call applies the operator to
+every column of a stack of frames.
 """
 
 from __future__ import annotations
@@ -59,14 +59,6 @@ class DaftDims:
                 f"need L <= P <= N, got L={self.L}, P={self.P}, N={self.N}")
 
 
-def dft_matrix(n: int) -> np.ndarray:
-    """Unitary n-point DFT matrix with entries exp(+j*2*pi*k*l/n)/sqrt(n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    k = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
-
-
 def chirp_phase(c: float, n: int) -> np.ndarray:
     """Diagonal of the chirp matrix as a vector: exp(-j*2*pi*c*m^2)."""
     if n < 1:
@@ -74,12 +66,6 @@ def chirp_phase(c: float, n: int) -> np.ndarray:
     if not np.isfinite(c):
         raise ValueError("chirp rate must be finite")
     return np.exp(-2j * np.pi * c * np.arange(n) ** 2)
-
-
-def daft_matrix(chirps: ChirpPair, n: int) -> np.ndarray:
-    """Affine transform matrix: chirp(c1) * DFT * chirp(c2), unitary."""
-    return (chirp_phase(chirps.c1, n)[:, None] * dft_matrix(n)
-            * chirp_phase(chirps.c2, n)[None, :])
 
 
 # ---------------------------------------------------------------------------

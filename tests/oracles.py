@@ -1,21 +1,20 @@
 """Dense operators and straightforward per-element and per-frame reference
 implementations.
 
-The package applies every operator through FFT fast paths, vectorized
-over stacks of frames; the versions here build the explicit matrices or
-do one element, symbol or frame at a time, the plain way, so the tests
-can check the fast paths against them.
+The package applies every operator through fast paths (FFTs, and the
+channel path by path), vectorized over stacks of frames; the versions
+here build the explicit matrices or do one element, symbol or frame at a
+time, the plain way, so the tests can check the fast paths against them.
 """
 
 import numpy as np
 
-from afbm.channel import (build_channel, check_paths_feasible,
-                          data_restricted_channel)
+from afbm.channel import check_paths_feasible, data_restricted_channel
 from afbm.filterbank import output_length
 from afbm.metrics import AFDM_OOBE_OVERSAMPLE, spectral_interpolate
 from afbm.modem import (BITS_PER_SYMBOL, AfbmModem, TimeSignal, afdm_modulate,
                         extract_grid, map_symbols, place_grid)
-from afbm.transforms import apply_daft, chirp_phase, daft_matrix, dft_matrix
+from afbm.transforms import apply_daft, chirp_phase
 
 _QAM16_AXIS_BITS = {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}
 
@@ -23,6 +22,36 @@ _QAM16_AXIS_BITS = {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}
 # ---------------------------------------------------------------------------
 # dense operators
 # ---------------------------------------------------------------------------
+
+def dft_matrix(n):
+    """Unitary n-point DFT matrix with entries exp(+j*2*pi*k*l/n)/sqrt(n)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    k = np.arange(n)
+    return np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+
+
+def daft_matrix(chirps, n):
+    """Affine transform matrix: chirp(c1) * DFT * chirp(c2), unitary."""
+    return (chirp_phase(chirps.c1, n)[:, None] * dft_matrix(n)
+            * chirp_phase(chirps.c2, n)[None, :])
+
+
+def build_channel(spec):
+    """Dense M x M circular delay-Doppler matrix of the given paths."""
+    M = spec.M
+    H = np.zeros((M, M), dtype=complex)
+    m = np.arange(M)
+    for p in spec.paths:
+        doppler = np.exp(-2j * np.pi * p.doppler * m / M)
+        phi = np.ones(M, dtype=complex)
+        if p.delay:
+            head = np.arange(p.delay)
+            phi[:p.delay] = np.exp(
+                -2j * np.pi * spec.c1 * (M ** 2 - 2 * M * (p.delay - head)))
+        H[m, (m - p.delay) % M] += p.gain * phi * doppler
+    return H
+
 
 def chirp_diag(c, n):
     """n x n diagonal chirp matrix with entries exp(-j*2*pi*c*m^2)."""
@@ -185,6 +214,18 @@ def demap_symbols_dict(symbols, constellation):
     return np.array(bits, dtype=int)
 
 
+def filter_bank_overlap_add(y, filt):
+    """Synthesis filter bank of one N x K block: a zeroed output to which
+    each symbol's windowed periodic extension is added in turn."""
+    N, K = y.shape
+    hop = N // 2
+    idx = np.arange(filt.length) % N
+    s = np.zeros(output_length(filt, K), dtype=complex)
+    for k in range(K):
+        s[k * hop:k * hop + filt.length] += filt.coeffs * y[idx, k]
+    return s
+
+
 def filter_bank_adjoint_add_at(r, filt, K):
     """Analysis filter bank of one 1-D signal by ``np.add.at`` folding."""
     hop = filt.N // 2
@@ -244,12 +285,14 @@ def ber_trial_errors(params, channel_spec, snr_grid, trials, seed):
 
     One frame at a time: trial ``t`` at SNR index ``i`` draws its bits,
     then its real and imaginary noise from ``default_rng([seed, i, t])``,
-    and is detected with :func:`mmse_equalize` and a per-symbol demap.
+    goes through the dense :func:`build_channel` matrix, and is detected
+    with :func:`mmse_equalize` and a per-symbol demap.
     """
     check_paths_feasible(channel_spec.paths, 0, params.dims.P)
-    H = build_channel(channel_spec.normalized())
+    spec = channel_spec.normalized()
+    H = build_channel(spec)
     modem = AfbmModem(params)
-    H_d = data_restricted_channel(H, modem)
+    H_d = data_restricted_channel(spec, modem)
     errors = np.zeros((len(snr_grid), trials), dtype=int)
     for i, snr_db in enumerate(snr_grid):
         for t in range(trials):

@@ -14,13 +14,9 @@ import numpy as np
 from afbm.channel import (
     ChannelSpec,
     PathSpec,
-    afdm_effective_channel,
-    build_channel,
-    data_restricted_channel,
-    effective_channel,
+    effective_channels,
     path_separation_metric,
     pick_chirp_params,
-    single_path_references,
 )
 from afbm.cli import read_config_file, resolve_config
 from afbm.filterbank import (
@@ -50,10 +46,11 @@ from afbm.modem import (
     WaveformParams,
     map_symbols,
     place_grid,
+    spread,
 )
-from afbm.transforms import daft_matrix
-from oracles import (assemble_filter_matrix, dense_transmit_matrix,
-                     synthesis_matrix)
+from afbm.transforms import apply_daft
+from oracles import (assemble_filter_matrix, daft_matrix,
+                     dense_transmit_matrix, synthesis_matrix)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -145,7 +142,8 @@ def test_acceptance_3_oracle_equivalence(capfd):
         p1 = params if K == 1 else replace(params, K=1)
         H = (rng.standard_normal((p1.M, p1.M))
              + 1j * rng.standard_normal((p1.M, p1.M)))
-        eff_fast = effective_channel(H, p1)
+        B_fast = spread(np.eye(L, dtype=complex)[:, None, :], p1)
+        eff_fast = B_fast.conj().T @ (H @ B_fast)
         B = assemble_filter_matrix(p1.filter, 1) @ Q
         eff_dense = B.conj().T @ H @ B
         worst_eff = max(worst_eff, float(np.abs(eff_fast - eff_dense).max()))
@@ -209,16 +207,17 @@ def test_acceptance_6_effective_channel_structure(capfd, tmp_path):
     params1 = replace(cfg.waveform, K=1)
     spec = ChannelSpec(paths=cfg.paths, M=params1.M,
                        c1=cfg.waveform.chirps_mod.c1).normalized()
-    make_afbm = lambda H: effective_channel(H, params1)
+    basis = spread(np.eye(params1.dims.L, dtype=complex)[:, None, :],
+                   params1)
     metric_afbm = path_separation_metric(
-        make_afbm(build_channel(spec)),
-        single_path_references(spec, make_afbm), xi=cfg.xi)
-    spec_b = ChannelSpec(paths=cfg.paths, M=cfg.afdm.L_a,
+        *effective_channels(spec, basis), xi=cfg.xi)
+    L_a = cfg.afdm.L_a
+    spec_b = ChannelSpec(paths=cfg.paths, M=L_a,
                          c1=cfg.afdm.chirps.c1).normalized()
-    make_afdm = lambda H: afdm_effective_channel(H, cfg.afdm.chirps)
+    basis_b = apply_daft(np.eye(L_a, dtype=complex), cfg.afdm.chirps,
+                         adjoint=True)
     metric_afdm = path_separation_metric(
-        make_afdm(build_channel(spec_b)),
-        single_path_references(spec_b, make_afdm), xi=cfg.xi)
+        *effective_channels(spec_b, basis_b), xi=cfg.xi)
     elapsed = time.monotonic() - start
     ok = (metric_afbm >= 0.9 and abs(metric_afdm - 1.0) <= 1e-12
           and elapsed <= 60.0)

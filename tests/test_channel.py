@@ -5,28 +5,38 @@ import pytest
 
 from afbm.channel import (
     ChannelSpec,
-    ChirpPair,
     PathSpec,
-    TimeSignal,
-    WaveformParams,
-    afdm_effective_channel,
-    build_channel,
     circular_diagonal_energy,
     data_restricted_channel,
-    effective_channel,
+    effective_channels,
     path_separation_metric,
     pick_chirp_params,
-    single_path_references,
 )
 from afbm.filterbank import prototype_filter
-from afbm.modem import AfbmModem, afdm_modulate
-from afbm.transforms import DaftDims
-from oracles import (apply_channel, assemble_filter_matrix, mmse_equalize,
-                     synthesis_matrix)
+from afbm.modem import (AfbmModem, ChirpPair, TimeSignal, WaveformParams,
+                        afdm_modulate, spread)
+from afbm.transforms import DaftDims, apply_daft
+from oracles import (apply_channel, assemble_filter_matrix, build_channel,
+                     mmse_equalize, synthesis_matrix)
 
 
 def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def channel_matrix(spec):
+    """The matrix of ``spec.apply``, column by column."""
+    return spec.apply(np.eye(spec.M, dtype=complex))
+
+
+def afbm_basis(params):
+    """Time samples of each single-symbol subcarrier (M x L)."""
+    return spread(np.eye(params.dims.L, dtype=complex)[:, None, :], params)
+
+
+def afdm_basis(chirps, n):
+    """Columns of the baseline's adjoint affine transform (n x n)."""
+    return apply_daft(np.eye(n, dtype=complex), chirps, adjoint=True)
 
 
 def small_params(kind="HERMITE", overlap=1.5, L=16, P=24, N=32, c1=0.02):
@@ -110,15 +120,15 @@ def test_channel_spec_normalization():
 
 def test_identity_channels():
     spec = ChannelSpec(paths=(PathSpec(1.0, 0, 0.0),), M=12)
-    assert np.abs(build_channel(spec) - np.eye(12)).max() < 1e-12
+    assert np.abs(channel_matrix(spec) - np.eye(12)).max() < 1e-12
     # an integer Doppler equal to the block length wraps to no shift
     spec = ChannelSpec(paths=(PathSpec(1.0, 0, 12.0),), M=12)
-    assert np.abs(build_channel(spec) - np.eye(12)).max() < 1e-12
+    assert np.abs(channel_matrix(spec) - np.eye(12)).max() < 1e-12
 
 
 def test_single_path_population():
     spec = ChannelSpec(paths=(PathSpec(0.8, 3, 1.0),), M=16)
-    H = build_channel(spec)
+    H = channel_matrix(spec)
     nz = np.abs(H) > 1e-12
     assert nz.sum() == 16
     assert np.abs(np.abs(H[nz]) - 0.8).max() < 1e-12
@@ -129,9 +139,9 @@ def test_single_path_population():
 def test_two_path_population_and_linearity():
     p1 = PathSpec(1.0, 0, 1.0)
     p2 = PathSpec(0.5j, 2, -1.0)
-    H12 = build_channel(ChannelSpec(paths=(p1, p2), M=16))
-    H1 = build_channel(ChannelSpec(paths=(p1,), M=16))
-    H2 = build_channel(ChannelSpec(paths=(p2,), M=16))
+    H12 = channel_matrix(ChannelSpec(paths=(p1, p2), M=16))
+    H1 = channel_matrix(ChannelSpec(paths=(p1,), M=16))
+    H2 = channel_matrix(ChannelSpec(paths=(p2,), M=16))
     assert np.count_nonzero(np.abs(H12) > 1e-12) == 32
     assert np.abs(H12 - H1 - H2).max() < 1e-14
 
@@ -145,7 +155,6 @@ def test_circular_channel_matches_linear_convolution_over_prefix():
     chirps = ChirpPair(c1, 0.0)
     paths = (PathSpec(0.9, 2, 1.0), PathSpec(0.5 - 0.2j, 5, -1.7))
     spec = ChannelSpec(paths=paths, M=M, c1=c1)
-    H = build_channel(spec)
     d = crandn(rng, M)
     s = afdm_modulate(d, chirps, cpp)          # prefix + body stream
     y_lin = np.zeros(M + cpp, dtype=complex)
@@ -154,7 +163,76 @@ def test_circular_channel_matches_linear_convolution_over_prefix():
         shifted = np.zeros(M + cpp, dtype=complex)
         shifted[p.delay:] = s[:len(s) - p.delay]
         y_lin += p.gain * np.exp(-2j * np.pi * p.doppler * (n - cpp) / M) * shifted
-    assert np.abs(y_lin[cpp:] - H @ s[cpp:]).max() < 1e-13
+    assert np.abs(y_lin[cpp:] - spec.apply(s[cpp:])).max() < 1e-13
+
+
+def _random_spec(rng, M):
+    """1-6 paths anywhere in [0, M), fractional and negative Doppler, a
+    nonzero prefix chirp, and at times a repeated (delay, doppler) pair
+    with another gain."""
+    paths = [PathSpec(complex(*rng.standard_normal(2)),
+                      int(rng.integers(0, M)),
+                      float(rng.choice([0.0, 1.0, -2.0, 0.5, -1.37])))
+             for _ in range(int(rng.integers(1, 7)))]
+    if rng.random() < 0.5:
+        paths.append(PathSpec(0.3 - 0.4j, paths[0].delay, paths[0].doppler))
+    return ChannelSpec(paths=paths, M=M, c1=float(rng.uniform(0, 0.05)))
+
+
+def test_apply_matches_the_dense_channel_matrix():
+    rng = np.random.default_rng(59)
+    for _ in range(40):
+        spec = _random_spec(rng, int(rng.integers(2, 40)))
+        H = build_channel(spec)
+        s = crandn(rng, spec.M)
+        S = crandn(rng, spec.M, 3, 2)
+        assert np.abs(spec.apply(s) - H @ s).max() < 1e-12
+        dense = np.einsum("ij,jkl->ikl", H, S)
+        assert np.abs(spec.apply(S) - dense).max() < 1e-12
+
+
+def test_apply_rejects_a_signal_of_another_length():
+    spec = ChannelSpec(paths=(PathSpec(1.0, 1, 0.0),), M=16)
+    with pytest.raises(ValueError):
+        spec.apply(np.zeros(15, dtype=complex))
+
+
+@pytest.mark.parametrize("waveform", ["afbm", "afdm"])
+def test_effective_channels_match_the_dense_triple_product(waveform):
+    rng = np.random.default_rng(60 if waveform == "afbm" else 61)
+    params = small_params()
+    for _ in range(15):
+        if waveform == "afbm":
+            B = afbm_basis(params)
+        else:
+            B = afdm_basis(ChirpPair(float(rng.uniform(0, 0.05)), 0.01), 24)
+        spec = _random_spec(rng, B.shape[0])
+        total, refs = effective_channels(spec, B)
+        assert np.abs(total - B.conj().T @ build_channel(spec) @ B).max() \
+            < 1e-12
+        distinct = list(dict.fromkeys((p.delay, p.doppler)
+                                      for p in spec.paths))
+        assert len(refs) == len(distinct)
+        for (delay, doppler), ref in zip(distinct, refs):
+            one = ChannelSpec(paths=(PathSpec(1.0, delay, doppler),),
+                              M=spec.M, c1=spec.c1)
+            dense = B.conj().T @ build_channel(one) @ B
+            assert np.abs(ref - dense).max() < 1e-12
+
+
+def test_effective_channels_sum_both_gains_of_a_repeated_path():
+    params = small_params()
+    B = afbm_basis(params)
+    p = PathSpec(0.6, 3, -0.5)
+    twin = ChannelSpec(paths=(p, PathSpec(0.8j, 3, -0.5)), M=params.M,
+                       c1=0.02)
+    total, refs = effective_channels(twin, B)
+    (ref,) = refs
+    assert np.abs(total - (0.6 + 0.8j) * ref).max() < 1e-14
+    merged = ChannelSpec(paths=(PathSpec(0.6 + 0.8j, 3, -0.5),),
+                         M=params.M, c1=0.02)
+    assert np.abs(total - B.conj().T @ build_channel(merged) @ B).max() \
+        < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +267,15 @@ def test_apply_channel_noise_power():
 # effective channel
 # ---------------------------------------------------------------------------
 
-def test_effective_channel_requires_single_symbol(ref_params_frame):
+def test_effective_channels_reject_a_basis_of_another_length():
+    spec = ChannelSpec(paths=(PathSpec(1.0, 0, 0.0),), M=384)
     with pytest.raises(ValueError):
-        effective_channel(np.eye(1280, dtype=complex), ref_params_frame)
+        effective_channels(spec, afbm_basis(small_params()))
 
 
 def test_effective_channel_of_identity_is_scaled_identity(ref_params):
-    He = effective_channel(np.eye(384, dtype=complex), ref_params)
+    spec = ChannelSpec(paths=(PathSpec(1.0, 0, 0.0),), M=384)
+    He, _ = effective_channels(spec, afbm_basis(ref_params))
     scale = np.real(He[0, 0])
     assert abs(scale - 1 / 256) < 1e-12
     assert np.abs(He - scale * np.eye(128)).max() < 1e-12
@@ -203,11 +283,14 @@ def test_effective_channel_of_identity_is_scaled_identity(ref_params):
 
 def test_effective_channel_is_linear_in_the_channel():
     params = small_params()
-    rng = np.random.default_rng(55)
-    H = crandn(rng, params.M, params.M)
-    lhs = effective_channel(1.7j * H, params)
-    rhs = 1.7j * effective_channel(H, params)
-    assert np.abs(lhs - rhs).max() < 1e-12
+    B = afbm_basis(params)
+    paths = (PathSpec(1.0, 2, 0.5), PathSpec(0.3 - 0.2j, 5, -1.0))
+    spec = ChannelSpec(paths=paths, M=params.M, c1=0.02)
+    scaled = ChannelSpec(paths=[PathSpec(1.7j * p.gain, p.delay, p.doppler)
+                                for p in paths], M=params.M, c1=0.02)
+    lhs, _ = effective_channels(scaled, B)
+    rhs, _ = effective_channels(spec, B)
+    assert np.abs(lhs - 1.7j * rhs).max() < 1e-12
 
 
 @pytest.mark.parametrize("kind,overlap,L,P,N", [
@@ -220,15 +303,15 @@ def test_effective_channel_matches_dense_triple_product(kind, overlap, L, P, N):
     B = (assemble_filter_matrix(params.filter, 1)
          @ synthesis_matrix(params.dims, params.chirps_mod))
     rng = np.random.default_rng(56)
-    H = crandn(rng, params.M, params.M)
-    He = effective_channel(H, params)
-    assert np.abs(He - B.conj().T @ H @ B).max() < 1e-10
+    spec = _random_spec(rng, params.M)
+    He, _ = effective_channels(spec, afbm_basis(params))
+    assert np.abs(He - B.conj().T @ build_channel(spec) @ B).max() < 1e-10
 
 
 def test_afdm_effective_channel_single_diagonal():
     chirps = ChirpPair(pick_chirp_params(2, 1.0, 0, 64).c1, 0.0)
     spec = ChannelSpec(paths=(PathSpec(1.0, 2, 1.0),), M=64, c1=chirps.c1)
-    He = afdm_effective_channel(build_channel(spec), chirps)
+    He, _ = effective_channels(spec, afdm_basis(chirps, 64))
     energy = circular_diagonal_energy(He)
     top = np.argmax(energy)
     assert energy[top] / energy.sum() > 1 - 1e-12
@@ -249,11 +332,10 @@ def test_path_separation_single_path_concentrates(ref_params):
     # a Doppler of 1.5 cycles per 384-sample frame is exactly one cycle per
     # 256-sample block, so the effective channel stays on one diagonal
     c1 = ref_params.chirps_mod.c1
-    make = lambda H: effective_channel(H, ref_params)
+    B = afbm_basis(ref_params)
     for path in (PathSpec(1.0, 2, 0.0), PathSpec(1.0, 1, 1.5)):
         spec = ChannelSpec(paths=(path,), M=384, c1=c1)
-        refs = single_path_references(spec, make)
-        metric = path_separation_metric(make(build_channel(spec)), refs)
+        metric = path_separation_metric(*effective_channels(spec, B))
         assert metric > 0.99
 
 
@@ -261,10 +343,8 @@ def test_path_separation_guard_width_absorbs_fractional_doppler(ref_params):
     # one cycle per frame is 2/3 cycle per block: energy leaks into the
     # neighbouring diagonals and a +-1 window recovers most of it
     c1 = ref_params.chirps_mod.c1
-    make = lambda H: effective_channel(H, ref_params)
     spec = ChannelSpec(paths=(PathSpec(1.0, 1, 1.0),), M=384, c1=c1)
-    refs = single_path_references(spec, make)
-    He = make(build_channel(spec))
+    He, refs = effective_channels(spec, afbm_basis(ref_params))
     narrow = path_separation_metric(He, refs, xi=0)
     wide = path_separation_metric(He, refs, xi=1)
     assert narrow < 0.8
@@ -275,12 +355,9 @@ def test_path_separation_duplicate_paths_share_reference(ref_params):
     c1 = ref_params.chirps_mod.c1
     twin = (PathSpec(0.6, 1, 1.5), PathSpec(0.8j, 1, 1.5))
     spec = ChannelSpec(paths=twin, M=384, c1=c1)
-    refs = single_path_references(
-        spec, lambda H: effective_channel(H, ref_params))
+    He, refs = effective_channels(spec, afbm_basis(ref_params))
     assert len(refs) == 1
-    metric = path_separation_metric(
-        effective_channel(build_channel(spec), ref_params), refs)
-    assert metric > 0.99
+    assert path_separation_metric(He, refs) > 0.99
 
 
 def test_path_separation_exact_for_integer_doppler_baseline():
@@ -288,9 +365,8 @@ def test_path_separation_exact_for_integer_doppler_baseline():
     chirps = ChirpPair(c1, 0.0)
     spec = ChannelSpec(paths=(PathSpec(1.0, 0, 0.0), PathSpec(0.7, 1, 1.0),
                               PathSpec(0.5, 2, -1.0)), M=64, c1=c1).normalized()
-    make = lambda H: afdm_effective_channel(H, chirps)
-    refs = single_path_references(spec, make)
-    metric = path_separation_metric(make(build_channel(spec)), refs)
+    metric = path_separation_metric(
+        *effective_channels(spec, afdm_basis(chirps, 64)))
     assert abs(metric - 1.0) < 1e-12
 
 
@@ -304,16 +380,18 @@ def test_path_separation_rejects_empty_channel():
 # ---------------------------------------------------------------------------
 
 def test_data_restricted_channel_identity(ref_params):
-    H_d = data_restricted_channel(np.eye(384, dtype=complex),
-                                  AfbmModem(ref_params))
+    H_d = data_restricted_channel(
+        ChannelSpec(paths=(PathSpec(1.0, 0, 0.0),), M=384),
+        AfbmModem(ref_params))
     assert H_d.shape == (64, 64)
     assert np.abs(H_d - np.eye(64)).max() < 1e-12
 
 
 def test_data_restricted_channel_requires_single_symbol(ref_params_frame):
     with pytest.raises(ValueError):
-        data_restricted_channel(np.eye(1280, dtype=complex),
-                                AfbmModem(ref_params_frame))
+        data_restricted_channel(
+            ChannelSpec(paths=(PathSpec(1.0, 0, 0.0),), M=1280),
+            AfbmModem(ref_params_frame))
 
 
 def test_mmse_zero_noise_is_zero_forcing():

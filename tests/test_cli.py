@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from afbm.channel import check_paths_feasible
+from afbm.transforms import ChirpPair
 from afbm.cli import (
     EXPERIMENTS,
     ResultTable,
@@ -75,6 +76,64 @@ def test_resolve_config_validation():
         resolve_config({"waveform": {"P": 512}})   # P > N
     with pytest.raises(ValueError):
         resolve_config({"waveform": {"filter": "GAUSS"}})
+
+
+@pytest.mark.parametrize("data,name", [
+    ({"trials": True}, "trials"),
+    ({"seed": False}, "seed"),
+    ({"waveform": {"K": 2.0}}, "waveform.K"),
+    ({"snr_grid": [0, float("nan")]}, "snr_grid"),
+    ({"channel": {"paths": [{"gain": 1.0, "delay": 1.0, "doppler": 0.0}]}},
+     "delay"),
+], ids=["trials-bool", "seed-bool", "K-float", "snr-nan", "delay-float"])
+def test_resolve_config_rejects_values_of_the_wrong_type(data, name):
+    with pytest.raises(ValueError, match=name):
+        resolve_config(data)
+
+
+def test_resolve_config_rejects_wrong_types_from_a_config_file(tmp_path):
+    # JSON's NaN, true and 2.0 reach the resolver as float/bool values
+    for text in ('{"snr_grid": [0, NaN]}', '{"trials": true}',
+                 '{"waveform": {"N": 256.0}}', '{"channel": {"xi": 1.0}}',
+                 '{"afdm": {"cpp_len": 2.0}}', '{"snr_grid": []}'):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_config(path)
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"waveform": {"overlp": 4}}, "unknown config key 'waveform.overlp'; "
+                                  "did you mean 'waveform.overlap'?"),
+    ({"chanel": {}},
+     "unknown config key 'chanel'; did you mean 'channel'?"),
+    ({"channel": {"paths": [{"gain": 1.0, "delay": 0, "dopler": 0.0}]}},
+     "unknown config key 'channel.paths[0].dopler'; "
+     "did you mean 'channel.paths[0].doppler'?"),
+    ({"afdm": {"xyz": 1}}, "unknown config key 'afdm.xyz'"),
+], ids=["overlp", "chanel", "dopler", "no-suggestion"])
+def test_resolve_config_rejects_unknown_keys(data, message):
+    with pytest.raises(ValueError) as err:
+        resolve_config(data)
+    assert str(err.value) == message
+
+
+def test_unknown_key_fails_through_the_command_line(tmp_path, capsys):
+    path = write_config(tmp_path, {"waveform": {"overlp": 4}})
+    assert main(["orth", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 1
+    assert "waveform.overlp" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_resolve_config_accepts_every_documented_key():
+    cfg = resolve_config({
+        "waveform": {"c1": 0.01, "c2": 0.0, "c1_pre": 0.02, "c2_pre": 0.001},
+        "afdm": {"cpp_len": 3, "c1": 0.015, "c2": 0.0}})
+    assert cfg.waveform.chirps_pre == ChirpPair(0.02, 0.001)
+    assert cfg.afdm.cpp_len == 3 and cfg.afdm.chirps.c1 == 0.015
+    for name in ("fig2", "fig3", "fig4"):
+        load_config(CONFIG_DIR / f"{name}.cfg")
 
 
 def test_resolve_config_explicit_chirps_override_the_rule():

@@ -17,8 +17,8 @@ from afbm.filterbank import (
     prototype_filter,
 )
 from afbm.modem import WaveformParams, spread
-from afbm.transforms import daft_matrix
-from oracles import (assemble_filter_matrix, filter_bank_adjoint_add_at,
+from oracles import (assemble_filter_matrix, daft_matrix,
+                     filter_bank_adjoint_add_at, filter_bank_overlap_add,
                      filter_blocks, synthesis_matrix)
 
 
@@ -157,6 +157,26 @@ def test_single_symbol_filter_matches_dense():
     R = crandn(rng, filt.length, 5)
     back = apply_filter_bank_adjoint(R, filt, 1)[:, 0]
     assert np.abs(back - G1.T @ R).max() < 1e-13
+
+
+@pytest.mark.parametrize("kind,overlap,N,K", [("HERMITE", 1.5, 16, 1),
+                                              ("HERMITE", 1.5, 16, 3),
+                                              ("PHYDYAS", 4, 8, 1),
+                                              ("PHYDYAS", 4, 8, 3),
+                                              ("RECT", 1, 8, 4)])
+def test_batched_filter_bank_is_bit_identical_to_zeroed_overlap_add(
+        kind, overlap, N, K):
+    filt = prototype_filter(kind, overlap, N)
+    rng = np.random.default_rng(25)
+    Y = crandn(rng, N, K, 2, 3)
+    s = apply_filter_bank(Y, filt)
+    assert s.shape == (output_length(filt, K), 2, 3)
+    for j in range(2):
+        for c in range(3):
+            assert np.array_equal(s[:, j, c],
+                                  filter_bank_overlap_add(Y[:, :, j, c], filt))
+            assert np.array_equal(s[:, j, c], apply_filter_bank(
+                np.ascontiguousarray(Y[:, :, j, c]), filt))
 
 
 @pytest.mark.parametrize("kind,overlap,N,K", [("HERMITE", 1.5, 16, 1),

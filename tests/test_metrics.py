@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -298,6 +299,22 @@ def test_orthogonality_gram_invariant(ref_params):
     assert np.abs(M_orth[data, data] - 1.0).max() < 1e-8
     assert np.all(M_orth[guard, :] == 0)
     assert np.all(M_orth[:, guard] == 0)
+
+
+def test_orthogonality_gram_peak_allocation_at_fig4(ref_dims, ref_chirps,
+                                                    phydyas256):
+    # M = 1024 and L = 128, so the spread basis is one 2 MiB array; the
+    # filter bank windows the symbol in its output, holding no second copy
+    params = WaveformParams(dims=ref_dims, K=1, chirps_pre=ref_chirps,
+                            chirps_mod=ref_chirps, filter=phydyas256)
+    orthogonality_gram(params)
+    tracemalloc.start()
+    try:
+        orthogonality_gram(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2 ** 20
 
 
 def test_sir_reference_values(ref_params, ref_dims, ref_chirps, phydyas256):

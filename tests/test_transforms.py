@@ -13,10 +13,9 @@ from afbm.transforms import (
     apply_synthesis,
     apply_synthesis_adjoint,
     chirp_phase,
-    daft_matrix,
-    dft_matrix,
 )
-from oracles import chirp_diag, freq_zero_pad, synthesis_matrix, truncated_daft
+from oracles import (chirp_diag, daft_matrix, dft_matrix, freq_zero_pad,
+                     synthesis_matrix, truncated_daft)
 
 
 def crandn(rng, *shape):
