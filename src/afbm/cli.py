@@ -20,13 +20,14 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .transforms import ChirpPair, DaftDims, apply_daft
 from .filterbank import prototype_filter
-from .modem import AfdmParams, WaveformParams, spread
+from .modem import BITS_PER_SYMBOL, AfdmParams, WaveformParams, spread
 from .channel import (
     ChannelSpec,
     PathSpec,
@@ -40,27 +41,68 @@ from .metrics import ResultTable
 
 EXPERIMENTS = ("papr", "oobe", "orth", "effchan", "ber")
 
-_DEFAULTS = {
-    "experiment": "papr",
+
+@dataclass(frozen=True)
+class _Key:
+    """A config value that ``ok`` accepts and ``what`` describes. Without a
+    ``default`` it is optional; ``entries`` is the schema of its items."""
+
+    ok: Callable[[object], bool]
+    what: str
+    default: object = None
+    entries: dict | None = None
+
+
+def _finite(v) -> bool:  # a bool is not a number, nor is an int past float
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _int(minimum: int, default=None) -> _Key:
+    return _Key(lambda v: type(v) is int and v >= minimum,
+                f"an integer >= {minimum}", default)
+
+
+def _num(default=None, minimum=-math.inf) -> _Key:
+    return _Key(lambda v: _finite(v) and v >= minimum, "a finite number"
+                + (f" >= {minimum}" if minimum > -math.inf else ""), default)
+
+
+def _one_of(choices: tuple, default) -> _Key:
+    return _Key(lambda v: v in choices, f"one of {choices}", default)
+
+
+def _nonempty(v) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) > 0
+
+
+# every config key with its rule; the defaults are the reference setup
+_SCHEMA = {
+    "experiment": _one_of(EXPERIMENTS, "papr"),
     "waveform": {
-        "L": 128, "P": 192, "N": 256, "K": 8,
-        "filter": "HERMITE", "overlap": 1.5,
-        "constellation": "QPSK", "compensation": "split",
-        "c2": 0.0,
-    },
+        "L": _int(1, 128), "P": _int(1, 192), "N": _int(1, 256),
+        "K": _int(1, 8), "overlap": _num(1.5, minimum=0),
+        "filter": _one_of(("HERMITE", "PHYDYAS", "RECT"), "HERMITE"),
+        "constellation": _one_of(tuple(BITS_PER_SYMBOL), "QPSK"),
+        "compensation": _one_of(("split", "tx"), "split"),
+        "c1": _num(minimum=0), "c2": _num(0.0),
+        "c1_pre": _num(minimum=0), "c2_pre": _num()},
     "channel": {
-        "ell_max": 2, "f_max": 1.0, "xi": 0,
-        "paths": [
+        "ell_max": _int(0, 2), "xi": _int(0, 0),
+        "f_max": _num(1.0, minimum=0),
+        "paths": _Key(_nonempty, "a non-empty list", [
             {"gain": 1.0, "delay": 0, "doppler": 0.0},
             {"gain": 0.7, "delay": 1, "doppler": 1.0},
-            {"gain": 0.5, "delay": 2, "doppler": -1.0},
-        ],
-    },
-    "afdm": {},
-    "snr_grid": [0, 2, 4, 6, 8, 10, 12, 14],
-    "trials": 1000,
-    "seed": 0,
-    "out": "results",
+            {"gain": 0.5, "delay": 2, "doppler": -1.0}], entries={
+            "gain": _Key(lambda g: _finite(g) or (
+                _nonempty(g) and len(g) == 2 and all(map(_finite, g))),
+                "a finite number or a [real, imag] pair"),
+            "delay": _int(0), "doppler": _num()})},
+    "afdm": {"cpp_len": _int(0), "c1": _num(minimum=0), "c2": _num()},
+    "snr_grid": _Key(lambda v: _nonempty(v) and all(map(_finite, v)),
+                     "a non-empty list of finite numbers",
+                     [0, 2, 4, 6, 8, 10, 12, 14]),
+    "trials": _int(1, 1000), "seed": _int(0, 0),
+    "out": _Key(lambda v: isinstance(v, str), "a string", "results"),
 }
 
 
@@ -91,48 +133,35 @@ class ExperimentConfig:
         return self.config_hash[:8]
 
 
-def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
+def _walk(data, schema: dict, where="", exact=False) -> dict:
+    """``data`` checked against a schema section, its defaults filled in;
+    with ``exact`` every key must be present. A fault names its dotted key,
+    an unknown key the nearest known one."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where or 'root'} must be an object, got {data!r}")
+    prefix = f"{where}." if where else ""
+    unknown = [str(key) for key in data if key not in schema]
+    if unknown:
+        from difflib import get_close_matches  # only on this error path
+        near = get_close_matches(unknown[0], list(schema), n=1)
+        hint = f"; did you mean {prefix + near[0]!r}?" if near else ""
+        raise ValueError(f"unknown config key {prefix + unknown[0]!r}{hint}")
+    out = {}
+    for key, rule in schema.items():
+        name = prefix + key
+        if isinstance(rule, dict):
+            out[key] = _walk(data.get(key, {}), rule, name)
+        elif key in data:
+            out[key] = value = data[key]
+            if not rule.ok(value):
+                raise ValueError(f"{name} must be {rule.what}, got {value!r}")
+            for i, entry in enumerate(value if rule.entries else ()):
+                _walk(entry, rule.entries, f"{name}[{i}]", exact=True)
+        elif rule.default is not None:
+            out[key] = rule.default
+        elif exact:
+            raise ValueError(f"{name} is missing")
     return out
-
-
-# every key of the schema: those with a default, and the optional ones
-_KNOWN_KEYS = _merge(_DEFAULTS, {
-    "waveform": dict.fromkeys(("c1", "c1_pre", "c2_pre")),
-    "afdm": dict.fromkeys(("cpp_len", "c1", "c2"))})
-
-
-def _as_complex(g) -> complex:
-    if isinstance(g, (list, tuple)):
-        if len(g) != 2:
-            raise ValueError("complex gain must be [real, imag]")
-        return complex(g[0], g[1])
-    return complex(g)
-
-
-def _check_keys(data: dict, known: dict, where: str = "") -> None:
-    """Reject a key the schema lacks by its dotted path, naming the nearest."""
-    for key, value in data.items():
-        if key not in known:
-            from difflib import get_close_matches  # only on this error path
-            near = get_close_matches(str(key), list(known), n=1)
-            hint = f"; did you mean {where + near[0]!r}?" if near else ""
-            raise ValueError(f"unknown config key {where + str(key)!r}{hint}")
-        if isinstance(known[key], dict) and isinstance(value, dict):
-            _check_keys(value, known[key], f"{where}{key}.")
-
-
-def _int(value, name: str, minimum: int) -> int:
-    """``value`` if it is an int (a bool is not) of at least ``minimum``."""
-    if type(value) is not int or value < minimum:
-        raise ValueError(
-            f"{name} must be an integer >= {minimum}, got {value!r}")
-    return value
 
 
 def read_config_file(path) -> dict:
@@ -152,59 +181,39 @@ def read_config_file(path) -> dict:
 
 
 def resolve_config(data: dict) -> ExperimentConfig:
-    """Apply defaults and build every referenced object, validating all
-    module-level invariants before any computation starts."""
-    _check_keys(data, _KNOWN_KEYS)
-    resolved = _merge(_DEFAULTS, data)
-    experiment = resolved["experiment"]
-    if experiment not in EXPERIMENTS:
-        raise ValueError(
-            f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}")
-    trials = _int(resolved["trials"], "trials", 1)
-    seed = _int(resolved["seed"], "seed", 0)
-    snr_grid = tuple(resolved["snr_grid"])
-    if not snr_grid or not all(type(v) in (int, float) and math.isfinite(v)
-                               for v in snr_grid):
-        raise ValueError(f"snr_grid must be a non-empty list of finite "
-                         f"numbers, got {list(snr_grid)!r}")
-
-    wf = resolved["waveform"]
-    ch = resolved["channel"]
-    _int(wf["K"], "waveform.K", 1)  # DaftDims checks L, P and N
+    """Check every key against the schema, apply the defaults and build
+    every referenced object, all before any computation starts."""
+    resolved = _walk(data, _SCHEMA)
+    wf, ch, af = resolved["waveform"], resolved["channel"], resolved["afdm"]
     dims = DaftDims(L=wf["L"], P=wf["P"], N=wf["N"])
     filt = prototype_filter(wf["filter"], wf["overlap"], wf["N"])
-    ell_max = _int(ch["ell_max"], "channel.ell_max", 0)
-    xi = _int(ch["xi"], "channel.xi", 0)
-    f_max = ch["f_max"]
+    ell_max, f_max, xi = ch["ell_max"], ch["f_max"], ch["xi"]
     c1 = (wf["c1"] if "c1" in wf
           else pick_chirp_params(ell_max, f_max, xi, dims.P).c1)
-    chirps_mod = ChirpPair(c1=c1, c2=wf.get("c2", 0.0))
-    chirps_pre = ChirpPair(c1=wf.get("c1_pre", chirps_mod.c1),
+    chirps_mod = ChirpPair(c1=c1, c2=wf["c2"])
+    chirps_pre = ChirpPair(c1=wf.get("c1_pre", c1),
                            c2=wf.get("c2_pre", chirps_mod.c2))
     waveform = WaveformParams(
         dims=dims, K=wf["K"], chirps_pre=chirps_pre, chirps_mod=chirps_mod,
         filter=filt, constellation=wf["constellation"],
         compensation=wf["compensation"])
-
-    af = resolved["afdm"]
-    cpp_len = _int(af.get("cpp_len", ell_max), "afdm.cpp_len", 0)
     c1 = (af["c1"] if "c1" in af
           else pick_chirp_params(ell_max, f_max, xi, dims.L).c1)
-    afdm_chirps = ChirpPair(c1=c1, c2=af.get("c2", 0.0))
-    afdm = AfdmParams(L_a=dims.L, K=wf["K"], chirps=afdm_chirps,
-                      cpp_len=cpp_len, constellation=wf["constellation"])
-
-    for i, p in enumerate(ch["paths"]):
-        _check_keys(p, _DEFAULTS["channel"]["paths"][0],
-                    f"channel.paths[{i}].")
-    paths = tuple(
-        PathSpec(gain=_as_complex(p["gain"]), delay=p["delay"],
+    afdm = AfdmParams(L_a=dims.L, K=wf["K"],
+                      chirps=ChirpPair(c1=c1, c2=af.get("c2", 0.0)),
+                      cpp_len=af.get("cpp_len", ell_max),
+                      constellation=wf["constellation"])
+    paths = tuple(  # a gain is a number or a [real, imag] pair
+        PathSpec(gain=complex(*np.ravel(p["gain"])), delay=p["delay"],
                  doppler=p["doppler"])
         for p in ch["paths"])
+    if sum(abs(p.gain) ** 2 for p in paths) <= 0:
+        raise ValueError("channel.paths must have positive total power")
     return ExperimentConfig(
-        experiment=experiment, waveform=waveform, afdm=afdm, paths=paths,
-        xi=xi, snr_grid=snr_grid, trials=trials,
-        seed=seed, out=resolved["out"], resolved=resolved)
+        experiment=resolved["experiment"], waveform=waveform, afdm=afdm,
+        paths=paths, xi=xi, snr_grid=tuple(resolved["snr_grid"]),
+        trials=resolved["trials"], seed=resolved["seed"],
+        out=resolved["out"], resolved=resolved)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -286,35 +295,30 @@ def _run_orth(cfg: ExperimentConfig, outdir: Path):
 def _run_effchan(cfg: ExperimentConfig, outdir: Path):
     for size in (cfg.waveform.dims.P, cfg.afdm.L_a):
         check_paths_feasible(cfg.paths, cfg.xi, size)
-    params1 = replace(cfg.waveform, K=1)
-    spec = ChannelSpec(paths=cfg.paths, M=params1.M,
-                       c1=params1.chirps_mod.c1).normalized()
-    basis = spread(np.eye(params1.dims.L, dtype=complex)[:, None, :], params1)
-    eff, refs = effective_channels(spec, basis)
-    score = path_separation_metric(eff, refs, cfg.xi)
+    params1, chirps = replace(cfg.waveform, K=1), cfg.afdm.chirps
+    bases = {  # one column per symbol position, with the prefix chirp rate
+        "afbm": (spread(np.eye(params1.dims.L, dtype=complex)[:, None, :],
+                        params1), params1.chirps_mod.c1),
+        "afdm": (apply_daft(np.eye(cfg.afdm.L_a, dtype=complex), chirps,
+                            adjoint=True), chirps.c1)}
+    eff, score = {}, {}
+    for name, (basis, c1) in bases.items():
+        spec = ChannelSpec(paths=cfg.paths, M=len(basis), c1=c1).normalized()
+        eff[name], refs = effective_channels(spec, basis)
+        score[name] = path_separation_metric(eff[name], refs, cfg.xi)
 
-    L_a = cfg.afdm.L_a
-    bspec = ChannelSpec(paths=cfg.paths, M=L_a,
-                        c1=cfg.afdm.chirps.c1).normalized()
-    bbasis = apply_daft(np.eye(L_a, dtype=complex), cfg.afdm.chirps,
-                        adjoint=True)
-    beff, brefs = effective_channels(bspec, bbasis)
-    bscore = path_separation_metric(beff, brefs, cfg.xi)
-
-    mag = np.abs(eff)
+    mag = np.abs(eff["afbm"])
     header = dict(_metadata(cfg), shape=f"{mag.shape[0]}x{mag.shape[1]}")
-    path = outdir / "effchan_magnitude.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with open(outdir / "effchan_magnitude.csv", "w") as fh:
         for key, value in header.items():
             fh.write(f"# {key}={value}\n")
         for row in mag:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
-    rows = [("path_separation_afbm", cfg.config_id, cfg.xi, score),
-            ("path_separation_afdm", cfg.config_id, cfg.xi, bscore)]
-    summary = (f"effchan: path separation afbm {score:.4f}, afdm "
-               f"{bscore:.4f} (xi={cfg.xi}, {len(cfg.paths)} paths)")
+    rows = [(f"path_separation_{name}", cfg.config_id, cfg.xi, value)
+            for name, value in score.items()]
+    summary = (f"effchan: path separation afbm {score['afbm']:.4f}, afdm "
+               f"{score['afdm']:.4f} (xi={cfg.xi}, {len(cfg.paths)} paths)")
     return rows, summary
 
 
@@ -349,8 +353,7 @@ def run(cfg: ExperimentConfig) -> ResultTable:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="afbm",
-        description="waveform laboratory experiment runner")
+        prog="afbm", description="waveform laboratory experiment runner")
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", help="output directory")
@@ -359,13 +362,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         data = read_config_file(args.config) if args.config else {}
-        data["experiment"] = args.experiment
-        for key in ("out", "seed", "trials"):
-            value = getattr(args, key)
-            if value is not None:
-                data[key] = value
-        cfg = resolve_config(data)
-        run(cfg)
+        data.update((key, value) for key, value in vars(args).items()
+                    if value is not None and key != "config")
+        run(resolve_config(data))
     except Exception as err:  # noqa: BLE001 - single reporting point
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -45,6 +45,7 @@ _QPSK_BIT_LEVELS = np.array([1.0, -1.0])  # bit 0 -> +1, bit 1 -> -1
 _QAM16_GRAY_LEVELS = {(0, 0): -3.0, (0, 1): -1.0, (1, 1): 1.0, (1, 0): 3.0}
 
 BITS_PER_SYMBOL = {"QPSK": 2, "QAM16": 4}
+SUBCARRIER_SPACING_HZ = 15e3
 
 # Gray bit pairs of the QAM16 axis levels, indexed [bit, (level + 3) / 2]
 _QAM16_GRAY_BITS = np.array(
@@ -62,7 +63,6 @@ class WaveformParams:
     filter: PrototypeFilter
     constellation: str = "QPSK"
     compensation: str = "split"
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.K < 1:
@@ -73,14 +73,6 @@ class WaveformParams:
             raise ValueError(f"unsupported constellation {self.constellation!r}")
         if self.compensation not in ("split", "tx"):
             raise ValueError("compensation must be 'split' or 'tx'")
-        meta = dict(self.metadata)
-        meta.setdefault("F", 15e3)
-        meta.setdefault("T", 1.0 / meta["F"])
-        meta.setdefault("f_c", 4e9)
-        meta.setdefault("B", self.dims.L * meta["F"])
-        if abs(meta["B"] - self.dims.L * meta["F"]) > 1e-6 * meta["B"]:
-            raise ValueError("metadata bandwidth must equal L * F")
-        object.__setattr__(self, "metadata", meta)
 
     @property
     def M(self) -> int:
@@ -89,7 +81,7 @@ class WaveformParams:
 
     @property
     def sample_rate(self) -> float:
-        return self.dims.N * self.metadata["F"]
+        return self.dims.N * SUBCARRIER_SPACING_HZ
 
     @property
     def data_per_frame(self) -> int:

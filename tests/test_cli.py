@@ -1,6 +1,7 @@
 """Tests for config handling, experiment dispatch and CSV reproducibility."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -78,17 +79,59 @@ def test_resolve_config_validation():
         resolve_config({"waveform": {"filter": "GAUSS"}})
 
 
+def one_path(**fields):
+    return {"channel": {"paths": [
+        dict({"gain": 1.0, "delay": 0, "doppler": 0.0}, **fields)]}}
+
+
+NAN = float("nan")
+
+
 @pytest.mark.parametrize("data,name", [
     ({"trials": True}, "trials"),
     ({"seed": False}, "seed"),
     ({"waveform": {"K": 2.0}}, "waveform.K"),
-    ({"snr_grid": [0, float("nan")]}, "snr_grid"),
-    ({"channel": {"paths": [{"gain": 1.0, "delay": 1.0, "doppler": 0.0}]}},
-     "delay"),
-], ids=["trials-bool", "seed-bool", "K-float", "snr-nan", "delay-float"])
-def test_resolve_config_rejects_values_of_the_wrong_type(data, name):
-    with pytest.raises(ValueError, match=name):
+    ({"snr_grid": [0, NAN]}, "snr_grid"),
+    (one_path(delay=1.0), "delay"),
+    ({"waveform": 5}, "waveform"),
+    ({"afdm": 3}, "afdm"),
+    ({"channel": []}, "channel"),
+    ({"channel": {"paths": [3]}}, "channel.paths[0]"),
+    ({"channel": {"paths": [{"gain": 1.0, "delay": 0}]}},
+     "channel.paths[0].doppler"),
+    ({"channel": {"f_max": "1"}}, "channel.f_max"),
+    ({"waveform": {"c1": "0.1"}}, "waveform.c1"),
+    ({"waveform": {"overlap": "1.5"}}, "waveform.overlap"),
+    ({"channel": {"f_max": NAN}}, "channel.f_max"),
+    ({"channel": {"f_max": 10 ** 400}}, "channel.f_max"),
+    ({"waveform": {"overlap": NAN}}, "waveform.overlap"),
+    ({"waveform": {"filter": 3}}, "waveform.filter"),
+    ({"afdm": {"c1": -0.1}}, "afdm.c1"),
+    ({"out": 5}, "out"),
+    ({"channel": {"paths": []}}, "channel.paths"),
+    (one_path(gain=True), "channel.paths[0].gain"),
+    (one_path(doppler=True), "channel.paths[0].doppler"),
+    ({"channel": {"f_max": True}}, "channel.f_max"),
+    ({"waveform": {"overlap": True}}, "waveform.overlap"),
+    (one_path(gain="1"), "channel.paths[0].gain"),
+    ({"waveform": {"filter": "hermite"}}, "waveform.filter"),
+    (one_path(gain=0.0), "channel.paths"),
+], ids=["trials-bool", "seed-bool", "K-float", "snr-nan", "delay-float",
+        "waveform-int", "afdm-int", "channel-list", "path-int",
+        "path-no-doppler", "f_max-str", "c1-str", "overlap-str", "f_max-nan",
+        "f_max-huge", "overlap-nan", "filter-int", "afdm-c1-negative",
+        "out-int", "paths-empty", "gain-bool", "doppler-bool", "f_max-bool",
+        "overlap-bool", "gain-str", "filter-lowercase", "zero-power"])
+def test_resolve_config_rejects_values_of_the_wrong_type(
+        data, name, tmp_path, capsys, monkeypatch):
+    with pytest.raises(ValueError, match=re.escape(name)):
         resolve_config(data)
+    # the command line fails the same way, before any output is written
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, data)
+    assert main(["papr", "--config", str(path)]) == 1
+    assert name in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_resolve_config_rejects_wrong_types_from_a_config_file(tmp_path):
@@ -157,6 +200,22 @@ def test_config_hash_ignores_seed_and_out():
     assert base.config_hash == other.config_hash
     changed = resolve_config({"experiment": "orth", "trials": 7})
     assert changed.config_hash != base.config_hash
+
+
+# every CSV header carries these; a change orphans all earlier results
+PINNED_HASHES = {
+    "fig2": "2df1592de22cd2959ed7bb6cd9112d7d42251cf992d3352f68f6dd1acfe8ed17",
+    "fig3": "2f3a72e5317094fb14c47bca12bbd1010d64b7404317cac1008325d006268d2f",
+    "fig4": "1def3ed0dc84fde2f30ed1869fed546c817c378a299fb2b4ce715b4fbdb09cb8",
+    None: "79e11d233337d5f6bd2531e11133d91df0229231ee3a73315a8275469ae4701a",
+}
+
+
+def test_config_hash_is_pinned():
+    for name, digest in PINNED_HASHES.items():
+        cfg = (load_config(CONFIG_DIR / f"{name}.cfg") if name
+               else resolve_config({}))
+        assert cfg.config_hash == digest, name
 
 
 def test_config_hash_stable_under_key_order():

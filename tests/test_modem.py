@@ -167,9 +167,6 @@ def test_waveform_params_derived_quantities(ref_params_frame):
     assert p.M == 1280
     assert p.data_per_frame == 512
     assert p.sample_rate == 256 * 15e3
-    assert p.metadata["F"] == 15e3
-    assert p.metadata["f_c"] == 4e9
-    assert p.metadata["B"] == 128 * 15e3
 
 
 def test_waveform_params_validation(ref_dims, ref_chirps, hermite256):
