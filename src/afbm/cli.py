@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .transforms import ChirpPair, DaftDims, apply_daft
-from .filterbank import prototype_filter
+from .filterbank import MAX_OVERLAP, prototype_filter
 from .modem import BITS_PER_SYMBOL, AfdmParams, WaveformParams, spread
 from .channel import (
     ChannelSpec,
@@ -62,9 +62,12 @@ def _int(minimum: int, default=None) -> _Key:
                 f"an integer >= {minimum}", default)
 
 
-def _num(default=None, minimum=-math.inf) -> _Key:
-    return _Key(lambda v: _finite(v) and v >= minimum, "a finite number"
-                + (f" >= {minimum}" if minimum > -math.inf else ""), default)
+def _num(default=None, minimum=-math.inf, maximum=math.inf) -> _Key:
+    return _Key(lambda v: _finite(v) and minimum <= v <= maximum,
+                "a finite number"
+                + (f" >= {minimum}" if minimum > -math.inf else "")
+                + (f" and <= {maximum}" if maximum < math.inf else ""),
+                default)
 
 
 def _one_of(choices: tuple, default) -> _Key:
@@ -80,7 +83,7 @@ _SCHEMA = {
     "experiment": _one_of(EXPERIMENTS, "papr"),
     "waveform": {
         "L": _int(1, 128), "P": _int(1, 192), "N": _int(1, 256),
-        "K": _int(1, 8), "overlap": _num(1.5, minimum=0),
+        "K": _int(1, 8), "overlap": _num(1.5, minimum=0, maximum=MAX_OVERLAP),
         "filter": _one_of(("HERMITE", "PHYDYAS", "RECT"), "HERMITE"),
         "constellation": _one_of(tuple(BITS_PER_SYMBOL), "QPSK"),
         "compensation": _one_of(("split", "tx"), "split"),
@@ -186,6 +189,10 @@ def resolve_config(data: dict) -> ExperimentConfig:
     resolved = _walk(data, _SCHEMA)
     wf, ch, af = resolved["waveform"], resolved["channel"], resolved["afdm"]
     dims = DaftDims(L=wf["L"], P=wf["P"], N=wf["N"])
+    if resolved["experiment"] == "oobe" and 11 * dims.P >= 10 * dims.N:
+        raise ValueError(f"waveform.P = {dims.P} is too close to N for oobe: "
+                         "the band and its +10 % probe must end below "
+                         "Nyquist (11*P < 10*N)")
     filt = prototype_filter(wf["filter"], wf["overlap"], wf["N"])
     ell_max, f_max, xi = ch["ell_max"], ch["f_max"], ch["xi"]
     c1 = (wf["c1"] if "c1" in wf

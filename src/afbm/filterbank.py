@@ -48,6 +48,8 @@ _HERMITE_WEIGHTS = {
 
 _SINGULAR_TOL = 1e-12
 
+MAX_OVERLAP = 4  # symbols per pulse; the PHYDYAS table ends at 4
+
 
 @dataclass(frozen=True)
 class PrototypeFilter:
@@ -64,6 +66,8 @@ class PrototypeFilter:
 
 
 def _check_overlap(overlap: float, N: int) -> int:
+    if overlap > MAX_OVERLAP:
+        raise ValueError(f"overlap must be <= {MAX_OVERLAP}, got {overlap}")
     two_o = overlap * 2
     if abs(two_o - round(two_o)) > 1e-12:
         raise ValueError(f"2*overlap must be an integer, got overlap={overlap}")

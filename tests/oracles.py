@@ -5,6 +5,8 @@ The package applies every operator through fast paths (FFTs, and the
 channel path by path), vectorized over stacks of frames; the versions
 here build the explicit matrices or do one element, symbol or frame at a
 time, the plain way, so the tests can check the fast paths against them.
+The spectrum estimate and the Gaussian tail come from scipy, which only
+the tests import.
 """
 
 import numpy as np
@@ -305,3 +307,24 @@ def ber_trial_errors(params, channel_spec, snr_grid, trials, seed):
             errors[i, t] = np.sum(
                 demap_symbols_dict(est, params.constellation) != bits)
     return errors
+
+
+# ---------------------------------------------------------------------------
+# scipy references
+# ---------------------------------------------------------------------------
+
+def welch_psd(s, segment, overlap_fraction=0.5):
+    """``(freq, density)`` of ``scipy.signal.welch`` in the setting of
+    ``psd_welch``, before its shift and normalisation."""
+    from scipy.signal import welch  # slow to import; only the Welch tests
+
+    return welch(s, fs=1.0, window="hann", nperseg=segment,
+                 noverlap=int(round(overlap_fraction * segment)),
+                 detrend=False, return_onesided=False, scaling="density")
+
+
+def qfunc(x):
+    """Gaussian tail probability Q(x)."""
+    from scipy.special import erfc
+
+    return 0.5 * erfc(np.asarray(x) / np.sqrt(2))

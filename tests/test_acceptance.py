@@ -33,7 +33,6 @@ from afbm.metrics import (
     orthogonality_gram,
     papr_ccdf,
     psd_welch,
-    qfunc,
     sir_orthogonality,
     spectrum_signal,
 )

@@ -116,12 +116,15 @@ NAN = float("nan")
     (one_path(gain="1"), "channel.paths[0].gain"),
     ({"waveform": {"filter": "hermite"}}, "waveform.filter"),
     (one_path(gain=0.0), "channel.paths"),
+    ({"waveform": {"overlap": 1e30}}, "waveform.overlap"),
+    ({"waveform": {"overlap": 1e6}}, "waveform.overlap"),
 ], ids=["trials-bool", "seed-bool", "K-float", "snr-nan", "delay-float",
         "waveform-int", "afdm-int", "channel-list", "path-int",
         "path-no-doppler", "f_max-str", "c1-str", "overlap-str", "f_max-nan",
         "f_max-huge", "overlap-nan", "filter-int", "afdm-c1-negative",
         "out-int", "paths-empty", "gain-bool", "doppler-bool", "f_max-bool",
-        "overlap-bool", "gain-str", "filter-lowercase", "zero-power"])
+        "overlap-bool", "gain-str", "filter-lowercase", "zero-power",
+        "overlap-1e30", "overlap-1e6"])
 def test_resolve_config_rejects_values_of_the_wrong_type(
         data, name, tmp_path, capsys, monkeypatch):
     with pytest.raises(ValueError, match=re.escape(name)):
@@ -132,6 +135,22 @@ def test_resolve_config_rejects_values_of_the_wrong_type(
     assert main(["papr", "--config", str(path)]) == 1
     assert name in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_oobe_refuses_a_band_that_fills_the_spectrum(tmp_path, capsys):
+    # fig2 has P = N: no spectrum lies outside the AFBM band
+    with pytest.raises(ValueError, match=re.escape("waveform.P")):
+        resolve_config(dict(read_config_file(CONFIG_DIR / "fig2.cfg"),
+                            experiment="oobe"))
+    out = tmp_path / "out"
+    assert main(["oobe", "--config", str(CONFIG_DIR / "fig2.cfg"),
+                 "--out", str(out)]) == 1
+    assert "waveform.P" in capsys.readouterr().err
+    assert not out.exists()
+    # the largest P whose +10 % probe stays below Nyquist still resolves
+    resolve_config({"experiment": "oobe", "waveform": {"P": 232}})
+    with pytest.raises(ValueError, match=re.escape("waveform.P")):
+        resolve_config({"experiment": "oobe", "waveform": {"P": 236}})
 
 
 def test_resolve_config_rejects_wrong_types_from_a_config_file(tmp_path):

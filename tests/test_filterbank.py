@@ -72,6 +72,10 @@ def test_invalid_prototypes_rejected():
         prototype_filter("GAUSS", 1, 64)
     with pytest.raises(ValueError):
         prototype_filter("HERMITE", 1.3, 64)  # 2*overlap not an integer
+    for kind, overlap in (("HERMITE", 4.5), ("HERMITE", 1e6), ("RECT", 1e30),
+                          ("PHYDYAS", 1e30)):
+        with pytest.raises(ValueError, match="overlap must be <= 4"):
+            prototype_filter(kind, overlap, 256)   # before any allocation
 
 
 def test_hermite_fold_is_flat():

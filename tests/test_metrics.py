@@ -30,7 +30,6 @@ from afbm.metrics import (
     papr_ccdf,
     place_grid,
     psd_welch,
-    qfunc,
     sir_orthogonality,
     spectral_interpolate,
     spectrum_signal,
@@ -39,8 +38,8 @@ from afbm.channel import PathSpec, pick_chirp_params
 from afbm.filterbank import chain_gains, prototype_filter
 from afbm.modem import BITS_PER_SYMBOL, AfbmModem
 from afbm.transforms import ChirpPair, DaftDims
-from oracles import (afdm_oobe_signal, ber_trial_errors, random_afbm_frame,
-                     random_afdm_frame)
+from oracles import (afdm_oobe_signal, ber_trial_errors, qfunc,
+                     random_afbm_frame, random_afdm_frame, welch_psd)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +248,29 @@ def test_psd_welch_validation():
         psd_welch(x, segment=128)
     with pytest.raises(ValueError):
         psd_welch(x, segment=32, overlap_fraction=1.0)
+    with pytest.raises(ValueError, match="shorter than the segment"):
+        psd_welch(x, segment=8, overlap_fraction=0.95)   # overlap rounds to 8
+
+
+@pytest.mark.parametrize("frames, segment, overlap_fraction", [
+    (64, 1024, 0.5),      # the record and segment of acceptance 5
+    (1, None, 0.5),       # segment == len(s): one segment
+    (64, 1000, 0.0),      # segments that do not divide the record
+    (64, 1000, 0.25),
+    (64, 1000, 0.75),
+])
+def test_psd_welch_matches_scipy(ref_dims, ref_chirps, phydyas256, frames,
+                                 segment, overlap_fraction):
+    sharp = WaveformParams(dims=ref_dims, K=8, chirps_pre=ref_chirps,
+                           chirps_mod=ref_chirps, filter=phydyas256)
+    s = spectrum_signal(sharp, frames=frames, seed=2)
+    segment = segment or len(s)
+    est = psd_welch(s, segment, overlap_fraction)
+    freq, pxx = welch_psd(s, segment, overlap_fraction)
+    assert np.array_equal(est.freq, np.fft.fftshift(freq))
+    expected = 10 * np.log10(np.fft.fftshift(pxx) / pxx.max())
+    assert expected.min() < -100.0                # the floor is deep
+    assert np.abs(est.power_dbr - expected).max() < 1e-9
 
 
 def test_band_edges(ref_params_frame):
@@ -389,16 +411,23 @@ def test_random_afbm_frame_draws_exactly_the_frame_bits(ref_params):
     assert rng.random() == twin.random()
 
 
-def test_import_leaves_scipy_signal_unloaded():
+def test_experiments_leave_scipy_unloaded(tmp_path):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, afbm; print('scipy.signal' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    driver = (
+        "import sys\n"
+        "from afbm.cli import EXPERIMENTS, main\n"
+        "for name in EXPERIMENTS:\n"
+        "    args = [name, '--trials', '2', '--out', sys.argv[1] + '/' + name]\n"
+        "    assert main(args) == 0, name\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", driver, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ("papr", "oobe", "orth", "effchan", "ber"))
 
 
 def test_qfunc_reference_values():
