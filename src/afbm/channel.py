@@ -9,7 +9,8 @@ where Pi is the circular left shift, Z^f = diag(exp(-j*2*pi*f*m/M)) the
 Doppler rotation (fractional f allowed), and Phi_r the quadratic prefix
 phase that makes the circular model identical to linear propagation of a
 chirp-periodic-prefixed block: its first l_r diagonal entries are
-exp(-j*2*pi*c1*(M^2 - 2*M*(l_r - m))) for row m < l_r and ones elsewhere.
+exp(-j*2*pi*c1*(M^2 - 2*M*(l_r - m))) for row m < l_r and ones elsewhere,
+the phase that :func:`afbm.modem.prefix_phase` gives the baseline's prefix.
 
 :meth:`ChannelSpec.apply` applies ``H`` without building it: path r
 rolls the input down by l_r samples and scales row m by h_r times the
@@ -30,7 +31,7 @@ import numpy as np
 
 from .transforms import ChirpPair, scale_rows
 from .filterbank import data_indices
-from .modem import AfbmModem, GridFrame, TimeSignal
+from .modem import AfbmModem, prefix_phase
 
 
 @dataclass(frozen=True)
@@ -88,9 +89,7 @@ class ChannelSpec:
         out = np.zeros(S.shape, dtype=complex)
         for p in self.paths:
             d = p.gain * np.exp(-2j * np.pi * p.doppler * m / M)
-            head = m[:p.delay]
-            d[:p.delay] *= np.exp(
-                -2j * np.pi * self.c1 * (M ** 2 - 2 * M * (p.delay - head)))
+            d[:p.delay] *= prefix_phase(self.c1, M, p.delay)
             # rows m >= delay take S[m - delay]; the first delay rows wrap
             out[p.delay:] += scale_rows(d[p.delay:], S[:M - p.delay])
             out[:p.delay] += scale_rows(d[:p.delay], S[M - p.delay:])
@@ -190,5 +189,4 @@ def data_restricted_channel(spec: ChannelSpec, modem: AfbmModem) -> np.ndarray:
     data = data_indices(L)
     A = np.zeros((L, 1, L // 2), dtype=complex)
     A[data, 0, np.arange(L // 2)] = 1.0
-    R = spec.apply(modem.modulate(GridFrame(A=A)).s)
-    return modem.demodulate(TimeSignal(s=R)).A[data, 0]
+    return modem.demodulate(spec.apply(modem.modulate(A)))[data, 0]

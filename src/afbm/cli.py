@@ -37,7 +37,6 @@ from .channel import (
     pick_chirp_params,
 )
 from . import metrics
-from .metrics import ResultTable
 
 EXPERIMENTS = ("papr", "oobe", "orth", "effchan", "ber")
 
@@ -216,6 +215,12 @@ def resolve_config(data: dict) -> ExperimentConfig:
         for p in ch["paths"])
     if sum(abs(p.gain) ** 2 for p in paths) <= 0:
         raise ValueError("channel.paths must have positive total power")
+    for size in {"effchan": (dims.P, dims.L), "ber": (dims.P,)}.get(
+            resolved["experiment"], ()):
+        try:
+            check_paths_feasible(paths, xi, size)
+        except ValueError as err:
+            raise ValueError(f"channel.paths: {err}") from err
     return ExperimentConfig(
         experiment=resolved["experiment"], waveform=waveform, afdm=afdm,
         paths=paths, xi=xi, snr_grid=tuple(resolved["snr_grid"]),
@@ -230,6 +235,33 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # experiment runners
 # ---------------------------------------------------------------------------
+
+@dataclass
+class ResultTable:
+    """Rows plus the reproducibility header written to every CSV."""
+
+    metadata: dict
+    columns: tuple
+    rows: list
+
+    def write_csv(self, path) -> None:
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as fh:
+            for key, value in self.metadata.items():
+                fh.write(f"# {key}={value}\n")
+            fh.write(",".join(self.columns) + "\n")
+            for row in self.rows:
+                fh.write(",".join(_format_cell(v) for v in row) + "\n")
+
+
+def _format_cell(v) -> str:
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return repr(float(v))
+
 
 def _metadata(cfg: ExperimentConfig) -> dict:
     """The reproducibility header of every CSV file a run writes."""
@@ -300,8 +332,6 @@ def _run_orth(cfg: ExperimentConfig, outdir: Path):
 
 
 def _run_effchan(cfg: ExperimentConfig, outdir: Path):
-    for size in (cfg.waveform.dims.P, cfg.afdm.L_a):
-        check_paths_feasible(cfg.paths, cfg.xi, size)
     params1, chirps = replace(cfg.waveform, K=1), cfg.afdm.chirps
     bases = {  # one column per symbol position, with the prefix chirp rate
         "afbm": (spread(np.eye(params1.dims.L, dtype=complex)[:, None, :],
@@ -333,11 +363,11 @@ def _run_ber(cfg: ExperimentConfig, outdir: Path):
     params1 = replace(cfg.waveform, K=1)
     spec = ChannelSpec(paths=cfg.paths, M=params1.M,
                        c1=params1.chirps_mod.c1)
-    table = metrics.ber_experiment(cfg.waveform, spec, cfg.snr_grid,
-                                   cfg.trials, cfg.seed, xi=cfg.xi)
-    _write_two_column(cfg, outdir / "ber.csv", table.columns, table.rows)
-    rows = [("ber", cfg.config_id, snr, ber) for snr, ber in table.rows]
-    last = table.rows[-1]
+    ber = metrics.ber_experiment(cfg.waveform, spec, cfg.snr_grid,
+                                 cfg.trials, cfg.seed, xi=cfg.xi)
+    _write_two_column(cfg, outdir / "ber.csv", ("snr_db", "ber"), ber)
+    rows = [("ber", cfg.config_id, snr, value) for snr, value in ber]
+    last = ber[-1]
     summary = (f"ber: {last[1]:.3e} at {last[0]:g} dB "
                f"({cfg.trials} frames/point)")
     return rows, summary

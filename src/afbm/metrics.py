@@ -15,7 +15,6 @@ MMSE filter as matrix products over the chunk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .modem import (
     AfbmModem,
     AfdmParams,
     BITS_PER_SYMBOL,
-    TimeSignal,
     WaveformParams,
     afdm_modulate,
     map_symbols,
@@ -50,40 +48,12 @@ TRIAL_CHUNK = 16
 WELCH_BLOCK = 64
 
 
-@dataclass
-class ResultTable:
-    """Rows plus the reproducibility header written to every CSV."""
-
-    metadata: dict
-    columns: tuple
-    rows: list
-
-    def write_csv(self, path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            for key, value in self.metadata.items():
-                fh.write(f"# {key}={value}\n")
-            fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(_format_cell(v) for v in row) + "\n")
-
-
-def _format_cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
 @dataclass(frozen=True)
 class CcdfCurve:
     """Empirical exceedance curve P(PAPR > threshold)."""
 
     thresholds: np.ndarray = field(repr=False, compare=False)
     probabilities: np.ndarray = field(repr=False, compare=False)
-    trials: int = 0
     samples: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -150,7 +120,7 @@ def papr(signal, oversample: int = 4):
     A 1-D signal gives a float. Trailing batch axes give one value per
     frame, each computed exactly as for that frame alone.
     """
-    s = signal.s if isinstance(signal, TimeSignal) else np.asarray(signal)
+    s = np.asarray(signal)
     power = np.abs(s) ** 2
     if not np.all(np.any(power, axis=0)):
         raise ValueError("PAPR undefined for a zero-energy signal")
@@ -198,8 +168,8 @@ def _trial_bits(count: int, trials: int, seed):
 def _afbm_transmit(modem: AfbmModem, bits: np.ndarray) -> np.ndarray:
     """Transmit signal of bits (axis 0; trailing axes are batch)."""
     p = modem.params
-    frame = place_grid(map_symbols(bits, p.constellation), p.dims.L, p.K)
-    return modem.modulate(frame).s
+    return modem.modulate(
+        place_grid(map_symbols(bits, p.constellation), p.dims.L, p.K))
 
 
 def _afdm_transmit(params: AfdmParams, bits: np.ndarray,
@@ -234,7 +204,7 @@ def papr_ccdf(source, trials: int, thresholds, seed) -> CcdfCurve:
         samples[t0:t0 + bits.shape[1]] = papr(s)
     probs = np.array([(samples > th).mean() for th in thresholds])
     return CcdfCurve(thresholds=thresholds, probabilities=probs,
-                     trials=trials, samples=samples)
+                     samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +220,7 @@ def psd_welch(signal, segment: int, overlap_fraction: float = 0.5) -> PsdEstimat
     sum(w^2)``, ``w[n] = 0.5 - 0.5 cos(2 pi n / segment)`` the periodic
     Hann window, on the shifted ``np.fft.fftfreq`` axis.
     """
-    s = signal.s if isinstance(signal, TimeSignal) else np.asarray(signal)
+    s = np.asarray(signal)
     if segment < 8 or segment > len(s):
         raise ValueError("segment must satisfy 8 <= segment <= len(s)")
     if not (0 <= overlap_fraction < 1
@@ -381,8 +351,9 @@ def _ber_draw(rng: np.random.Generator, count: int, M: int):
 
 
 def ber_experiment(params: WaveformParams, channel_spec: ChannelSpec,
-                   snr_grid, trials: int, seed, xi: int = 0) -> ResultTable:
-    """Monte Carlo coded-free BER with MMSE detection.
+                   snr_grid, trials: int, seed, xi: int = 0) -> list:
+    """Monte Carlo coded-free BER with MMSE detection: one ``(snr_db,
+    ber)`` row per entry of ``snr_grid``.
 
     Detection runs on the despread data-restricted channel; the noise
     term uses the white per-sample variance (exact for flat-fold
@@ -419,13 +390,9 @@ def ber_experiment(params: WaveformParams, channel_spec: ChannelSpec,
             power = np.asfortranarray(np.abs(r) ** 2)
             nvar = power.sum(axis=0) / M / snr_lin
             r += np.sqrt(nvar / 2) * (re + 1j * im)
-            x_tilde = extract_grid(modem.demodulate(TimeSignal(s=r)))
+            x_tilde = extract_grid(modem.demodulate(r))
             est = V @ ((VhHdh @ x_tilde) / (lam[:, None] + nvar))
             errors += int(np.sum(demap_symbols(est, params1.constellation)
                                  != bits))
         rows.append((float(snr_db), errors / (trials * count)))
-    return ResultTable(
-        metadata={"metric": "ber", "seed": seed, "trials": trials,
-                  "constellation": params1.constellation},
-        columns=("snr_db", "ber"),
-        rows=rows)
+    return rows

@@ -2,6 +2,7 @@
 bank waveform, plus a chirped-multicarrier baseline with a chirp-periodic
 prefix and Gray-mapped constellations.
 
+Grids and signals are plain arrays whose trailing axes stack frames.
 Transmit chain per frame (grid ``A`` of shape L x K, guard rows zero):
 
 1. per-subcarrier compensation and L-point affine precoding,
@@ -21,7 +22,7 @@ exact; the guard rows are zeroed on extraction either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +46,6 @@ _QPSK_BIT_LEVELS = np.array([1.0, -1.0])  # bit 0 -> +1, bit 1 -> -1
 _QAM16_GRAY_LEVELS = {(0, 0): -3.0, (0, 1): -1.0, (1, 1): 1.0, (1, 0): 3.0}
 
 BITS_PER_SYMBOL = {"QPSK": 2, "QAM16": 4}
-SUBCARRIER_SPACING_HZ = 15e3
 
 # Gray bit pairs of the QAM16 axis levels, indexed [bit, (level + 3) / 2]
 _QAM16_GRAY_BITS = np.array(
@@ -80,45 +80,8 @@ class WaveformParams:
         return output_length(self.filter, self.K)
 
     @property
-    def sample_rate(self) -> float:
-        return self.dims.N * SUBCARRIER_SPACING_HZ
-
-    @property
     def data_per_frame(self) -> int:
         return (self.dims.L // 2) * self.K
-
-
-@dataclass(frozen=True)
-class GridFrame:
-    """L x K symbol grid; the middle L/2 rows are a zero guard band.
-
-    Trailing axes after the first two, if any, stack independent frames.
-    """
-
-    A: np.ndarray = field(repr=False, compare=False)
-
-    def __post_init__(self):
-        L = self.A.shape[0]
-        if self.A.ndim < 2 or L % 4:
-            raise ValueError("grid must be L x K with L divisible by 4")
-        if np.any(self.A[L // 4:L - L // 4]):
-            raise ValueError("guard rows of the grid must be zero")
-
-    @property
-    def L(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def K(self) -> int:
-        return self.A.shape[1]
-
-
-@dataclass(frozen=True)
-class TimeSignal:
-    """Complex baseband samples at rate ``f_s``."""
-
-    s: np.ndarray = field(repr=False, compare=False)
-    f_s: float = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +140,8 @@ def demap_symbols(symbols: np.ndarray, constellation: str) -> np.ndarray:
 # grid placement
 # ---------------------------------------------------------------------------
 
-def place_grid(d: np.ndarray, L: int, K: int) -> GridFrame:
-    """Fill the first and last L/4 rows of each column with data symbols.
+def place_grid(d: np.ndarray, L: int, K: int) -> np.ndarray:
+    """L x K grid: the first and last L/4 rows of each column hold data.
 
     ``d`` holds the (L/2)*K symbols of a frame along axis 0, column after
     column; trailing axes are batch.
@@ -192,14 +155,14 @@ def place_grid(d: np.ndarray, L: int, K: int) -> GridFrame:
     q = L // 4
     A[:q] = cols[:q]
     A[L - q:] = cols[q:]
-    return GridFrame(A=A)
+    return A
 
 
-def extract_grid(frame: GridFrame) -> np.ndarray:
+def extract_grid(A: np.ndarray) -> np.ndarray:
     """Read the data rows back out, column by column (inverse of place_grid)."""
-    L = frame.L
+    L = len(A)
     q = L // 4
-    rows = np.concatenate([frame.A[:q], frame.A[L - q:]])
+    rows = np.concatenate([A[:q], A[L - q:]])
     return rows.reshape((-1,) + rows.shape[2:], order="F")
 
 
@@ -243,24 +206,28 @@ class AfbmModem:
             self.b_tx = b * b
             self.b_rx = np.ones_like(b)
 
-    def modulate(self, frame: GridFrame) -> TimeSignal:
+    def modulate(self, A: np.ndarray) -> np.ndarray:
+        """Signal of grid ``A`` (guard rows zero); trailing axes are batch."""
         p = self.params
-        if frame.L != p.dims.L or frame.K != p.K:
-            raise ValueError("frame shape does not match params")
-        X = apply_daft(scale_rows(self.b_tx, frame.A), p.chirps_pre)
-        return TimeSignal(s=spread(X, p), f_s=p.sample_rate)
+        A = np.asarray(A)
+        L = p.dims.L
+        if A.shape[:2] != (L, p.K):
+            raise ValueError("grid shape does not match params")
+        if np.any(A[L // 4:L - L // 4]):
+            raise ValueError("guard rows of the grid must be zero")
+        return spread(apply_daft(scale_rows(self.b_tx, A), p.chirps_pre), p)
 
-    def demodulate(self, signal: TimeSignal) -> GridFrame:
-        """Receive chain; trailing axes of ``signal.s`` are batch."""
+    def demodulate(self, r: np.ndarray) -> np.ndarray:
+        """Grid of signal ``r``, guard rows zeroed; trailing axes are batch."""
         p = self.params
-        r = np.asarray(signal.s)
+        r = np.asarray(r)
         if len(r) != p.M:
             raise ValueError(f"expected {p.M} samples, got {len(r)}")
         At = scale_rows(self.b_rx, apply_daft(despread(r, p), p.chirps_pre,
                                               adjoint=True))
         L = p.dims.L
         At[L // 4:L - L // 4] = 0
-        return GridFrame(A=At)
+        return At
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +267,9 @@ class AfdmParams:
         return self.L_a * self.K
 
 
-def _prefix_phase(c1: float, n_body: int, cpp_len: int) -> np.ndarray:
+def prefix_phase(c1: float, n_body: int, cpp_len: int) -> np.ndarray:
+    """``exp(-j2πc1(n_body² - 2 n_body (cpp_len - m)))``, m < cpp_len: the
+    chirp-periodic prefix phase of a length-``n_body`` block."""
     m = np.arange(cpp_len)
     return np.exp(-2j * np.pi * c1 * (n_body ** 2 - 2 * n_body * (cpp_len - m)))
 
@@ -319,6 +288,6 @@ def afdm_modulate(x: np.ndarray, chirps: ChirpPair, cpp_len: int) -> np.ndarray:
     if not 0 <= cpp_len < L_a:
         raise ValueError("need 0 <= cpp_len < symbol length")
     body = apply_daft(x, chirps, adjoint=True)
-    prefix = scale_rows(_prefix_phase(chirps.c1, L_a, cpp_len),
+    prefix = scale_rows(prefix_phase(chirps.c1, L_a, cpp_len),
                         body[L_a - cpp_len:])
     return np.concatenate([prefix, body])

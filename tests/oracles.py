@@ -14,7 +14,7 @@ import numpy as np
 from afbm.channel import check_paths_feasible, data_restricted_channel
 from afbm.filterbank import output_length
 from afbm.metrics import AFDM_OOBE_OVERSAMPLE, spectral_interpolate
-from afbm.modem import (BITS_PER_SYMBOL, AfbmModem, TimeSignal, afdm_modulate,
+from afbm.modem import (BITS_PER_SYMBOL, AfbmModem, afdm_modulate,
                         extract_grid, map_symbols, place_grid)
 from afbm.transforms import apply_daft, chirp_phase
 
@@ -135,7 +135,7 @@ def precoded_symbol_matrix(params):
 def dense_transmit_matrix(params):
     """Explicit M x LK frame matrix: filtering of the spread, precoded grid.
 
-    ``modulate(frame)`` equals this matrix times ``vec(A)`` (columns
+    ``modulate(A)`` equals this matrix times ``vec(A)`` (columns
     stacked in symbol order).
     """
     G = assemble_filter_matrix(params.filter, params.K)
@@ -175,7 +175,7 @@ def apply_channel(signal, H, snr_db, seed=None):
     inf`` disables noise entirely. ``seed`` may be a generator, whose
     stream then continues.
     """
-    s = np.asarray(signal.s)
+    s = np.asarray(signal)
     if H.shape[1] != len(s):
         raise ValueError(f"channel expects {H.shape[1]} samples, got {len(s)}")
     r = H @ s
@@ -185,7 +185,7 @@ def apply_channel(signal, H, snr_db, seed=None):
         noise = np.sqrt(nvar / 2) * (rng.standard_normal(len(r))
                                      + 1j * rng.standard_normal(len(r)))
         r = r + noise
-    return TimeSignal(s=r, f_s=signal.f_s)
+    return r
 
 
 def mmse_equalize(x_tilde, H_d, noise_var):
@@ -254,9 +254,9 @@ def random_afbm_frame(params, rng, modem=None):
     if modem is None:
         modem = AfbmModem(params)
     bits = _frame_bits(params, rng)
-    frame = place_grid(map_symbols(bits, params.constellation),
-                       params.dims.L, params.K)
-    return bits, frame, modem.modulate(frame)
+    A = place_grid(map_symbols(bits, params.constellation),
+                   params.dims.L, params.K)
+    return bits, A, modem.modulate(A)
 
 
 def _afdm_symbols(params, rng):
@@ -301,7 +301,7 @@ def ber_trial_errors(params, channel_spec, snr_grid, trials, seed):
             rng = np.random.default_rng([seed, i, t])
             bits, _, sig = random_afbm_frame(params, rng, modem)
             rx = apply_channel(sig, H, snr_db, seed=rng)
-            nvar = np.sum(np.abs(H @ sig.s) ** 2) / params.M / 10 ** (
+            nvar = np.sum(np.abs(H @ sig) ** 2) / params.M / 10 ** (
                 snr_db / 10)
             est = mmse_equalize(extract_grid(modem.demodulate(rx)), H_d, nvar)
             errors[i, t] = np.sum(

@@ -41,7 +41,6 @@ from afbm.modem import (
     AfdmParams,
     ChirpPair,
     DaftDims,
-    TimeSignal,
     WaveformParams,
     map_symbols,
     place_grid,
@@ -95,7 +94,7 @@ def test_acceptance_2_round_trip(capfd):
         d = map_symbols(rng.integers(0, 2, 128), "QPSK")
         frame = place_grid(d, 128, 1)
         rx = modem.demodulate(modem.modulate(frame))
-        worst = max(worst, float(np.abs(rx.A - frame.A).max()))
+        worst = max(worst, float(np.abs(rx - frame).max()))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-8 and elapsed <= 30.0
     _report(capfd, 2, ok, f"max symbol error {worst:.2e} over 100 frames "
@@ -128,12 +127,12 @@ def test_acceptance_3_oracle_equivalence(capfd):
 
         d = map_symbols(rng.integers(0, 2, L * K), "QPSK")
         frame = place_grid(d, L, K)
-        tx_fast = modem.modulate(frame).s
-        tx_dense = Gd @ frame.A.flatten(order="F")
+        tx_fast = modem.modulate(frame)
+        tx_dense = Gd @ frame.flatten(order="F")
         worst_tx = max(worst_tx, float(np.abs(tx_fast - tx_dense).max()))
 
         r = rng.standard_normal(params.M) + 1j * rng.standard_normal(params.M)
-        rx_fast = modem.demodulate(TimeSignal(r, params.sample_rate)).A
+        rx_fast = modem.demodulate(r)
         per_symbol = (modem.b_rx[:, None] * W.conj().T) @ Q.conj().T
         rx_dense = (per_symbol @ (G.T @ r).reshape((N, K), order="F"))
         worst_rx = max(worst_rx, float(np.abs(rx_fast - rx_dense).max()))
@@ -254,8 +253,8 @@ def test_acceptance_8_ber_sanity(capfd):
     params = _reference_waveform()
     awgn = ChannelSpec(paths=(PathSpec(1.0, 0, 0.0),), M=384)
     grid = [-3.0, -2.0, -1.0, 0.0, 1.0]
-    table = ber_experiment(params, awgn, snr_grid=grid, trials=300, seed=8)
-    ber = np.array([row[1] for row in table.rows])
+    rows = ber_experiment(params, awgn, snr_grid=grid, trials=300, seed=8)
+    ber = np.array([row[1] for row in rows])
     # measured crossing of BER = 1e-2, interpolated on a log scale
     idx = np.nonzero((ber[:-1] >= 1e-2) & (ber[1:] < 1e-2))[0][0]
     lo, hi = np.log10(ber[idx]), np.log10(ber[idx + 1])
@@ -266,9 +265,9 @@ def test_acceptance_8_ber_sanity(capfd):
 
     multi = ChannelSpec(paths=(PathSpec(1.0, 0, 0.0), PathSpec(0.7, 1, 1.0),
                                PathSpec(0.5, 2, -1.0)), M=384)
-    table2 = ber_experiment(params, multi, snr_grid=[0, 5, 10, 15, 20],
-                            trials=300, seed=9)
-    ber2 = np.array([row[1] for row in table2.rows])
+    rows2 = ber_experiment(params, multi, snr_grid=[0, 5, 10, 15, 20],
+                           trials=300, seed=9)
+    ber2 = np.array([row[1] for row in rows2])
     monotone = bool(np.all(np.diff(ber2) <= 1e-12))
     elapsed = time.monotonic() - start
     ok = offset <= 0.5 and monotone and elapsed <= 300.0

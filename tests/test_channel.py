@@ -13,7 +13,7 @@ from afbm.channel import (
     pick_chirp_params,
 )
 from afbm.filterbank import prototype_filter
-from afbm.modem import (AfbmModem, ChirpPair, TimeSignal, WaveformParams,
+from afbm.modem import (AfbmModem, ChirpPair, WaveformParams,
                         afdm_modulate, spread)
 from afbm.transforms import DaftDims, apply_daft
 from oracles import (apply_channel, assemble_filter_matrix, build_channel,
@@ -242,24 +242,24 @@ def test_effective_channels_sum_both_gains_of_a_repeated_path():
 def test_apply_channel_noiseless_and_deterministic():
     rng = np.random.default_rng(53)
     H = build_channel(ChannelSpec(paths=(PathSpec(1.0, 1, 0.5),), M=32))
-    s = TimeSignal(crandn(rng, 32), 1.0)
+    s = crandn(rng, 32)
     clean = apply_channel(s, H, np.inf)
-    assert np.abs(clean.s - H @ s.s).max() < 1e-14
+    assert np.abs(clean - H @ s).max() < 1e-14
     a = apply_channel(s, H, 10.0, seed=99)
     b = apply_channel(s, H, 10.0, seed=99)
-    assert np.array_equal(a.s, b.s)
+    assert np.array_equal(a, b)
     c = apply_channel(s, H, 10.0, seed=100)
-    assert np.abs(a.s - c.s).max() > 1e-6
+    assert np.abs(a - c).max() > 1e-6
 
 
 def test_apply_channel_noise_power():
     rng = np.random.default_rng(54)
     M = 4096
     H = np.eye(M, dtype=complex)
-    s = TimeSignal(crandn(rng, M) / np.sqrt(2), 1.0)
+    s = crandn(rng, M) / np.sqrt(2)
     noisy = apply_channel(s, H, 10.0, seed=1)
-    target = np.mean(np.abs(s.s) ** 2) / 10.0
-    measured = np.mean(np.abs(noisy.s - s.s) ** 2)
+    target = np.mean(np.abs(s) ** 2) / 10.0
+    measured = np.mean(np.abs(noisy - s) ** 2)
     assert abs(10 * np.log10(measured / target)) < 0.2
 
 

@@ -334,26 +334,26 @@ def test_ber_experiment_small(tmp_path):
 def test_ber_run_applies_the_configured_xi(tmp_path):
     # the declared bounds (ell_max 0, f_max 0) are feasible at xi = 31;
     # the default paths (delay 2, Doppler 1) are feasible at xi = 0 only
-    cfg = resolve_config({"experiment": "ber", "trials": 1,
-                          "snr_grid": [0.0],
-                          "channel": {"ell_max": 0, "f_max": 0.0, "xi": 31},
-                          "out": str(tmp_path / "ber")})
-    with pytest.raises(ValueError, match="infeasible"):
-        run(cfg)
+    with pytest.raises(ValueError, match="channel.paths: infeasible"):
+        resolve_config({"experiment": "ber", "trials": 1, "snr_grid": [0.0],
+                        "channel": {"ell_max": 0, "f_max": 0.0, "xi": 31},
+                        "out": str(tmp_path / "ber")})
 
 
 def test_effchan_rejects_paths_beyond_the_declared_bounds(tmp_path, capsys):
     # the declared bounds (ell_max 0, f_max 0) are feasible, the path is
-    # not: 2 * 3 * (40 + 1) + 40 = 286 > P = 128
+    # not: 2 * 3 * (40 + 1) + 40 = 286 > P = 128; ber gates the same paths,
+    # and neither run creates its output directory
     data = read_config_file(CONFIG_DIR / "fig2.cfg")
     data["channel"] = dict(data["channel"], ell_max=0, f_max=0.0, paths=[
         {"gain": 1.0, "delay": 40, "doppler": 3.0}])
     cfg = write_config(tmp_path, data)
-    code = main(["effchan", "--config", str(cfg),
-                 "--out", str(tmp_path / "eff")])
-    assert code == 1
-    assert "infeasible" in capsys.readouterr().err
-    assert not (tmp_path / "eff" / "results.csv").exists()
+    for experiment in ("effchan", "ber"):
+        out = tmp_path / experiment
+        code = main([experiment, "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert "channel.paths: infeasible" in capsys.readouterr().err
+        assert not out.exists()
     for path in sorted(CONFIG_DIR.glob("*.cfg")):
         bundled = load_config(path)
         for size in (bundled.waveform.dims.P, bundled.afdm.L_a):

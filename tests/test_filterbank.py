@@ -213,6 +213,18 @@ def test_filter_bank_adjoint_inner_product():
     lhs = np.vdot(r, apply_filter_bank(Y, filt))
     rhs = np.vdot(apply_filter_bank_adjoint(r, filt, 3), Y)
     assert abs(lhs - rhs) < 1e-12
+    # every prototype, K = 1-4, seeded N and a trailing batch axis
+    for kind, overlap in [("HERMITE", 1.5), ("PHYDYAS", 1), ("PHYDYAS", 2),
+                          ("PHYDYAS", 3), ("PHYDYAS", 4), ("RECT", 1)]:
+        for K in range(1, 5):
+            N = int(rng.choice([8, 16, 32, 64]))
+            filt = prototype_filter(kind, overlap, N)
+            Y = crandn(rng, N, K, 3)
+            r = crandn(rng, output_length(filt, K), 3)
+            lhs = np.vdot(r, apply_filter_bank(Y, filt))
+            rhs = np.vdot(apply_filter_bank_adjoint(r, filt, K), Y)
+            tol = 1e-12 * np.linalg.norm(r) * np.linalg.norm(Y)
+            assert abs(lhs - rhs) < tol
 
 
 def test_filter_bank_shape_errors():
