@@ -41,8 +41,14 @@ SIR_CAP_DB = 150.0
 # trials. On a 2-vCPU Xeon VM, one AFBM plus one AFDM reference frame
 # took a median 444, 386, 395 and 387-479 us at chunks of 8, 16, 24 and
 # 32, and the peak allocation of a chunk doubles from 16 to 32 (the
-# 4x-interpolated envelopes) without a gain.
+# 4x-interpolated envelopes) without a gain. papr_ccdf allocates the
+# 4M x TRIAL_CHUNK interpolation and envelope buffers once per call and
+# every chunk reuses them: allocated per chunk, their pages went back to
+# the system and were faulted in again on the next one.
 TRIAL_CHUNK = 16
+
+# interpolation factor of the PAPR envelope
+PAPR_OVERSAMPLE = 4
 
 # segments per FFT of psd_welch: 1 MB at 1024 samples, whatever the record
 WELCH_BLOCK = 64
@@ -76,7 +82,6 @@ class PsdEstimate:
 
     freq: np.ndarray = field(repr=False, compare=False)
     power_dbr: np.ndarray = field(repr=False, compare=False)
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if abs(float(np.max(self.power_dbr))) > 1e-9:
@@ -87,50 +92,72 @@ class PsdEstimate:
 # envelope statistics
 # ---------------------------------------------------------------------------
 
-def spectral_interpolate(x: np.ndarray, factor: int) -> np.ndarray:
+def spectral_interpolate(x: np.ndarray, factor: int,
+                         out: np.ndarray | None = None) -> np.ndarray:
     """Band-limited resampling by an integer factor via FFT zero padding.
 
-    The Nyquist bin of an even-length input is split in half across the
-    two spectrum edges, keeping real signals real and the interpolation
-    exact for band-limited content. Samples run along axis 0; trailing
-    axes are batch, and each output column is contiguous.
+    The ``(n + 1) // 2`` bins from DC upwards stay at the low edge of the
+    spectrum and the rest at the high edge. The Nyquist bin of an
+    even-length input is split in half across the two edges, keeping
+    real signals real and the interpolation exact for band-limited
+    content. Samples run along axis 0; trailing axes are batch, and each
+    output column is contiguous.
+
+    ``out``, if given, is a complex array of the result's shape that
+    receives the result, as in numpy; its contents are overwritten.
     """
     if factor < 1 or int(factor) != factor:
         raise ValueError("factor must be a positive integer")
     x = np.asarray(x)
-    if factor == 1:
-        return x.astype(complex)
     n = len(x)
-    X = np.fft.fft(x, axis=0)
-    h = n // 2
-    Z = np.zeros((factor * n,) + x.shape[1:], dtype=complex, order="F")
-    Z[:h] = X[:h]
-    Z[factor * n - (n - h):] = X[h:]
+    shape = (factor * n,) + x.shape[1:]
+    if out is None:
+        out = np.empty(shape, dtype=complex, order="F")
+    elif out.shape != shape:
+        raise ValueError(f"out must have shape {shape}, got {out.shape}")
+    if factor == 1:
+        out[...] = x
+        return out
+    h = (n + 1) // 2
+    high = factor * n - (n - h)
+    np.fft.fft(x, axis=0, out=out[:n])
+    out[high:] = out[h:n]
+    out[h:high] = 0
     if n % 2 == 0:
-        Z[h] = X[h] / 2
-        Z[factor * n - h] = X[h] / 2
-    z = np.fft.ifft(Z, axis=0)
-    z *= factor
-    return z
+        out[high] *= 0.5
+        out[h] = out[high]
+    np.fft.ifft(out, axis=0, out=out)
+    out *= factor
+    return out
 
 
-def papr(signal, oversample: int = 4):
+def papr(signal, oversample: int = PAPR_OVERSAMPLE,
+         out: tuple | None = None):
     """Peak-to-average power ratio of the frame envelope, in dB.
 
     A 1-D signal gives a float. Trailing batch axes give one value per
     frame, each computed exactly as for that frame alone.
+
+    ``out``, if given, is the pair ``(z, env)`` of work arrays, complex
+    and float, shaped like the interpolated signal (``oversample`` times
+    the rows of ``signal``) and Fortran-ordered; without it both are
+    allocated for this call.
     """
     s = np.asarray(signal)
-    power = np.abs(s) ** 2
-    if not np.all(np.any(power, axis=0)):
-        raise ValueError("PAPR undefined for a zero-energy signal")
     if oversample < 1:
         raise ValueError("oversample must be >= 1")
+    if out is None:
+        out = (None, np.empty((oversample * len(s),) + s.shape[1:], order="F"))
+    z, env = out
+    z = spectral_interpolate(s, oversample, out=z)
     # Fortran order keeps each frame contiguous, so the mean is summed in
     # the same order as for a lone frame.
-    env = np.asfortranarray(np.abs(spectral_interpolate(s, oversample)))
+    np.abs(z, out=env)
     np.square(env, out=env)
-    ratio = 10 * np.log10(env.max(axis=0) / env.mean(axis=0))
+    mean = env.mean(axis=0)
+    if not np.all(mean > 0):
+        raise ValueError("PAPR undefined for a zero-energy signal")
+    ratio = 10 * np.log10(env.max(axis=0) / mean)
     return float(ratio) if s.ndim == 1 else ratio
 
 
@@ -198,10 +225,14 @@ def papr_ccdf(source, trials: int, thresholds, seed) -> CcdfCurve:
     thresholds = np.asarray(thresholds, dtype=float)
     modem = AfbmModem(source) if isinstance(source, WaveformParams) else None
     samples = np.empty(trials)
+    shape = (PAPR_OVERSAMPLE * source.M, min(trials, TRIAL_CHUNK))
+    z = np.empty(shape, dtype=complex, order="F")
+    env = np.empty(shape, order="F")
     for t0, bits in _trial_bits(_bit_count(source), trials, seed):
         s = (_afdm_transmit(source, bits) if modem is None
              else _afbm_transmit(modem, bits))
-        samples[t0:t0 + bits.shape[1]] = papr(s)
+        b = bits.shape[1]
+        samples[t0:t0 + b] = papr(s, out=(z[:, :b], env[:, :b]))
     probs = np.array([(samples > th).mean() for th in thresholds])
     return CcdfCurve(thresholds=thresholds, probabilities=probs,
                      samples=samples)
@@ -239,12 +270,7 @@ def psd_welch(signal, segment: int, overlap_fraction: float = 0.5) -> PsdEstimat
         pxx += (X.real ** 2 + X.imag ** 2).sum(axis=0)
     pxx = np.fft.fftshift(pxx / len(segments))
     freq = np.fft.fftshift(np.fft.fftfreq(segment))
-    peak = pxx.max()
-    meta = {"segment": int(segment), "overlap_fraction": float(overlap_fraction),
-            "window": "hann", "peak_density": float(peak),
-            "n_samples": int(len(s))}
-    return PsdEstimate(freq=freq, power_dbr=10 * np.log10(pxx / peak),
-                       metadata=meta)
+    return PsdEstimate(freq=freq, power_dbr=10 * np.log10(pxx / pxx.max()))
 
 
 def oobe_level(psd: PsdEstimate, band_edges, offset: float) -> float:

@@ -8,6 +8,13 @@ The ``apply_*`` functions are FFT-based fast paths, tested against the
 dense matrices of the test oracles. They transform along axis 0 and
 treat any trailing axes as batch, so one call applies the operator to
 every column of a stack of frames.
+
+When ``c2 = 0`` the second chirp is the identity: ``apply_daft`` skips
+it (exactly, the factor is 1), and the P-point DFT pair ``Fᴴ Λ_c2ᴴ F``
+of the synthesis cancels, leaving the L-point chirp ``Λ_c1ᴴ``,
+zero-padding and one N-point FFT (the adjoint mirrors it). Every
+bundled configuration and every ``pick_chirp_params`` result has
+``c2 = 0``.
 """
 
 from __future__ import annotations
@@ -88,11 +95,14 @@ def apply_daft(x: np.ndarray, chirps: ChirpPair, adjoint: bool = False) -> np.nd
     """Apply the n-point affine transform (n = len of axis 0), or its adjoint."""
     n = x.shape[0]
     p1 = chirp_phase(chirps.c1, n)
-    p2 = chirp_phase(chirps.c2, n)
     if adjoint:
-        return scale_rows(p2.conj(), np.fft.fft(scale_rows(p1.conj(), x),
-                                                axis=0, norm="ortho"))
-    return scale_rows(p1, np.fft.ifft(scale_rows(p2, x), axis=0, norm="ortho"))
+        y = np.fft.fft(scale_rows(p1.conj(), x), axis=0, norm="ortho")
+        if chirps.c2 == 0:
+            return y
+        return scale_rows(chirp_phase(chirps.c2, n).conj(), y)
+    if chirps.c2 != 0:
+        x = scale_rows(chirp_phase(chirps.c2, n), x)
+    return scale_rows(p1, np.fft.ifft(x, axis=0, norm="ortho"))
 
 
 def apply_freq_zero_pad(v: np.ndarray, N: int) -> np.ndarray:
@@ -119,12 +129,14 @@ def apply_synthesis(x: np.ndarray, dims: DaftDims, chirps: ChirpPair) -> np.ndar
     """Fast application of the N x L synthesis operator to L-row input."""
     if x.shape[0] != dims.L:
         raise ValueError(f"expected {dims.L} rows, got {x.shape[0]}")
-    shape = (dims.P,) + x.shape[1:]
-    u = np.zeros(shape, dtype=complex)
-    u[:dims.L] = x
-    u = apply_daft(u, chirps, adjoint=True)
-    v = apply_dft(u)
-    w = apply_freq_zero_pad(v, dims.N)
+    u = np.zeros((dims.P,) + x.shape[1:], dtype=complex)
+    if chirps.c2 == 0:
+        # the P-point DFT pair around Λ_c2ᴴ = I cancels: Λ_c1ᴴ alone
+        u[:dims.L] = scale_rows(chirp_phase(chirps.c1, dims.L).conj(), x)
+    else:
+        u[:dims.L] = x
+        u = apply_dft(apply_daft(u, chirps, adjoint=True))
+    w = apply_freq_zero_pad(u, dims.N)
     return apply_dft(w, adjoint=True)
 
 
@@ -134,6 +146,7 @@ def apply_synthesis_adjoint(y: np.ndarray, dims: DaftDims, chirps: ChirpPair) ->
         raise ValueError(f"expected {dims.N} rows, got {y.shape[0]}")
     u = apply_dft(y)
     v = apply_freq_zero_pad_adjoint(u, dims.P)
-    v = apply_dft(v, adjoint=True)
-    v = apply_daft(v, chirps)
+    if chirps.c2 == 0:
+        return scale_rows(chirp_phase(chirps.c1, dims.L), v[:dims.L])
+    v = apply_daft(apply_dft(v, adjoint=True), chirps)
     return v[:dims.L]

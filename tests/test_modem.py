@@ -340,7 +340,9 @@ FLAT_FOLD = {("HERMITE", 1.5), ("PHYDYAS", 1), ("RECT", 1)}
 @pytest.mark.parametrize("case", range(30))
 def test_chain_adjoints_and_round_trip_for_random_configs(case):
     # a seeded random valid (L, P, N, K, chirps, prototype); both chirp
-    # pairs are drawn independently with c2 != 0
+    # pairs are drawn independently with c2 != 0, then cases 10-19 set
+    # c2 = 0 in chirps_pre and cases 20-29 in chirps_mod (the collapsed
+    # synthesis)
     rng = np.random.default_rng([47, case])
     kind, overlap = PROTOTYPES[case % len(PROTOTYPES)]
     N = int(rng.choice([8, 16, 32, 64]))
@@ -348,6 +350,8 @@ def test_chain_adjoints_and_round_trip_for_random_configs(case):
     P = int(rng.choice(np.arange(L, N + 1, 2)))
     chirps = [ChirpPair(float(rng.uniform(0, 0.1)),
                         float(rng.uniform(0.001, 0.05))) for _ in range(2)]
+    if case >= 10:
+        chirps[case // 10 - 1] = replace(chirps[case // 10 - 1], c2=0.0)
     params = WaveformParams(dims=DaftDims(L, P, N), K=int(rng.integers(1, 4)),
                             chirps_pre=chirps[0], chirps_mod=chirps[1],
                             filter=prototype_filter(kind, overlap, N))

@@ -108,16 +108,30 @@ def test_daft_reduces_to_dft_at_zero_rates():
 
 def test_apply_daft_matches_matrix():
     rng = np.random.default_rng(13)
-    chirps = ChirpPair(0.011, 0.002)
-    for n in (4, 32, 512):
-        W = daft_matrix(chirps, n)
-        x = crandn(rng, n)
-        assert np.abs(apply_daft(x, chirps) - W @ x).max() < 1e-12
-        assert np.abs(apply_daft(x, chirps, adjoint=True)
-                      - W.conj().T @ x).max() < 1e-12
-    X = crandn(rng, 24, 5)
-    W = daft_matrix(chirps, 24)
-    assert np.abs(apply_daft(X, chirps) - W @ X).max() < 1e-12
+    for chirps in (ChirpPair(0.011, 0.002), ChirpPair(0.011, 0.0)):
+        for n in (4, 32, 512):
+            W = daft_matrix(chirps, n)
+            x = crandn(rng, n)
+            assert np.abs(apply_daft(x, chirps) - W @ x).max() < 1e-12
+            assert np.abs(apply_daft(x, chirps, adjoint=True)
+                          - W.conj().T @ x).max() < 1e-12
+        X = crandn(rng, 24, 5)
+        W = daft_matrix(chirps, 24)
+        assert np.abs(apply_daft(X, chirps) - W @ X).max() < 1e-12
+
+
+def test_apply_daft_skips_a_zero_c2_exactly():
+    # at c2 = 0 the skipped chirp is exp(0) = 1: the same bits as applying it
+    rng = np.random.default_rng(14)
+    chirps = ChirpPair(3 / 384, 0.0)
+    X = crandn(rng, 192, 4)
+    p1 = chirp_phase(chirps.c1, 192)[:, None]
+    p2 = chirp_phase(0.0, 192)[:, None]
+    assert np.array_equal(apply_daft(X, chirps),
+                          p1 * np.fft.ifft(p2 * X, axis=0, norm="ortho"))
+    assert np.array_equal(apply_daft(X, chirps, adjoint=True),
+                          p2.conj() * np.fft.fft(p1.conj() * X, axis=0,
+                                                 norm="ortho"))
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +208,17 @@ def test_apply_synthesis_matches_dense():
                           - Q.conj().T @ y).max() < 1e-10
         X = crandn(rng, dims.L, 4)
         assert np.abs(apply_synthesis(X, dims, chirps) - Q @ X).max() < 1e-10
+    # the reference dims on an L x K x batch stack, through the c2 = 0
+    # collapse and the general path
+    dims = DaftDims(128, 192, 256)
+    for chirps in (ChirpPair(3 / 384, 0.0), ChirpPair(3 / 384, 0.0023)):
+        Q = synthesis_matrix(dims, chirps)
+        X = crandn(rng, dims.L, 8, 3)
+        Y = crandn(rng, dims.N, 8, 3)
+        assert np.abs(apply_synthesis(X, dims, chirps)
+                      - np.einsum("nl,lkb->nkb", Q, X)).max() < 1e-10
+        assert np.abs(apply_synthesis_adjoint(Y, dims, chirps)
+                      - np.einsum("nl,nkb->lkb", Q.conj(), Y)).max() < 1e-10
 
 
 def test_apply_synthesis_round_trip_identity():
