@@ -250,12 +250,15 @@ class ResultTable:
         with open(path, "w") as fh:
             for key, value in self.metadata.items():
                 fh.write(f"# {key}={value}\n")
-            fh.write(",".join(self.columns) + "\n")
+            if self.columns:
+                fh.write(",".join(self.columns) + "\n")
             for row in self.rows:
                 fh.write(",".join(_format_cell(v) for v in row) + "\n")
 
 
 def _format_cell(v) -> str:
+    if type(v) is float:  # the bulk of every table, tested first
+        return repr(v)
     if isinstance(v, str):
         return v
     if isinstance(v, (int, np.integer)):
@@ -269,8 +272,9 @@ def _metadata(cfg: ExperimentConfig) -> dict:
             "version": __version__, "experiment": cfg.experiment}
 
 
-def _write_two_column(cfg, path, columns, pairs) -> None:
-    ResultTable(_metadata(cfg), columns, list(pairs)).write_csv(path)
+def _write_table(cfg, path, columns, rows, **header) -> None:
+    ResultTable(dict(_metadata(cfg), **header), columns,
+                list(rows)).write_csv(path)
 
 
 def _run_papr(cfg: ExperimentConfig, outdir: Path):
@@ -284,9 +288,9 @@ def _run_papr(cfg: ExperimentConfig, outdir: Path):
     for name, curve in curves.items():
         rows += [(f"papr_ccdf_{name}", cfg.config_id, th, p)
                  for th, p in zip(curve.thresholds, curve.probabilities)]
-        _write_two_column(cfg, outdir / f"papr_{name}.csv",
-                          ("threshold_db", "ccdf"),
-                          zip(curve.thresholds, curve.probabilities))
+        _write_table(cfg, outdir / f"papr_{name}.csv",
+                     ("threshold_db", "ccdf"),
+                     zip(curve.thresholds, curve.probabilities))
     lvl_afbm = curves["afbm"].level_at(1e-2)
     lvl_afdm = curves["afdm"].level_at(1e-2)
     rows.append(("papr_at_ccdf_1e-2_afbm", cfg.config_id, 1e-2, lvl_afbm))
@@ -307,9 +311,9 @@ def _run_oobe(cfg: ExperimentConfig, outdir: Path):
         psd = metrics.psd_welch(sig, segment)
         floors[name] = metrics.oobe_floor(psd, edges)
         probes[name] = metrics.oobe_level(psd, edges, 0.1 * edges[1])
-        _write_two_column(cfg, outdir / f"psd_{name}.csv",
-                          ("normalized_frequency", "power_dbr"),
-                          zip(psd.freq, psd.power_dbr))
+        _write_table(cfg, outdir / f"psd_{name}.csv",
+                     ("normalized_frequency", "power_dbr"),
+                     zip(psd.freq, psd.power_dbr))
         rows.append((f"oobe_floor_{name}", cfg.config_id, edges[1],
                      floors[name]))
         rows.append((f"oobe_probe10_{name}", cfg.config_id, 1.1 * edges[1],
@@ -345,12 +349,8 @@ def _run_effchan(cfg: ExperimentConfig, outdir: Path):
         score[name] = path_separation_metric(eff[name], refs, cfg.xi)
 
     mag = np.abs(eff["afbm"])
-    header = dict(_metadata(cfg), shape=f"{mag.shape[0]}x{mag.shape[1]}")
-    with open(outdir / "effchan_magnitude.csv", "w") as fh:
-        for key, value in header.items():
-            fh.write(f"# {key}={value}\n")
-        for row in mag:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_table(cfg, outdir / "effchan_magnitude.csv", (), mag.tolist(),
+                 shape=f"{mag.shape[0]}x{mag.shape[1]}")
 
     rows = [(f"path_separation_{name}", cfg.config_id, cfg.xi, value)
             for name, value in score.items()]
@@ -365,7 +365,7 @@ def _run_ber(cfg: ExperimentConfig, outdir: Path):
                        c1=params1.chirps_mod.c1)
     ber = metrics.ber_experiment(cfg.waveform, spec, cfg.snr_grid,
                                  cfg.trials, cfg.seed, xi=cfg.xi)
-    _write_two_column(cfg, outdir / "ber.csv", ("snr_db", "ber"), ber)
+    _write_table(cfg, outdir / "ber.csv", ("snr_db", "ber"), ber)
     rows = [("ber", cfg.config_id, snr, value) for snr, value in ber]
     last = ber[-1]
     summary = (f"ber: {last[1]:.3e} at {last[0]:g} dB "

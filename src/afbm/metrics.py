@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .transforms import apply_daft
-from .filterbank import compensation_vector, data_indices
+from .filterbank import data_indices
 from .modem import (
     AfbmModem,
     AfdmParams,
@@ -223,6 +223,9 @@ def papr_ccdf(source, trials: int, thresholds, seed) -> CcdfCurve:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     thresholds = np.asarray(thresholds, dtype=float)
+    if not (thresholds.ndim == 1 and np.all(np.isfinite(thresholds))
+            and np.all(np.diff(thresholds) >= 0)):
+        raise ValueError("thresholds must be finite and non-decreasing (1-D)")
     modem = AfbmModem(source) if isinstance(source, WaveformParams) else None
     samples = np.empty(trials)
     shape = (PAPR_OVERSAMPLE * source.M, min(trials, TRIAL_CHUNK))
@@ -332,22 +335,23 @@ def spectrum_signal(source, frames: int, seed) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def orthogonality_gram(params: WaveformParams, compensated: bool = True) -> np.ndarray:
-    """Gram matrix ``BᴴB`` of the compensated single-symbol transmit
-    chain, ``B`` the :func:`spread` of the precoded identity.
+    """Ideal-channel response ``B_rxᴴ B_tx`` of the single-symbol chain,
+    ``B_x`` the :func:`spread` of the precoded ``diag(b_x)`` and ``b_x``
+    the gains of :class:`AfbmModem`; ``BᴴB`` when both are one array.
 
-    With ``compensated=False`` the per-subcarrier gains are replaced by
-    a uniform data-position mask, exposing the raw filter interference.
+    With ``compensated=False`` both gains are a uniform data-position
+    mask, exposing the raw filter interference.
     """
     L = params.dims.L
     if compensated:
-        b = compensation_vector(params.dims, params.chirps_pre,
-                                params.chirps_mod, params.filter)
+        modem = AfbmModem(params)
+        b_tx, b_rx = modem.b_tx, modem.b_rx
     else:
-        b = np.zeros(L)
-        b[data_indices(L)] = 1.0
-    B = spread(apply_daft(np.diag(b), params.chirps_pre)[:, None, :],
-               params)
-    return B.conj().T @ B
+        b_tx = b_rx = np.zeros(L)
+        b_tx[data_indices(L)] = 1.0
+    B = [spread(apply_daft(np.diag(b), params.chirps_pre)[:, None, :], params)
+         for b in ((b_tx,) if b_rx is b_tx else (b_tx, b_rx))]
+    return B[-1].conj().T @ B[0]
 
 
 def sir_orthogonality(params: WaveformParams, compensated: bool = True) -> float:

@@ -12,12 +12,12 @@ Transmit chain per frame (grid ``A`` of shape L x K, guard rows zero):
    N/2 samples, ``s = G (I_K ⊗ Q) X``.
 
 The receiver runs the adjoint of each stage in reverse order
-(:func:`despread`, then the adjoint affine transform); the final
-compensation applies ``diag(b_rx)`` after the adjoint affine transform,
-so that the end-to-end ideal-channel response is exactly the Gram matrix
-of the compensated transmit chain. With a flat-fold prototype (overlap
-<= 1.5) that Gram is the data-position projector and the round trip is
-exact; the guard rows are zeroed on extraction either way.
+(:func:`despread`, then the adjoint affine transform) and applies
+``diag(b_rx)`` last, so the ideal-channel response is ``B_rxᴴ B_tx``,
+``B_x`` the chain with gains ``b_x`` (``BᴴB`` under the split policy).
+With a flat-fold prototype (overlap <= 1.5) it is the data-position
+projector and the round trip is exact; the guard rows are zeroed on
+extraction either way.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def map_symbols(bits: np.ndarray, constellation: str) -> np.ndarray:
     Bits run along axis 0, consecutive groups forming one symbol; trailing
     axes are batch (one column per frame).
     """
-    bits = np.asarray(bits, dtype=int)
+    bits = np.asarray(bits)
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bits must be 0 or 1")
     bps = BITS_PER_SYMBOL.get(constellation)
@@ -102,7 +102,7 @@ def map_symbols(bits: np.ndarray, constellation: str) -> np.ndarray:
         raise ValueError(f"unsupported constellation {constellation!r}")
     if len(bits) % bps:
         raise ValueError(f"bit count must be divisible by {bps}")
-    groups = bits.reshape((-1, bps) + bits.shape[1:])
+    groups = bits.astype(int, copy=False).reshape((-1, bps) + bits.shape[1:])
     if constellation == "QPSK":
         re = _QPSK_BIT_LEVELS[groups[:, 0]]
         im = _QPSK_BIT_LEVELS[groups[:, 1]]
@@ -199,12 +199,9 @@ class AfbmModem:
         self.params = params
         b = compensation_vector(params.dims, params.chirps_pre,
                                 params.chirps_mod, params.filter)
-        if params.compensation == "split":
-            self.b_tx = b
-            self.b_rx = b
-        else:  # one-sided: the full squared factor at the transmitter
-            self.b_tx = b * b
-            self.b_rx = np.ones_like(b)
+        # "tx" is one-sided: the full squared factor at the transmitter
+        self.b_tx, self.b_rx = ((b, b) if params.compensation == "split"
+                                else (b * b, np.ones_like(b)))
 
     def modulate(self, A: np.ndarray) -> np.ndarray:
         """Signal of grid ``A`` (guard rows zero); trailing axes are batch."""

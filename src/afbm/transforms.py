@@ -9,12 +9,12 @@ dense matrices of the test oracles. They transform along axis 0 and
 treat any trailing axes as batch, so one call applies the operator to
 every column of a stack of frames.
 
-When ``c2 = 0`` the second chirp is the identity: ``apply_daft`` skips
-it (exactly, the factor is 1), and the P-point DFT pair ``Fᴴ Λ_c2ᴴ F``
-of the synthesis cancels, leaving the L-point chirp ``Λ_c1ᴴ``,
-zero-padding and one N-point FFT (the adjoint mirrors it). Every
-bundled configuration and every ``pick_chirp_params`` result has
-``c2 = 0``.
+The synthesis runs ``Λ_c1ᴴ`` on the L rows, the P-point ``Fᴴ Λ_c2ᴴ F``,
+the placement of the P bins into N and one N-point DFT; its adjoint
+runs the adjoint steps in reverse order. At ``c2 = 0`` the second chirp
+is the identity (exactly, the factor is 1), so ``apply_daft`` and the
+synthesis skip their step with it. Every bundled configuration and
+every ``pick_chirp_params`` result has ``c2 = 0``.
 """
 
 from __future__ import annotations
@@ -65,6 +65,11 @@ class DaftDims:
             raise ValueError(
                 f"need L <= P <= N, got L={self.L}, P={self.P}, N={self.N}")
 
+    @property
+    def spread_bins(self) -> np.ndarray:
+        """N-point bin ``(i - P/2) mod N`` of spread bin i, centred on 0."""
+        return (np.arange(self.P) - self.P // 2) % self.N
+
 
 def chirp_phase(c: float, n: int) -> np.ndarray:
     """Diagonal of the chirp matrix as a vector: exp(-j*2*pi*c*m^2)."""
@@ -105,48 +110,29 @@ def apply_daft(x: np.ndarray, chirps: ChirpPair, adjoint: bool = False) -> np.nd
     return scale_rows(p1, np.fft.ifft(x, axis=0, norm="ortho"))
 
 
-def apply_freq_zero_pad(v: np.ndarray, N: int) -> np.ndarray:
-    """Apply the N x P placement matrix along axis 0 (P = number of rows)."""
-    P = v.shape[0]
-    if N < P or N % 2 or P % 2:
-        raise ValueError("invalid padding dimensions")
-    shape = (N,) + v.shape[1:]
-    w = np.zeros(shape, dtype=complex)
-    w[:P // 2] = v[P // 2:]
-    w[N - P // 2:] = v[:P // 2]
-    return w
-
-
-def apply_freq_zero_pad_adjoint(w: np.ndarray, P: int) -> np.ndarray:
-    """Apply the transpose of the placement matrix: keep the outer P bins."""
-    N = w.shape[0]
-    if N < P or N % 2 or P % 2:
-        raise ValueError("invalid padding dimensions")
-    return np.concatenate([w[N - P // 2:], w[:P // 2]], axis=0)
-
-
 def apply_synthesis(x: np.ndarray, dims: DaftDims, chirps: ChirpPair) -> np.ndarray:
-    """Fast application of the N x L synthesis operator to L-row input."""
+    """Fast application of the N x L synthesis operator to L-row input; at
+    ``c2 = 0`` its P-point step is skipped and only L bins are placed."""
     if x.shape[0] != dims.L:
         raise ValueError(f"expected {dims.L} rows, got {x.shape[0]}")
-    u = np.zeros((dims.P,) + x.shape[1:], dtype=complex)
-    if chirps.c2 == 0:
-        # the P-point DFT pair around Λ_c2ᴴ = I cancels: Λ_c1ᴴ alone
-        u[:dims.L] = scale_rows(chirp_phase(chirps.c1, dims.L).conj(), x)
-    else:
-        u[:dims.L] = x
-        u = apply_dft(apply_daft(u, chirps, adjoint=True))
-    w = apply_freq_zero_pad(u, dims.N)
+    u = scale_rows(chirp_phase(chirps.c1, dims.L).conj(), x)
+    if chirps.c2 != 0:
+        u = np.fft.fft(u, n=dims.P, axis=0, norm="ortho")  # zero-padded to P
+        u = apply_dft(scale_rows(chirp_phase(chirps.c2, dims.P).conj(), u))
+    w = np.zeros((dims.N,) + x.shape[1:], dtype=complex)
+    w[dims.spread_bins[:len(u)]] = u
     return apply_dft(w, adjoint=True)
 
 
 def apply_synthesis_adjoint(y: np.ndarray, dims: DaftDims, chirps: ChirpPair) -> np.ndarray:
-    """Fast application of the adjoint synthesis operator to N-row input."""
+    """Fast application of the adjoint synthesis operator to N-row input;
+    at ``c2 = 0`` its P-point step is skipped and only L bins are read."""
     if y.shape[0] != dims.N:
         raise ValueError(f"expected {dims.N} rows, got {y.shape[0]}")
-    u = apply_dft(y)
-    v = apply_freq_zero_pad_adjoint(u, dims.P)
+    w = apply_dft(y)
     if chirps.c2 == 0:
-        return scale_rows(chirp_phase(chirps.c1, dims.L), v[:dims.L])
-    v = apply_daft(apply_dft(v, adjoint=True), chirps)
-    return v[:dims.L]
+        v = w[dims.spread_bins[:dims.L]]
+    else:
+        v = apply_dft(w[dims.spread_bins], adjoint=True)
+        v = apply_dft(scale_rows(chirp_phase(chirps.c2, dims.P), v))[:dims.L]
+    return scale_rows(chirp_phase(chirps.c1, dims.L), v)

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +269,9 @@ def test_result_table_format(tmp_path):
     assert lines[2] == "metric,value"
     assert lines[3] == "sir,150.0"
     assert lines[4] == "count,2"
+    # without columns the rows follow the header directly
+    replace(table, columns=()).write_csv(path)
+    assert path.read_text().splitlines()[2:] == ["sir,150.0", "count,2"]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from afbm.metrics import (
     afbm_band_edges,
     afdm_band_edges,
     ber_experiment,
-    compensation_vector,
     data_indices,
     extract_grid,
     map_symbols,
@@ -177,6 +176,21 @@ def test_papr_ccdf_accepts_baseline_params():
     assert len(curve.samples) == 20
     with pytest.raises(ValueError):
         papr_ccdf(p, trials=0, thresholds=np.array([6.0]), seed=3)
+
+
+def test_papr_ccdf_checks_thresholds_before_any_trial(ref_params_frame,
+                                                      monkeypatch):
+    import afbm.metrics as metrics
+
+    def unreachable(*args):
+        raise AssertionError("the Monte Carlo ran")
+
+    monkeypatch.setattr(metrics, "AfbmModem", unreachable)
+    monkeypatch.setattr(metrics, "_trial_bits", unreachable)
+    for thr in ([9.0, 5.0], [5.0, np.nan], [np.inf], 6.0):
+        for source in (ref_params_frame, _baseline()):
+            with pytest.raises(ValueError, match="thresholds"):
+                papr_ccdf(source, trials=20, thresholds=thr, seed=1)
 
 
 def test_level_at_matches_empirical_quantile(ref_params_frame):
@@ -390,6 +404,21 @@ def test_sir_reference_values(ref_params, ref_dims, ref_chirps, phydyas256):
     sir_p = sir_orthogonality(phyd)
     assert sir_p < sir_orthogonality(ref_params)
     assert 20.0 < sir_p < 60.0                    # low but finite residual
+
+
+def test_sir_is_that_of_the_modem_round_trip(ref_dims, ref_chirps, phydyas256):
+    # under the tx policy the chain response is B_rxᴴ B_tx, not BᴴB
+    data = data_indices(128)
+    grid = np.eye(128)[:, None, data]  # one data position per frame
+    for compensation in ("split", "tx"):
+        params = WaveformParams(dims=ref_dims, K=1, chirps_pre=ref_chirps,
+                                chirps_mod=ref_chirps, filter=phydyas256,
+                                compensation=compensation)
+        modem = AfbmModem(params)
+        R = modem.demodulate(modem.modulate(grid))[data, 0]
+        sig = np.sum(np.abs(np.diag(R)) ** 2)
+        sir = 10 * np.log10(sig / (np.sum(np.abs(R) ** 2) - sig))
+        assert abs(sir_orthogonality(params) - sir) < 1e-9
 
 
 def test_sir_is_capped(ref_params):

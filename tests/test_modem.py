@@ -40,9 +40,10 @@ def crandn(rng, *shape):
 # ---------------------------------------------------------------------------
 
 def test_qpsk_mapping_values():
-    syms = map_symbols(np.array([0, 0, 1, 1, 0, 1, 1, 0]), "QPSK")
+    bits = np.array([0, 0, 1, 1, 0, 1, 1, 0])
     expected = np.array([1 + 1j, -1 - 1j, 1 - 1j, -1 + 1j]) / np.sqrt(2)
-    assert np.allclose(syms, expected)
+    for given in (bits, bits.astype(bool), bits.astype(float)):
+        assert np.allclose(map_symbols(given, "QPSK"), expected)
 
 
 def test_qam16_gray_corners():
@@ -120,6 +121,8 @@ def test_demap_batch_matches_each_column(constellation):
 def test_mapping_validation():
     with pytest.raises(ValueError):
         map_symbols(np.array([0, 2]), "QPSK")
+    with pytest.raises(ValueError, match="0 or 1"):
+        map_symbols(np.array([0.5, 1.7]), "QPSK")  # not truncated to 0, 1
     with pytest.raises(ValueError):
         map_symbols(np.array([0, 1, 0]), "QAM16")  # not a multiple of 4
     with pytest.raises(ValueError):

@@ -8,8 +8,6 @@ from afbm.transforms import (
     DaftDims,
     apply_daft,
     apply_dft,
-    apply_freq_zero_pad,
-    apply_freq_zero_pad_adjoint,
     apply_synthesis,
     apply_synthesis_adjoint,
     chirp_phase,
@@ -170,15 +168,32 @@ def test_freq_zero_pad_layout():
         freq_zero_pad(9, 4)
 
 
-def test_apply_freq_zero_pad_matches_matrix():
-    rng = np.random.default_rng(14)
-    T = freq_zero_pad(12, 8)
-    v = crandn(rng, 8)
-    w = crandn(rng, 12)
-    assert np.abs(apply_freq_zero_pad(v, 12) - T @ v).max() < 1e-15
-    assert np.abs(apply_freq_zero_pad_adjoint(w, 8) - T.T @ w).max() < 1e-15
-    V = crandn(rng, 8, 3)
-    assert np.abs(apply_freq_zero_pad(V, 12) - T @ V).max() < 1e-15
+def _random_dims(rng, kind):
+    """Valid DaftDims of one kind: L <= P/2, L > P/2 (the L placed bins
+    wrap past the origin at c2 = 0) or P = N."""
+    L = 4 * int(rng.integers(1, 9))
+    if kind == "narrow":
+        P = 2 * int(rng.integers(L, L + 12))
+    else:
+        P = 2 * int(rng.integers(L // 2, L))
+    N = P if kind == "square" else P + 2 * int(rng.integers(1, 16))
+    return DaftDims(L, P, N)
+
+
+_SPREAD_RNG = np.random.default_rng(14)
+SPREAD_DIMS = [_random_dims(_SPREAD_RNG, kind)
+               for kind in ("narrow", "wide", "square") for _ in range(3)]
+SPREAD_DIMS.append(DaftDims(128, 192, 256))
+
+
+@pytest.mark.parametrize("dims", SPREAD_DIMS,
+                         ids=lambda d: f"L{d.L}-P{d.P}-N{d.N}")
+def test_spread_bins_match_the_placement_matrix(dims):
+    bins = dims.spread_bins
+    # column i of the placement matrix is the unit vector of row bins[i]
+    assert np.array_equal(freq_zero_pad(dims.N, dims.P),
+                          np.eye(dims.N)[:, bins])
+    assert len(np.unique(bins)) == dims.P
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +223,18 @@ def test_apply_synthesis_matches_dense():
                           - Q.conj().T @ y).max() < 1e-10
         X = crandn(rng, dims.L, 4)
         assert np.abs(apply_synthesis(X, dims, chirps) - Q @ X).max() < 1e-10
-    # the reference dims on an L x K x batch stack, through the c2 = 0
-    # collapse and the general path
+    # random dims of every kind, and the reference dims on an L x K x batch
+    # stack, with the P-point step skipped and run
+    for dims in SPREAD_DIMS[:-1]:
+        c1, c2 = rng.uniform(0, 0.05), rng.uniform(1e-3, 0.01)
+        for chirps in (ChirpPair(c1, 0.0), ChirpPair(c1, c2)):
+            Q = synthesis_matrix(dims, chirps)
+            X = crandn(rng, dims.L, 3)
+            Y = crandn(rng, dims.N, 3)
+            assert np.abs(apply_synthesis(X, dims, chirps)
+                          - Q @ X).max() < 1e-10
+            assert np.abs(apply_synthesis_adjoint(Y, dims, chirps)
+                          - Q.conj().T @ Y).max() < 1e-10
     dims = DaftDims(128, 192, 256)
     for chirps in (ChirpPair(3 / 384, 0.0), ChirpPair(3 / 384, 0.0023)):
         Q = synthesis_matrix(dims, chirps)
