@@ -209,6 +209,14 @@ def resolve_config(data: dict) -> ExperimentConfig:
                       chirps=ChirpPair(c1=c1, c2=af.get("c2", 0.0)),
                       cpp_len=af.get("cpp_len", ell_max),
                       constellation=wf["constellation"])
+    trials = resolved["trials"]
+    lengths = (trials * waveform.M,
+               trials * metrics.AFDM_OOBE_OVERSAMPLE * afdm.M)
+    if resolved["experiment"] == "oobe" and min(lengths) < 4 * dims.N:
+        raise ValueError(f"trials = {trials} is too few for oobe: the afbm "
+                         f"and afdm records hold {lengths[0]} and "
+                         f"{lengths[1]} samples, shorter than one 4*N = "
+                         f"{4 * dims.N} sample Welch segment")
     paths = tuple(  # a gain is a number or a [real, imag] pair
         PathSpec(gain=complex(*np.ravel(p["gain"])), delay=p["delay"],
                  doppler=p["doppler"])
@@ -302,11 +310,10 @@ def _run_papr(cfg: ExperimentConfig, outdir: Path):
 
 
 def _run_oobe(cfg: ExperimentConfig, outdir: Path):
-    segment = 4 * cfg.waveform.dims.N
-    sources = {"afbm": (cfg.waveform, metrics.afbm_band_edges(cfg.waveform)),
-               "afdm": (cfg.afdm, metrics.afdm_band_edges())}
+    segment = 4 * cfg.waveform.dims.N  # resolve_config checks the records
     rows, floors, probes = [], {}, {}
-    for name, (source, edges) in sources.items():
+    for name, source in (("afbm", cfg.waveform), ("afdm", cfg.afdm)):
+        edges = metrics.band_edges(source)
         sig = metrics.spectrum_signal(source, cfg.trials, cfg.seed)
         psd = metrics.psd_welch(sig, segment)
         floors[name] = metrics.oobe_floor(psd, edges)

@@ -15,6 +15,7 @@ MMSE filter as matrix products over the chunk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -50,6 +51,9 @@ TRIAL_CHUNK = 16
 # interpolation factor of the PAPR envelope
 PAPR_OVERSAMPLE = 4
 
+# band-limited interpolation factor of the baseline's spectrum record
+AFDM_OOBE_OVERSAMPLE = 2
+
 # segments per FFT of psd_welch: 1 MB at 1024 samples, whatever the record
 WELCH_BLOCK = 64
 
@@ -60,7 +64,7 @@ class CcdfCurve:
 
     thresholds: np.ndarray = field(repr=False, compare=False)
     probabilities: np.ndarray = field(repr=False, compare=False)
-    samples: np.ndarray = field(default=None, repr=False, compare=False)
+    samples: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.probabilities)
@@ -71,8 +75,6 @@ class CcdfCurve:
 
     def level_at(self, probability: float) -> float:
         """Threshold (dB) whose exceedance probability is ``probability``."""
-        if self.samples is None:
-            raise ValueError("level_at needs a curve built with its samples")
         return float(np.quantile(self.samples, 1 - probability))
 
 
@@ -161,57 +163,53 @@ def papr(signal, oversample: int = PAPR_OVERSAMPLE,
     return float(ratio) if s.ndim == 1 else ratio
 
 
-def _bit_count(source) -> int:
-    return source.data_per_frame * BITS_PER_SYMBOL[source.constellation]
+def _transmitter(source):
+    """``(count, transmit, render)``: the bits per frame of a waveform, the
+    native-rate signal of bits (axis 0; trailing axes are batch), and that
+    signal rendered for the spectrum record, where the baseline
+    interpolates each prefixed symbol ``AFDM_OOBE_OVERSAMPLE`` times on its
+    own. ``source`` is a :class:`WaveformParams`, an :class:`AfbmModem`
+    (used as it is) or an :class:`AfdmParams`. This is the only Monte
+    Carlo code that tells the two waveforms apart.
+    """
+    if isinstance(source, AfdmParams):
+        p = source
+
+        def transmit(bits, oversample=1):
+            syms = map_symbols(bits, p.constellation)
+            X = syms.reshape((p.L_a, p.K) + syms.shape[1:], order="F")
+            symbols = afdm_modulate(X, p.chirps, p.cpp_len)
+            if oversample > 1:
+                symbols = spectral_interpolate(symbols, oversample)
+            return symbols.reshape((-1,) + symbols.shape[2:], order="F")
+
+        render = partial(transmit, oversample=AFDM_OOBE_OVERSAMPLE)
+    else:
+        modem = source if isinstance(source, AfbmModem) else AfbmModem(source)
+        p = modem.params
+
+        def transmit(bits):
+            syms = map_symbols(bits, p.constellation)
+            return modem.modulate(place_grid(syms, p.dims.L, p.K))
+
+        render = transmit
+    count = p.data_per_frame * BITS_PER_SYMBOL[p.constellation]
+    return count, transmit, render
 
 
-def _random_bits(rng: np.random.Generator, count: int) -> np.ndarray:
-    return rng.integers(0, 2, size=count)
+def _trial_frames(count, transmit, trials: int, key: list):
+    """``(t0, bits, signal, rngs)`` per chunk of trials, one column per
+    trial; ``signal`` is ``transmit(bits)``.
 
-
-def _trial_draws(trials: int, key: list, draw):
-    """``(t0, draws)`` per chunk of trials, one column per trial.
-
-    Trial ``t`` calls ``draw`` on its own generator ``default_rng(key +
-    [t])``, exactly as a one-frame loop would; ``draws`` stacks each of
-    the arrays that ``draw`` returns as the columns of one array.
+    Trial ``t`` draws its ``count`` bits from its own generator
+    ``rngs[t - t0] = default_rng(key + [t])``, exactly as a one-frame
+    loop would, and any further draws of the trial come from it after.
     """
     for t0 in range(0, trials, TRIAL_CHUNK):
-        t1 = min(t0 + TRIAL_CHUNK, trials)
-        cols = [draw(np.random.default_rng(key + [t])) for t in range(t0, t1)]
-        yield t0, tuple(np.array(c).T for c in zip(*cols))
-
-
-def _trial_bits(count: int, trials: int, seed):
-    """``(t0, bits)`` per chunk of trials; ``bits`` is count x chunk.
-
-    Trial ``t`` draws its bits from ``default_rng([seed, t])``.
-    """
-    for t0, (bits,) in _trial_draws(
-            trials, [seed], lambda rng: (_random_bits(rng, count),)):
-        yield t0, bits
-
-
-def _afbm_transmit(modem: AfbmModem, bits: np.ndarray) -> np.ndarray:
-    """Transmit signal of bits (axis 0; trailing axes are batch)."""
-    p = modem.params
-    return modem.modulate(
-        place_grid(map_symbols(bits, p.constellation), p.dims.L, p.K))
-
-
-def _afdm_transmit(params: AfdmParams, bits: np.ndarray,
-                   oversample: int = 1) -> np.ndarray:
-    """Burst of the baseline for bits along axis 0 (trailing axes batch).
-
-    With ``oversample`` > 1 each prefixed symbol is band-limited
-    interpolated on its own before the K symbols are concatenated.
-    """
-    syms = map_symbols(bits, params.constellation)
-    X = syms.reshape((params.L_a, params.K) + syms.shape[1:], order="F")
-    symbols = afdm_modulate(X, params.chirps, params.cpp_len)
-    if oversample > 1:
-        symbols = spectral_interpolate(symbols, oversample)
-    return symbols.reshape((-1,) + symbols.shape[2:], order="F")
+        rngs = [np.random.default_rng(key + [t])
+                for t in range(t0, min(t0 + TRIAL_CHUNK, trials))]
+        bits = np.array([rng.integers(0, 2, size=count) for rng in rngs]).T
+        yield t0, bits, transmit(bits), rngs
 
 
 def papr_ccdf(source, trials: int, thresholds, seed) -> CcdfCurve:
@@ -226,15 +224,13 @@ def papr_ccdf(source, trials: int, thresholds, seed) -> CcdfCurve:
     if not (thresholds.ndim == 1 and np.all(np.isfinite(thresholds))
             and np.all(np.diff(thresholds) >= 0)):
         raise ValueError("thresholds must be finite and non-decreasing (1-D)")
-    modem = AfbmModem(source) if isinstance(source, WaveformParams) else None
+    count, transmit, _ = _transmitter(source)
     samples = np.empty(trials)
     shape = (PAPR_OVERSAMPLE * source.M, min(trials, TRIAL_CHUNK))
     z = np.empty(shape, dtype=complex, order="F")
     env = np.empty(shape, order="F")
-    for t0, bits in _trial_bits(_bit_count(source), trials, seed):
-        s = (_afdm_transmit(source, bits) if modem is None
-             else _afbm_transmit(modem, bits))
-        b = bits.shape[1]
+    for t0, _, s, _ in _trial_frames(count, transmit, trials, [seed]):
+        b = s.shape[1]
         samples[t0:t0 + b] = papr(s, out=(z[:, :b], env[:, :b]))
     probs = np.array([(samples > th).mean() for th in thresholds])
     return CcdfCurve(thresholds=thresholds, probabilities=probs,
@@ -298,18 +294,12 @@ def oobe_floor(psd: PsdEstimate, band_edges) -> float:
     return float(psd.power_dbr[outside].min())
 
 
-def afbm_band_edges(params: WaveformParams):
-    """Occupied band of the filtered waveform at its native rate."""
-    half = params.dims.P / (2 * params.dims.N)
-    return (-half, half)
-
-
-AFDM_OOBE_OVERSAMPLE = 2
-
-
-def afdm_band_edges():
-    """Occupied band of the baseline after 2x band-limited rendering."""
-    half = 1 / (2 * AFDM_OOBE_OVERSAMPLE)
+def band_edges(source):
+    """Occupied band of the spectrum record of a waveform: ±P/(2N) for the
+    filtered waveform at its native rate, the inner 1/AFDM_OOBE_OVERSAMPLE
+    of the spectrum for the rendered baseline."""
+    half = (1 / (2 * AFDM_OOBE_OVERSAMPLE) if isinstance(source, AfdmParams)
+            else source.dims.P / (2 * source.dims.N))
     return (-half, half)
 
 
@@ -317,16 +307,14 @@ def spectrum_signal(source, frames: int, seed) -> np.ndarray:
     """Concatenate random frames into one long record for Welch averaging."""
     if frames < 1:
         raise ValueError("frames must be >= 1")
-    if isinstance(source, WaveformParams):
-        modem, length = AfbmModem(source), source.M
-    else:
-        modem, length = None, AFDM_OOBE_OVERSAMPLE * source.M
-    # frame t fills column t; column-major order makes them one record
-    record = np.empty((length, frames), dtype=complex, order="F")
-    for t0, bits in _trial_bits(_bit_count(source), frames, seed):
-        record[:, t0:t0 + bits.shape[1]] = (
-            _afdm_transmit(source, bits, AFDM_OOBE_OVERSAMPLE)
-            if modem is None else _afbm_transmit(modem, bits))
+    count, _, render = _transmitter(source)
+    record = None
+    for t0, _, s, _ in _trial_frames(count, render, frames, [seed]):
+        if record is None:
+            # frame t fills column t; column-major order makes them one record
+            record = np.empty((len(s), frames), dtype=complex, order="F")
+        record[:, t0:t0 + s.shape[1]] = s
+        del s  # free the chunk before the next one is rendered
     return record.reshape(-1, order="F")
 
 
@@ -374,12 +362,6 @@ def sir_orthogonality(params: WaveformParams, compensated: bool = True) -> float
 # bit error rate
 # ---------------------------------------------------------------------------
 
-def _ber_draw(rng: np.random.Generator, count: int, M: int):
-    """One BER trial's bits, then its real and imaginary noise normals."""
-    return (_random_bits(rng, count), rng.standard_normal(M),
-            rng.standard_normal(M))
-
-
 def ber_experiment(params: WaveformParams, channel_spec: ChannelSpec,
                    snr_grid, trials: int, seed, xi: int = 0) -> list:
     """Monte Carlo coded-free BER with MMSE detection: one ``(snr_db,
@@ -408,18 +390,20 @@ def ber_experiment(params: WaveformParams, channel_spec: ChannelSpec,
     H_d = data_restricted_channel(spec, modem)
     lam, V = np.linalg.eigh(H_d.conj().T @ H_d)
     VhHdh = V.conj().T @ H_d.conj().T
-    count = _bit_count(params1)
+    count, transmit, _ = _transmitter(modem)
     rows = []
     for i, snr_db in enumerate(snr_grid):
         snr_lin = 10 ** (snr_db / 10)
         errors = 0
-        for _, (bits, re, im) in _trial_draws(
-                trials, [seed, i], lambda rng: _ber_draw(rng, count, M)):
-            r = spec.apply(_afbm_transmit(modem, bits))
+        for _, bits, s, rngs in _trial_frames(count, transmit, trials,
+                                              [seed, i]):
+            r = spec.apply(s)
             # Fortran order sums each column as for a lone frame
             power = np.asfortranarray(np.abs(r) ** 2)
             nvar = power.sum(axis=0) / M / snr_lin
-            r += np.sqrt(nvar / 2) * (re + 1j * im)
+            # M real, then M imaginary parts per trial
+            g = np.array([rng.standard_normal(2 * M) for rng in rngs]).T
+            r += np.sqrt(nvar / 2) * (g[:M] + 1j * g[M:])
             x_tilde = extract_grid(modem.demodulate(r))
             est = V @ ((VhHdh @ x_tilde) / (lam[:, None] + nvar))
             errors += int(np.sum(demap_symbols(est, params1.constellation)

@@ -43,13 +43,14 @@ from .filterbank import (
 )
 
 _QPSK_BIT_LEVELS = np.array([1.0, -1.0])  # bit 0 -> +1, bit 1 -> -1
-_QAM16_GRAY_LEVELS = {(0, 0): -3.0, (0, 1): -1.0, (1, 1): 1.0, (1, 0): 3.0}
+# Gray-coded QAM16 axis level of the bit pair, indexed [b0, b1]
+_QAM16_GRAY_LEVELS = np.array([[-3.0, -1.0], [3.0, 1.0]])
 
 BITS_PER_SYMBOL = {"QPSK": 2, "QAM16": 4}
 
 # Gray bit pairs of the QAM16 axis levels, indexed [bit, (level + 3) / 2]
-_QAM16_GRAY_BITS = np.array(
-    sorted(_QAM16_GRAY_LEVELS, key=_QAM16_GRAY_LEVELS.get)).T
+_QAM16_GRAY_BITS = np.array(np.unravel_index(
+    np.argsort(_QAM16_GRAY_LEVELS, axis=None), _QAM16_GRAY_LEVELS.shape))
 
 
 @dataclass(frozen=True)
@@ -107,11 +108,8 @@ def map_symbols(bits: np.ndarray, constellation: str) -> np.ndarray:
         re = _QPSK_BIT_LEVELS[groups[:, 0]]
         im = _QPSK_BIT_LEVELS[groups[:, 1]]
         return (re + 1j * im) / np.sqrt(2)
-    lut = np.empty((2, 2))
-    for (b0, b1), level in _QAM16_GRAY_LEVELS.items():
-        lut[b0, b1] = level
-    re = lut[groups[:, 0], groups[:, 1]]
-    im = lut[groups[:, 2], groups[:, 3]]
+    re = _QAM16_GRAY_LEVELS[groups[:, 0], groups[:, 1]]
+    im = _QAM16_GRAY_LEVELS[groups[:, 2], groups[:, 3]]
     return (re + 1j * im) / np.sqrt(10)
 
 

@@ -25,8 +25,7 @@ from afbm.filterbank import (
     prototype_filter,
 )
 from afbm.metrics import (
-    afbm_band_edges,
-    afdm_band_edges,
+    band_edges,
     ber_experiment,
     oobe_floor,
     oobe_level,
@@ -179,8 +178,8 @@ def test_acceptance_5_oobe(capfd):
                                         frames=64, seed=2), segment=seg)
     est_afd = psd_welch(spectrum_signal(_reference_baseline(),
                                         frames=64, seed=2), segment=seg)
-    edges_a = afbm_band_edges(_reference_waveform(K=8))
-    edges_b = afdm_band_edges()
+    edges_a = band_edges(_reference_waveform(K=8))
+    edges_b = band_edges(_reference_baseline())
     margins = []
     for rel in (0.10, 0.20, 0.30):
         lvl_phy = oobe_level(est_phy, edges_a, rel * edges_a[1])

@@ -154,6 +154,19 @@ def test_oobe_refuses_a_band_that_fills_the_spectrum(tmp_path, capsys):
         resolve_config({"experiment": "oobe", "waveform": {"P": 236}})
 
 
+def test_oobe_refuses_records_shorter_than_a_welch_segment(tmp_path, capsys):
+    # K = 1 and one trial: 384 afbm and 260 afdm samples against 4*N = 1024
+    cfg = write_config(tmp_path, {"waveform": {"K": 1}})
+    out = tmp_path / "o1"
+    assert main(["oobe", "--config", str(cfg), "--trials", "1",
+                 "--out", str(out)]) == 1
+    assert "trials" in capsys.readouterr().err
+    assert not out.exists()
+    # one trial of the smallest bundled oobe setup still resolves
+    resolve_config(dict(read_config_file(CONFIG_DIR / "fig4.cfg"),
+                        experiment="oobe", trials=1))
+
+
 def test_resolve_config_rejects_wrong_types_from_a_config_file(tmp_path):
     # JSON's NaN, true and 2.0 reach the resolver as float/bool values
     for text in ('{"snr_grid": [0, NaN]}', '{"trials": true}',

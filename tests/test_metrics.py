@@ -16,8 +16,7 @@ from afbm.metrics import (
     CcdfCurve,
     ChannelSpec,
     WaveformParams,
-    afbm_band_edges,
-    afdm_band_edges,
+    band_edges,
     ber_experiment,
     data_indices,
     extract_grid,
@@ -186,7 +185,7 @@ def test_papr_ccdf_checks_thresholds_before_any_trial(ref_params_frame,
         raise AssertionError("the Monte Carlo ran")
 
     monkeypatch.setattr(metrics, "AfbmModem", unreachable)
-    monkeypatch.setattr(metrics, "_trial_bits", unreachable)
+    monkeypatch.setattr(metrics, "_trial_frames", unreachable)
     for thr in ([9.0, 5.0], [5.0, np.nan], [np.inf], 6.0):
         for source in (ref_params_frame, _baseline()):
             with pytest.raises(ValueError, match="thresholds"):
@@ -208,13 +207,6 @@ def test_level_at_matches_empirical_quantile(ref_params_frame):
             above = thr >= lvl
             assert np.all(curve.probabilities[above] <= q + 1 / trials)
             assert np.all(curve.probabilities[~above] >= q - 1 / trials)
-
-
-def test_level_at_requires_samples():
-    curve = CcdfCurve(thresholds=np.array([1.0, 2.0]),
-                      probabilities=np.array([0.5, 0.1]))
-    with pytest.raises(ValueError, match="samples"):
-        curve.level_at(0.1)
 
 
 # trial counts that cross the chunk boundaries of the batched Monte Carlo
@@ -332,15 +324,15 @@ def test_psd_welch_matches_scipy(ref_dims, ref_chirps, phydyas256, frames,
 
 
 def test_band_edges(ref_params_frame):
-    lo, hi = afbm_band_edges(ref_params_frame)
+    lo, hi = band_edges(ref_params_frame)
     assert (lo, hi) == (-0.375, 0.375)            # P / (2 N)
-    assert afdm_band_edges() == (-0.25, 0.25)
+    assert band_edges(_baseline()) == (-0.25, 0.25)
 
 
 def test_oobe_level_probes(ref_params_frame):
     sig = spectrum_signal(ref_params_frame, frames=20, seed=11)
     est = psd_welch(sig, segment=1024)
-    edges = afbm_band_edges(ref_params_frame)
+    edges = band_edges(ref_params_frame)
     level = oobe_level(est, edges, offset=0.05)
     assert level < -30.0
     with pytest.raises(ValueError):
@@ -362,10 +354,10 @@ def test_oobe_contrast_between_waveforms(ref_dims, ref_chirps, phydyas256):
     est_b = psd_welch(spectrum_signal(baseline, frames=40, seed=12),
                       segment=1024)
     rel = 0.1
-    lvl_a = oobe_level(est_a, afbm_band_edges(sharp), 0.375 * rel)
-    lvl_b = oobe_level(est_b, afdm_band_edges(), 0.25 * rel)
+    lvl_a = oobe_level(est_a, band_edges(sharp), 0.375 * rel)
+    lvl_b = oobe_level(est_b, band_edges(baseline), 0.25 * rel)
     assert lvl_a < lvl_b - 40.0
-    assert oobe_floor(est_a, afbm_band_edges(sharp)) < -80.0
+    assert oobe_floor(est_a, band_edges(sharp)) < -80.0
 
 
 # ---------------------------------------------------------------------------
