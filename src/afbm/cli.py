@@ -100,9 +100,10 @@ _SCHEMA = {
                 "a finite number or a [real, imag] pair"),
             "delay": _int(0), "doppler": _num()})},
     "afdm": {"cpp_len": _int(0), "c1": _num(minimum=0), "c2": _num()},
-    "snr_grid": _Key(lambda v: _nonempty(v) and all(map(_finite, v)),
-                     "a non-empty list of finite numbers",
-                     [0, 2, 4, 6, 8, 10, 12, 14]),
+    "snr_grid": _Key(lambda v: _nonempty(v) and all(
+        _finite(x) and abs(x) <= metrics.SNR_LIMIT_DB for x in v),
+        f"a non-empty list of numbers within ±{metrics.SNR_LIMIT_DB:g} dB",
+        [0, 2, 4, 6, 8, 10, 12, 14]),
     "trials": _int(1, 1000), "seed": _int(0, 0),
     "out": _Key(lambda v: isinstance(v, str), "a string", "results"),
 }
@@ -166,13 +167,23 @@ def _walk(data, schema: dict, where="", exact=False) -> dict:
     return out
 
 
+def _unique_keys(pairs) -> dict:
+    seen = {}
+    for key, value in pairs:
+        if key in seen:
+            raise ValueError(f"config key {key!r} appears more than once")
+        seen[key] = value
+    return seen
+
+
 def read_config_file(path) -> dict:
-    """Parse the JSON config file; an empty file means all defaults."""
+    """Parse the JSON config file; an empty file means all defaults. A key
+    repeated within one object is refused."""
     text = Path(path).read_text()
     if not text.strip():
         return {}
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise ValueError(
             f"config parse error at line {err.lineno}, column {err.colno}: "
@@ -236,33 +247,9 @@ def resolve_config(data: dict) -> ExperimentConfig:
         out=resolved["out"], resolved=resolved)
 
 
-def load_config(path) -> ExperimentConfig:
-    return resolve_config(read_config_file(path))
-
-
 # ---------------------------------------------------------------------------
 # experiment runners
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ResultTable:
-    """Rows plus the reproducibility header written to every CSV."""
-
-    metadata: dict
-    columns: tuple
-    rows: list
-
-    def write_csv(self, path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            for key, value in self.metadata.items():
-                fh.write(f"# {key}={value}\n")
-            if self.columns:
-                fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(_format_cell(v) for v in row) + "\n")
-
 
 def _format_cell(v) -> str:
     if type(v) is float:  # the bulk of every table, tested first
@@ -274,15 +261,20 @@ def _format_cell(v) -> str:
     return repr(float(v))
 
 
-def _metadata(cfg: ExperimentConfig) -> dict:
-    """The reproducibility header of every CSV file a run writes."""
-    return {"config_hash": cfg.config_hash, "seed": cfg.seed,
-            "version": __version__, "experiment": cfg.experiment}
-
-
-def _write_table(cfg, path, columns, rows, **header) -> None:
-    ResultTable(dict(_metadata(cfg), **header), columns,
-                list(rows)).write_csv(path)
+def _write_table(cfg: ExperimentConfig, path, columns, rows,
+                 **header) -> None:
+    """A CSV file: the reproducibility header of the run and then
+    ``header`` as ``# key=value`` lines, the column names if any, and the
+    rows."""
+    header = dict(config_hash=cfg.config_hash, seed=cfg.seed,
+                  version=__version__, experiment=cfg.experiment, **header)
+    with open(path, "w") as fh:
+        for key, value in header.items():
+            fh.write(f"# {key}={value}\n")
+        if columns:
+            fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_format_cell(v) for v in row) + "\n")
 
 
 def _run_papr(cfg: ExperimentConfig, outdir: Path):
@@ -367,10 +359,7 @@ def _run_effchan(cfg: ExperimentConfig, outdir: Path):
 
 
 def _run_ber(cfg: ExperimentConfig, outdir: Path):
-    params1 = replace(cfg.waveform, K=1)
-    spec = ChannelSpec(paths=cfg.paths, M=params1.M,
-                       c1=params1.chirps_mod.c1)
-    ber = metrics.ber_experiment(cfg.waveform, spec, cfg.snr_grid,
+    ber = metrics.ber_experiment(cfg.waveform, cfg.paths, cfg.snr_grid,
                                  cfg.trials, cfg.seed, xi=cfg.xi)
     _write_table(cfg, outdir / "ber.csv", ("snr_db", "ber"), ber)
     rows = [("ber", cfg.config_id, snr, value) for snr, value in ber]
@@ -384,15 +373,16 @@ _RUNNERS = {"papr": _run_papr, "oobe": _run_oobe, "orth": _run_orth,
             "effchan": _run_effchan, "ber": _run_ber}
 
 
-def run(cfg: ExperimentConfig) -> ResultTable:
-    """Execute the experiment, write its CSV outputs, print a summary."""
+def run(cfg: ExperimentConfig) -> list:
+    """Execute the experiment, write its CSV outputs, print a summary and
+    return the ``(metric, config, x, y)`` rows of ``results.csv``."""
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows, summary = _RUNNERS[cfg.experiment](cfg, outdir)
-    table = ResultTable(_metadata(cfg), ("metric", "config", "x", "y"), rows)
-    table.write_csv(outdir / "results.csv")
+    _write_table(cfg, outdir / "results.csv", ("metric", "config", "x", "y"),
+                 rows)
     print(summary)
-    return table
+    return rows
 
 
 def main(argv=None) -> int:

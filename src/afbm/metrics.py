@@ -57,6 +57,10 @@ AFDM_OOBE_OVERSAMPLE = 2
 # segments per FFT of psd_welch: 1 MB at 1024 samples, whatever the record
 WELCH_BLOCK = 64
 
+# largest |SNR| (dB) of the BER experiment; 10 ** (snr / 10) overflows
+# near 3083 dB and the noise variance becomes inf near -3080 dB
+SNR_LIMIT_DB = 300.0
+
 
 @dataclass(frozen=True)
 class CcdfCurve:
@@ -96,7 +100,8 @@ class PsdEstimate:
 
 def spectral_interpolate(x: np.ndarray, factor: int,
                          out: np.ndarray | None = None) -> np.ndarray:
-    """Band-limited resampling by an integer factor via FFT zero padding.
+    """Band-limited resampling by an integer factor >= 2 via FFT zero
+    padding.
 
     The ``(n + 1) // 2`` bins from DC upwards stay at the low edge of the
     spectrum and the rest at the high edge. The Nyquist bin of an
@@ -108,8 +113,8 @@ def spectral_interpolate(x: np.ndarray, factor: int,
     ``out``, if given, is a complex array of the result's shape that
     receives the result, as in numpy; its contents are overwritten.
     """
-    if factor < 1 or int(factor) != factor:
-        raise ValueError("factor must be a positive integer")
+    if factor < 2 or int(factor) != factor:
+        raise ValueError("factor must be an integer >= 2")
     x = np.asarray(x)
     n = len(x)
     shape = (factor * n,) + x.shape[1:]
@@ -117,9 +122,6 @@ def spectral_interpolate(x: np.ndarray, factor: int,
         out = np.empty(shape, dtype=complex, order="F")
     elif out.shape != shape:
         raise ValueError(f"out must have shape {shape}, got {out.shape}")
-    if factor == 1:
-        out[...] = x
-        return out
     h = (n + 1) // 2
     high = factor * n - (n - h)
     np.fft.fft(x, axis=0, out=out[:n])
@@ -133,25 +135,24 @@ def spectral_interpolate(x: np.ndarray, factor: int,
     return out
 
 
-def papr(signal, oversample: int = PAPR_OVERSAMPLE,
-         out: tuple | None = None):
-    """Peak-to-average power ratio of the frame envelope, in dB.
+def papr(signal, out: tuple | None = None):
+    """Peak-to-average power ratio of the frame envelope interpolated
+    ``PAPR_OVERSAMPLE`` times, in dB.
 
     A 1-D signal gives a float. Trailing batch axes give one value per
     frame, each computed exactly as for that frame alone.
 
     ``out``, if given, is the pair ``(z, env)`` of work arrays, complex
-    and float, shaped like the interpolated signal (``oversample`` times
-    the rows of ``signal``) and Fortran-ordered; without it both are
+    and float, shaped like the interpolated signal (``PAPR_OVERSAMPLE``
+    times the rows of ``signal``) and Fortran-ordered; without it both are
     allocated for this call.
     """
     s = np.asarray(signal)
-    if oversample < 1:
-        raise ValueError("oversample must be >= 1")
     if out is None:
-        out = (None, np.empty((oversample * len(s),) + s.shape[1:], order="F"))
+        out = (None,
+               np.empty((PAPR_OVERSAMPLE * len(s),) + s.shape[1:], order="F"))
     z, env = out
-    z = spectral_interpolate(s, oversample, out=z)
+    z = spectral_interpolate(s, PAPR_OVERSAMPLE, out=z)
     # Fortran order keeps each frame contiguous, so the mean is summed in
     # the same order as for a lone frame.
     np.abs(z, out=env)
@@ -241,27 +242,23 @@ def papr_ccdf(source, trials: int, thresholds, seed) -> CcdfCurve:
 # spectrum
 # ---------------------------------------------------------------------------
 
-def psd_welch(signal, segment: int, overlap_fraction: float = 0.5) -> PsdEstimate:
+def psd_welch(signal, segment: int) -> PsdEstimate:
     """Two-sided Welch density at f_s = 1, in dB relative to its peak.
 
-    Segments of ``segment`` samples start every ``segment -
-    round(overlap_fraction * segment)`` samples, unpadded and not
-    detrended. The density is the mean over segments of ``|FFT(w x)|^2 /
-    sum(w^2)``, ``w[n] = 0.5 - 0.5 cos(2 pi n / segment)`` the periodic
-    Hann window, on the shifted ``np.fft.fftfreq`` axis.
+    Segments of ``segment`` samples overlap by half, starting every
+    ``segment - round(segment / 2)`` samples, unpadded and not detrended.
+    The density is the mean over segments of ``|FFT(w x)|^2 / sum(w^2)``,
+    ``w[n] = 0.5 - 0.5 cos(2 pi n / segment)`` the periodic Hann window,
+    on the shifted ``np.fft.fftfreq`` axis.
     """
     s = np.asarray(signal)
     if segment < 8 or segment > len(s):
         raise ValueError("segment must satisfy 8 <= segment <= len(s)")
-    if not (0 <= overlap_fraction < 1
-            and round(overlap_fraction * segment) < segment):
-        raise ValueError("overlap_fraction must lie in [0, 1) and round to "
-                         "an overlap shorter than the segment")
     # w as scipy.signal.welch computes it, scaled before the FFT: any change
     # in its last bits moves the -140 dBr floors by ~1e-9 dB
     w = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, segment + 1)[:-1])
     w = w * (1 / np.sqrt(sum(w ** 2)))
-    step = segment - int(round(overlap_fraction * segment))
+    step = segment - round(segment / 2)
     segments = np.lib.stride_tricks.sliding_window_view(s, segment)[::step]
     pxx = np.zeros(segment)
     for b in range(0, len(segments), WELCH_BLOCK):
@@ -362,17 +359,19 @@ def sir_orthogonality(params: WaveformParams, compensated: bool = True) -> float
 # bit error rate
 # ---------------------------------------------------------------------------
 
-def ber_experiment(params: WaveformParams, channel_spec: ChannelSpec,
-                   snr_grid, trials: int, seed, xi: int = 0) -> list:
+def ber_experiment(params: WaveformParams, paths, snr_grid, trials: int,
+                   seed, xi: int = 0) -> list:
     """Monte Carlo coded-free BER with MMSE detection: one ``(snr_db,
-    ber)`` row per entry of ``snr_grid``.
+    ber)`` row per entry of ``snr_grid``, each within ``±SNR_LIMIT_DB``.
 
     Detection runs on the despread data-restricted channel; the noise
     term uses the white per-sample variance (exact for flat-fold
     prototypes, a documented approximation otherwise). Frames use K = 1
     regardless of ``params.K``; the SNR axis refers to the time-domain
-    signal as produced by the channel model. ``xi`` is the Doppler guard
-    of the chirp feasibility rule that the channel's paths must meet.
+    signal as produced by the channel model. The channel is ``paths``
+    scaled to unit total power, on the M samples of that frame with the
+    prefix phase of its modulation chirp rate c1. ``xi`` is the Doppler
+    guard of the chirp feasibility rule that the paths must meet.
 
     Trial ``t`` at SNR index ``i`` draws its bits and then its noise from
     ``default_rng([seed, i, t])``. Chunks of ``TRIAL_CHUNK`` trials run
@@ -382,10 +381,13 @@ def ber_experiment(params: WaveformParams, channel_spec: ChannelSpec,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not all(abs(snr_db) <= SNR_LIMIT_DB for snr_db in snr_grid):
+        raise ValueError(f"every SNR must lie within ±{SNR_LIMIT_DB:g} dB")
     params1 = replace(params, K=1) if params.K != 1 else params
-    check_paths_feasible(channel_spec.paths, xi, params1.dims.P)
-    spec = channel_spec.normalized()
+    check_paths_feasible(paths, xi, params1.dims.P)
     M = params1.M
+    spec = ChannelSpec(paths=paths, M=M,
+                       c1=params1.chirps_mod.c1).normalized()
     modem = AfbmModem(params1)
     H_d = data_restricted_channel(spec, modem)
     lam, V = np.linalg.eigh(H_d.conj().T @ H_d)

@@ -11,7 +11,8 @@ the tests import.
 
 import numpy as np
 
-from afbm.channel import check_paths_feasible, data_restricted_channel
+from afbm.channel import (ChannelSpec, check_paths_feasible,
+                          data_restricted_channel)
 from afbm.filterbank import output_length
 from afbm.metrics import AFDM_OOBE_OVERSAMPLE, spectral_interpolate
 from afbm.modem import (BITS_PER_SYMBOL, AfbmModem, afdm_modulate,
@@ -282,16 +283,19 @@ def afdm_oobe_signal(params, rng):
                            for s in symbols])
 
 
-def ber_trial_errors(params, channel_spec, snr_grid, trials, seed):
-    """Bit errors of each trial (SNR x trial) of the BER experiment.
+def ber_trial_errors(params, paths, snr_grid, trials, seed):
+    """Bit errors of each trial (SNR x trial) of the BER experiment on a
+    K = 1 ``params``, over ``paths`` scaled to unit power with the prefix
+    phase of the modulation chirp rate.
 
     One frame at a time: trial ``t`` at SNR index ``i`` draws its bits,
     then its real and imaginary noise from ``default_rng([seed, i, t])``,
     goes through the dense :func:`build_channel` matrix, and is detected
     with :func:`mmse_equalize` and a per-symbol demap.
     """
-    check_paths_feasible(channel_spec.paths, 0, params.dims.P)
-    spec = channel_spec.normalized()
+    check_paths_feasible(paths, 0, params.dims.P)
+    spec = ChannelSpec(paths=paths, M=params.M,
+                       c1=params.chirps_mod.c1).normalized()
     H = build_channel(spec)
     modem = AfbmModem(params)
     H_d = data_restricted_channel(spec, modem)
@@ -313,13 +317,14 @@ def ber_trial_errors(params, channel_spec, snr_grid, trials, seed):
 # scipy references
 # ---------------------------------------------------------------------------
 
-def welch_psd(s, segment, overlap_fraction=0.5):
+def welch_psd(s, segment):
     """``(freq, density)`` of ``scipy.signal.welch`` in the setting of
-    ``psd_welch``, before its shift and normalisation."""
+    ``psd_welch`` (half-overlapping segments), before its shift and
+    normalisation."""
     from scipy.signal import welch  # slow to import; only the Welch tests
 
     return welch(s, fs=1.0, window="hann", nperseg=segment,
-                 noverlap=int(round(overlap_fraction * segment)),
+                 noverlap=round(segment / 2),
                  detrend=False, return_onesided=False, scaling="density")
 
 

@@ -11,14 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from afbm.channel import (
-    ChannelSpec,
-    PathSpec,
-    effective_channels,
-    path_separation_metric,
-    pick_chirp_params,
-)
-from afbm.cli import read_config_file, resolve_config
+from afbm.channel import PathSpec, pick_chirp_params
+from afbm.cli import read_config_file, resolve_config, run
 from afbm.filterbank import (
     compensation_vector,
     data_indices,
@@ -45,7 +39,6 @@ from afbm.modem import (
     place_grid,
     spread,
 )
-from afbm.transforms import apply_daft
 from oracles import (assemble_filter_matrix, daft_matrix,
                      dense_transmit_matrix, synthesis_matrix)
 
@@ -200,21 +193,9 @@ def test_acceptance_6_effective_channel_structure(capfd, tmp_path):
     start = time.monotonic()
     data = read_config_file(CONFIG_DIR / "fig2.cfg")
     data["out"] = str(tmp_path)
-    cfg = resolve_config(data)
-    params1 = replace(cfg.waveform, K=1)
-    spec = ChannelSpec(paths=cfg.paths, M=params1.M,
-                       c1=cfg.waveform.chirps_mod.c1).normalized()
-    basis = spread(np.eye(params1.dims.L, dtype=complex)[:, None, :],
-                   params1)
-    metric_afbm = path_separation_metric(
-        *effective_channels(spec, basis), xi=cfg.xi)
-    L_a = cfg.afdm.L_a
-    spec_b = ChannelSpec(paths=cfg.paths, M=L_a,
-                         c1=cfg.afdm.chirps.c1).normalized()
-    basis_b = apply_daft(np.eye(L_a, dtype=complex), cfg.afdm.chirps,
-                         adjoint=True)
-    metric_afdm = path_separation_metric(
-        *effective_channels(spec_b, basis_b), xi=cfg.xi)
+    score = {row[0]: row[3] for row in run(resolve_config(data))}
+    metric_afbm = score["path_separation_afbm"]
+    metric_afdm = score["path_separation_afdm"]
     elapsed = time.monotonic() - start
     ok = (metric_afbm >= 0.9 and abs(metric_afdm - 1.0) <= 1e-12
           and elapsed <= 60.0)
@@ -250,7 +231,7 @@ def test_acceptance_7_chirp_feasibility(capfd):
 def test_acceptance_8_ber_sanity(capfd):
     start = time.monotonic()
     params = _reference_waveform()
-    awgn = ChannelSpec(paths=(PathSpec(1.0, 0, 0.0),), M=384)
+    awgn = (PathSpec(1.0, 0, 0.0),)
     grid = [-3.0, -2.0, -1.0, 0.0, 1.0]
     rows = ber_experiment(params, awgn, snr_grid=grid, trials=300, seed=8)
     ber = np.array([row[1] for row in rows])
@@ -262,8 +243,8 @@ def test_acceptance_8_ber_sanity(capfd):
     snr_ref = 10 * np.log10(2.3263478740408408 ** 2 / 6.0)
     offset = abs(snr_cross - snr_ref)
 
-    multi = ChannelSpec(paths=(PathSpec(1.0, 0, 0.0), PathSpec(0.7, 1, 1.0),
-                               PathSpec(0.5, 2, -1.0)), M=384)
+    multi = (PathSpec(1.0, 0, 0.0), PathSpec(0.7, 1, 1.0),
+             PathSpec(0.5, 2, -1.0))
     rows2 = ber_experiment(params, multi, snr_grid=[0, 5, 10, 15, 20],
                            trials=300, seed=9)
     ber2 = np.array([row[1] for row in rows2])

@@ -2,18 +2,18 @@
 
 import json
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from afbm import __version__
 from afbm.channel import check_paths_feasible
+from afbm.metrics import SNR_LIMIT_DB
 from afbm.transforms import ChirpPair
 from afbm.cli import (
     EXPERIMENTS,
-    ResultTable,
-    load_config,
+    _write_table,
     main,
     read_config_file,
     resolve_config,
@@ -26,7 +26,6 @@ def write_config(tmp_path, data, name="exp.cfg"):
     path.write_text(json.dumps(data))
     return path
 
-
 SMALL_WAVEFORM = {"L": 32, "P": 48, "N": 64, "K": 1}
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -38,7 +37,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 def test_empty_config_gives_reference_defaults(tmp_path):
     path = tmp_path / "empty.cfg"
     path.write_text("")
-    cfg = load_config(path)
+    cfg = resolve_config(read_config_file(path))
     assert cfg.experiment == "papr"
     wf = cfg.waveform
     assert (wf.dims.L, wf.dims.P, wf.dims.N, wf.K) == (128, 192, 256, 8)
@@ -119,13 +118,17 @@ NAN = float("nan")
     (one_path(gain=0.0), "channel.paths"),
     ({"waveform": {"overlap": 1e30}}, "waveform.overlap"),
     ({"waveform": {"overlap": 1e6}}, "waveform.overlap"),
+    ({"snr_grid": [0, 4000]}, "snr_grid"),
+    ({"snr_grid": [-4000]}, "snr_grid"),
+    ({"snr_grid": [SNR_LIMIT_DB + 0.5]}, "snr_grid"),
 ], ids=["trials-bool", "seed-bool", "K-float", "snr-nan", "delay-float",
         "waveform-int", "afdm-int", "channel-list", "path-int",
         "path-no-doppler", "f_max-str", "c1-str", "overlap-str", "f_max-nan",
         "f_max-huge", "overlap-nan", "filter-int", "afdm-c1-negative",
         "out-int", "paths-empty", "gain-bool", "doppler-bool", "f_max-bool",
         "overlap-bool", "gain-str", "filter-lowercase", "zero-power",
-        "overlap-1e30", "overlap-1e6"])
+        "overlap-1e30", "overlap-1e6", "snr-overflow", "snr-underflow",
+        "snr-past-limit"])
 def test_resolve_config_rejects_values_of_the_wrong_type(
         data, name, tmp_path, capsys, monkeypatch):
     with pytest.raises(ValueError, match=re.escape(name)):
@@ -167,15 +170,27 @@ def test_oobe_refuses_records_shorter_than_a_welch_segment(tmp_path, capsys):
                         experiment="oobe", trials=1))
 
 
-def test_resolve_config_rejects_wrong_types_from_a_config_file(tmp_path):
-    # JSON's NaN, true and 2.0 reach the resolver as float/bool values
-    for text in ('{"snr_grid": [0, NaN]}', '{"trials": true}',
-                 '{"waveform": {"N": 256.0}}', '{"channel": {"xi": 1.0}}',
-                 '{"afdm": {"cpp_len": 2.0}}', '{"snr_grid": []}'):
-        path = tmp_path / "bad.cfg"
+def test_resolve_config_rejects_wrong_types_from_a_config_file(tmp_path,
+                                                               capsys):
+    # JSON's NaN, true and 2.0 reach the resolver as float/bool values, and
+    # a repeated key would silently keep its last value
+    path, out = tmp_path / "bad.cfg", tmp_path / "out"
+    for text, name in (
+            ('{"snr_grid": [0, NaN]}', "snr_grid"),
+            ('{"trials": true}', "trials"),
+            ('{"waveform": {"N": 256.0}}', "waveform.N"),
+            ('{"channel": {"xi": 1.0}}', "channel.xi"),
+            ('{"afdm": {"cpp_len": 2.0}}', "afdm.cpp_len"),
+            ('{"snr_grid": []}', "snr_grid"),
+            ('{"trials": 3, "trials": 5}', "'trials'"),
+            ('{"waveform": {"K": 1, "L": 64, "K": 2}}', "'K'")):
         path.write_text(text)
-        with pytest.raises(ValueError):
-            load_config(path)
+        with pytest.raises(ValueError, match=re.escape(name)):
+            resolve_config(read_config_file(path))
+        # the command line fails the same way, before any output is written
+        assert main(["ber", "--config", str(path), "--out", str(out)]) == 1
+        assert name in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("data,message", [
@@ -209,7 +224,7 @@ def test_resolve_config_accepts_every_documented_key():
     assert cfg.waveform.chirps_pre == ChirpPair(0.02, 0.001)
     assert cfg.afdm.cpp_len == 3 and cfg.afdm.chirps.c1 == 0.015
     for name in ("fig2", "fig3", "fig4"):
-        load_config(CONFIG_DIR / f"{name}.cfg")
+        resolve_config(read_config_file(CONFIG_DIR / f"{name}.cfg"))
 
 
 def test_resolve_config_explicit_chirps_override_the_rule():
@@ -246,8 +261,8 @@ PINNED_HASHES = {
 
 def test_config_hash_is_pinned():
     for name, digest in PINNED_HASHES.items():
-        cfg = (load_config(CONFIG_DIR / f"{name}.cfg") if name
-               else resolve_config({}))
+        cfg = resolve_config(
+            read_config_file(CONFIG_DIR / f"{name}.cfg") if name else {})
         assert cfg.config_hash == digest, name
 
 
@@ -271,20 +286,17 @@ def test_complex_path_gain_accepted():
 # ---------------------------------------------------------------------------
 
 def test_result_table_format(tmp_path):
-    table = ResultTable(metadata={"seed": 3, "experiment": "orth"},
-                        columns=("metric", "value"),
-                        rows=[("sir", 150.0), ("count", 2)])
-    path = tmp_path / "out" / "table.csv"
-    table.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# seed=3"
-    assert lines[1] == "# experiment=orth"
-    assert lines[2] == "metric,value"
-    assert lines[3] == "sir,150.0"
-    assert lines[4] == "count,2"
+    cfg = resolve_config({"experiment": "orth", "seed": 3})
+    rows = [("sir", 150.0), ("count", 2)]
+    path = tmp_path / "table.csv"
+    _write_table(cfg, path, ("metric", "value"), rows, shape="2x2")
+    assert path.read_text().splitlines() == [
+        f"# config_hash={cfg.config_hash}", "# seed=3",
+        f"# version={__version__}", "# experiment=orth", "# shape=2x2",
+        "metric,value", "sir,150.0", "count,2"]
     # without columns the rows follow the header directly
-    replace(table, columns=()).write_csv(path)
-    assert path.read_text().splitlines()[2:] == ["sir,150.0", "count,2"]
+    _write_table(cfg, path, (), iter(rows))
+    assert path.read_text().splitlines()[4:] == ["sir,150.0", "count,2"]
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +307,8 @@ def test_orth_experiment_runs(tmp_path):
     cfg = resolve_config({"experiment": "orth",
                           "waveform": SMALL_WAVEFORM,
                           "out": str(tmp_path / "orth")})
-    table = run(cfg)
-    metrics = {row[0]: row[3] for row in table.rows}
+    rows = run(cfg)
+    metrics = {row[0]: row[3] for row in rows}
     assert "sir_compensated" in metrics
     assert "sir_uncompensated" in metrics
     assert metrics["sir_compensated"] >= 60.0
@@ -307,8 +319,8 @@ def test_effchan_experiment_writes_magnitude_grid(tmp_path):
     cfg = resolve_config({"experiment": "effchan", "trials": 1,
                           "waveform": SMALL_WAVEFORM,
                           "out": str(tmp_path / "eff")})
-    table = run(cfg)
-    names = [row[0] for row in table.rows]
+    rows = run(cfg)
+    names = [row[0] for row in rows]
     assert "path_separation_afbm" in names
     assert "path_separation_afdm" in names
     grid = (tmp_path / "eff" / "effchan_magnitude.csv").read_text()
@@ -321,20 +333,20 @@ def test_effchan_experiment_writes_magnitude_grid(tmp_path):
 def test_papr_experiment_small(tmp_path):
     cfg = resolve_config({"experiment": "papr", "trials": 25,
                           "out": str(tmp_path / "papr")})
-    table = run(cfg)
+    rows = run(cfg)
     assert (tmp_path / "papr" / "papr_afbm.csv").exists()
     assert (tmp_path / "papr" / "papr_afdm.csv").exists()
-    names = [row[0] for row in table.rows]
+    names = [row[0] for row in rows]
     assert any(n.startswith("papr_at_ccdf") for n in names)
 
 
 def test_oobe_experiment_small(tmp_path):
     cfg = resolve_config({"experiment": "oobe", "trials": 12,
                           "out": str(tmp_path / "oobe")})
-    table = run(cfg)
+    rows = run(cfg)
     assert (tmp_path / "oobe" / "psd_afbm.csv").exists()
     assert (tmp_path / "oobe" / "psd_afdm.csv").exists()
-    metrics = {row[0]: row[3] for row in table.rows}
+    metrics = {row[0]: row[3] for row in rows}
     assert metrics["oobe_floor_afbm"] < metrics["oobe_floor_afdm"]
 
 
@@ -342,8 +354,8 @@ def test_ber_experiment_small(tmp_path):
     cfg = resolve_config({"experiment": "ber", "trials": 3,
                           "snr_grid": [100.0],
                           "out": str(tmp_path / "ber")})
-    table = run(cfg)
-    ber_rows = [row for row in table.rows if row[0] == "ber"]
+    rows = run(cfg)
+    ber_rows = [row for row in rows if row[0] == "ber"]
     assert ber_rows and ber_rows[0][3] == 0.0
     assert (tmp_path / "ber" / "ber.csv").exists()
 
@@ -372,7 +384,7 @@ def test_effchan_rejects_paths_beyond_the_declared_bounds(tmp_path, capsys):
         assert "channel.paths: infeasible" in capsys.readouterr().err
         assert not out.exists()
     for path in sorted(CONFIG_DIR.glob("*.cfg")):
-        bundled = load_config(path)
+        bundled = resolve_config(read_config_file(path))
         for size in (bundled.waveform.dims.P, bundled.afdm.L_a):
             check_paths_feasible(bundled.paths, bundled.xi, size)
 
