@@ -19,7 +19,8 @@ m-th entries of Phi_r and Z^{f_r}, O(paths * M) per column.
 Also here: the chirp-rate feasibility rule for keeping paths separable,
 the effective channels ``Bᴴ H B`` of a waveform basis ``B`` (the whole
 channel and each distinct path), a path separation score, and the
-data-to-data channel that the BER detector equalizes.
+data-to-data channel that the BER detector equalizes, with the noise
+covariance it sees.
 """
 
 from __future__ import annotations
@@ -174,13 +175,18 @@ def path_separation_metric(H_eff, references, xi: int = 0) -> float:
     return float(energy[keep].sum() / total)
 
 
-def data_restricted_channel(spec: ChannelSpec, modem: AfbmModem) -> np.ndarray:
-    """Despread data-to-data channel seen by the symbol detector.
+def data_restricted_channel(spec: ChannelSpec, modem: AfbmModem):
+    """Despread data-to-data channel seen by the symbol detector, and the
+    covariance of white unit-variance channel noise there.
 
     Runs the full receive chain of ``modem`` over the response of the
     channel ``spec`` to each transmitted data symbol (single-symbol
-    frame) and keeps the data rows: an (L/2) x (L/2) matrix suitable for
-    linear equalization.
+    frame) and keeps the data rows: ``H_d``, an (L/2) x (L/2) matrix
+    suitable for linear equalization. With ``S_d`` those transmitted
+    columns, the receive chain on the data rows is ``R = D S_dᴴ`` for
+    ``D = diag(b_rx / b_tx)``, so the noise covariance is
+    ``G = R Rᴴ = D (S_dᴴ S_d) D``, the identity for a flat-fold prototype
+    under the split policy.
     """
     params = modem.params
     if params.K != 1:
@@ -189,4 +195,7 @@ def data_restricted_channel(spec: ChannelSpec, modem: AfbmModem) -> np.ndarray:
     data = data_indices(L)
     A = np.zeros((L, 1, L // 2), dtype=complex)
     A[data, 0, np.arange(L // 2)] = 1.0
-    return modem.demodulate(spec.apply(modem.modulate(A)))[data, 0]
+    S_d = modem.modulate(A)
+    H_d = modem.demodulate(spec.apply(S_d))[data, 0]
+    d = modem.b_rx[data] / modem.b_tx[data]
+    return H_d, d[:, None] * (S_d.conj().T @ S_d) * d[None, :]

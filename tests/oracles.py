@@ -11,12 +11,11 @@ the tests import.
 
 import numpy as np
 
-from afbm.channel import (ChannelSpec, check_paths_feasible,
-                          data_restricted_channel)
-from afbm.filterbank import output_length
+from afbm.channel import ChannelSpec, check_paths_feasible
+from afbm.filterbank import data_indices, output_length
 from afbm.metrics import AFDM_OOBE_OVERSAMPLE, spectral_interpolate
 from afbm.modem import (BITS_PER_SYMBOL, AfbmModem, afdm_modulate,
-                        extract_grid, map_symbols, place_grid)
+                        map_symbols, place_grid)
 from afbm.transforms import apply_daft, chirp_phase
 
 _QAM16_AXIS_BITS = {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}
@@ -145,6 +144,19 @@ def dense_transmit_matrix(params):
     return G @ np.kron(np.eye(params.K), Qc)
 
 
+def dense_receive_matrix(params):
+    """Explicit L/2 x M receive chain of a one-symbol frame on the data
+    rows: ``diag(b_rx)`` times the adjoint of filtering, synthesis and
+    precoding, ``extract_grid(demodulate(r))`` as a matrix."""
+    if params.K != 1:
+        raise ValueError("the receive matrix is defined for K = 1")
+    chain = (assemble_filter_matrix(params.filter, 1)
+             @ synthesis_matrix(params.dims, params.chirps_mod)
+             @ daft_matrix(params.chirps_pre, params.dims.L))
+    b_rx = AfbmModem(params).b_rx
+    return (b_rx[:, None] * chain.conj().T)[data_indices(params.dims.L)]
+
+
 # ---------------------------------------------------------------------------
 # receivers, channel and detector, one frame at a time
 # ---------------------------------------------------------------------------
@@ -189,8 +201,9 @@ def apply_channel(signal, H, snr_db, seed=None):
     return r
 
 
-def mmse_equalize(x_tilde, H_d, noise_var):
-    """Linear MMSE estimate (H_dᴴ H_d + noise_var I)⁻¹ H_dᴴ x̃.
+def mmse_equalize(x_tilde, H_d, noise_var, cov=None):
+    """Linear MMSE estimate (H_dᴴ Σ⁻¹ H_d + noise_var I)⁻¹ H_dᴴ Σ⁻¹ x̃ for
+    noise of covariance ``noise_var Σ``, ``Σ = cov`` or the identity.
 
     With ``noise_var = 0`` this is zero-forcing and raises if the system
     is singular.
@@ -199,8 +212,10 @@ def mmse_equalize(x_tilde, H_d, noise_var):
     n = H_d.shape[1]
     if H_d.shape[0] != len(x_tilde):
         raise ValueError("dimension mismatch between channel and input")
-    A = H_d.conj().T @ H_d + noise_var * np.eye(n)
-    return np.linalg.solve(A, H_d.conj().T @ x_tilde)
+    HhSi = (H_d.conj().T if cov is None
+            else np.linalg.solve(cov, H_d).conj().T)
+    A = HhSi @ H_d + noise_var * np.eye(n)
+    return np.linalg.solve(A, HhSi @ x_tilde)
 
 
 def demap_symbols_dict(symbols, constellation):
@@ -290,15 +305,18 @@ def ber_trial_errors(params, paths, snr_grid, trials, seed):
 
     One frame at a time: trial ``t`` at SNR index ``i`` draws its bits,
     then its real and imaginary noise from ``default_rng([seed, i, t])``,
-    goes through the dense :func:`build_channel` matrix, and is detected
-    with :func:`mmse_equalize` and a per-symbol demap.
+    goes through the dense :func:`build_channel` matrix and the dense
+    receive chain ``R``, and is detected with :func:`mmse_equalize` for
+    the noise covariance ``R Rᴴ`` and a per-symbol demap.
     """
     check_paths_feasible(paths, 0, params.dims.P)
     spec = ChannelSpec(paths=paths, M=params.M,
                        c1=params.chirps_mod.c1).normalized()
     H = build_channel(spec)
+    R = dense_receive_matrix(params)
+    H_d = R @ H @ dense_transmit_matrix(params)[:, data_indices(params.dims.L)]
+    cov = R @ R.conj().T
     modem = AfbmModem(params)
-    H_d = data_restricted_channel(spec, modem)
     errors = np.zeros((len(snr_grid), trials), dtype=int)
     for i, snr_db in enumerate(snr_grid):
         for t in range(trials):
@@ -307,7 +325,7 @@ def ber_trial_errors(params, paths, snr_grid, trials, seed):
             rx = apply_channel(sig, H, snr_db, seed=rng)
             nvar = np.sum(np.abs(H @ sig) ** 2) / params.M / 10 ** (
                 snr_db / 10)
-            est = mmse_equalize(extract_grid(modem.demodulate(rx)), H_d, nvar)
+            est = mmse_equalize(R @ rx, H_d, nvar, cov)
             errors[i, t] = np.sum(
                 demap_symbols_dict(est, params.constellation) != bits)
     return errors

@@ -1,5 +1,7 @@
 """Unit tests for the doubly-dispersive channel model and equalization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,12 @@ from afbm.channel import (
     path_separation_metric,
     pick_chirp_params,
 )
-from afbm.filterbank import prototype_filter
+from afbm.filterbank import data_indices, prototype_filter
 from afbm.modem import (AfbmModem, ChirpPair, WaveformParams,
                         afdm_modulate, spread)
 from afbm.transforms import DaftDims, apply_daft
 from oracles import (apply_channel, assemble_filter_matrix, build_channel,
+                     dense_receive_matrix, dense_transmit_matrix,
                      mmse_equalize, synthesis_matrix)
 
 
@@ -380,11 +383,31 @@ def test_path_separation_rejects_empty_channel():
 # ---------------------------------------------------------------------------
 
 def test_data_restricted_channel_identity(ref_params):
-    H_d = data_restricted_channel(
+    H_d, G = data_restricted_channel(
         ChannelSpec(paths=(PathSpec(1.0, 0, 0.0),), M=384),
         AfbmModem(ref_params))
     assert H_d.shape == (64, 64)
     assert np.abs(H_d - np.eye(64)).max() < 1e-12
+    # flat-fold prototype, split policy: white noise stays white
+    assert np.abs(G - np.eye(64)).max() < 1e-12
+
+
+@pytest.mark.parametrize("filt", ["HERMITE", "PHYDYAS"])
+@pytest.mark.parametrize("compensation", ["split", "tx"])
+def test_data_restricted_channel_noise_covariance_matches_dense(
+        filt, compensation, ref_params):
+    params = replace(ref_params, compensation=compensation,
+                     filter=prototype_filter(filt, 1.5 if filt == "HERMITE"
+                                             else 4, 256))
+    spec = ChannelSpec(paths=(PathSpec(1.0, 0, 0.0), PathSpec(0.7, 1, 1.0)),
+                       M=params.M, c1=params.chirps_mod.c1)
+    H_d, G = data_restricted_channel(spec, AfbmModem(params))
+    R = dense_receive_matrix(params)
+    T_d = dense_transmit_matrix(params)[:, data_indices(params.dims.L)]
+    ref = R @ R.conj().T
+    assert np.abs(G - ref).max() < 1e-12 * np.abs(ref).max()
+    ref = R @ build_channel(spec) @ T_d
+    assert np.abs(H_d - ref).max() < 1e-12 * np.abs(ref).max()
 
 
 def test_data_restricted_channel_requires_single_symbol(ref_params_frame):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from afbm.metrics import (
+    BER_PASS,
     SNR_LIMIT_DB,
     TRIAL_CHUNK,
     AfdmParams,
@@ -536,31 +537,67 @@ THREE_PATHS = (PathSpec(1.0, 0, 0.0), PathSpec(0.7, 1, 1.0),
 def _ber_case(name, ref_params):
     if name == "qpsk-hermite-awgn":
         return ref_params, (PathSpec(1.0, 0, 0.0),), [-3.0, -1.0, 1.0]
-    if name == "qam16-hermite-multipath":
-        return (replace(ref_params, constellation="QAM16"), THREE_PATHS,
-                [4.0, 8.0, 12.0])
-    chirps = pick_chirp_params(2, 1.0, 0, 128)
-    phydyas = WaveformParams(dims=DaftDims(64, 128, 128), K=1,
-                             chirps_pre=chirps, chirps_mod=chirps,
-                             filter=prototype_filter("PHYDYAS", 4, 128))
-    return phydyas, THREE_PATHS, [-10.0, -7.0, -4.0]
+    if name.startswith("qam16-hermite-multipath"):
+        params = replace(ref_params, constellation="QAM16")
+        grid = [4.0, 8.0, 12.0]
+    else:
+        chirps = pick_chirp_params(2, 1.0, 0, 128)
+        params = WaveformParams(dims=DaftDims(64, 128, 128), K=1,
+                                chirps_pre=chirps, chirps_mod=chirps,
+                                filter=prototype_filter("PHYDYAS", 4, 128))
+        grid = [-10.0, -7.0, -4.0]
+    if name.endswith("-tx"):
+        params = replace(params, compensation="tx")
+    return params, THREE_PATHS, grid
 
 
-@pytest.mark.parametrize("name", ["qpsk-hermite-awgn",
-                                  "qam16-hermite-multipath",
-                                  "qpsk-phydyas4-multipath"])
+BER_CASES = ("qpsk-hermite-awgn", "qam16-hermite-multipath",
+             "qpsk-phydyas4-multipath")
+
+
+@pytest.mark.parametrize("name", BER_CASES + ("qam16-hermite-multipath-tx",
+                                              "qpsk-phydyas4-multipath-tx"))
 def test_ber_experiment_matches_per_frame_oracle(name, ref_params):
-    # trial counts around the TRIAL_CHUNK boundaries; earlier trials keep
-    # their draws, so each count is a prefix of the 35-trial oracle
+    # earlier trials keep their draws, so each trial count is a prefix of
+    # the oracle's; on three SNR points, a lone trial, BER_PASS // 3 trials
+    # in one pass that spans all three points, and one and two trials more,
+    # whose pass boundaries fall inside an SNR point; then one full pass
     params, paths, grid = _ber_case(name, ref_params)
-    per_trial = ber_trial_errors(params, paths, grid, 35, seed=12)
+    per_trial = ber_trial_errors(params, paths, grid, BER_PASS, seed=12)
     assert np.all(per_trial.sum(axis=1) > 0)
-    assert TRIAL_CHUNK == 16
     bits = params.data_per_frame * BITS_PER_SYMBOL[params.constellation]
-    for trials in (1, 15, 16, 17, 35):
+    for trials in (1, BER_PASS // 3, BER_PASS // 3 + 1,
+                   2 * (BER_PASS // 3) + 1):
         rows = ber_experiment(params, paths, grid, trials, seed=12)
         expected = per_trial[:, :trials].sum(axis=1) / (trials * bits)
         assert [row[1] for row in rows] == expected.tolist()
+    rows = ber_experiment(params, paths, grid[:1], BER_PASS, seed=12)
+    assert rows == [(grid[0], per_trial[0].sum() / (BER_PASS * bits))]
+
+
+@pytest.mark.parametrize("name", BER_CASES)
+def test_ber_experiment_rows_do_not_depend_on_the_pass_size(
+        name, ref_params, monkeypatch):
+    import afbm.metrics as metrics
+
+    params, paths, grid = _ber_case(name, ref_params)
+    rows = ber_experiment(params, paths, grid, 9, seed=5)
+    for size in (1, 7):
+        monkeypatch.setattr(metrics, "BER_PASS", size)
+        assert ber_experiment(params, paths, grid, 9, seed=5) == rows
+
+
+def test_ber_tx_compensation_equals_split_for_hermite(ref_params):
+    # Hermite 1.5 has flat chain gains b: the transmit-only frame is the
+    # split frame times b, its noise at the same SNR too, so both reach the
+    # detector alike and only the noise model of the detector differs
+    params, paths, _ = _ber_case("qam16-hermite-multipath", ref_params)
+    grid = [0.0, 6.0, 10.0, 14.0]
+    split = ber_experiment(params, paths, grid, 40, seed=3)
+    tx = ber_experiment(replace(params, compensation="tx"), paths, grid, 40,
+                        seed=3)
+    assert tx == split
+    assert split[0][1] > 0.1 and split[-1][1] < 0.05
 
 
 def test_ber_experiment_feasibility_gate_uses_xi(ref_params):
