@@ -286,11 +286,13 @@ def _run_papr(cfg: ExperimentConfig, outdir: Path):
     }
     rows = []
     for name, curve in curves.items():
+        # lists of floats take the fast path of _format_cell
+        table = list(zip(curve.thresholds.tolist(),
+                         curve.probabilities.tolist()))
         rows += [(f"papr_ccdf_{name}", cfg.config_id, th, p)
-                 for th, p in zip(curve.thresholds, curve.probabilities)]
+                 for th, p in table]
         _write_table(cfg, outdir / f"papr_{name}.csv",
-                     ("threshold_db", "ccdf"),
-                     zip(curve.thresholds, curve.probabilities))
+                     ("threshold_db", "ccdf"), table)
     lvl_afbm = curves["afbm"].level_at(1e-2)
     lvl_afdm = curves["afdm"].level_at(1e-2)
     rows.append(("papr_at_ccdf_1e-2_afbm", cfg.config_id, 1e-2, lvl_afbm))
@@ -306,13 +308,12 @@ def _run_oobe(cfg: ExperimentConfig, outdir: Path):
     rows, floors, probes = [], {}, {}
     for name, source in (("afbm", cfg.waveform), ("afdm", cfg.afdm)):
         edges = metrics.band_edges(source)
-        sig = metrics.spectrum_signal(source, cfg.trials, cfg.seed)
-        psd = metrics.psd_welch(sig, segment)
+        psd = metrics.spectrum_psd(source, cfg.trials, cfg.seed, segment)
         floors[name] = metrics.oobe_floor(psd, edges)
         probes[name] = metrics.oobe_level(psd, edges, 0.1 * edges[1])
         _write_table(cfg, outdir / f"psd_{name}.csv",
                      ("normalized_frequency", "power_dbr"),
-                     zip(psd.freq, psd.power_dbr))
+                     zip(psd.freq.tolist(), psd.power_dbr.tolist()))
         rows.append((f"oobe_floor_{name}", cfg.config_id, edges[1],
                      floors[name]))
         rows.append((f"oobe_probe10_{name}", cfg.config_id, 1.1 * edges[1],

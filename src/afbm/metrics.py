@@ -12,6 +12,9 @@ equal to those of one frame at a time bit for bit; the BER loop one
 flat list of ``(snr_index, trial)`` jobs, ``BER_PASS`` frames at a time
 across SNR points, adding the channel, applied path by path, and the
 whitened MMSE filter as matrix products over the pass.
+
+The spectrum loop streams each chunk into the Welch estimate as it is
+rendered, so its record is never held whole.
 """
 
 from __future__ import annotations
@@ -215,9 +218,15 @@ def _trial_frames(count, transmit, keys: list, size: int):
     ``rngs[j - j0] = default_rng(keys[j])``, exactly as a one-frame loop
     would, and any further draws of the frame come from it after.
     """
+    # rng.integers(0, 2, count) takes bits 2i and 2i + 1 from bits 31 and
+    # 63 of raw word i, and leaves the generator where this read does
+    shifts = np.array([31, 63], dtype=np.uint64)
     for j0 in range(0, len(keys), size):
         rngs = [np.random.default_rng(key) for key in keys[j0:j0 + size]]
-        bits = np.array([rng.integers(0, 2, size=count) for rng in rngs]).T
+        bits = np.array([rng.bit_generator.random_raw((count + 1) // 2)
+                         for rng in rngs])[..., None] >> shifts
+        bits &= 1
+        bits = bits.view(np.int64).reshape(len(rngs), -1)[:, :count].T
         yield j0, bits, transmit(bits), rngs
 
 
@@ -251,29 +260,72 @@ def papr_ccdf(source, trials: int, thresholds, seed) -> CcdfCurve:
 # spectrum
 # ---------------------------------------------------------------------------
 
-def psd_welch(signal, segment: int) -> PsdEstimate:
-    """Two-sided Welch density at f_s = 1, in dB relative to its peak.
+def psd_welch(pieces, segment: int) -> PsdEstimate:
+    """Two-sided Welch density at f_s = 1, in dB relative to its peak, of
+    the record whose consecutive 1-D pieces ``pieces`` yields (``[x]`` for
+    a whole array ``x``).
 
     Segments of ``segment`` samples overlap by half, starting every
     ``segment - round(segment / 2)`` samples, unpadded and not detrended.
     The density is the mean over segments of ``|FFT(w x)|^2 / sum(w^2)``,
     ``w[n] = 0.5 - 0.5 cos(2 pi n / segment)`` the periodic Hann window,
     on the shifted ``np.fft.fftfreq`` axis.
+
+    The pieces are read as they come, holding at most the samples of one
+    block of ``WELCH_BLOCK`` segments besides the current piece. Blocks are
+    counted from the record's start, so however the record is cut, the
+    estimate is the same to the bit.
     """
-    s = np.asarray(signal)
-    if segment < 8 or segment > len(s):
-        raise ValueError("segment must satisfy 8 <= segment <= len(s)")
+    if segment < 8:
+        raise ValueError("segment must be >= 8")
     # w as scipy.signal.welch computes it, scaled before the FFT: any change
     # in its last bits moves the -140 dBr floors by ~1e-9 dB
     w = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, segment + 1)[:-1])
     w = w * (1 / np.sqrt(sum(w ** 2)))
     step = segment - round(segment / 2)
-    segments = np.lib.stride_tricks.sliding_window_view(s, segment)[::step]
-    pxx = np.zeros(segment)
-    for b in range(0, len(segments), WELCH_BLOCK):
-        X = np.fft.fft(segments[b:b + WELCH_BLOCK] * w, axis=1)
-        pxx += (X.real ** 2 + X.imag ** 2).sum(axis=0)
-    pxx = np.fft.fftshift(pxx / len(segments))
+    span = (WELCH_BLOCK - 1) * step + segment  # the samples of one block
+    keep = segment - step  # the next block starts WELCH_BLOCK * step later
+    pxx, count, held, buf = np.zeros(segment), 0, 0, None
+
+    def add_block(samples):
+        nonlocal pxx, count
+        segments = np.lib.stride_tricks.sliding_window_view(
+            samples, segment)[::step]
+        X = work[:len(segments)]
+        np.multiply(segments, w, out=X)
+        np.fft.fft(X, axis=1, out=X)
+        power, imag = X.real, X.imag  # |X|^2 in the real parts of X
+        np.square(power, out=power)
+        power += np.square(imag, out=imag)
+        pxx += power.sum(axis=0)
+        count += len(segments)
+
+    for piece in pieces:
+        piece = np.asarray(piece)
+        if piece.ndim != 1:
+            raise ValueError("each piece of the record must be 1-D")
+        if buf is None:
+            # allocated once the source has made its first piece: allocated
+            # before it, repeated 200-frame fig4 oobe runs took 4.4k instead
+            # of 2.3k minor faults each, as the heap of the chunk
+            # temporaries was given back and faulted in again
+            buf = np.empty(span, dtype=complex)
+            work = np.empty((WELCH_BLOCK, segment), dtype=complex)
+        pos = 0
+        while pos < len(piece):
+            take = min(span - held, len(piece) - pos)
+            buf[held:held + take] = piece[pos:pos + take]
+            held, pos = held + take, pos + take
+            if held == span:
+                add_block(buf)
+                buf[:keep] = buf[span - keep:]
+                held = keep
+    if held >= segment:
+        add_block(buf[:held])
+    if not count:
+        raise ValueError(f"the record is shorter than one {segment}-sample "
+                         "segment")
+    pxx = np.fft.fftshift(pxx / count)
     freq = np.fft.fftshift(np.fft.fftfreq(segment))
     return PsdEstimate(freq=freq, power_dbr=10 * np.log10(pxx / pxx.max()))
 
@@ -309,20 +361,19 @@ def band_edges(source):
     return (-half, half)
 
 
-def spectrum_signal(source, frames: int, seed) -> np.ndarray:
-    """Concatenate random frames into one long record for Welch averaging."""
+def spectrum_psd(source, frames: int, seed, segment: int) -> PsdEstimate:
+    """:func:`psd_welch` of the record of ``frames`` random frames of
+    ``source``, each rendered for the spectrum and laid end to end. The
+    frames are rendered ``TRIAL_CHUNK`` at a time and streamed into the
+    estimate, so the record is never held whole."""
     if frames < 1:
         raise ValueError("frames must be >= 1")
     count, _, render = _transmitter(source)
-    record = None
     keys = [[seed, t] for t in range(frames)]
-    for t0, _, s, _ in _trial_frames(count, render, keys, TRIAL_CHUNK):
-        if record is None:
-            # frame t fills column t; column-major order makes them one record
-            record = np.empty((len(s), frames), dtype=complex, order="F")
-        record[:, t0:t0 + s.shape[1]] = s
-        del s  # free the chunk before the next one is rendered
-    return record.reshape(-1, order="F")
+    chunks = _trial_frames(count, render, keys, TRIAL_CHUNK)
+    # frame t is column t of its chunk
+    return psd_welch((frame for _, _, s, _ in chunks for frame in s.T),
+                     segment)
 
 
 # ---------------------------------------------------------------------------

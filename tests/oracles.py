@@ -5,15 +5,17 @@ The package applies every operator through fast paths (FFTs, and the
 channel path by path), vectorized over stacks of frames; the versions
 here build the explicit matrices or do one element, symbol or frame at a
 time, the plain way, so the tests can check the fast paths against them.
-The spectrum estimate and the Gaussian tail come from scipy, which only
-the tests import.
+``spectrum_signal`` is the whole record that the spectrum experiment
+streams. The spectrum estimate and the Gaussian tail come from scipy,
+which only the tests import.
 """
 
 import numpy as np
 
 from afbm.channel import ChannelSpec, check_paths_feasible
 from afbm.filterbank import data_indices, output_length
-from afbm.metrics import AFDM_OOBE_OVERSAMPLE, spectral_interpolate
+from afbm.metrics import (AFDM_OOBE_OVERSAMPLE, TRIAL_CHUNK, _transmitter,
+                          _trial_frames, spectral_interpolate)
 from afbm.modem import (BITS_PER_SYMBOL, AfbmModem, afdm_modulate,
                         map_symbols, place_grid)
 from afbm.transforms import apply_daft, chirp_phase
@@ -296,6 +298,17 @@ def afdm_oobe_signal(params, rng):
     _, _, symbols = _afdm_symbols(params, rng)
     return np.concatenate([spectral_interpolate(s, AFDM_OOBE_OVERSAMPLE)
                            for s in symbols])
+
+
+def spectrum_signal(source, frames, seed):
+    """The whole spectrum record that ``metrics.spectrum_psd`` streams:
+    ``frames`` random frames of ``source``, rendered ``TRIAL_CHUNK`` at a
+    time as the experiment renders them and laid end to end in one array."""
+    count, _, render = _transmitter(source)
+    keys = [[seed, t] for t in range(frames)]
+    return np.concatenate([
+        s.reshape(-1, order="F")
+        for _, _, s, _ in _trial_frames(count, render, keys, TRIAL_CHUNK)])
 
 
 def ber_trial_errors(params, paths, snr_grid, trials, seed):

@@ -25,9 +25,8 @@ from afbm.metrics import (
     oobe_level,
     orthogonality_gram,
     papr_ccdf,
-    psd_welch,
     sir_orthogonality,
-    spectrum_signal,
+    spectrum_psd,
 )
 from afbm.modem import (
     AfbmModem,
@@ -165,12 +164,12 @@ def test_acceptance_4_papr_ccdf(capfd):
 def test_acceptance_5_oobe(capfd):
     start = time.monotonic()
     seg = 1024
-    est_phy = psd_welch(spectrum_signal(_reference_waveform("PHYDYAS", 4, K=8),
-                                        frames=64, seed=2), segment=seg)
-    est_her = psd_welch(spectrum_signal(_reference_waveform(K=8),
-                                        frames=64, seed=2), segment=seg)
-    est_afd = psd_welch(spectrum_signal(_reference_baseline(),
-                                        frames=64, seed=2), segment=seg)
+    est_phy = spectrum_psd(_reference_waveform("PHYDYAS", 4, K=8), frames=64,
+                           seed=2, segment=seg)
+    est_her = spectrum_psd(_reference_waveform(K=8), frames=64, seed=2,
+                           segment=seg)
+    est_afd = spectrum_psd(_reference_baseline(), frames=64, seed=2,
+                           segment=seg)
     edges_a = band_edges(_reference_waveform(K=8))
     edges_b = band_edges(_reference_baseline())
     margins = []

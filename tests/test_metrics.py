@@ -14,6 +14,7 @@ from afbm.metrics import (
     BER_PASS,
     SNR_LIMIT_DB,
     TRIAL_CHUNK,
+    WELCH_BLOCK,
     AfdmParams,
     CcdfCurve,
     WaveformParams,
@@ -31,14 +32,15 @@ from afbm.metrics import (
     psd_welch,
     sir_orthogonality,
     spectral_interpolate,
-    spectrum_signal,
+    spectrum_psd,
 )
 from afbm.channel import PathSpec, pick_chirp_params
 from afbm.filterbank import chain_gains, prototype_filter
 from afbm.modem import BITS_PER_SYMBOL, AfbmModem
 from afbm.transforms import ChirpPair, DaftDims
 from oracles import (afdm_oobe_signal, ber_trial_errors, qfunc,
-                     random_afbm_frame, random_afdm_frame, welch_psd)
+                     random_afbm_frame, random_afdm_frame, spectrum_signal,
+                     welch_psd)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +213,25 @@ def test_level_at_matches_empirical_quantile(ref_params_frame):
             assert np.all(curve.probabilities[~above] >= q - 1 / trials)
 
 
+def test_trial_frames_draw_the_bits_of_generator_integers():
+    # the bits come from the raw 64-bit stream; they and every later draw
+    # must be those of default_rng(key).integers(0, 2, count)
+    import afbm.metrics as metrics
+
+    keys = [[seed, t] for seed in range(3) for t in range(300)]
+    for count in (256, 1024, 2048, 7):
+        passes = metrics._trial_frames(count, lambda bits: None, keys,
+                                       TRIAL_CHUNK)
+        for j0, bits, _, rngs in passes:
+            for j, rng in enumerate(rngs, j0):
+                ref = np.random.default_rng(keys[j])
+                assert np.array_equal(bits[:, j - j0],
+                                      ref.integers(0, 2, size=count))
+                assert np.array_equal(rng.standard_normal(3),
+                                      ref.standard_normal(3))
+            assert bits.dtype == np.int64 and bits.shape == (count, len(rngs))
+
+
 # trial counts that cross the chunk boundaries of the batched Monte Carlo
 CHUNK_CROSSING_TRIALS = (1, TRIAL_CHUNK - 1, TRIAL_CHUNK + 1,
                          2 * TRIAL_CHUNK + 3)
@@ -269,7 +290,7 @@ def test_spectrum_signal_chunks_match_one_frame_at_a_time(
 def test_psd_welch_locates_a_tone():
     n, seg, k = 8192, 256, 37
     tone = np.exp(2j * np.pi * k / seg * np.arange(n))
-    est = psd_welch(tone, segment=seg)
+    est = psd_welch([tone], segment=seg)
     assert abs(est.power_dbr.max()) < 1e-9      # 0 dBr peak by construction
     assert abs(est.freq[np.argmax(est.power_dbr)] - k / seg) < 1e-12
 
@@ -277,14 +298,14 @@ def test_psd_welch_locates_a_tone():
 def test_psd_welch_white_noise_is_flat():
     rng = np.random.default_rng(63)
     x = (rng.standard_normal(200 * 128) + 1j * rng.standard_normal(200 * 128))
-    est = psd_welch(x, segment=128)
+    est = psd_welch([x], segment=128)
     assert np.ptp(est.power_dbr) < 3.0
 
 
 def test_psd_welch_preserves_total_power():
     rng = np.random.default_rng(64)
     x = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
-    est = psd_welch(x, segment=256)
+    est = psd_welch([x], segment=256)
     # the dBr estimate carries no scale: rescale it by scipy's peak density
     _, pxx = welch_psd(x, segment=256)
     density = 10 ** (est.power_dbr / 10) * pxx.max()
@@ -295,9 +316,12 @@ def test_psd_welch_preserves_total_power():
 def test_psd_welch_validation():
     x = np.ones(64, dtype=complex)
     with pytest.raises(ValueError):
-        psd_welch(x, segment=4)
-    with pytest.raises(ValueError):
-        psd_welch(x, segment=128)
+        psd_welch([x], segment=4)
+    for pieces in ([x], [x[:40], x[40:]], [], [x[:0]]):
+        with pytest.raises(ValueError, match="shorter than one"):
+            psd_welch(pieces, segment=128)
+    with pytest.raises(ValueError, match="1-D"):
+        psd_welch(x, segment=16)                  # a bare array, not pieces
 
 
 # the ids end in the overlap fraction, 0.5 for every segment
@@ -313,12 +337,87 @@ def test_psd_welch_matches_scipy(ref_dims, ref_chirps, phydyas256, frames,
                            chirps_mod=ref_chirps, filter=phydyas256)
     s = spectrum_signal(sharp, frames=frames, seed=2)
     segment = segment or len(s)
-    est = psd_welch(s, segment)
+    est = psd_welch([s], segment)
     freq, pxx = welch_psd(s, segment)
     assert np.array_equal(est.freq, np.fft.fftshift(freq))
     expected = 10 * np.log10(np.fft.fftshift(pxx) / pxx.max())
     assert expected.min() < -100.0                # the floor is deep
     assert np.abs(est.power_dbr - expected).max() < 1e-9
+
+
+def _pieces(x, cuts):
+    return [x[a:b] for a, b in zip((0, *cuts), (*cuts, len(x)))]
+
+
+@pytest.mark.parametrize("tail", ["none", "step-1"])
+@pytest.mark.parametrize("segments", [1, 5, WELCH_BLOCK - 1, WELCH_BLOCK,
+                                      WELCH_BLOCK + 1, 3 * WELCH_BLOCK + 17])
+@pytest.mark.parametrize("segment", [8, 101, 256])
+def test_psd_welch_is_the_same_however_the_record_is_cut(segment, segments,
+                                                         tail):
+    rng = np.random.default_rng([65, segment, segments])
+    step = segment - round(segment / 2)
+    n = segment + (segments - 1) * step + (step - 1 if tail != "none" else 0)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    whole = psd_welch([x], segment).power_dbr
+    freq, pxx = welch_psd(x, segment)
+    assert np.abs(whole - 10 * np.log10(np.fft.fftshift(pxx) / pxx.max())
+                  ).max() < 1e-9
+    for cuts in (
+            sorted(rng.integers(0, n + 1, 7).tolist()),  # empty pieces too
+            [step // 3 + 1],                 # a cut inside the first segment
+            list(range(1, min(n, 3 * segment))),  # pieces of one sample
+            list(range(segment - 1, n, segment))):
+        assert np.array_equal(psd_welch(_pieces(x, cuts), segment).power_dbr,
+                              whole)
+
+
+# frames of the PHYDYAS frame (1920 samples) and the rendered baseline (2080)
+# that give, at segments of 1024: 2 and 3 segments, fewer than one block; 74
+# and 80, a block and a partial one; 130 and 140, whose chunks of 16 frames
+# end inside a segment
+SPECTRUM_FRAMES = (1, 20, 2 * TRIAL_CHUNK + 3)
+
+
+@pytest.mark.parametrize("frames", SPECTRUM_FRAMES)
+@pytest.mark.parametrize("segment", [1000, 1024])
+@pytest.mark.parametrize("waveform", ["phydyas", "afdm"])
+def test_spectrum_psd_is_psd_welch_of_the_whole_record(
+        waveform, segment, frames, ref_dims, ref_chirps, phydyas256):
+    source = (_baseline() if waveform == "afdm"
+              else _phydyas_frame(ref_dims, ref_chirps, phydyas256))
+    record = spectrum_signal(source, frames, seed=8)
+    streamed = spectrum_psd(source, frames, seed=8, segment=segment)
+    whole = psd_welch([record], segment)
+    assert np.array_equal(streamed.power_dbr, whole.power_dbr)
+    assert np.array_equal(streamed.freq, whole.freq)
+
+
+def test_spectrum_psd_validation(ref_params_frame):
+    # one frame is 1280 samples
+    with pytest.raises(ValueError, match="shorter than one"):
+        spectrum_psd(ref_params_frame, frames=1, seed=0, segment=2048)
+    with pytest.raises(ValueError, match="frames"):
+        spectrum_psd(ref_params_frame, frames=0, seed=0, segment=1024)
+
+
+def test_spectrum_psd_peak_allocation_at_fig4(ref_dims, ref_chirps,
+                                              phydyas256):
+    # the record is streamed: the peak is the rendering of a chunk with the
+    # last one and a Welch block held, from the second chunk on and
+    # whatever the frame count; the whole record of 10 * 2 * TRIAL_CHUNK
+    # frames of 1920 samples would take 9.4 MiB
+    source = _phydyas_frame(ref_dims, ref_chirps, phydyas256)
+    spectrum_psd(source, 2 * TRIAL_CHUNK, seed=2, segment=1024)
+    peaks = []
+    for frames in (2 * TRIAL_CHUNK, 20 * TRIAL_CHUNK):
+        tracemalloc.start()
+        try:
+            spectrum_psd(source, frames, seed=2, segment=1024)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_band_edges(ref_params_frame):
@@ -328,8 +427,7 @@ def test_band_edges(ref_params_frame):
 
 
 def test_oobe_level_probes(ref_params_frame):
-    sig = spectrum_signal(ref_params_frame, frames=20, seed=11)
-    est = psd_welch(sig, segment=1024)
+    est = spectrum_psd(ref_params_frame, frames=20, seed=11, segment=1024)
     edges = band_edges(ref_params_frame)
     level = oobe_level(est, edges, offset=0.05)
     assert level < -30.0
@@ -348,9 +446,8 @@ def test_oobe_contrast_between_waveforms(ref_dims, ref_chirps, phydyas256):
                            chirps_mod=ref_chirps, filter=phydyas256)
     baseline = AfdmParams(L_a=128, K=8, chirps=ChirpPair(3 / 256, 0.0),
                           cpp_len=2)
-    est_a = psd_welch(spectrum_signal(sharp, frames=40, seed=12), segment=1024)
-    est_b = psd_welch(spectrum_signal(baseline, frames=40, seed=12),
-                      segment=1024)
+    est_a = spectrum_psd(sharp, frames=40, seed=12, segment=1024)
+    est_b = spectrum_psd(baseline, frames=40, seed=12, segment=1024)
     rel = 0.1
     lvl_a = oobe_level(est_a, band_edges(sharp), 0.375 * rel)
     lvl_b = oobe_level(est_b, band_edges(baseline), 0.25 * rel)
