@@ -179,23 +179,21 @@ def data_restricted_channel(spec: ChannelSpec, modem: AfbmModem):
     """Despread data-to-data channel seen by the symbol detector, and the
     covariance of white unit-variance channel noise there.
 
-    Runs the full receive chain of ``modem`` over the response of the
-    channel ``spec`` to each transmitted data symbol (single-symbol
-    frame) and keeps the data rows: ``H_d``, an (L/2) x (L/2) matrix
-    suitable for linear equalization. With ``S_d`` those transmitted
-    columns, the receive chain on the data rows is ``R = D S_dᴴ`` for
-    ``D = diag(b_rx / b_tx)``, so the noise covariance is
-    ``G = R Rᴴ = D (S_dᴴ S_d) D``, the identity for a flat-fold prototype
-    under the split policy.
+    Modulates the data identity (one single-symbol frame per data
+    position), runs the channel ``spec`` and the receive chain of
+    ``modem`` over it and keeps the data rows: ``H_d``, an (L/2) x (L/2)
+    matrix suitable for linear equalization. With ``S_d`` those
+    transmitted columns, the receive chain on the data rows is
+    ``R = D S_dᴴ`` for ``D = diag(b_rx / b_tx)``, so the noise covariance
+    is ``G = R Rᴴ = D (S_dᴴ S_d) D``, the identity for a flat-fold
+    prototype under the split policy.
     """
     params = modem.params
     if params.K != 1:
         raise ValueError("detector channel is defined for K = 1")
     L = params.dims.L
     data = data_indices(L)
-    A = np.zeros((L, 1, L // 2), dtype=complex)
-    A[data, 0, np.arange(L // 2)] = 1.0
-    S_d = modem.modulate(A)
+    S_d = modem.modulate(np.eye(L)[:, None, data])
     H_d = modem.demodulate(spec.apply(S_d))[data, 0]
     d = modem.b_rx[data] / modem.b_tx[data]
     return H_d, d[:, None] * (S_d.conj().T @ S_d) * d[None, :]

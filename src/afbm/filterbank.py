@@ -174,23 +174,6 @@ def apply_filter_bank_adjoint(r: np.ndarray, filt: PrototypeFilter, K: int) -> n
     return z
 
 
-def chain_gains(dims: DaftDims, chirps_pre: ChirpPair, chirps_mod: ChirpPair,
-                filt: PrototypeFilter) -> np.ndarray:
-    """Per-subcarrier power gain of the single-symbol filtered chain.
-
-    Diagonal of the end-to-end Gram matrix of precoding, spreading and
-    filtering, evaluated with the fast paths: the filter Gram collapses
-    to the period-N power fold, so only L synthesis applications and a
-    weighted column norm are needed.
-    """
-    if filt.N != dims.N:
-        raise ValueError("filter bank size must match dims.N")
-    pre = apply_daft(np.eye(dims.L, dtype=complex), chirps_pre)
-    cols = apply_synthesis(pre, dims, chirps_mod)
-    w = fold_power(filt.coeffs, dims.N)
-    return np.einsum("i,ij,ij->j", w, cols.conj(), cols).real
-
-
 def data_indices(L: int) -> np.ndarray:
     """Row indices carrying data: the first and last L/4 positions."""
     return np.r_[0:L // 4, L - L // 4:L]
@@ -199,15 +182,23 @@ def data_indices(L: int) -> np.ndarray:
 def compensation_vector(dims: DaftDims, chirps_pre: ChirpPair,
                         chirps_mod: ChirpPair,
                         filt: PrototypeFilter) -> np.ndarray:
-    """Per-subcarrier real gains: inverse square-root chain gains at the
-    data positions, zero on the guard half of the indices."""
-    c = chain_gains(dims, chirps_pre, chirps_mod, filt)
+    """Per-subcarrier real gains: the inverse square root of each data
+    position's power gain through the single-symbol chain (its Gram
+    diagonal), zero on the guard half. The filter Gram collapses to the
+    period-N power fold, so only the L/2 data columns are spread and their
+    fold-weighted norms taken."""
+    if filt.N != dims.N:
+        raise ValueError("filter bank size must match dims.N")
     data = data_indices(dims.L)
-    bad = c[data] <= _SINGULAR_TOL
+    cols = apply_synthesis(apply_daft(np.eye(dims.L)[:, data], chirps_pre),
+                           dims, chirps_mod)
+    w = fold_power(filt.coeffs, dims.N)
+    c = np.einsum("i,ij,ij->j", w, cols.conj(), cols).real
+    bad = c <= _SINGULAR_TOL
     if np.any(bad):
         raise ArithmeticError(
             "singular compensation: chain gain vanished at data positions "
             f"{data[bad].tolist()}")
     b = np.zeros(dims.L)
-    b[data] = 1 / np.sqrt(c[data])
+    b[data] = 1 / np.sqrt(c)
     return b

@@ -381,36 +381,31 @@ def spectrum_psd(source, frames: int, seed, segment: int) -> PsdEstimate:
 # ---------------------------------------------------------------------------
 
 def orthogonality_gram(params: WaveformParams, compensated: bool = True) -> np.ndarray:
-    """Ideal-channel response ``B_rxᴴ B_tx`` of the single-symbol chain,
-    ``B_x`` the :func:`spread` of the precoded ``diag(b_x)`` and ``b_x``
-    the gains of :class:`AfbmModem`; ``BᴴB`` when both are one array.
-
-    With ``compensated=False`` both gains are a uniform data-position
-    mask, exposing the raw filter interference.
+    """Ideal-channel response of the single-symbol chain on the data
+    positions, (L/2) x (L/2): ``BᴴB``, ``B`` the :func:`spread` of the
+    precoded data identity, which exposes the raw filter interference.
+    With ``compensated`` it is the modem round trip ``diag(b_rx) BᴴB
+    diag(b_tx)`` there, ``b_x`` the gains of :class:`AfbmModem`.
     """
     L = params.dims.L
+    data = data_indices(L)
+    B = spread(apply_daft(np.eye(L)[:, None, data], params.chirps_pre), params)
+    gram = B.conj().T @ B
     if compensated:
         modem = AfbmModem(params)
-        b_tx, b_rx = modem.b_tx, modem.b_rx
-    else:
-        b_tx = b_rx = np.zeros(L)
-        b_tx[data_indices(L)] = 1.0
-    B = [spread(apply_daft(np.diag(b), params.chirps_pre)[:, None, :], params)
-         for b in ((b_tx,) if b_rx is b_tx else (b_tx, b_rx))]
-    return B[-1].conj().T @ B[0]
+        gram = modem.b_rx[data, None] * gram * modem.b_tx[data]
+    return gram
 
 
 def sir_orthogonality(params: WaveformParams, compensated: bool = True) -> float:
     """Signal-to-self-interference ratio of the ideal-channel chain (dB).
 
-    Ratio of diagonal to off-diagonal energy of the chain Gram matrix
-    over the data rows, capped at the 150 dB reporting sentinel.
+    Ratio of diagonal to off-diagonal energy of its response on the data
+    positions, capped at the 150 dB reporting sentinel.
     """
     M_orth = orthogonality_gram(params, compensated)
-    data = data_indices(params.dims.L)
-    rows = M_orth[data, :]
-    sig = np.sum(np.abs(rows[np.arange(len(data)), data]) ** 2)
-    interference = np.sum(np.abs(rows) ** 2) - sig
+    sig = np.sum(np.abs(np.diag(M_orth)) ** 2)
+    interference = np.sum(np.abs(M_orth) ** 2) - sig
     if interference <= sig * 10 ** (-SIR_CAP_DB / 10):
         return SIR_CAP_DB
     return float(min(10 * np.log10(sig / interference), SIR_CAP_DB))

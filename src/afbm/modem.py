@@ -15,9 +15,9 @@ The receiver runs the adjoint of each stage in reverse order
 (:func:`despread`, then the adjoint affine transform) and applies
 ``diag(b_rx)`` last, so the ideal-channel response is ``B_rxᴴ B_tx``,
 ``B_x`` the chain with gains ``b_x`` (``BᴴB`` under the split policy).
-With a flat-fold prototype (overlap <= 1.5) it is the data-position
-projector and the round trip is exact; the guard rows are zeroed on
-extraction either way.
+Both gains are zero on the guard rows, so the response lives on the data
+positions: with a flat-fold prototype (overlap <= 1.5) it is their
+projector and the round trip is exact.
 """
 
 from __future__ import annotations
@@ -197,9 +197,10 @@ class AfbmModem:
         self.params = params
         b = compensation_vector(params.dims, params.chirps_pre,
                                 params.chirps_mod, params.filter)
-        # "tx" is one-sided: the full squared factor at the transmitter
+        # "tx" is one-sided: the full squared factor at the transmitter and
+        # the data mask at the receiver; both gains vanish on the guard rows
         self.b_tx, self.b_rx = ((b, b) if params.compensation == "split"
-                                else (b * b, np.ones_like(b)))
+                                else (b * b, (b > 0).astype(float)))
 
     def modulate(self, A: np.ndarray) -> np.ndarray:
         """Signal of grid ``A`` (guard rows zero); trailing axes are batch."""
@@ -213,16 +214,14 @@ class AfbmModem:
         return spread(apply_daft(scale_rows(self.b_tx, A), p.chirps_pre), p)
 
     def demodulate(self, r: np.ndarray) -> np.ndarray:
-        """Grid of signal ``r``, guard rows zeroed; trailing axes are batch."""
+        """Grid of signal ``r``, zero on the guard rows (their gain ``b_rx``
+        is zero); trailing axes are batch."""
         p = self.params
         r = np.asarray(r)
         if len(r) != p.M:
             raise ValueError(f"expected {p.M} samples, got {len(r)}")
-        At = scale_rows(self.b_rx, apply_daft(despread(r, p), p.chirps_pre,
-                                              adjoint=True))
-        L = p.dims.L
-        At[L // 4:L - L // 4] = 0
-        return At
+        return scale_rows(self.b_rx, apply_daft(despread(r, p), p.chirps_pre,
+                                                adjoint=True))
 
 
 # ---------------------------------------------------------------------------

@@ -35,11 +35,13 @@ from afbm.metrics import (
     spectrum_psd,
 )
 from afbm.channel import PathSpec, pick_chirp_params
-from afbm.filterbank import chain_gains, prototype_filter
+from afbm.filterbank import prototype_filter
 from afbm.modem import BITS_PER_SYMBOL, AfbmModem
 from afbm.transforms import ChirpPair, DaftDims
-from oracles import (afdm_oobe_signal, ber_trial_errors, qfunc,
-                     random_afbm_frame, random_afdm_frame, spectrum_signal,
+from oracles import (afdm_oobe_signal, assemble_filter_matrix,
+                     ber_trial_errors, daft_matrix, dense_receive_matrix,
+                     dense_transmit_matrix, qfunc, random_afbm_frame,
+                     random_afdm_frame, spectrum_signal, synthesis_matrix,
                      welch_psd)
 
 
@@ -461,19 +463,43 @@ def test_oobe_contrast_between_waveforms(ref_dims, ref_chirps, phydyas256):
 
 def test_orthogonality_gram_invariant(ref_params):
     M_orth = orthogonality_gram(ref_params)
-    data = data_indices(128)
-    guard = np.setdiff1d(np.arange(128), data)
-    assert np.abs(M_orth[data, data] - 1.0).max() < 1e-8
-    assert np.all(M_orth[guard, :] == 0)
-    assert np.all(M_orth[:, guard] == 0)
+    assert M_orth.shape == (64, 64)
+    assert np.abs(np.diag(M_orth) - 1.0).max() < 1e-8
 
 
+@pytest.mark.parametrize("compensation", ["split", "tx"])
+@pytest.mark.parametrize("compensated", [True, False])
+@pytest.mark.parametrize("kind,overlap", [("HERMITE", 1.5), ("PHYDYAS", 2)])
+def test_orthogonality_gram_matches_dense_chain(kind, overlap, compensated,
+                                                compensation):
+    # the data block of the dense round trip, or of the raw chain's BᴴB
+    chirps = ChirpPair(0.017, 0.003)
+    params = WaveformParams(dims=DaftDims(16, 24, 32), K=1, chirps_pre=chirps,
+                            chirps_mod=chirps,
+                            filter=prototype_filter(kind, overlap, 32),
+                            compensation=compensation)
+    data = data_indices(16)
+    if compensated:
+        ref = dense_receive_matrix(params) @ \
+            dense_transmit_matrix(params)[:, data]
+    else:
+        B = (assemble_filter_matrix(params.filter, 1)
+             @ synthesis_matrix(params.dims, chirps) @ daft_matrix(chirps, 16))
+        ref = (B.conj().T @ B)[np.ix_(data, data)]
+    M_orth = orthogonality_gram(params, compensated)
+    assert M_orth.shape == (8, 8)
+    assert np.abs(M_orth - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("compensation", ["split", "tx"])
 def test_orthogonality_gram_peak_allocation_at_fig4(ref_dims, ref_chirps,
-                                                    phydyas256):
-    # M = 1024 and L = 128, so the spread basis is one 2 MiB array; the
-    # filter bank windows the symbol in its output, holding no second copy
+                                                    phydyas256, compensation):
+    # M = 1024 and L/2 = 64, so the spread data basis is one 1 MiB array
+    # and its conjugate another; the gains only scale the 64 x 64 Gram, so
+    # neither policy spreads a second basis
     params = WaveformParams(dims=ref_dims, K=1, chirps_pre=ref_chirps,
-                            chirps_mod=ref_chirps, filter=phydyas256)
+                            chirps_mod=ref_chirps, filter=phydyas256,
+                            compensation=compensation)
     orthogonality_gram(params)
     tracemalloc.start()
     try:
@@ -481,7 +507,7 @@ def test_orthogonality_gram_peak_allocation_at_fig4(ref_dims, ref_chirps,
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 2 ** 20
+    assert peak <= 3 * 2 ** 20
 
 
 def test_sir_reference_values(ref_params, ref_dims, ref_chirps, phydyas256):
@@ -525,10 +551,10 @@ def test_compensation_beats_uniform_scaling(ref_dims, ref_chirps, phydyas256):
     params = WaveformParams(dims=ref_dims, K=1, chirps_pre=ref_chirps,
                             chirps_mod=ref_chirps, filter=phydyas256)
     data = data_indices(128)
-    gains = chain_gains(ref_dims, ref_chirps, ref_chirps, phydyas256)
-    uniform = np.zeros(128)
-    uniform[data] = 1 / np.sqrt(np.mean(gains[data]))
     modem = AfbmModem(params)
+    gains = 1 / modem.b_tx[data] ** 2
+    uniform = np.zeros(128)
+    uniform[data] = 1 / np.sqrt(np.mean(gains))
     flat = AfbmModem(params)
     flat.b_tx = flat.b_rx = uniform
     rng = np.random.default_rng(65)

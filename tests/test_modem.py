@@ -331,7 +331,6 @@ def test_batched_demodulate_is_bit_identical(kind, overlap, K):
         Z = filter_bank_adjoint_add_at(R[:, b], params.filter, K)
         Xt = apply_synthesis_adjoint(Z, params.dims, chirps)
         At = modem.b_rx[:, None] * apply_daft(Xt, chirps, adjoint=True)
-        At[4:12] = 0
         assert np.array_equal(A[..., b], At)
 
 
