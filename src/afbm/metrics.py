@@ -1,17 +1,20 @@
 """Waveform quality measurements: PAPR CCDF, Welch PSD and out-of-band
 emission levels, residual self-interference (SIR), and Monte Carlo BER.
 
-All Monte Carlo loops derive one generator per trial from the master
-seed and the trial index (``default_rng([seed, trial])``; the BER loop
-uses ``default_rng([seed, snr_index, trial])``), so results are
+All Monte Carlo loops draw each trial from the stream of its own key,
+the master seed and the trial index (``default_rng([seed, trial])``; the
+BER loop uses ``default_rng([seed, snr_index, trial])``), so results are
 deterministic, order independent, and stable when the trial count grows
-(earlier trials keep their draws). Every loop then pushes the draws of
-many frames through the chain as one batch, one column per frame: the
-PAPR and spectrum loops ``TRIAL_CHUNK`` trials at a time, with samples
-equal to those of one frame at a time bit for bit; the BER loop one
-flat list of ``(snr_index, trial)`` jobs, ``BER_PASS`` frames at a time
-across SNR points, adding the channel, applied path by path, and the
-whitened MMSE filter as matrix products over the pass.
+(earlier trials keep their draws). The generators are not built one by
+one: every key is seeded in one batch, each trial's state is set into
+one reused PCG64, and each symbol is looked up in a :func:`symbol_table`
+by an index read straight from the raw words. Every loop then pushes the
+draws of many frames through the chain as one batch, one column per
+frame: the PAPR and spectrum loops ``TRIAL_CHUNK`` trials at a time, with
+samples equal to those of one frame at a time bit for bit; the BER loop
+one flat list of ``(snr_index, trial)`` jobs, ``BER_PASS`` frames at a
+time across SNR points, adding the channel, applied path by path, and
+the whitened MMSE filter as matrix products over the pass.
 
 The spectrum loop streams each chunk into the Welch estimate as it is
 rendered, so its record is never held whole.
@@ -19,6 +22,8 @@ rendered, so its record is never held whole.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -32,11 +37,12 @@ from .modem import (
     BITS_PER_SYMBOL,
     WaveformParams,
     afdm_modulate,
-    map_symbols,
     demap_symbols,
     place_grid,
     extract_grid,
+    index_bits,
     spread,
+    symbol_table,
 )
 from .channel import ChannelSpec, check_paths_feasible, data_restricted_channel
 
@@ -72,6 +78,11 @@ WELCH_BLOCK = 64
 # largest |SNR| (dB) of the BER experiment; 10 ** (snr / 10) overflows
 # near 3083 dB and the noise variance becomes inf near -3080 dB
 SNR_LIMIT_DB = 300.0
+
+# numpy's SeedSequence hash constants and their multipliers, and PCG64's
+_HASH_A, _HASH_B = (0x43b0d7e5, 0x931e8875), (0x8b51f9dd, 0x58f38ded)
+_PCG64_MULT = 0x2360ed051fc65da44385df649fccf645
+_MASK32, _MASK128 = 2 ** 32 - 1, 2 ** 128 - 1
 
 
 @dataclass(frozen=True)
@@ -127,6 +138,7 @@ def spectral_interpolate(x: np.ndarray, factor: int,
     """
     if factor < 2 or int(factor) != factor:
         raise ValueError("factor must be an integer >= 2")
+    factor = int(factor)
     x = np.asarray(x)
     n = len(x)
     shape = (factor * n,) + x.shape[1:]
@@ -177,19 +189,18 @@ def papr(signal, out: tuple | None = None):
 
 
 def _transmitter(source):
-    """``(count, transmit, render)``: the bits per frame of a waveform, the
-    native-rate signal of bits (axis 0; trailing axes are batch), and that
-    signal rendered for the spectrum record, where the baseline
-    interpolates each prefixed symbol ``AFDM_OOBE_OVERSAMPLE`` times on its
-    own. ``source`` is a :class:`WaveformParams`, an :class:`AfbmModem`
-    (used as it is) or an :class:`AfdmParams`. This is the only Monte
-    Carlo code that tells the two waveforms apart.
+    """``(p, transmit, render)``: the parameters of a waveform, the
+    native-rate signal of its data symbols (axis 0; trailing axes are
+    batch), and that signal rendered for the spectrum record, where the
+    baseline interpolates each prefixed symbol ``AFDM_OOBE_OVERSAMPLE``
+    times on its own. ``source`` is a :class:`WaveformParams`, an
+    :class:`AfbmModem` (used as it is) or an :class:`AfdmParams`. This is
+    the only Monte Carlo code that tells the two waveforms apart.
     """
     if isinstance(source, AfdmParams):
         p = source
 
-        def transmit(bits, oversample=1):
-            syms = map_symbols(bits, p.constellation)
+        def transmit(syms, oversample=1):
             X = syms.reshape((p.L_a, p.K) + syms.shape[1:], order="F")
             symbols = afdm_modulate(X, p.chirps, p.cpp_len)
             if oversample > 1:
@@ -201,33 +212,96 @@ def _transmitter(source):
         modem = source if isinstance(source, AfbmModem) else AfbmModem(source)
         p = modem.params
 
-        def transmit(bits):
-            syms = map_symbols(bits, p.constellation)
+        def transmit(syms):
             return modem.modulate(place_grid(syms, p.dims.L, p.K))
 
         render = transmit
-    count = p.data_per_frame * BITS_PER_SYMBOL[p.constellation]
-    return count, transmit, render
+    return p, transmit, render
 
 
-def _trial_frames(count, transmit, keys: list, size: int):
-    """``(j0, bits, signal, rngs)`` per pass of up to ``size`` frames, one
-    column per generator key; ``signal`` is ``transmit(bits)``.
+def _hashes(h, mult):
+    """The successive ``(h, h * mult)`` of a SeedSequence hash constant."""
+    while True:
+        yield h, (h := h * mult & _MASK32)
 
-    Frame ``j`` draws its ``count`` bits from its own generator
-    ``rngs[j - j0] = default_rng(keys[j])``, exactly as a one-frame loop
-    would, and any further draws of the frame come from it after.
+
+def _hashmix(v, hashes):
+    """SeedSequence's hashmix of the uint32 array ``v``."""
+    a, b = map(np.uint32, next(hashes))
+    v = (v ^ a) * b
+    return v ^ v >> np.uint32(16)
+
+
+def _mix(x, y):
+    """SeedSequence's mix of the uint32 arrays ``x`` and ``y``."""
+    v = x * np.uint32(0xca01f9dd) - y * np.uint32(0x4973f715)
+    return v ^ v >> np.uint32(16)
+
+
+def _pcg64_states(seed, shape):
+    """The PCG64 state of ``default_rng([seed, *index])`` for every index
+    of an array of ``shape``, in C order: all keys hashed at once in numpy
+    as ``SeedSequence`` hashes them, then seeded as PCG64 seeds them. A
+    seed that is not a non-negative integer (``int`` or ``np.integer``, as
+    ``SeedSequence`` tells them apart) is left to ``default_rng``, which
+    raises what it raises for it.
     """
-    # rng.integers(0, 2, count) takes bits 2i and 2i + 1 from bits 31 and
-    # 63 of raw word i, and leaves the generator where this read does
-    shifts = np.array([31, 63], dtype=np.uint64)
-    for j0 in range(0, len(keys), size):
-        rngs = [np.random.default_rng(key) for key in keys[j0:j0 + size]]
-        bits = np.array([rng.bit_generator.random_raw((count + 1) // 2)
-                         for rng in rngs])[..., None] >> shifts
-        bits &= 1
-        bits = bits.view(np.int64).reshape(len(rngs), -1)[:, :count].T
-        yield j0, bits, transmit(bits), rngs
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        return [np.random.default_rng([seed, *i]).bit_generator.state
+                for i in np.ndindex(shape)]
+    seed = int(seed)
+    # the seed's 32-bit words, low word first, then the index; entropy
+    # shorter than the pool mixes as if padded with zeros
+    rows = [np.full(math.prod(shape), seed >> s & _MASK32)
+            for s in range(0, max(seed.bit_length(), 1), 32)]
+    rows += list(np.indices(shape).reshape(len(shape), -1))
+    rows += [np.zeros_like(rows[0])] * (4 - len(rows))
+    entropy = np.array(rows, dtype=np.uint32)
+    ha, hb = _hashes(*_HASH_A), _hashes(*_HASH_B)
+    pool = [_hashmix(v, ha) for v in entropy[:4]]
+    for i, d in itertools.permutations(range(4), 2):
+        pool[d] = _mix(pool[d], _hashmix(pool[i], ha))
+    for v in entropy[4:]:
+        pool = [_mix(x, _hashmix(v, ha)) for x in pool]
+    w = [_hashmix(x, hb).astype(np.uint64) for x in pool * 2]
+    states = []
+    for s0, s1, i0, i1 in zip(*((w[i] | w[i + 1] << np.uint64(32)).tolist()
+                                for i in range(0, 8, 2))):
+        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "has_uint32": 0,
+                       "uinteger": 0, "state": {"state": state, "inc": inc}})
+    return states
+
+
+def _trial_frames(p, transmit, seed, shape: tuple, size: int,
+                  normals=None):
+    """``(j0, index, signal)`` per pass of up to ``size`` frames, one column
+    per frame: the :func:`symbol_table` indices of the ``p.data_per_frame``
+    symbols of each frame, and ``transmit`` of the symbols.
+
+    Frame ``j``, of index ``np.unravel_index(j, shape)``, draws from
+    ``default_rng([seed, *index])`` one raw word per QPSK symbol, two per
+    QAM16 symbol, whose bits 31 and 63 are the bits of ``integers(0, 2,
+    count)``, then, if ``normals`` is given, its row ``j - j0``.
+    """
+    words = p.data_per_frame * BITS_PER_SYMBOL[p.constellation] // 2
+    table = symbol_table(p.constellation)
+    bit_generator = np.random.PCG64(0)
+    normal = np.random.Generator(bit_generator).standard_normal
+    states = _pcg64_states(seed, shape)
+    raw = np.empty((words, min(size, len(states))), dtype=np.uint64)
+    for j0 in range(0, len(states), size):
+        b = min(size, len(states) - j0)
+        for col, state in enumerate(states[j0:j0 + b]):
+            bit_generator.state = state
+            raw[:, col] = bit_generator.random_raw(words)
+            if normals is not None:
+                normal(out=normals[col])
+        index = (raw[:, :b] >> 30 & 2 | raw[:, :b] >> 63).view(np.int64)
+        if words > p.data_per_frame:  # QAM16: two base-4 digits per symbol
+            index = index[0::2] * 4 + index[1::2]
+        yield j0, index, transmit(table[index])
 
 
 def papr_ccdf(source, trials: int, thresholds, seed) -> CcdfCurve:
@@ -242,13 +316,12 @@ def papr_ccdf(source, trials: int, thresholds, seed) -> CcdfCurve:
     if not (thresholds.ndim == 1 and np.all(np.isfinite(thresholds))
             and np.all(np.diff(thresholds) >= 0)):
         raise ValueError("thresholds must be finite and non-decreasing (1-D)")
-    count, transmit, _ = _transmitter(source)
+    p, transmit, _ = _transmitter(source)
     samples = np.empty(trials)
     shape = (PAPR_OVERSAMPLE * source.M, min(trials, TRIAL_CHUNK))
     z = np.empty(shape, dtype=complex, order="F")
     env = np.empty(shape, order="F")
-    keys = [[seed, t] for t in range(trials)]
-    for t0, _, s, _ in _trial_frames(count, transmit, keys, TRIAL_CHUNK):
+    for t0, _, s in _trial_frames(p, transmit, seed, (trials,), TRIAL_CHUNK):
         b = s.shape[1]
         samples[t0:t0 + b] = papr(s, out=(z[:, :b], env[:, :b]))
     probs = np.array([(samples > th).mean() for th in thresholds])
@@ -368,11 +441,10 @@ def spectrum_psd(source, frames: int, seed, segment: int) -> PsdEstimate:
     estimate, so the record is never held whole."""
     if frames < 1:
         raise ValueError("frames must be >= 1")
-    count, _, render = _transmitter(source)
-    keys = [[seed, t] for t in range(frames)]
-    chunks = _trial_frames(count, render, keys, TRIAL_CHUNK)
+    p, _, render = _transmitter(source)
+    chunks = _trial_frames(p, render, seed, (frames,), TRIAL_CHUNK)
     # frame t is column t of its chunk
-    return psd_welch((frame for _, _, s, _ in chunks for frame in s.T),
+    return psd_welch((frame for _, _, s in chunks for frame in s.T),
                      segment)
 
 
@@ -457,31 +529,31 @@ def ber_experiment(params: WaveformParams, paths, snr_grid, trials: int,
     lam, V = np.linalg.eigh(H_w.conj().T @ H_w)
     # Vᴴ H_wᴴ C⁻¹, with H_wᴴ C⁻¹ = (C⁻ᴴ H_w)ᴴ
     P = V.conj().T @ np.linalg.solve(C.conj().T, H_w).conj().T
-    count, transmit, _ = _transmitter(modem)
+    p, transmit, _ = _transmitter(modem)
+    count = p.data_per_frame * BITS_PER_SYMBOL[p.constellation]
     snr_lin = np.array([10 ** (snr_db / 10) for snr_db in snr_grid])
     job_snr = np.repeat(np.arange(len(snr_grid)), trials)
-    keys = [[seed, i, t] for i in range(len(snr_grid)) for t in range(trials)]
     errors = np.zeros(len(snr_grid), dtype=int)
     # noise draws of a pass, one row per frame: M real, then M imaginary
-    g = np.empty((min(len(keys), BER_PASS), 2 * M))
-    for j0, bits, s, rngs in _trial_frames(count, transmit, keys, BER_PASS):
-        b = len(rngs)
+    g = np.empty((min(len(job_snr), BER_PASS), 2 * M))
+    jobs = (len(snr_grid), trials)
+    for j0, index, s in _trial_frames(p, transmit, seed, jobs, BER_PASS, g):
+        b = s.shape[1]
         snr_index = job_snr[j0:j0 + b]
         r = spec.apply(s)
         del s  # drop each pass array once it is dead: it bounds peak memory
         # Fortran order sums each column as for a lone frame
         nvar = (np.asfortranarray(np.abs(r) ** 2).sum(axis=0) / M
                 / snr_lin[snr_index])
-        for rng, row in zip(rngs, g):
-            rng.standard_normal(out=row)
         scale = np.sqrt(nvar / 2)
         r.real += g[:b, :M].T * scale
         r.imag += g[:b, M:].T * scale
         x_tilde = extract_grid(modem.demodulate(r))
         del r
         est = V @ ((P @ x_tilde) / (lam[:, None] + nvar))
+        bits = index_bits(index, p.constellation)
         np.add.at(errors, snr_index,
-                  np.sum(demap_symbols(est, params1.constellation) != bits,
+                  np.sum(demap_symbols(est, p.constellation) != bits,
                          axis=0))
     return [(float(snr_db), int(e) / (trials * count))
             for snr_db, e in zip(snr_grid, errors)]

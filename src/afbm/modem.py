@@ -113,6 +113,22 @@ def map_symbols(bits: np.ndarray, constellation: str) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(10)
 
 
+def index_bits(index: np.ndarray, constellation: str) -> np.ndarray:
+    """The bits of symbol indices, most significant first, the bits of each
+    symbol consecutive along axis 0 as :func:`map_symbols` takes them;
+    trailing axes are batch."""
+    bps = BITS_PER_SYMBOL[constellation]
+    shifts = np.arange(bps - 1, -1, -1).reshape(
+        (-1,) + (1,) * (index.ndim - 1))
+    return (index[:, None] >> shifts & 1).reshape((-1,) + index.shape[1:])
+
+
+def symbol_table(constellation: str) -> np.ndarray:
+    """The symbol of each index, :func:`map_symbols` of its bits."""
+    index = np.arange(2 ** BITS_PER_SYMBOL[constellation])
+    return map_symbols(index_bits(index, constellation), constellation)
+
+
 def demap_symbols(symbols: np.ndarray, constellation: str) -> np.ndarray:
     """Hard-decision inverse of :func:`map_symbols`.
 

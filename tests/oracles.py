@@ -304,11 +304,9 @@ def spectrum_signal(source, frames, seed):
     """The whole spectrum record that ``metrics.spectrum_psd`` streams:
     ``frames`` random frames of ``source``, rendered ``TRIAL_CHUNK`` at a
     time as the experiment renders them and laid end to end in one array."""
-    count, _, render = _transmitter(source)
-    keys = [[seed, t] for t in range(frames)]
-    return np.concatenate([
-        s.reshape(-1, order="F")
-        for _, _, s, _ in _trial_frames(count, render, keys, TRIAL_CHUNK)])
+    p, _, render = _transmitter(source)
+    chunks = _trial_frames(p, render, seed, (frames,), TRIAL_CHUNK)
+    return np.concatenate([s.reshape(-1, order="F") for _, _, s in chunks])
 
 
 def ber_trial_errors(params, paths, snr_grid, trials, seed):

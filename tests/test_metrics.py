@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from afbm.metrics import (
     ber_experiment,
     data_indices,
     extract_grid,
-    map_symbols,
     oobe_floor,
     oobe_level,
     orthogonality_gram,
@@ -36,7 +36,8 @@ from afbm.metrics import (
 )
 from afbm.channel import PathSpec, pick_chirp_params
 from afbm.filterbank import prototype_filter
-from afbm.modem import BITS_PER_SYMBOL, AfbmModem
+from afbm.modem import (BITS_PER_SYMBOL, AfbmModem, map_symbols,
+                        symbol_table)
 from afbm.transforms import ChirpPair, DaftDims
 from oracles import (afdm_oobe_signal, assemble_filter_matrix,
                      ber_trial_errors, daft_matrix, dense_receive_matrix,
@@ -87,6 +88,12 @@ def test_spectral_interpolation_into_a_used_buffer():
         out = np.full((4 * n, 3), 7 + 7j, order="F")
         assert spectral_interpolate(x, 4, out=out) is out
         assert np.array_equal(out, spectral_interpolate(x, 4))
+
+
+def test_spectral_interpolation_takes_an_integral_float_factor():
+    x = np.random.default_rng(66).standard_normal(16)
+    assert np.array_equal(spectral_interpolate(x, 2.0),
+                          spectral_interpolate(x, 2))
 
 
 def test_spectral_interpolation_validation():
@@ -215,23 +222,122 @@ def test_level_at_matches_empirical_quantile(ref_params_frame):
             assert np.all(curve.probabilities[~above] >= q - 1 / trials)
 
 
+def _symbol_bits(index, constellation):
+    """The bits of symbol indices (symbols x frames), most significant
+    first, consecutive along axis 0."""
+    bps = BITS_PER_SYMBOL[constellation]
+    shifts = np.arange(bps - 1, -1, -1)[:, None]
+    return (index[:, None] >> shifts & 1).reshape(-1, index.shape[1])
+
+
 def test_trial_frames_draw_the_bits_of_generator_integers():
-    # the bits come from the raw 64-bit stream; they and every later draw
-    # must be those of default_rng(key).integers(0, 2, count)
+    # the symbols come from the raw 64-bit stream; their bits and every
+    # later draw must be those of default_rng(key).integers(0, 2, count)
     import afbm.metrics as metrics
 
-    keys = [[seed, t] for seed in range(3) for t in range(300)]
     for count in (256, 1024, 2048, 7):
-        passes = metrics._trial_frames(count, lambda bits: None, keys,
-                                       TRIAL_CHUNK)
-        for j0, bits, _, rngs in passes:
-            for j, rng in enumerate(rngs, j0):
-                ref = np.random.default_rng(keys[j])
-                assert np.array_equal(bits[:, j - j0],
-                                      ref.integers(0, 2, size=count))
-                assert np.array_equal(rng.standard_normal(3),
-                                      ref.standard_normal(3))
-            assert bits.dtype == np.int64 and bits.shape == (count, len(rngs))
+        # one QPSK symbol per raw word, two bits of each
+        p = SimpleNamespace(constellation="QPSK",
+                            data_per_frame=(count + 1) // 2)
+        normals = np.empty((TRIAL_CHUNK, 3))
+        for seed in range(3):
+            passes = metrics._trial_frames(p, lambda syms: syms, seed, (300,),
+                                           TRIAL_CHUNK, normals)
+            for j0, index, syms in passes:
+                bits = _symbol_bits(index, "QPSK")[:count]
+                for j in range(j0, j0 + index.shape[1]):
+                    ref = np.random.default_rng([seed, j])
+                    assert np.array_equal(bits[:, j - j0],
+                                          ref.integers(0, 2, size=count))
+                    assert np.array_equal(normals[j - j0],
+                                          ref.standard_normal(3))
+                assert bits.shape == (count, index.shape[1])
+                assert np.array_equal(syms, symbol_table("QPSK")[index])
+
+
+# seeds of one to three uint32 words, so ``[seed, t]`` keys of two to
+# four and ``[seed, i, t]`` keys of three to five: 2**32 + 5 is two words
+# and 2**64 + 1 three
+SEED_SHAPES = (0, 1, 2 ** 32 + 5, 2 ** 64 + 1, np.int64(3), True)
+
+
+@pytest.mark.parametrize("constellation", ["QPSK", "QAM16"])
+@pytest.mark.parametrize("seed", SEED_SHAPES, ids=repr)
+def test_trial_frames_equal_default_rng_for_every_key_shape(seed,
+                                                            constellation):
+    import afbm.metrics as metrics
+
+    p = SimpleNamespace(constellation=constellation, data_per_frame=5)
+    words = 5 * BITS_PER_SYMBOL[constellation] // 2
+    for shape in ((20,), (3, 7)):
+        normals = np.empty((TRIAL_CHUNK, 4))
+        for j0, index, syms in metrics._trial_frames(
+                p, lambda syms: syms, seed, shape, TRIAL_CHUNK, normals):
+            for j in range(j0, j0 + index.shape[1]):
+                key = [seed, *np.unravel_index(j, shape)]
+                ref = np.random.default_rng(key).bit_generator
+                bits = ref.random_raw(words)[:, None] >> np.array(
+                    [31, 63], dtype=np.uint64) & 1
+                assert np.array_equal(
+                    _symbol_bits(index, constellation)[:, j - j0],
+                    bits.ravel())
+                assert np.array_equal(
+                    syms[:, j - j0].copy().view(float),
+                    map_symbols(bits.ravel(), constellation).view(float))
+                assert np.array_equal(
+                    normals[j - j0],
+                    np.random.Generator(ref).standard_normal(4))
+
+
+def test_pcg64_states_equal_those_of_default_rng():
+    import afbm.metrics as metrics
+
+    for seed in SEED_SHAPES + (2 ** 31, 2 ** 32, 2 ** 128 - 1):
+        for shape in ((3,), (2, 3), (1, 1, 2)):
+            states = metrics._pcg64_states(seed, shape)
+            assert states == [
+                np.random.default_rng([seed, *i]).bit_generator.state
+                for i in np.ndindex(shape)], (seed, shape)
+
+
+def test_trial_frames_leave_other_seeds_to_default_rng(ref_params):
+    import afbm.metrics as metrics
+
+    # a uint32 array is entropy that SeedSequence takes as it is
+    seed = np.array([7, 8], dtype=np.uint32)
+    p = SimpleNamespace(constellation="QPSK", data_per_frame=4)
+    (_, index, _), = metrics._trial_frames(p, lambda syms: syms, seed, (3,),
+                                           4)
+    for t in range(3):
+        ref = np.random.default_rng([seed, t]).integers(0, 2, size=8)
+        assert np.array_equal(_symbol_bits(index, "QPSK")[:, t], ref)
+    # a 0-d array is no integer to SeedSequence, though operator.index
+    # takes it
+    for seed in (-1, 1.5, np.array(5)):
+        with pytest.raises(Exception) as expected:
+            np.random.default_rng([seed, 0])
+        with pytest.raises(expected.type):
+            list(metrics._trial_frames(p, lambda syms: syms, seed, (1,), 4))
+        with pytest.raises(expected.type):
+            papr_ccdf(_baseline(), trials=2, thresholds=[6.0], seed=seed)
+        with pytest.raises(expected.type):
+            ber_experiment(ref_params, AWGN, [0.0], 1, seed=seed)
+
+
+def test_monte_carlo_seeds_without_default_rng(ref_params_frame, ref_params,
+                                               monkeypatch):
+    # ordinary seeds take the batched path, never the per-key fallback
+    expected = (papr_ccdf(ref_params_frame, 20, [8.0], seed=11).samples,
+                ber_experiment(ref_params, AWGN, [0.0, 4.0], 3, seed=11))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("default_rng was called")
+
+    monkeypatch.setattr(np.random, "default_rng", unreachable)
+    assert np.array_equal(
+        papr_ccdf(ref_params_frame, 20, [8.0], seed=11).samples, expected[0])
+    assert ber_experiment(ref_params, AWGN, [0.0, 4.0], 3,
+                          seed=11) == expected[1]
 
 
 # trial counts that cross the chunk boundaries of the batched Monte Carlo

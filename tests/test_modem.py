@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from afbm.modem import (
+    BITS_PER_SYMBOL,
     AfbmModem,
     AfdmParams,
     ChirpPair,
@@ -15,9 +16,11 @@ from afbm.modem import (
     demap_symbols,
     despread,
     extract_grid,
+    index_bits,
     map_symbols,
     place_grid,
     spread,
+    symbol_table,
 )
 from afbm.filterbank import prototype_filter
 from afbm.transforms import apply_daft, apply_synthesis_adjoint
@@ -74,6 +77,25 @@ def test_map_demap_round_trip(constellation):
         syms = map_symbols(bits, constellation)
         assert syms.shape == (shape[0] // bps,) + shape[1:]
         assert np.array_equal(demap_symbols(syms, constellation), bits)
+
+
+@pytest.mark.parametrize("constellation", ["QPSK", "QAM16"])
+def test_symbol_table_is_the_map_of_each_index(constellation):
+    bps = BITS_PER_SYMBOL[constellation]
+    table = symbol_table(constellation)
+    assert table.shape == (2 ** bps,)
+    for index in range(2 ** bps):
+        bits = [index >> k & 1 for k in range(bps - 1, -1, -1)]
+        assert np.array_equal(table[index:index + 1].view(float),
+                              map_symbols(bits, constellation).view(float))
+    # and as a batch of frames is mapped
+    index = np.random.default_rng(49).integers(0, 2 ** bps, (64, 16))
+    bits = (index[:, None] >> np.arange(bps - 1, -1, -1)[:, None]
+            & 1).reshape(-1, 16)
+    assert np.array_equal(index_bits(index, constellation), bits)
+    assert np.array_equal(index_bits(index[:, 0], constellation), bits[:, 0])
+    assert np.array_equal(table[index].view(float),
+                          map_symbols(bits, constellation).view(float))
 
 
 def test_demap_survives_noise_and_clipping():
