@@ -18,9 +18,10 @@ m-th entries of Phi_r and Z^{f_r}, O(paths * M) per column.
 
 Also here: the chirp-rate feasibility rule for keeping paths separable,
 the effective channels ``Bᴴ H B`` of a waveform basis ``B`` (the whole
-channel and each distinct path), a path separation score, and the
-data-to-data channel that the BER detector equalizes, with the noise
-covariance it sees.
+channel and each distinct path), a path separation score, and the linear
+model of the BER detector: the received data basis, the receive map of
+the data rows, the data-to-data channel it makes and the noise
+covariance the detector sees.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .transforms import ChirpPair, scale_rows
+from .transforms import ChirpPair
 from .filterbank import data_indices
 from .modem import AfbmModem, prefix_phase
 
@@ -83,17 +84,24 @@ class ChannelSpec:
         Doppler ramp times ``S`` rolled down by the delay, along axis 0;
         trailing axes of ``S`` are batch."""
         S = np.asarray(S)
-        M = self.M
+        out = self._apply_path(self.paths[0], S, np.empty(S.shape, complex))
+        term = np.empty_like(out)
+        for p in self.paths[1:]:
+            out += self._apply_path(p, S, term)
+        return out
+
+    def _apply_path(self, p: PathSpec, S: np.ndarray, out: np.ndarray):
+        """Path ``p``'s term of :meth:`apply`, written into ``out`` (shaped
+        like ``S``) and returned."""
+        M, delay = self.M, p.delay
         if len(S) != M:
             raise ValueError(f"channel expects {M} samples, got {len(S)}")
-        m = np.arange(M)
-        out = np.zeros(S.shape, dtype=complex)
-        for p in self.paths:
-            d = p.gain * np.exp(-2j * np.pi * p.doppler * m / M)
-            d[:p.delay] *= prefix_phase(self.c1, M, p.delay)
-            # rows m >= delay take S[m - delay]; the first delay rows wrap
-            out[p.delay:] += scale_rows(d[p.delay:], S[:M - p.delay])
-            out[:p.delay] += scale_rows(d[:p.delay], S[M - p.delay:])
+        d = p.gain * np.exp(-2j * np.pi * p.doppler * np.arange(M) / M)
+        d[:delay] *= prefix_phase(self.c1, M, delay)
+        d = d.reshape(d.shape + (1,) * (S.ndim - 1))
+        # rows m >= delay take S[m - delay]; the first delay rows wrap
+        np.multiply(d[delay:], S[:M - delay], out=out[delay:])
+        np.multiply(d[:delay], S[M - delay:], out=out[:delay])
         return out
 
 
@@ -137,13 +145,13 @@ def effective_channels(spec: ChannelSpec, B: np.ndarray):
     gain, which is ``Bᴴ H B`` because the map is linear in ``H``.
     """
     Bh = B.conj().T
+    HB = np.empty(B.shape, dtype=complex)  # H_r B of each path in turn
     refs = {}
     total = 0
     for p in spec.paths:
         key = (p.delay, p.doppler)
         if key not in refs:
-            one = replace(spec, paths=(replace(p, gain=1.0),))
-            refs[key] = Bh @ one.apply(B)
+            refs[key] = Bh @ spec._apply_path(replace(p, gain=1.0), B, HB)
         total = total + p.gain * refs[key]
     return total, list(refs.values())
 
@@ -176,17 +184,17 @@ def path_separation_metric(H_eff, references, xi: int = 0) -> float:
 
 
 def data_restricted_channel(spec: ChannelSpec, modem: AfbmModem):
-    """Despread data-to-data channel seen by the symbol detector, and the
-    covariance of white unit-variance channel noise there.
+    """Linear model of the symbol detector: ``(H_d, G, HS, R)``.
 
-    Modulates the data identity (one single-symbol frame per data
-    position), runs the channel ``spec`` and the receive chain of
-    ``modem`` over it and keeps the data rows: ``H_d``, an (L/2) x (L/2)
-    matrix suitable for linear equalization. With ``S_d`` those
-    transmitted columns, the receive chain on the data rows is
-    ``R = D S_dᴴ`` for ``D = diag(b_rx / b_tx)``, so the noise covariance
-    is ``G = R Rᴴ = D (S_dᴴ S_d) D``, the identity for a flat-fold
-    prototype under the split policy.
+    ``S_d`` (M x L/2) holds the modulated data identity, one single-symbol
+    frame of ``modem`` per data position, so a frame of data symbols ``x``
+    arrives through the channel ``spec`` as ``HS x``, ``HS = spec.apply(S_d)``.
+    The receive chain of ``modem`` on the data rows is ``R = D S_dᴴ``
+    (L/2 x M) for ``D = diag(b_rx / b_tx)``. The despread data-to-data
+    channel is ``H_d = R HS``, an (L/2) x (L/2) matrix suitable for linear
+    equalization, and white unit-variance channel noise reaches the data
+    rows with covariance ``G = R Rᴴ = D (S_dᴴ S_d) D``, the identity for a
+    flat-fold prototype under the split policy.
     """
     params = modem.params
     if params.K != 1:
@@ -194,6 +202,8 @@ def data_restricted_channel(spec: ChannelSpec, modem: AfbmModem):
     L = params.dims.L
     data = data_indices(L)
     S_d = modem.modulate(np.eye(L)[:, None, data])
-    H_d = modem.demodulate(spec.apply(S_d))[data, 0]
+    HS = spec.apply(S_d)
     d = modem.b_rx[data] / modem.b_tx[data]
-    return H_d, d[:, None] * (S_d.conj().T @ S_d) * d[None, :]
+    R = S_d.conj().T
+    R *= d[:, None]
+    return R @ HS, (R @ S_d) * d, HS, R

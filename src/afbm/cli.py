@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -124,7 +125,7 @@ class ExperimentConfig:
     out: str
     resolved: dict = field(repr=False)
 
-    @property
+    @cached_property  # read for every row a run writes
     def config_hash(self) -> str:
         hashed = {k: v for k, v in self.resolved.items()
                   if k not in ("out", "seed")}

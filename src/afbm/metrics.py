@@ -8,13 +8,15 @@ deterministic, order independent, and stable when the trial count grows
 (earlier trials keep their draws). The generators are not built one by
 one: every key is seeded in one batch, each trial's state is set into
 one reused PCG64, and each symbol is looked up in a :func:`symbol_table`
-by an index read straight from the raw words. Every loop then pushes the
-draws of many frames through the chain as one batch, one column per
-frame: the PAPR and spectrum loops ``TRIAL_CHUNK`` trials at a time, with
-samples equal to those of one frame at a time bit for bit; the BER loop
-one flat list of ``(snr_index, trial)`` jobs, ``BER_PASS`` frames at a
-time across SNR points, adding the channel, applied path by path, and
-the whitened MMSE filter as matrix products over the pass.
+by an index read straight from the raw words. Every loop then takes the
+draws of many frames as one batch, one column per frame. The PAPR and
+spectrum loops push ``TRIAL_CHUNK`` trials at a time through the transmit
+chain, with samples equal to those of one frame at a time bit for bit.
+The BER loop runs one flat list of ``(snr_index, trial)`` jobs,
+``BER_PASS`` frames at a time across SNR points, through no chain at all:
+the channel and the whitened MMSE detector are one linear model, built
+once per experiment, and each pass is a few matrix products on the data
+symbols and the noise.
 
 The spectrum loop streams each chunk into the Welch estimate as it is
 rendered, so its record is never held whole.
@@ -39,7 +41,6 @@ from .modem import (
     afdm_modulate,
     demap_symbols,
     place_grid,
-    extract_grid,
     index_bits,
     spread,
     symbol_table,
@@ -61,9 +62,10 @@ TRIAL_CHUNK = 16
 
 # Frames per pass of the BER Monte Carlo, whose jobs are one-symbol
 # frames. On a 2-vCPU Xeon VM at K = 1, QAM16, 25 trials at 8 SNR points,
-# passes of 16, 32, 64, 128 and 200 frames took a median 30.2, 25.8,
-# 23.9, 25.2 and 28.0 ms per experiment, with tracemalloc peaks of 1.8,
-# 1.8, 2.4, 4.1 and 6.0 MB.
+# passes of 16, 32, 64, 128 and 200 frames took a median 13.8-15.5,
+# 12.4-14.7, 11.9-13.9, 13.3-14.1 and 11.7-15.0 ms per experiment in two
+# sessions of six interleaved rounds, no size ahead of the spread, with
+# tracemalloc peaks of 2.1, 2.1, 2.4, 3.4 and 4.8 MB.
 BER_PASS = 64
 
 # interpolation factor of the PAPR envelope
@@ -274,11 +276,10 @@ def _pcg64_states(seed, shape):
     return states
 
 
-def _trial_frames(p, transmit, seed, shape: tuple, size: int,
-                  normals=None):
-    """``(j0, index, signal)`` per pass of up to ``size`` frames, one column
-    per frame: the :func:`symbol_table` indices of the ``p.data_per_frame``
-    symbols of each frame, and ``transmit`` of the symbols.
+def _trial_frames(p, seed, shape: tuple, size: int, normals=None):
+    """``(j0, index, symbols)`` per pass of up to ``size`` frames, one
+    column per frame: the :func:`symbol_table` indices of the
+    ``p.data_per_frame`` symbols of each frame, and the symbols.
 
     Frame ``j``, of index ``np.unravel_index(j, shape)``, draws from
     ``default_rng([seed, *index])`` one raw word per QPSK symbol, two per
@@ -301,7 +302,7 @@ def _trial_frames(p, transmit, seed, shape: tuple, size: int,
         index = (raw[:, :b] >> 30 & 2 | raw[:, :b] >> 63).view(np.int64)
         if words > p.data_per_frame:  # QAM16: two base-4 digits per symbol
             index = index[0::2] * 4 + index[1::2]
-        yield j0, index, transmit(table[index])
+        yield j0, index, table[index]
 
 
 def papr_ccdf(source, trials: int, thresholds, seed) -> CcdfCurve:
@@ -321,9 +322,9 @@ def papr_ccdf(source, trials: int, thresholds, seed) -> CcdfCurve:
     shape = (PAPR_OVERSAMPLE * source.M, min(trials, TRIAL_CHUNK))
     z = np.empty(shape, dtype=complex, order="F")
     env = np.empty(shape, order="F")
-    for t0, _, s in _trial_frames(p, transmit, seed, (trials,), TRIAL_CHUNK):
-        b = s.shape[1]
-        samples[t0:t0 + b] = papr(s, out=(z[:, :b], env[:, :b]))
+    for t0, _, x in _trial_frames(p, seed, (trials,), TRIAL_CHUNK):
+        b = x.shape[1]
+        samples[t0:t0 + b] = papr(transmit(x), out=(z[:, :b], env[:, :b]))
     probs = np.array([(samples > th).mean() for th in thresholds])
     return CcdfCurve(thresholds=thresholds, probabilities=probs,
                      samples=samples)
@@ -442,9 +443,9 @@ def spectrum_psd(source, frames: int, seed, segment: int) -> PsdEstimate:
     if frames < 1:
         raise ValueError("frames must be >= 1")
     p, _, render = _transmitter(source)
-    chunks = _trial_frames(p, render, seed, (frames,), TRIAL_CHUNK)
+    chunks = _trial_frames(p, seed, (frames,), TRIAL_CHUNK)
     # frame t is column t of its chunk
-    return psd_welch((frame for _, _, s in chunks for frame in s.T),
+    return psd_welch((frame for _, _, x in chunks for frame in render(x).T),
                      segment)
 
 
@@ -507,29 +508,34 @@ def ber_experiment(params: WaveformParams, paths, snr_grid, trials: int,
     MMSE filter ``(H_wᴴH_w + nvar I)⁻¹H_wᴴC⁻¹`` of every frame comes from
     one eigendecomposition ``H_wᴴH_w = V Λ Vᴴ``.
 
+    The chain is linear, so no frame goes through it: with ``P = Vᴴ
+    H_wᴴC⁻¹``, the received data basis ``HS`` and the receive map ``R`` of
+    the data rows, a frame of symbols ``x`` and time-domain noise ``n``
+    gives ``V (P H_d x + P R n) / (Λ + nvar)``, and its received power
+    ``|HS x|²`` is the quadratic form ``xᴴ (HSᴴHS) x``.
+
     Every ``(snr_index i, trial t)`` pair is one job, and trial ``t`` at
     SNR index ``i`` draws its bits and then its noise from
-    ``default_rng([seed, i, t])``. The jobs run through the chain in
-    passes of ``BER_PASS`` frames, one column per job, and a pass may
-    span SNR points; each column's errors count towards its own SNR.
+    ``default_rng([seed, i, t])``. The jobs run in passes of ``BER_PASS``
+    frames, one column per job, and a pass may span SNR points; each
+    column's errors count towards its own SNR.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not all(abs(snr_db) <= SNR_LIMIT_DB for snr_db in snr_grid):
         raise ValueError(f"every SNR must lie within ±{SNR_LIMIT_DB:g} dB")
-    params1 = replace(params, K=1) if params.K != 1 else params
-    check_paths_feasible(paths, xi, params1.dims.P)
-    M = params1.M
-    spec = ChannelSpec(paths=paths, M=M,
-                       c1=params1.chirps_mod.c1).normalized()
-    modem = AfbmModem(params1)
-    H_d, G = data_restricted_channel(spec, modem)
+    p = replace(params, K=1) if params.K != 1 else params
+    check_paths_feasible(paths, xi, p.dims.P)
+    M = p.M
+    spec = ChannelSpec(paths=paths, M=M, c1=p.chirps_mod.c1).normalized()
+    H_d, G, HS, R = data_restricted_channel(spec, AfbmModem(p))
     C = np.linalg.cholesky(G)
     H_w = np.linalg.solve(C, H_d)
     lam, V = np.linalg.eigh(H_w.conj().T @ H_w)
     # Vᴴ H_wᴴ C⁻¹, with H_wᴴ C⁻¹ = (C⁻ᴴ H_w)ᴴ
     P = V.conj().T @ np.linalg.solve(C.conj().T, H_w).conj().T
-    p, transmit, _ = _transmitter(modem)
+    PH, PR, gram = P @ H_d, P @ R, HS.conj().T @ HS
+    del HS, R  # M x L/2 each, dead from here: it bounds peak memory
     count = p.data_per_frame * BITS_PER_SYMBOL[p.constellation]
     snr_lin = np.array([10 ** (snr_db / 10) for snr_db in snr_grid])
     job_snr = np.repeat(np.arange(len(snr_grid)), trials)
@@ -537,20 +543,14 @@ def ber_experiment(params: WaveformParams, paths, snr_grid, trials: int,
     # noise draws of a pass, one row per frame: M real, then M imaginary
     g = np.empty((min(len(job_snr), BER_PASS), 2 * M))
     jobs = (len(snr_grid), trials)
-    for j0, index, s in _trial_frames(p, transmit, seed, jobs, BER_PASS, g):
-        b = s.shape[1]
+    for j0, index, x in _trial_frames(p, seed, jobs, BER_PASS, g):
+        b = x.shape[1]
         snr_index = job_snr[j0:j0 + b]
-        r = spec.apply(s)
-        del s  # drop each pass array once it is dead: it bounds peak memory
-        # Fortran order sums each column as for a lone frame
-        nvar = (np.asfortranarray(np.abs(r) ** 2).sum(axis=0) / M
+        nvar = (np.sum(x.conj() * (gram @ x), axis=0).real / M
                 / snr_lin[snr_index])
-        scale = np.sqrt(nvar / 2)
-        r.real += g[:b, :M].T * scale
-        r.imag += g[:b, M:].T * scale
-        x_tilde = extract_grid(modem.demodulate(r))
-        del r
-        est = V @ ((P @ x_tilde) / (lam[:, None] + nvar))
+        noise = PR @ (g[:b, :M] + 1j * g[:b, M:]).T
+        est = V @ ((PH @ x + noise * np.sqrt(nvar / 2))
+                   / (lam[:, None] + nvar))
         bits = index_bits(index, p.constellation)
         np.add.at(errors, snr_index,
                   np.sum(demap_symbols(est, p.constellation) != bits,

@@ -305,8 +305,9 @@ def spectrum_signal(source, frames, seed):
     ``frames`` random frames of ``source``, rendered ``TRIAL_CHUNK`` at a
     time as the experiment renders them and laid end to end in one array."""
     p, _, render = _transmitter(source)
-    chunks = _trial_frames(p, render, seed, (frames,), TRIAL_CHUNK)
-    return np.concatenate([s.reshape(-1, order="F") for _, _, s in chunks])
+    chunks = _trial_frames(p, seed, (frames,), TRIAL_CHUNK)
+    return np.concatenate([render(x).reshape(-1, order="F")
+                           for _, _, x in chunks])
 
 
 def ber_trial_errors(params, paths, snr_grid, trials, seed):

@@ -383,7 +383,7 @@ def test_path_separation_rejects_empty_channel():
 # ---------------------------------------------------------------------------
 
 def test_data_restricted_channel_identity(ref_params):
-    H_d, G = data_restricted_channel(
+    H_d, G, _, _ = data_restricted_channel(
         ChannelSpec(paths=(PathSpec(1.0, 0, 0.0),), M=384),
         AfbmModem(ref_params))
     assert H_d.shape == (64, 64)
@@ -392,22 +392,46 @@ def test_data_restricted_channel_identity(ref_params):
     assert np.abs(G - np.eye(64)).max() < 1e-12
 
 
-@pytest.mark.parametrize("filt", ["HERMITE", "PHYDYAS"])
-@pytest.mark.parametrize("compensation", ["split", "tx"])
-def test_data_restricted_channel_noise_covariance_matches_dense(
-        filt, compensation, ref_params):
+def detector_case(filt, compensation, ref_params):
+    """K = 1 ``params`` with Hermite 1.5 or PHYDYAS 4, and a two-path
+    channel with its prefix phase."""
     params = replace(ref_params, compensation=compensation,
                      filter=prototype_filter(filt, 1.5 if filt == "HERMITE"
                                              else 4, 256))
     spec = ChannelSpec(paths=(PathSpec(1.0, 0, 0.0), PathSpec(0.7, 1, 1.0)),
                        M=params.M, c1=params.chirps_mod.c1)
-    H_d, G = data_restricted_channel(spec, AfbmModem(params))
+    return params, spec
+
+
+@pytest.mark.parametrize("filt", ["HERMITE", "PHYDYAS"])
+@pytest.mark.parametrize("compensation", ["split", "tx"])
+def test_data_restricted_channel_noise_covariance_matches_dense(
+        filt, compensation, ref_params):
+    params, spec = detector_case(filt, compensation, ref_params)
+    H_d, G, _, _ = data_restricted_channel(spec, AfbmModem(params))
     R = dense_receive_matrix(params)
     T_d = dense_transmit_matrix(params)[:, data_indices(params.dims.L)]
     ref = R @ R.conj().T
     assert np.abs(G - ref).max() < 1e-12 * np.abs(ref).max()
     ref = R @ build_channel(spec) @ T_d
     assert np.abs(H_d - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("filt", ["HERMITE", "PHYDYAS"])
+@pytest.mark.parametrize("compensation", ["split", "tx"])
+def test_data_restricted_channel_model_is_the_chain(filt, compensation,
+                                                    ref_params):
+    # the BER detector runs every frame through HS and R instead of the
+    # transmit chain, the channel and the receive chain
+    params, spec = detector_case(filt, compensation, ref_params)
+    modem = AfbmModem(params)
+    _, _, HS, R = data_restricted_channel(spec, modem)
+    data = data_indices(params.dims.L)
+    S_d = modem.modulate(np.eye(params.dims.L)[:, None, data])
+    assert np.array_equal(HS, spec.apply(S_d))
+    r = crandn(np.random.default_rng(62), params.M, 3)
+    ref = modem.demodulate(r)[data, 0]
+    assert np.abs(R @ r - ref).max() < 1e-12 * np.abs(ref).max()
 
 
 def test_data_restricted_channel_requires_single_symbol(ref_params_frame):

@@ -22,7 +22,6 @@ from afbm.metrics import (
     band_edges,
     ber_experiment,
     data_indices,
-    extract_grid,
     oobe_floor,
     oobe_level,
     orthogonality_gram,
@@ -36,8 +35,8 @@ from afbm.metrics import (
 )
 from afbm.channel import PathSpec, pick_chirp_params
 from afbm.filterbank import prototype_filter
-from afbm.modem import (BITS_PER_SYMBOL, AfbmModem, map_symbols,
-                        symbol_table)
+from afbm.modem import (BITS_PER_SYMBOL, AfbmModem, extract_grid,
+                        map_symbols, symbol_table)
 from afbm.transforms import ChirpPair, DaftDims
 from oracles import (afdm_oobe_signal, assemble_filter_matrix,
                      ber_trial_errors, daft_matrix, dense_receive_matrix,
@@ -241,8 +240,8 @@ def test_trial_frames_draw_the_bits_of_generator_integers():
                             data_per_frame=(count + 1) // 2)
         normals = np.empty((TRIAL_CHUNK, 3))
         for seed in range(3):
-            passes = metrics._trial_frames(p, lambda syms: syms, seed, (300,),
-                                           TRIAL_CHUNK, normals)
+            passes = metrics._trial_frames(p, seed, (300,), TRIAL_CHUNK,
+                                           normals)
             for j0, index, syms in passes:
                 bits = _symbol_bits(index, "QPSK")[:count]
                 for j in range(j0, j0 + index.shape[1]):
@@ -272,7 +271,7 @@ def test_trial_frames_equal_default_rng_for_every_key_shape(seed,
     for shape in ((20,), (3, 7)):
         normals = np.empty((TRIAL_CHUNK, 4))
         for j0, index, syms in metrics._trial_frames(
-                p, lambda syms: syms, seed, shape, TRIAL_CHUNK, normals):
+                p, seed, shape, TRIAL_CHUNK, normals):
             for j in range(j0, j0 + index.shape[1]):
                 key = [seed, *np.unravel_index(j, shape)]
                 ref = np.random.default_rng(key).bit_generator
@@ -306,8 +305,7 @@ def test_trial_frames_leave_other_seeds_to_default_rng(ref_params):
     # a uint32 array is entropy that SeedSequence takes as it is
     seed = np.array([7, 8], dtype=np.uint32)
     p = SimpleNamespace(constellation="QPSK", data_per_frame=4)
-    (_, index, _), = metrics._trial_frames(p, lambda syms: syms, seed, (3,),
-                                           4)
+    (_, index, _), = metrics._trial_frames(p, seed, (3,), 4)
     for t in range(3):
         ref = np.random.default_rng([seed, t]).integers(0, 2, size=8)
         assert np.array_equal(_symbol_bits(index, "QPSK")[:, t], ref)
@@ -317,7 +315,7 @@ def test_trial_frames_leave_other_seeds_to_default_rng(ref_params):
         with pytest.raises(Exception) as expected:
             np.random.default_rng([seed, 0])
         with pytest.raises(expected.type):
-            list(metrics._trial_frames(p, lambda syms: syms, seed, (1,), 4))
+            list(metrics._trial_frames(p, seed, (1,), 4))
         with pytest.raises(expected.type):
             papr_ccdf(_baseline(), trials=2, thresholds=[6.0], seed=seed)
         with pytest.raises(expected.type):
@@ -814,6 +812,26 @@ def test_ber_experiment_rows_do_not_depend_on_the_pass_size(
     for size in (1, 7):
         monkeypatch.setattr(metrics, "BER_PASS", size)
         assert ber_experiment(params, paths, grid, 9, seed=5) == rows
+
+
+def test_ber_experiment_runs_no_chain_per_frame(ref_params, monkeypatch):
+    # the linear model is built once; the passes are matrix products
+    import afbm.channel as channel
+
+    calls = []
+    for owner, name in ((AfbmModem, "modulate"), (AfbmModem, "demodulate"),
+                        (channel.ChannelSpec, "apply")):
+        def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    params, paths, grid = _ber_case("qam16-hermite-multipath", ref_params)
+    counts = []
+    for trials in (1, 3 * BER_PASS):
+        calls.clear()
+        ber_experiment(params, paths, grid[:1], trials, seed=4)
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1]
 
 
 def test_ber_tx_compensation_equals_split_for_hermite(ref_params):
