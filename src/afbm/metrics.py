@@ -16,7 +16,8 @@ The BER loop runs one flat list of ``(snr_index, trial)`` jobs,
 ``BER_PASS`` frames at a time across SNR points, through no chain at all:
 the channel and the whitened MMSE detector are one linear model, built
 once per experiment, and each pass is a few matrix products on the data
-symbols and the noise.
+symbols and the noise. Data stay symbol indices throughout: the bit
+errors of a symbol are the set bits of its decided index XOR its sent one.
 
 The spectrum loop streams each chunk into the Welch estimate as it is
 rendered, so its record is never held whole.
@@ -41,7 +42,6 @@ from .modem import (
     afdm_modulate,
     demap_symbols,
     place_grid,
-    index_bits,
     spread,
     symbol_table,
 )
@@ -195,9 +195,9 @@ def _transmitter(source):
     native-rate signal of its data symbols (axis 0; trailing axes are
     batch), and that signal rendered for the spectrum record, where the
     baseline interpolates each prefixed symbol ``AFDM_OOBE_OVERSAMPLE``
-    times on its own. ``source`` is a :class:`WaveformParams`, an
-    :class:`AfbmModem` (used as it is) or an :class:`AfdmParams`. This is
-    the only Monte Carlo code that tells the two waveforms apart.
+    times on its own. ``source`` is a :class:`WaveformParams` or an
+    :class:`AfdmParams`. This is the only Monte Carlo code that tells the
+    two waveforms apart.
     """
     if isinstance(source, AfdmParams):
         p = source
@@ -211,8 +211,8 @@ def _transmitter(source):
 
         render = partial(transmit, oversample=AFDM_OOBE_OVERSAMPLE)
     else:
-        modem = source if isinstance(source, AfbmModem) else AfbmModem(source)
-        p = modem.params
+        p = source
+        modem = AfbmModem(p)
 
         def transmit(syms):
             return modem.modulate(place_grid(syms, p.dims.L, p.K))
@@ -243,14 +243,12 @@ def _mix(x, y):
 def _pcg64_states(seed, shape):
     """The PCG64 state of ``default_rng([seed, *index])`` for every index
     of an array of ``shape``, in C order: all keys hashed at once in numpy
-    as ``SeedSequence`` hashes them, then seeded as PCG64 seeds them. A
-    seed that is not a non-negative integer (``int`` or ``np.integer``, as
-    ``SeedSequence`` tells them apart) is left to ``default_rng``, which
-    raises what it raises for it.
+    as ``SeedSequence`` hashes them, then seeded as PCG64 seeds them. The
+    seed must be a non-negative ``int`` or ``np.integer``, as
+    ``SeedSequence`` tells integers apart.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
-        return [np.random.default_rng([seed, *i]).bit_generator.state
-                for i in np.ndindex(shape)]
+        raise ValueError(f"seed must be a non-negative integer, not {seed!r}")
     seed = int(seed)
     # the seed's 32-bit words, low word first, then the index; entropy
     # shorter than the pool mixes as if padded with zeros
@@ -319,7 +317,7 @@ def papr_ccdf(source, trials: int, thresholds, seed) -> CcdfCurve:
         raise ValueError("thresholds must be finite and non-decreasing (1-D)")
     p, transmit, _ = _transmitter(source)
     samples = np.empty(trials)
-    shape = (PAPR_OVERSAMPLE * source.M, min(trials, TRIAL_CHUNK))
+    shape = (PAPR_OVERSAMPLE * p.M, min(trials, TRIAL_CHUNK))
     z = np.empty(shape, dtype=complex, order="F")
     env = np.empty(shape, order="F")
     for t0, _, x in _trial_frames(p, seed, (trials,), TRIAL_CHUNK):
@@ -490,7 +488,7 @@ def sir_orthogonality(params: WaveformParams, compensated: bool = True) -> float
 
 def ber_experiment(params: WaveformParams, paths, snr_grid, trials: int,
                    seed, xi: int = 0) -> list:
-    """Monte Carlo coded-free BER with MMSE detection: one ``(snr_db,
+    """Monte Carlo uncoded BER with MMSE detection: one ``(snr_db,
     ber)`` row per entry of ``snr_grid``, each within ``±SNR_LIMIT_DB``.
 
     Frames use K = 1 regardless of ``params.K``; the SNR axis refers to
@@ -551,9 +549,8 @@ def ber_experiment(params: WaveformParams, paths, snr_grid, trials: int,
         noise = PR @ (g[:b, :M] + 1j * g[:b, M:]).T
         est = V @ ((PH @ x + noise * np.sqrt(nvar / 2))
                    / (lam[:, None] + nvar))
-        bits = index_bits(index, p.constellation)
+        wrong = demap_symbols(est, p.constellation) ^ index
         np.add.at(errors, snr_index,
-                  np.sum(demap_symbols(est, p.constellation) != bits,
-                         axis=0))
+                  np.bitwise_count(wrong).sum(axis=0, dtype=int))
     return [(float(snr_db), int(e) / (trials * count))
             for snr_db, e in zip(snr_grid, errors)]

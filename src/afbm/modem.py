@@ -1,6 +1,8 @@
 """End-to-end modulation and demodulation of the chirp-precoded filter
 bank waveform, plus a chirped-multicarrier baseline with a chirp-periodic
-prefix and Gray-mapped constellations.
+prefix and Gray-mapped constellations. Data are symbol indices:
+:func:`symbol_table` gives the symbol of each, and :func:`demap_symbols`
+decides received symbols back to indices.
 
 Grids and signals are plain arrays whose trailing axes stack frames.
 Transmit chain per frame (grid ``A`` of shape L x K, guard rows zero):
@@ -42,15 +44,14 @@ from .filterbank import (
     output_length,
 )
 
-_QPSK_BIT_LEVELS = np.array([1.0, -1.0])  # bit 0 -> +1, bit 1 -> -1
-# Gray-coded QAM16 axis level of the bit pair, indexed [b0, b1]
-_QAM16_GRAY_LEVELS = np.array([[-3.0, -1.0], [3.0, 1.0]])
-
 BITS_PER_SYMBOL = {"QPSK": 2, "QAM16": 4}
 
-# Gray bit pairs of the QAM16 axis levels, indexed [bit, (level + 3) / 2]
-_QAM16_GRAY_BITS = np.array(np.unravel_index(
-    np.argsort(_QAM16_GRAY_LEVELS, axis=None), _QAM16_GRAY_LEVELS.shape))
+# Gray-coded level of each base-2**(bps/2) digit on one axis: the high
+# digit of a symbol index gives the real part, the low digit the imaginary
+_GRAY_LEVELS = {"QPSK": np.array([1.0, -1.0]) / np.sqrt(2),
+                "QAM16": np.array([-3.0, -1.0, 3.0, 1.0]) / np.sqrt(10)}
+# the QAM16 digit of each axis level rank, (level * √10 + 3) / 2
+_QAM16_RANK_DIGITS = np.array([0, 1, 3, 2])
 
 
 @dataclass(frozen=True)
@@ -89,65 +90,25 @@ class WaveformParams:
 # constellations
 # ---------------------------------------------------------------------------
 
-def map_symbols(bits: np.ndarray, constellation: str) -> np.ndarray:
-    """Gray-map 0/1 bits onto unit-average-energy symbols.
-
-    Bits run along axis 0, consecutive groups forming one symbol; trailing
-    axes are batch (one column per frame).
-    """
-    bits = np.asarray(bits)
-    if np.any((bits != 0) & (bits != 1)):
-        raise ValueError("bits must be 0 or 1")
-    bps = BITS_PER_SYMBOL.get(constellation)
-    if bps is None:
-        raise ValueError(f"unsupported constellation {constellation!r}")
-    if len(bits) % bps:
-        raise ValueError(f"bit count must be divisible by {bps}")
-    groups = bits.astype(int, copy=False).reshape((-1, bps) + bits.shape[1:])
-    if constellation == "QPSK":
-        re = _QPSK_BIT_LEVELS[groups[:, 0]]
-        im = _QPSK_BIT_LEVELS[groups[:, 1]]
-        return (re + 1j * im) / np.sqrt(2)
-    re = _QAM16_GRAY_LEVELS[groups[:, 0], groups[:, 1]]
-    im = _QAM16_GRAY_LEVELS[groups[:, 2], groups[:, 3]]
-    return (re + 1j * im) / np.sqrt(10)
-
-
-def index_bits(index: np.ndarray, constellation: str) -> np.ndarray:
-    """The bits of symbol indices, most significant first, the bits of each
-    symbol consecutive along axis 0 as :func:`map_symbols` takes them;
-    trailing axes are batch."""
-    bps = BITS_PER_SYMBOL[constellation]
-    shifts = np.arange(bps - 1, -1, -1).reshape(
-        (-1,) + (1,) * (index.ndim - 1))
-    return (index[:, None] >> shifts & 1).reshape((-1,) + index.shape[1:])
-
-
 def symbol_table(constellation: str) -> np.ndarray:
-    """The symbol of each index, :func:`map_symbols` of its bits."""
-    index = np.arange(2 ** BITS_PER_SYMBOL[constellation])
-    return map_symbols(index_bits(index, constellation), constellation)
+    """The unit-average-energy symbol of each index, Gray-mapped per axis."""
+    levels = _GRAY_LEVELS[constellation]
+    return np.add.outer(levels, 1j * levels).ravel()
 
 
 def demap_symbols(symbols: np.ndarray, constellation: str) -> np.ndarray:
-    """Hard-decision inverse of :func:`map_symbols`.
-
-    Symbols run along axis 0 and trailing axes are batch; the bits of
-    each symbol are consecutive along axis 0 of the output.
-    """
+    """Hard-decision index of each symbol, the inverse of
+    :func:`symbol_table`; any shape."""
     symbols = np.asarray(symbols)
     if constellation == "QPSK":
-        groups = np.stack([symbols.real < 0, symbols.imag < 0], axis=1)
-    elif constellation == "QAM16":
-        def axis_bits(v):
-            lvl = np.clip(np.round((v * np.sqrt(10) + 3) / 2), 0, 3)
-            return _QAM16_GRAY_BITS[:, lvl.astype(int)]
+        return 2 * (symbols.real < 0) + (symbols.imag < 0)
+    if constellation == "QAM16":
+        def digit(v):
+            rank = np.clip(np.round((v * np.sqrt(10) + 3) / 2), 0, 3)
+            return _QAM16_RANK_DIGITS[rank.astype(int)]
 
-        groups = np.concatenate([axis_bits(symbols.real),
-                                 axis_bits(symbols.imag)]).swapaxes(0, 1)
-    else:
-        raise ValueError(f"unsupported constellation {constellation!r}")
-    return groups.reshape((-1,) + symbols.shape[1:]).astype(int)
+        return 4 * digit(symbols.real) + digit(symbols.imag)
+    raise ValueError(f"unsupported constellation {constellation!r}")
 
 
 # ---------------------------------------------------------------------------

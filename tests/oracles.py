@@ -16,11 +16,12 @@ from afbm.channel import ChannelSpec, check_paths_feasible
 from afbm.filterbank import data_indices, output_length
 from afbm.metrics import (AFDM_OOBE_OVERSAMPLE, TRIAL_CHUNK, _transmitter,
                           _trial_frames, spectral_interpolate)
-from afbm.modem import (BITS_PER_SYMBOL, AfbmModem, afdm_modulate,
-                        map_symbols, place_grid)
+from afbm.modem import BITS_PER_SYMBOL, AfbmModem, afdm_modulate, place_grid
 from afbm.transforms import apply_daft, chirp_phase
 
+# Gray bit pair of each QAM16 axis level rank, (level + 3) / 2
 _QAM16_AXIS_BITS = {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}
+_QAM16_AXIS_RANK = {bits: rank for rank, bits in _QAM16_AXIS_BITS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +221,32 @@ def mmse_equalize(x_tilde, H_d, noise_var, cov=None):
     return np.linalg.solve(A, HhSi @ x_tilde)
 
 
+def map_symbols_dict(bits, constellation):
+    """Gray map of a 1-D 0/1 bit vector, one symbol at a time: QPSK bit
+    ``b`` is the level ``1 - 2b`` of its axis, a QAM16 bit pair the level
+    ``2 rank - 3``; the first bit (pair) gives the real part."""
+    bits = [int(b) for b in np.asarray(bits).ravel()]
+    symbols = []
+    if constellation == "QPSK":
+        for b0, b1 in zip(bits[0::2], bits[1::2]):
+            symbols.append(complex(1 - 2 * b0, 1 - 2 * b1) / np.sqrt(2))
+    else:
+        for i in range(0, len(bits), 4):
+            re, im = (2 * _QAM16_AXIS_RANK[tuple(bits[j:j + 2])] - 3
+                      for j in (i, i + 2))
+            symbols.append(complex(re, im) / np.sqrt(10))
+    return np.array(symbols, dtype=complex)
+
+
+def symbol_bits(index, constellation):
+    """The bits of symbol indices, most significant first, the bits of each
+    symbol consecutive along axis 0; trailing axes are batch."""
+    index = np.asarray(index)
+    bits = [index >> k & 1
+            for k in range(BITS_PER_SYMBOL[constellation] - 1, -1, -1)]
+    return np.stack(bits, axis=1).reshape((-1,) + index.shape[1:])
+
+
 def demap_symbols_dict(symbols, constellation):
     """Hard-decision demap of a 1-D symbol vector, one symbol at a time."""
     symbols = np.asarray(symbols).ravel()
@@ -272,14 +299,14 @@ def random_afbm_frame(params, rng, modem=None):
     if modem is None:
         modem = AfbmModem(params)
     bits = _frame_bits(params, rng)
-    A = place_grid(map_symbols(bits, params.constellation),
+    A = place_grid(map_symbols_dict(bits, params.constellation),
                    params.dims.L, params.K)
     return bits, A, modem.modulate(A)
 
 
 def _afdm_symbols(params, rng):
     bits = _frame_bits(params, rng)
-    X = map_symbols(bits, params.constellation).reshape(
+    X = map_symbols_dict(bits, params.constellation).reshape(
         (params.L_a, params.K), order="F")
     return bits, X, [afdm_modulate(X[:, k], params.chirps, params.cpp_len)
                      for k in range(params.K)]

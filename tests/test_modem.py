@@ -16,8 +16,6 @@ from afbm.modem import (
     demap_symbols,
     despread,
     extract_grid,
-    index_bits,
-    map_symbols,
     place_grid,
     spread,
     symbol_table,
@@ -26,12 +24,14 @@ from afbm.filterbank import prototype_filter
 from afbm.transforms import apply_daft, apply_synthesis_adjoint
 from oracles import (afdm_demodulate, afdm_demodulate_frame,
                      demap_symbols_dict, dense_transmit_matrix,
-                     filter_bank_adjoint_add_at)
+                     filter_bank_adjoint_add_at, map_symbols_dict,
+                     symbol_bits)
 
 
 def random_frame(rng, params):
     bits = rng.integers(0, 2, params.data_per_frame * 2)
-    return place_grid(map_symbols(bits, "QPSK"), params.dims.L, params.K)
+    return place_grid(map_symbols_dict(bits, "QPSK"), params.dims.L,
+                      params.K)
 
 
 def crandn(rng, *shape):
@@ -45,38 +45,44 @@ def crandn(rng, *shape):
 def test_qpsk_mapping_values():
     bits = np.array([0, 0, 1, 1, 0, 1, 1, 0])
     expected = np.array([1 + 1j, -1 - 1j, 1 - 1j, -1 + 1j]) / np.sqrt(2)
-    for given in (bits, bits.astype(bool), bits.astype(float)):
-        assert np.allclose(map_symbols(given, "QPSK"), expected)
+    assert np.allclose(symbol_table("QPSK")[[0, 3, 1, 2]], expected)
+    assert np.allclose(map_symbols_dict(bits, "QPSK"), expected)
 
 
 def test_qam16_gray_corners():
-    syms = map_symbols(np.array([0, 0, 0, 0, 1, 0, 1, 0]), "QAM16")
-    assert np.allclose(syms * np.sqrt(10), [-3 - 3j, 3 + 3j])
+    bits = np.array([0, 0, 0, 0, 1, 0, 1, 0])
+    for syms in (symbol_table("QAM16")[[0b0000, 0b1010]],
+                 map_symbols_dict(bits, "QAM16")):
+        assert np.allclose(syms * np.sqrt(10), [-3 - 3j, 3 + 3j])
 
 
 def test_qam16_unit_average_energy():
-    bits = np.array([[b3, b2, b1, b0] for b3 in (0, 1) for b2 in (0, 1)
-                     for b1 in (0, 1) for b0 in (0, 1)]).ravel()
-    syms = map_symbols(bits, "QAM16")
+    syms = symbol_table("QAM16")
     assert abs(np.mean(np.abs(syms) ** 2) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("constellation", ["QPSK", "QAM16"])
 def test_map_demap_round_trip(constellation):
     rng = np.random.default_rng(31)
-    bps = 4 if constellation == "QAM16" else 2
+    bps = BITS_PER_SYMBOL[constellation]
+    assert np.array_equal(
+        demap_symbols(symbol_table(constellation), constellation),
+        np.arange(2 ** bps))
     for _ in range(20):
         bits = rng.integers(0, 2, 64)
-        syms = map_symbols(bits, constellation)
-        assert np.array_equal(demap_symbols(syms, constellation), bits)
+        index = demap_symbols(map_symbols_dict(bits, constellation),
+                              constellation)
+        assert np.array_equal(symbol_bits(index, constellation), bits)
     # seeded batches: 2-D and 3-D, trailing axes of random length
     for ndim in (2, 3) * 10:
         shape = (bps * int(rng.integers(1, 40)),) + tuple(
             int(n) for n in rng.integers(1, 5, ndim - 1))
         bits = rng.integers(0, 2, shape)
-        syms = map_symbols(bits, constellation)
-        assert syms.shape == (shape[0] // bps,) + shape[1:]
-        assert np.array_equal(demap_symbols(syms, constellation), bits)
+        syms = np.apply_along_axis(map_symbols_dict, 0, bits, constellation)
+        index = demap_symbols(syms, constellation)
+        assert index.shape == (shape[0] // bps,) + shape[1:]
+        assert np.array_equal(symbol_bits(index, constellation), bits)
+        assert np.array_equal(symbol_table(constellation)[index], syms)
 
 
 @pytest.mark.parametrize("constellation", ["QPSK", "QAM16"])
@@ -87,26 +93,31 @@ def test_symbol_table_is_the_map_of_each_index(constellation):
     for index in range(2 ** bps):
         bits = [index >> k & 1 for k in range(bps - 1, -1, -1)]
         assert np.array_equal(table[index:index + 1].view(float),
-                              map_symbols(bits, constellation).view(float))
+                              map_symbols_dict(bits, constellation).view(float))
     # and as a batch of frames is mapped
     index = np.random.default_rng(49).integers(0, 2 ** bps, (64, 16))
     bits = (index[:, None] >> np.arange(bps - 1, -1, -1)[:, None]
             & 1).reshape(-1, 16)
-    assert np.array_equal(index_bits(index, constellation), bits)
-    assert np.array_equal(index_bits(index[:, 0], constellation), bits[:, 0])
+    assert np.array_equal(symbol_bits(index, constellation), bits)
+    assert np.array_equal(symbol_bits(index[:, 0], constellation), bits[:, 0])
+    mapped = np.apply_along_axis(map_symbols_dict, 0, bits, constellation)
     assert np.array_equal(table[index].view(float),
-                          map_symbols(bits, constellation).view(float))
+                          np.ascontiguousarray(mapped).view(float))
 
 
 def test_demap_survives_noise_and_clipping():
     rng = np.random.default_rng(32)
     bits = rng.integers(0, 2, 400)
-    syms = map_symbols(bits, "QAM16")
+    syms = map_symbols_dict(bits, "QAM16")
     noisy = syms + 0.01 * (rng.standard_normal(100) +
                            1j * rng.standard_normal(100))
-    assert np.array_equal(demap_symbols(noisy, "QAM16"), bits)
+    index = demap_symbols(noisy, "QAM16")
+    assert np.array_equal(symbol_bits(index, "QAM16"), bits)
+    # beyond the outer levels every point is decided to its corner
     far = demap_symbols(10 * syms, "QAM16")
-    assert set(np.unique(far)) <= {0, 1}
+    corner = 3 / np.sqrt(10) * (np.sign(syms.real) + 1j * np.sign(syms.imag))
+    assert np.array_equal(far, demap_symbols(corner, "QAM16"))
+    assert set(np.unique(far)) <= {0b0000, 0b0010, 0b1000, 0b1010}
 
 
 @pytest.mark.parametrize("constellation", ["QPSK", "QAM16"])
@@ -119,36 +130,40 @@ def test_demap_matches_dict_oracle(constellation):
                  np.arange(-3, 4, 2) / np.sqrt(10), -2 / np.sqrt(10),
                  2 / np.sqrt(10), 0.0, -0.0, 1e-300, -1e-300]
     syms = (axis[:, None] + 1j * axis[None, :]).ravel()
-    assert np.array_equal(demap_symbols(syms, constellation),
-                          demap_symbols_dict(syms, constellation))
+    assert np.array_equal(
+        symbol_bits(demap_symbols(syms, constellation), constellation),
+        demap_symbols_dict(syms, constellation))
 
 
 @pytest.mark.parametrize("constellation", ["QPSK", "QAM16"])
 def test_demap_batch_matches_each_column(constellation):
     rng = np.random.default_rng(37)
-    bps = 4 if constellation == "QAM16" else 2
+    bps = BITS_PER_SYMBOL[constellation]
     bits = rng.integers(0, 2, (bps * 40, 6))
-    syms = map_symbols(bits, constellation)
+    syms = np.apply_along_axis(map_symbols_dict, 0, bits, constellation)
     syms = syms + 0.2 * (rng.standard_normal(syms.shape)
                          + 1j * rng.standard_normal(syms.shape))
+    # points on the QAM16 decision boundaries and far outside the
+    # constellation, where the level rank clips
+    edges = np.array([-2, 0, 2, -40, 40]) / np.sqrt(10)
+    syms[:25] = (edges[:, None] + 1j * edges[None, :]).reshape(-1, 1)
+    sent = np.tensordot(2 ** np.arange(bps - 1, -1, -1),
+                        bits.reshape(40, bps, 6), axes=(0, 1))
     out = demap_symbols(syms, constellation)
-    assert out.shape == bits.shape
+    assert out.shape == sent.shape
+    # bit errors as the BER experiment counts them: set bits of the XOR
+    errors = np.bitwise_count(out ^ sent).sum(axis=0)
     for b in range(6):
-        assert np.array_equal(out[:, b],
-                              demap_symbols_dict(syms[:, b], constellation))
+        expected = demap_symbols_dict(syms[:, b], constellation)
+        assert np.array_equal(symbol_bits(out[:, b], constellation),
+                              expected)
+        assert errors[b] == np.sum(expected != bits[:, b])
+    assert errors.all()
     stacked = demap_symbols(syms.reshape(40, 2, 3), constellation)
-    assert np.array_equal(stacked, out.reshape(bps * 40, 2, 3))
+    assert np.array_equal(stacked, out.reshape(40, 2, 3))
 
 
 def test_mapping_validation():
-    with pytest.raises(ValueError):
-        map_symbols(np.array([0, 2]), "QPSK")
-    with pytest.raises(ValueError, match="0 or 1"):
-        map_symbols(np.array([0.5, 1.7]), "QPSK")  # not truncated to 0, 1
-    with pytest.raises(ValueError):
-        map_symbols(np.array([0, 1, 0]), "QAM16")  # not a multiple of 4
-    with pytest.raises(ValueError):
-        map_symbols(np.array([0, 1]), "PSK8")
     with pytest.raises(ValueError):
         demap_symbols(np.zeros(2, dtype=complex), "PSK8")
 
@@ -165,7 +180,7 @@ def test_place_grid_layout():
 
 def test_place_extract_round_trip():
     rng = np.random.default_rng(33)
-    d = map_symbols(rng.integers(0, 2, 2 * 512), "QPSK")
+    d = map_symbols_dict(rng.integers(0, 2, 2 * 512), "QPSK")
     A = place_grid(d, 128, 8)
     assert A.shape == (128, 8)
     assert np.array_equal(extract_grid(A), d)
@@ -186,12 +201,13 @@ def test_batched_map_place_modulate_match_single_frames(ref_params_frame):
     rng = np.random.default_rng(34)
     bits = rng.integers(0, 2, (ref_params_frame.data_per_frame * 2, 3))
     modem = AfbmModem(ref_params_frame)
-    frames = place_grid(map_symbols(bits, "QPSK"), 128, 8)
+    frames = place_grid(np.apply_along_axis(map_symbols_dict, 0, bits,
+                                            "QPSK"), 128, 8)
     assert frames.shape == (128, 8, 3)
     signals = modem.modulate(frames)
     assert signals.shape == (ref_params_frame.M, 3)
     for b in range(3):
-        one = place_grid(map_symbols(bits[:, b], "QPSK"), 128, 8)
+        one = place_grid(map_symbols_dict(bits[:, b], "QPSK"), 128, 8)
         assert np.array_equal(frames[..., b], one)
         assert np.array_equal(extract_grid(frames)[:, b], extract_grid(one))
         assert np.array_equal(signals[:, b], modem.modulate(one))
