@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .transforms import ChirpPair
-from .filterbank import data_indices
 from .modem import AfbmModem, prefix_phase
 
 
@@ -186,24 +185,23 @@ def path_separation_metric(H_eff, references, xi: int = 0) -> float:
 def data_restricted_channel(spec: ChannelSpec, modem: AfbmModem):
     """Linear model of the symbol detector: ``(H_d, G, HS, R)``.
 
-    ``S_d`` (M x L/2) holds the modulated data identity, one single-symbol
-    frame of ``modem`` per data position, so a frame of data symbols ``x``
-    arrives through the channel ``spec`` as ``HS x``, ``HS = spec.apply(S_d)``.
-    The receive chain of ``modem`` on the data rows is ``R = D S_dᴴ``
-    (L/2 x M) for ``D = diag(b_rx / b_tx)``. The despread data-to-data
-    channel is ``H_d = R HS``, an (L/2) x (L/2) matrix suitable for linear
-    equalization, and white unit-variance channel noise reaches the data
-    rows with covariance ``G = R Rᴴ = D (S_dᴴ S_d) D``, the identity for a
-    flat-fold prototype under the split policy.
+    ``S_d`` (M x L/2) is ``modem.modulate`` of the (L/2)-point identity,
+    one single-symbol frame per data symbol, so a frame of data symbols
+    ``x`` arrives through the channel ``spec`` as ``HS x``, ``HS =
+    spec.apply(S_d)``. ``modem.demodulate`` is the receive map ``R = D
+    S_dᴴ`` (L/2 x M) for ``D = diag(b_rx / b_tx)``. The despread
+    data-to-data channel is ``H_d = R HS``, an (L/2) x (L/2) matrix
+    suitable for linear equalization, and white unit-variance channel
+    noise reaches the data symbols with covariance ``G = R Rᴴ = D (S_dᴴ
+    S_d) D``, the identity for a flat-fold prototype under the split
+    policy.
     """
     params = modem.params
     if params.K != 1:
         raise ValueError("detector channel is defined for K = 1")
-    L = params.dims.L
-    data = data_indices(L)
-    S_d = modem.modulate(np.eye(L)[:, None, data])
+    S_d = modem.modulate(np.eye(params.dims.L // 2))
     HS = spec.apply(S_d)
-    d = modem.b_rx[data] / modem.b_tx[data]
+    d = modem.b_rx / modem.b_tx
     R = S_d.conj().T
     R *= d[:, None]
     return R @ HS, (R @ S_d) * d, HS, R

@@ -182,11 +182,11 @@ def data_indices(L: int) -> np.ndarray:
 def compensation_vector(dims: DaftDims, chirps_pre: ChirpPair,
                         chirps_mod: ChirpPair,
                         filt: PrototypeFilter) -> np.ndarray:
-    """Per-subcarrier real gains: the inverse square root of each data
-    position's power gain through the single-symbol chain (its Gram
-    diagonal), zero on the guard half. The filter Gram collapses to the
-    period-N power fold, so only the L/2 data columns are spread and their
-    fold-weighted norms taken."""
+    """Real gains of the L/2 data positions, in :func:`data_indices`
+    order: the inverse square root of each one's power gain through the
+    single-symbol chain (its Gram diagonal). The filter Gram collapses to
+    the period-N power fold, so only the L/2 data columns are spread and
+    their fold-weighted norms taken."""
     if filt.N != dims.N:
         raise ValueError("filter bank size must match dims.N")
     data = data_indices(dims.L)
@@ -199,6 +199,4 @@ def compensation_vector(dims: DaftDims, chirps_pre: ChirpPair,
         raise ArithmeticError(
             "singular compensation: chain gain vanished at data positions "
             f"{data[bad].tolist()}")
-    b = np.zeros(dims.L)
-    b[data] = 1 / np.sqrt(c)
-    return b
+    return 1 / np.sqrt(c)

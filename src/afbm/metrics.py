@@ -33,7 +33,6 @@ from functools import partial
 import numpy as np
 
 from .transforms import apply_daft
-from .filterbank import data_indices
 from .modem import (
     AfbmModem,
     AfdmParams,
@@ -212,12 +211,7 @@ def _transmitter(source):
         render = partial(transmit, oversample=AFDM_OOBE_OVERSAMPLE)
     else:
         p = source
-        modem = AfbmModem(p)
-
-        def transmit(syms):
-            return modem.modulate(place_grid(syms, p.dims.L, p.K))
-
-        render = transmit
+        transmit = render = AfbmModem(p).modulate
     return p, transmit, render
 
 
@@ -459,12 +453,12 @@ def orthogonality_gram(params: WaveformParams, compensated: bool = True) -> np.n
     diag(b_tx)`` there, ``b_x`` the gains of :class:`AfbmModem`.
     """
     L = params.dims.L
-    data = data_indices(L)
-    B = spread(apply_daft(np.eye(L)[:, None, data], params.chirps_pre), params)
+    B = spread(apply_daft(place_grid(np.eye(L // 2), L, 1), params.chirps_pre),
+               params)
     gram = B.conj().T @ B
     if compensated:
         modem = AfbmModem(params)
-        gram = modem.b_rx[data, None] * gram * modem.b_tx[data]
+        gram = modem.b_rx[:, None] * gram * modem.b_tx
     return gram
 
 

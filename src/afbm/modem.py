@@ -4,22 +4,26 @@ prefix and Gray-mapped constellations. Data are symbol indices:
 :func:`symbol_table` gives the symbol of each, and :func:`demap_symbols`
 decides received symbols back to indices.
 
-Grids and signals are plain arrays whose trailing axes stack frames.
-Transmit chain per frame (grid ``A`` of shape L x K, guard rows zero):
+:class:`AfbmModem` takes and returns data symbols: the (L/2)·K of a
+frame along axis 0, the L/2 of each of its K symbols in turn, with
+trailing axes stacking frames. Only this module lays them out on the
+L x K subcarrier grid: :func:`place_grid` puts each symbol's data on the
+first and last L/4 subcarriers (:func:`~afbm.filterbank.data_indices`)
+and leaves the guard half zero. Signals are plain arrays whose trailing axes stack
+frames. Transmit chain per frame of data ``d``:
 
-1. per-subcarrier compensation and L-point affine precoding,
-   ``X = W_L diag(b_tx) A``;
+1. per-subcarrier compensation, placement and L-point affine precoding,
+   ``X = W_L A``, ``A`` the grid of ``diag(b_tx) d``;
 2. :func:`spread`: per-symbol spreading to N samples through the
    synthesis operator, then overlapped filtering, symbols delayed every
    N/2 samples, ``s = G (I_K ⊗ Q) X``.
 
 The receiver runs the adjoint of each stage in reverse order
-(:func:`despread`, then the adjoint affine transform) and applies
-``diag(b_rx)`` last, so the ideal-channel response is ``B_rxᴴ B_tx``,
-``B_x`` the chain with gains ``b_x`` (``BᴴB`` under the split policy).
-Both gains are zero on the guard rows, so the response lives on the data
-positions: with a flat-fold prototype (overlap <= 1.5) it is their
-projector and the round trip is exact.
+(:func:`despread`, then the adjoint affine transform), reads the data
+positions and applies ``diag(b_rx)`` last, so the ideal-channel response
+is ``B_rxᴴ B_tx``, ``B_x`` the chain of the data positions with gains
+``b_x`` (``BᴴB`` under the split policy). With a flat-fold prototype
+(overlap <= 1.5) it is the identity and the round trip is exact.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .filterbank import (
     apply_filter_bank,
     apply_filter_bank_adjoint,
     compensation_vector,
+    data_indices,
     output_length,
 )
 
@@ -116,29 +121,19 @@ def demap_symbols(symbols: np.ndarray, constellation: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def place_grid(d: np.ndarray, L: int, K: int) -> np.ndarray:
-    """L x K grid: the first and last L/4 rows of each column hold data.
+    """L x K grid of the data symbols ``d``, zero on the guard rows.
 
     ``d`` holds the (L/2)*K symbols of a frame along axis 0, column after
-    column; trailing axes are batch.
+    column, each column on the :func:`~afbm.filterbank.data_indices` rows;
+    trailing axes are batch.
     """
     d = np.asarray(d)
     if d.ndim == 0 or len(d) != (L // 2) * K:
-        raise ValueError(f"expected {(L // 2) * K} symbols, got {d.size}")
-    batch = d.shape[1:]
-    cols = d.reshape((L // 2, K) + batch, order="F")
-    A = np.zeros((L, K) + batch, dtype=complex)
-    q = L // 4
-    A[:q] = cols[:q]
-    A[L - q:] = cols[q:]
+        raise ValueError(f"expected {(L // 2) * K} symbols along axis 0, "
+                         f"got shape {d.shape}")
+    A = np.zeros((L, K) + d.shape[1:], dtype=complex)
+    A[data_indices(L)] = d.reshape((L // 2, K) + d.shape[1:], order="F")
     return A
-
-
-def extract_grid(A: np.ndarray) -> np.ndarray:
-    """Read the data rows back out, column by column (inverse of place_grid)."""
-    L = len(A)
-    q = L // 4
-    rows = np.concatenate([A[:q], A[L - q:]])
-    return rows.reshape((-1,) + rows.shape[2:], order="F")
 
 
 # ---------------------------------------------------------------------------
@@ -172,33 +167,33 @@ class AfbmModem:
 
     def __init__(self, params: WaveformParams):
         self.params = params
+        self._data = data_indices(params.dims.L)
         b = compensation_vector(params.dims, params.chirps_pre,
                                 params.chirps_mod, params.filter)
         # "tx" is one-sided: the full squared factor at the transmitter and
-        # the data mask at the receiver; both gains vanish on the guard rows
+        # none at the receiver
         self.b_tx, self.b_rx = ((b, b) if params.compensation == "split"
-                                else (b * b, (b > 0).astype(float)))
+                                else (b * b, np.ones_like(b)))
 
-    def modulate(self, A: np.ndarray) -> np.ndarray:
-        """Signal of grid ``A`` (guard rows zero); trailing axes are batch."""
+    def modulate(self, d: np.ndarray) -> np.ndarray:
+        """Signal of the data symbols ``d``, the (L/2)*K of each frame
+        along axis 0 as :func:`place_grid` takes them; trailing axes are
+        batch."""
         p = self.params
-        A = np.asarray(A)
-        L = p.dims.L
-        if A.shape[:2] != (L, p.K):
-            raise ValueError("grid shape does not match params")
-        if np.any(A[L // 4:L - L // 4]):
-            raise ValueError("guard rows of the grid must be zero")
-        return spread(apply_daft(scale_rows(self.b_tx, A), p.chirps_pre), p)
+        A = place_grid(d, p.dims.L, p.K)
+        A[self._data] = scale_rows(self.b_tx, A[self._data])
+        return spread(apply_daft(A, p.chirps_pre), p)
 
     def demodulate(self, r: np.ndarray) -> np.ndarray:
-        """Grid of signal ``r``, zero on the guard rows (their gain ``b_rx``
-        is zero); trailing axes are batch."""
+        """Data symbols of signal ``r``, shaped as :meth:`modulate` takes
+        them; trailing axes are batch."""
         p = self.params
         r = np.asarray(r)
         if len(r) != p.M:
             raise ValueError(f"expected {p.M} samples, got {len(r)}")
-        return scale_rows(self.b_rx, apply_daft(despread(r, p), p.chirps_pre,
-                                                adjoint=True))
+        A = apply_daft(despread(r, p), p.chirps_pre, adjoint=True)
+        d = scale_rows(self.b_rx, A[self._data])
+        return d.reshape((-1,) + d.shape[2:], order="F")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from afbm.channel import ChannelSpec, check_paths_feasible
 from afbm.filterbank import data_indices, output_length
 from afbm.metrics import (AFDM_OOBE_OVERSAMPLE, TRIAL_CHUNK, _transmitter,
                           _trial_frames, spectral_interpolate)
-from afbm.modem import BITS_PER_SYMBOL, AfbmModem, afdm_modulate, place_grid
+from afbm.modem import BITS_PER_SYMBOL, AfbmModem, afdm_modulate
 from afbm.transforms import apply_daft, chirp_phase
 
 # Gray bit pair of each QAM16 axis level rank, (level + 3) / 2
@@ -130,16 +130,16 @@ def assemble_filter_matrix(filt, K):
 
 
 def precoded_symbol_matrix(params):
-    """Dense L x L compensated precoder ``W_L diag(b_tx)`` of one symbol."""
+    """Dense L x L/2 compensated precoder of one symbol's data: the data
+    columns of ``W_L`` scaled by ``b_tx``."""
     b = AfbmModem(params).b_tx
-    return daft_matrix(params.chirps_pre, params.dims.L) * b[None, :]
+    W = daft_matrix(params.chirps_pre, params.dims.L)
+    return W[:, data_indices(params.dims.L)] * b[None, :]
 
 
 def dense_transmit_matrix(params):
-    """Explicit M x LK frame matrix: filtering of the spread, precoded grid.
-
-    ``modulate(A)`` equals this matrix times ``vec(A)`` (columns
-    stacked in symbol order).
+    """Explicit M x (L/2)K frame matrix: filtering of the spread, precoded
+    data. ``modulate(d)`` equals this matrix times ``d``.
     """
     G = assemble_filter_matrix(params.filter, params.K)
     Qc = synthesis_matrix(params.dims, params.chirps_mod) @ \
@@ -148,16 +148,16 @@ def dense_transmit_matrix(params):
 
 
 def dense_receive_matrix(params):
-    """Explicit L/2 x M receive chain of a one-symbol frame on the data
-    rows: ``diag(b_rx)`` times the adjoint of filtering, synthesis and
-    precoding, ``extract_grid(demodulate(r))`` as a matrix."""
+    """Explicit L/2 x M receive chain of a one-symbol frame: ``diag(b_rx)``
+    times the data rows of the adjoint of filtering, synthesis and
+    precoding, ``demodulate(r)`` as a matrix."""
     if params.K != 1:
         raise ValueError("the receive matrix is defined for K = 1")
     chain = (assemble_filter_matrix(params.filter, 1)
              @ synthesis_matrix(params.dims, params.chirps_mod)
              @ daft_matrix(params.chirps_pre, params.dims.L))
     b_rx = AfbmModem(params).b_rx
-    return (b_rx[:, None] * chain.conj().T)[data_indices(params.dims.L)]
+    return b_rx[:, None] * chain.conj().T[data_indices(params.dims.L)]
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +295,12 @@ def _frame_bits(params, rng):
 
 
 def random_afbm_frame(params, rng, modem=None):
-    """One random data frame: its bits, grid and transmit signal."""
+    """One random data frame: its bits, data symbols and transmit signal."""
     if modem is None:
         modem = AfbmModem(params)
     bits = _frame_bits(params, rng)
-    A = place_grid(map_symbols_dict(bits, params.constellation),
-                   params.dims.L, params.K)
-    return bits, A, modem.modulate(A)
+    d = map_symbols_dict(bits, params.constellation)
+    return bits, d, modem.modulate(d)
 
 
 def _afdm_symbols(params, rng):
@@ -353,7 +352,7 @@ def ber_trial_errors(params, paths, snr_grid, trials, seed):
                        c1=params.chirps_mod.c1).normalized()
     H = build_channel(spec)
     R = dense_receive_matrix(params)
-    H_d = R @ H @ dense_transmit_matrix(params)[:, data_indices(params.dims.L)]
+    H_d = R @ H @ dense_transmit_matrix(params)
     cov = R @ R.conj().T
     modem = AfbmModem(params)
     errors = np.zeros((len(snr_grid), trials), dtype=int)

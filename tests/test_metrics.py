@@ -16,27 +16,23 @@ from afbm.metrics import (
     SNR_LIMIT_DB,
     TRIAL_CHUNK,
     WELCH_BLOCK,
-    AfdmParams,
     CcdfCurve,
-    WaveformParams,
     band_edges,
     ber_experiment,
-    data_indices,
     oobe_floor,
     oobe_level,
     orthogonality_gram,
     papr,
     papr_ccdf,
-    place_grid,
     psd_welch,
     sir_orthogonality,
     spectral_interpolate,
     spectrum_psd,
 )
 from afbm.channel import PathSpec, pick_chirp_params
-from afbm.filterbank import prototype_filter
-from afbm.modem import (BITS_PER_SYMBOL, AfbmModem, extract_grid,
-                        symbol_table)
+from afbm.filterbank import data_indices, prototype_filter
+from afbm.modem import (BITS_PER_SYMBOL, AfbmModem, AfdmParams,
+                        WaveformParams, symbol_table)
 from afbm.transforms import ChirpPair, DaftDims
 from oracles import (afdm_oobe_signal, assemble_filter_matrix,
                      ber_trial_errors, daft_matrix, dense_receive_matrix,
@@ -337,6 +333,17 @@ def _phydyas_frame(ref_dims, ref_chirps, phydyas256):
                           chirps_mod=ref_chirps, filter=phydyas256)
 
 
+def _with_c2(source):
+    """``source`` with c2 != 0 in every chirp pair (0.002 for precoding,
+    0.001 for modulation, 0.003 for the baseline), so the batched chain
+    runs the c2 chirp of ``apply_daft`` and the P-point DFT pair of
+    ``apply_synthesis``."""
+    if isinstance(source, AfdmParams):
+        return replace(source, chirps=replace(source.chirps, c2=0.003))
+    return replace(source, chirps_pre=replace(source.chirps_pre, c2=0.002),
+                   chirps_mod=replace(source.chirps_mod, c2=0.001))
+
+
 def _frames_one_at_a_time(source, trials, seed, afdm_frame):
     """Transmit signal of every trial, each from its own generator."""
     rngs = [np.random.default_rng([seed, t]) for t in range(trials)]
@@ -351,12 +358,16 @@ def _afdm_burst(params, rng):
 
 
 @pytest.mark.parametrize("trials", CHUNK_CROSSING_TRIALS)
-@pytest.mark.parametrize("waveform", ["hermite", "phydyas", "afdm"])
+@pytest.mark.parametrize("waveform", ["hermite", "phydyas", "afdm",
+                                      "hermite-c2", "afdm-c2"])
 def test_papr_ccdf_chunks_match_one_frame_at_a_time(
         waveform, trials, ref_params_frame, ref_dims, ref_chirps, phydyas256):
+    name, _, c2 = waveform.partition("-")
     source = {"hermite": ref_params_frame,
               "phydyas": _phydyas_frame(ref_dims, ref_chirps, phydyas256),
-              "afdm": _baseline()}[waveform]
+              "afdm": _baseline()}[name]
+    if c2:
+        source = _with_c2(source)
     curve = papr_ccdf(source, trials, np.array([6.0]), seed=4)
     frames = _frames_one_at_a_time(source, trials, 4, _afdm_burst)
     assert np.array_equal(curve.samples, [papr(s) for s in frames])
@@ -471,11 +482,15 @@ SPECTRUM_FRAMES = (1, 20, 2 * TRIAL_CHUNK + 3)
 
 @pytest.mark.parametrize("frames", SPECTRUM_FRAMES)
 @pytest.mark.parametrize("segment", [1000, 1024])
-@pytest.mark.parametrize("waveform", ["phydyas", "afdm"])
+@pytest.mark.parametrize("waveform", ["phydyas", "afdm",
+                                      "phydyas-c2", "afdm-c2"])
 def test_spectrum_psd_is_psd_welch_of_the_whole_record(
         waveform, segment, frames, ref_dims, ref_chirps, phydyas256):
-    source = (_baseline() if waveform == "afdm"
+    name, _, c2 = waveform.partition("-")
+    source = (_baseline() if name == "afdm"
               else _phydyas_frame(ref_dims, ref_chirps, phydyas256))
+    if c2:
+        source = _with_c2(source)
     record = spectrum_signal(source, frames, seed=8)
     streamed = spectrum_psd(source, frames, seed=8, segment=segment)
     whole = psd_welch([record], segment)
@@ -568,8 +583,7 @@ def test_orthogonality_gram_matches_dense_chain(kind, overlap, compensated,
                             compensation=compensation)
     data = data_indices(16)
     if compensated:
-        ref = dense_receive_matrix(params) @ \
-            dense_transmit_matrix(params)[:, data]
+        ref = dense_receive_matrix(params) @ dense_transmit_matrix(params)
     else:
         B = (assemble_filter_matrix(params.filter, 1)
              @ synthesis_matrix(params.dims, chirps) @ daft_matrix(chirps, 16))
@@ -609,14 +623,13 @@ def test_sir_reference_values(ref_params, ref_dims, ref_chirps, phydyas256):
 
 def test_sir_is_that_of_the_modem_round_trip(ref_dims, ref_chirps, phydyas256):
     # under the tx policy the chain response is B_rxᴴ B_tx, not BᴴB
-    data = data_indices(128)
-    grid = np.eye(128)[:, None, data]  # one data position per frame
     for compensation in ("split", "tx"):
         params = WaveformParams(dims=ref_dims, K=1, chirps_pre=ref_chirps,
                                 chirps_mod=ref_chirps, filter=phydyas256,
                                 compensation=compensation)
         modem = AfbmModem(params)
-        R = modem.demodulate(modem.modulate(grid))[data, 0]
+        # one data symbol per frame
+        R = modem.demodulate(modem.modulate(np.eye(64)))
         sig = np.sum(np.abs(np.diag(R)) ** 2)
         sir = 10 * np.log10(sig / (np.sum(np.abs(R) ** 2) - sig))
         assert abs(sir_orthogonality(params) - sir) < 1e-9
@@ -638,21 +651,18 @@ def test_compensation_beats_uniform_scaling(ref_dims, ref_chirps, phydyas256):
     # leaves the fold ripple uncorrected and inflates the round-trip EVM
     params = WaveformParams(dims=ref_dims, K=1, chirps_pre=ref_chirps,
                             chirps_mod=ref_chirps, filter=phydyas256)
-    data = data_indices(128)
     modem = AfbmModem(params)
-    gains = 1 / modem.b_tx[data] ** 2
-    uniform = np.zeros(128)
-    uniform[data] = 1 / np.sqrt(np.mean(gains))
+    gains = 1 / modem.b_tx ** 2
+    uniform = np.full(64, 1 / np.sqrt(np.mean(gains)))
     flat = AfbmModem(params)
     flat.b_tx = flat.b_rx = uniform
     rng = np.random.default_rng(65)
     evm_comp = evm_flat = 0.0
     for _ in range(20):
         d = map_symbols_dict(rng.integers(0, 2, 128), "QPSK")
-        frame = place_grid(d, 128, 1)
-        rx = extract_grid(modem.demodulate(modem.modulate(frame)))
+        rx = modem.demodulate(modem.modulate(d))
         evm_comp += np.sum(np.abs(rx - d) ** 2)
-        rx = extract_grid(flat.demodulate(flat.modulate(frame)))
+        rx = flat.demodulate(flat.modulate(d))
         evm_flat += np.sum(np.abs(rx - d) ** 2)
     assert 0 < evm_comp < 0.25 * evm_flat
 
