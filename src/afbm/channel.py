@@ -18,10 +18,10 @@ m-th entries of Phi_r and Z^{f_r}, O(paths * M) per column.
 
 Also here: the chirp-rate feasibility rule for keeping paths separable,
 the effective channels ``Bᴴ H B`` of a waveform basis ``B`` (the whole
-channel and each distinct path), a path separation score, and the linear
-model of the BER detector: the received data basis, the receive map of
-the data rows, the data-to-data channel it makes and the noise
-covariance the detector sees.
+channel and each distinct path) and a path separation score. The BER
+detector needs no receive model of its own: it whitens its noise, which
+cancels the receive gains, so the transmit basis ``S`` gives its whole
+linear model (see :func:`afbm.metrics.ber_experiment`).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .transforms import ChirpPair
-from .modem import AfbmModem, prefix_phase
+from .modem import prefix_phase
 
 
 @dataclass(frozen=True)
@@ -181,27 +181,3 @@ def path_separation_metric(H_eff, references, xi: int = 0) -> float:
         raise ValueError("effective channel has no energy")
     return float(energy[keep].sum() / total)
 
-
-def data_restricted_channel(spec: ChannelSpec, modem: AfbmModem):
-    """Linear model of the symbol detector: ``(H_d, G, HS, R)``.
-
-    ``S_d`` (M x L/2) is ``modem.modulate`` of the (L/2)-point identity,
-    one single-symbol frame per data symbol, so a frame of data symbols
-    ``x`` arrives through the channel ``spec`` as ``HS x``, ``HS =
-    spec.apply(S_d)``. ``modem.demodulate`` is the receive map ``R = D
-    S_dᴴ`` (L/2 x M) for ``D = diag(b_rx / b_tx)``. The despread
-    data-to-data channel is ``H_d = R HS``, an (L/2) x (L/2) matrix
-    suitable for linear equalization, and white unit-variance channel
-    noise reaches the data symbols with covariance ``G = R Rᴴ = D (S_dᴴ
-    S_d) D``, the identity for a flat-fold prototype under the split
-    policy.
-    """
-    params = modem.params
-    if params.K != 1:
-        raise ValueError("detector channel is defined for K = 1")
-    S_d = modem.modulate(np.eye(params.dims.L // 2))
-    HS = spec.apply(S_d)
-    d = modem.b_rx / modem.b_tx
-    R = S_d.conj().T
-    R *= d[:, None]
-    return R @ HS, (R @ S_d) * d, HS, R

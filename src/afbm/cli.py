@@ -116,7 +116,7 @@ class ExperimentConfig:
 
     experiment: str
     waveform: WaveformParams
-    afdm: AfdmParams
+    afdm: AfdmParams | None  # None where the baseline is not run
     paths: tuple
     xi: int
     snr_grid: tuple
@@ -215,20 +215,26 @@ def resolve_config(data: dict) -> ExperimentConfig:
         dims=dims, K=wf["K"], chirps_pre=chirps_pre, chirps_mod=chirps_mod,
         filter=filt, constellation=wf["constellation"],
         compensation=wf["compensation"])
-    c1 = (af["c1"] if "c1" in af
-          else pick_chirp_params(ell_max, f_max, xi, dims.L).c1)
-    afdm = AfdmParams(L_a=dims.L, K=wf["K"],
-                      chirps=ChirpPair(c1=c1, c2=af.get("c2", 0.0)),
-                      cpp_len=af.get("cpp_len", ell_max),
-                      constellation=wf["constellation"])
+    afdm = None  # orth and ber do not run the baseline
+    if resolved["experiment"] in ("papr", "oobe", "effchan"):
+        try:
+            c1 = (af["c1"] if "c1" in af
+                  else pick_chirp_params(ell_max, f_max, xi, dims.L).c1)
+        except ValueError as err:
+            raise ValueError(f"afdm (L = {dims.L}): {err}") from err
+        afdm = AfdmParams(L_a=dims.L, K=wf["K"],
+                          chirps=ChirpPair(c1=c1, c2=af.get("c2", 0.0)),
+                          cpp_len=af.get("cpp_len", ell_max),
+                          constellation=wf["constellation"])
     trials = resolved["trials"]
-    lengths = (trials * waveform.M,
-               trials * metrics.AFDM_OOBE_OVERSAMPLE * afdm.M)
-    if resolved["experiment"] == "oobe" and min(lengths) < 4 * dims.N:
-        raise ValueError(f"trials = {trials} is too few for oobe: the afbm "
-                         f"and afdm records hold {lengths[0]} and "
-                         f"{lengths[1]} samples, shorter than one 4*N = "
-                         f"{4 * dims.N} sample Welch segment")
+    if resolved["experiment"] == "oobe":
+        lengths = (trials * waveform.M,
+                   trials * metrics.AFDM_OOBE_OVERSAMPLE * afdm.M)
+        if min(lengths) < 4 * dims.N:
+            raise ValueError(f"trials = {trials} is too few for oobe: the "
+                             f"afbm and afdm records hold {lengths[0]} and "
+                             f"{lengths[1]} samples, shorter than one 4*N = "
+                             f"{4 * dims.N} sample Welch segment")
     paths = tuple(  # a gain is a number or a [real, imag] pair
         PathSpec(gain=complex(*np.ravel(p["gain"])), delay=p["delay"],
                  doppler=p["doppler"])

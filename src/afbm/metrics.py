@@ -10,12 +10,14 @@ one: every key is seeded in one batch, each trial's state is set into
 one reused PCG64, and each symbol is looked up in a :func:`symbol_table`
 by an index read straight from the raw words. Every loop then takes the
 draws of many frames as one batch, one column per frame. The PAPR and
-spectrum loops push ``TRIAL_CHUNK`` trials at a time through the transmit
-chain, with samples equal to those of one frame at a time bit for bit.
+spectrum loops push ``TRIAL_CHUNK`` trials at a time through the
+source's ``modulate``, with samples equal to those of one frame at a
+time bit for bit.
 The BER loop runs one flat list of ``(snr_index, trial)`` jobs,
 ``BER_PASS`` frames at a time across SNR points, through no chain at all:
 the channel and the whitened MMSE detector are one linear model, built
-once per experiment, and each pass is a few matrix products on the data
+once per experiment from the transmit basis (the whitening cancels the
+receive gains), and each pass is a few matrix products on the data
 symbols and the noise. Data stay symbol indices throughout: the bit
 errors of a symbol are the set bits of its decided index XOR its sent one.
 
@@ -28,23 +30,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
 from .transforms import apply_daft
 from .modem import (
-    AfbmModem,
     AfdmParams,
     BITS_PER_SYMBOL,
     WaveformParams,
-    afdm_modulate,
     demap_symbols,
     place_grid,
     spread,
     symbol_table,
 )
-from .channel import ChannelSpec, check_paths_feasible, data_restricted_channel
+from .channel import ChannelSpec, check_paths_feasible
 
 SIR_CAP_DB = 150.0
 
@@ -189,32 +188,6 @@ def papr(signal, out: tuple | None = None):
     return float(ratio) if s.ndim == 1 else ratio
 
 
-def _transmitter(source):
-    """``(p, transmit, render)``: the parameters of a waveform, the
-    native-rate signal of its data symbols (axis 0; trailing axes are
-    batch), and that signal rendered for the spectrum record, where the
-    baseline interpolates each prefixed symbol ``AFDM_OOBE_OVERSAMPLE``
-    times on its own. ``source`` is a :class:`WaveformParams` or an
-    :class:`AfdmParams`. This is the only Monte Carlo code that tells the
-    two waveforms apart.
-    """
-    if isinstance(source, AfdmParams):
-        p = source
-
-        def transmit(syms, oversample=1):
-            X = syms.reshape((p.L_a, p.K) + syms.shape[1:], order="F")
-            symbols = afdm_modulate(X, p.chirps, p.cpp_len)
-            if oversample > 1:
-                symbols = spectral_interpolate(symbols, oversample)
-            return symbols.reshape((-1,) + symbols.shape[2:], order="F")
-
-        render = partial(transmit, oversample=AFDM_OOBE_OVERSAMPLE)
-    else:
-        p = source
-        transmit = render = AfbmModem(p).modulate
-    return p, transmit, render
-
-
 def _hashes(h, mult):
     """The successive ``(h, h * mult)`` of a SeedSequence hash constant."""
     while True:
@@ -309,14 +282,14 @@ def papr_ccdf(source, trials: int, thresholds, seed) -> CcdfCurve:
     if not (thresholds.ndim == 1 and np.all(np.isfinite(thresholds))
             and np.all(np.diff(thresholds) >= 0)):
         raise ValueError("thresholds must be finite and non-decreasing (1-D)")
-    p, transmit, _ = _transmitter(source)
     samples = np.empty(trials)
-    shape = (PAPR_OVERSAMPLE * p.M, min(trials, TRIAL_CHUNK))
+    shape = (PAPR_OVERSAMPLE * source.M, min(trials, TRIAL_CHUNK))
     z = np.empty(shape, dtype=complex, order="F")
     env = np.empty(shape, order="F")
-    for t0, _, x in _trial_frames(p, seed, (trials,), TRIAL_CHUNK):
+    for t0, _, x in _trial_frames(source, seed, (trials,), TRIAL_CHUNK):
         b = x.shape[1]
-        samples[t0:t0 + b] = papr(transmit(x), out=(z[:, :b], env[:, :b]))
+        samples[t0:t0 + b] = papr(source.modulate(x),
+                                  out=(z[:, :b], env[:, :b]))
     probs = np.array([(samples > th).mean() for th in thresholds])
     return CcdfCurve(thresholds=thresholds, probabilities=probs,
                      samples=samples)
@@ -429,13 +402,20 @@ def band_edges(source):
 
 def spectrum_psd(source, frames: int, seed, segment: int) -> PsdEstimate:
     """:func:`psd_welch` of the record of ``frames`` random frames of
-    ``source``, each rendered for the spectrum and laid end to end. The
+    ``source``, each rendered for the spectrum and laid end to end: the
+    filtered waveform at its native rate, the baseline with each prefixed
+    symbol interpolated ``AFDM_OOBE_OVERSAMPLE`` times on its own. The
     frames are rendered ``TRIAL_CHUNK`` at a time and streamed into the
     estimate, so the record is never held whole."""
     if frames < 1:
         raise ValueError("frames must be >= 1")
-    p, _, render = _transmitter(source)
-    chunks = _trial_frames(p, seed, (frames,), TRIAL_CHUNK)
+    render = source.modulate
+    if isinstance(source, AfdmParams):  # each prefixed symbol on its own
+        def render(x):  # views: modulate returns Fortran-ordered frames
+            z = spectral_interpolate(source.modulate(x).reshape(
+                (source.M // source.K, -1), order="F"), AFDM_OOBE_OVERSAMPLE)
+            return z.reshape((-1, x.shape[1]), order="F")
+    chunks = _trial_frames(source, seed, (frames,), TRIAL_CHUNK)
     # frame t is column t of its chunk
     return psd_welch((frame for _, _, x in chunks for frame in render(x).T),
                      segment)
@@ -450,15 +430,15 @@ def orthogonality_gram(params: WaveformParams, compensated: bool = True) -> np.n
     positions, (L/2) x (L/2): ``BᴴB``, ``B`` the :func:`spread` of the
     precoded data identity, which exposes the raw filter interference.
     With ``compensated`` it is the modem round trip ``diag(b_rx) BᴴB
-    diag(b_tx)`` there, ``b_x`` the gains of :class:`AfbmModem`.
+    diag(b_tx)`` there, ``(b_tx, b_rx)`` the ``params.gains``.
     """
     L = params.dims.L
     B = spread(apply_daft(place_grid(np.eye(L // 2), L, 1), params.chirps_pre),
                params)
     gram = B.conj().T @ B
     if compensated:
-        modem = AfbmModem(params)
-        gram = modem.b_rx[:, None] * gram * modem.b_tx
+        b_tx, b_rx = params.gains
+        gram = b_rx[:, None] * gram * b_tx
     return gram
 
 
@@ -493,18 +473,22 @@ def ber_experiment(params: WaveformParams, paths, snr_grid, trials: int,
     phase of its modulation chirp rate c1. ``xi`` is the Doppler guard of
     the chirp feasibility rule that the paths must meet.
 
-    Detection runs on the despread data-restricted channel ``H_d``, where
-    the noise has covariance ``nvar G`` (see
-    :func:`~afbm.channel.data_restricted_channel`). The detector whitens
-    it once per experiment: with ``G = C Cᴴ`` and ``H_w = C⁻¹H_d``, the
-    MMSE filter ``(H_wᴴH_w + nvar I)⁻¹H_wᴴC⁻¹`` of every frame comes from
-    one eigendecomposition ``H_wᴴH_w = V Λ Vᴴ``.
+    Detection runs on the data symbols, through the transmit basis ``S =
+    p.modulate(I)`` (M x L/2): a frame of symbols ``x`` arrives through
+    the channel ``H`` as ``HS x``, the receive map is ``R = Sᴴ``, the
+    data-to-data channel ``H_d = Sᴴ HS``, and white unit-variance channel
+    noise reaches the data with covariance ``G = Sᴴ S``. The detector
+    whitens it once per experiment: with ``G = C Cᴴ`` and ``H_w =
+    C⁻¹H_d``, the MMSE filter ``(H_wᴴH_w + nvar I)⁻¹H_wᴴC⁻¹`` of every
+    frame comes from one eigendecomposition ``H_wᴴH_w = V Λ Vᴴ``. The
+    demodulator's receive gains, a positive diagonal ``D`` on ``R``,
+    would make ``G = D G₀ D`` and ``C = D C₀``; ``D`` cancels from ``H_w``
+    and the filter, so the model leaves it out.
 
     The chain is linear, so no frame goes through it: with ``P = Vᴴ
-    H_wᴴC⁻¹``, the received data basis ``HS`` and the receive map ``R`` of
-    the data rows, a frame of symbols ``x`` and time-domain noise ``n``
-    gives ``V (P H_d x + P R n) / (Λ + nvar)``, and its received power
-    ``|HS x|²`` is the quadratic form ``xᴴ (HSᴴHS) x``.
+    H_wᴴC⁻¹``, a frame of symbols ``x`` and time-domain noise ``n`` gives
+    ``V (P H_d x + P R n) / (Λ + nvar)``, and its received power ``|HS
+    x|²`` is the quadratic form ``xᴴ (HSᴴHS) x``.
 
     Every ``(snr_index i, trial t)`` pair is one job, and trial ``t`` at
     SNR index ``i`` draws its bits and then its noise from
@@ -520,14 +504,15 @@ def ber_experiment(params: WaveformParams, paths, snr_grid, trials: int,
     check_paths_feasible(paths, xi, p.dims.P)
     M = p.M
     spec = ChannelSpec(paths=paths, M=M, c1=p.chirps_mod.c1).normalized()
-    H_d, G, HS, R = data_restricted_channel(spec, AfbmModem(p))
-    C = np.linalg.cholesky(G)
+    S = p.modulate(np.eye(p.dims.L // 2))
+    HS, R = spec.apply(S), S.conj().T
+    H_d, C = R @ HS, np.linalg.cholesky(R @ S)
     H_w = np.linalg.solve(C, H_d)
     lam, V = np.linalg.eigh(H_w.conj().T @ H_w)
     # Vᴴ H_wᴴ C⁻¹, with H_wᴴ C⁻¹ = (C⁻ᴴ H_w)ᴴ
     P = V.conj().T @ np.linalg.solve(C.conj().T, H_w).conj().T
     PH, PR, gram = P @ H_d, P @ R, HS.conj().T @ HS
-    del HS, R  # M x L/2 each, dead from here: it bounds peak memory
+    del S, HS, R  # M x L/2 each, dead from here: it bounds peak memory
     count = p.data_per_frame * BITS_PER_SYMBOL[p.constellation]
     snr_lin = np.array([10 ** (snr_db / 10) for snr_db in snr_grid])
     job_snr = np.repeat(np.arange(len(snr_grid)), trials)

@@ -4,13 +4,14 @@ prefix and Gray-mapped constellations. Data are symbol indices:
 :func:`symbol_table` gives the symbol of each, and :func:`demap_symbols`
 decides received symbols back to indices.
 
-:class:`AfbmModem` takes and returns data symbols: the (L/2)·K of a
-frame along axis 0, the L/2 of each of its K symbols in turn, with
-trailing axes stacking frames. Only this module lays them out on the
-L x K subcarrier grid: :func:`place_grid` puts each symbol's data on the
-first and last L/4 subcarriers (:func:`~afbm.filterbank.data_indices`)
-and leaves the guard half zero. Signals are plain arrays whose trailing axes stack
-frames. Transmit chain per frame of data ``d``:
+Each waveform's parameters are its transmitter: ``p.modulate(d)`` of a
+:class:`WaveformParams` or an :class:`AfdmParams` takes the
+``p.data_per_frame`` data symbols of a frame along axis 0, symbol after
+symbol, and returns its signal; in both, trailing axes stack frames.
+Only this module lays the data out on the L x K subcarrier grid:
+:func:`place_grid` puts each symbol's data on the first and last L/4
+subcarriers (:func:`~afbm.filterbank.data_indices`) and leaves the guard
+half zero. Transmit chain per frame of data ``d``:
 
 1. per-subcarrier compensation, placement and L-point affine precoding,
    ``X = W_L A``, ``A`` the grid of ``diag(b_tx) d``;
@@ -18,17 +19,20 @@ frames. Transmit chain per frame of data ``d``:
    synthesis operator, then overlapped filtering, symbols delayed every
    N/2 samples, ``s = G (I_K ⊗ Q) X``.
 
-The receiver runs the adjoint of each stage in reverse order
-(:func:`despread`, then the adjoint affine transform), reads the data
-positions and applies ``diag(b_rx)`` last, so the ideal-channel response
-is ``B_rxᴴ B_tx``, ``B_x`` the chain of the data positions with gains
-``b_x`` (``BᴴB`` under the split policy). With a flat-fold prototype
-(overlap <= 1.5) it is the identity and the round trip is exact.
+The receiver :meth:`WaveformParams.demodulate` runs the adjoint of each
+stage in reverse order (:func:`despread`, then the adjoint affine
+transform), reads the data positions and applies ``diag(b_rx)`` last, so
+the ideal-channel response is ``B_rxᴴ B_tx``, ``B_x`` the chain of the
+data positions with gains ``b_x`` (``BᴴB`` under the split policy). With
+a flat-fold prototype (overlap <= 1.5) it is the identity and the round
+trip is exact. The receive gains are a positive diagonal, so a detector
+that whitens its noise cancels them and needs the transmit basis alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +93,34 @@ class WaveformParams:
     @property
     def data_per_frame(self) -> int:
         return (self.dims.L // 2) * self.K
+
+    @cached_property
+    def gains(self) -> tuple:
+        """``(b_tx, b_rx)``, the gains of the L/2 data subcarriers: the
+        :func:`compensation_vector` on each side under "split"; "tx" is
+        one-sided, the full squared factor at the transmitter and none at
+        the receiver."""
+        b = compensation_vector(self.dims, self.chirps_pre, self.chirps_mod,
+                                self.filter)
+        return ((b, b) if self.compensation == "split"
+                else (b * b, np.ones_like(b)))
+
+    def modulate(self, d: np.ndarray) -> np.ndarray:
+        """Signal of the data symbols ``d``, the (L/2)*K of each frame
+        along axis 0 as :func:`place_grid` takes them; trailing axes are
+        batch."""
+        A = place_grid(d, self.dims.L, self.K)
+        data = data_indices(self.dims.L)
+        A[data] = scale_rows(self.gains[0], A[data])
+        return spread(apply_daft(A, self.chirps_pre), self)
+
+    def demodulate(self, r: np.ndarray) -> np.ndarray:
+        """Data symbols of signal ``r``, shaped as :meth:`modulate` takes
+        them; trailing axes are batch. :func:`despread` checks the length."""
+        A = apply_daft(despread(np.asarray(r), self), self.chirps_pre,
+                       adjoint=True)
+        d = scale_rows(self.gains[1], A[data_indices(self.dims.L)])
+        return d.reshape((-1,) + d.shape[2:], order="F")
 
 
 # ---------------------------------------------------------------------------
@@ -159,43 +191,6 @@ def despread(r: np.ndarray, params: WaveformParams) -> np.ndarray:
         params.dims, params.chirps_mod)
 
 
-class AfbmModem:
-    """Precomputed modulator/demodulator for one parameter set.
-
-    Immutable after construction; `modulate`/`demodulate` are re-entrant.
-    """
-
-    def __init__(self, params: WaveformParams):
-        self.params = params
-        self._data = data_indices(params.dims.L)
-        b = compensation_vector(params.dims, params.chirps_pre,
-                                params.chirps_mod, params.filter)
-        # "tx" is one-sided: the full squared factor at the transmitter and
-        # none at the receiver
-        self.b_tx, self.b_rx = ((b, b) if params.compensation == "split"
-                                else (b * b, np.ones_like(b)))
-
-    def modulate(self, d: np.ndarray) -> np.ndarray:
-        """Signal of the data symbols ``d``, the (L/2)*K of each frame
-        along axis 0 as :func:`place_grid` takes them; trailing axes are
-        batch."""
-        p = self.params
-        A = place_grid(d, p.dims.L, p.K)
-        A[self._data] = scale_rows(self.b_tx, A[self._data])
-        return spread(apply_daft(A, p.chirps_pre), p)
-
-    def demodulate(self, r: np.ndarray) -> np.ndarray:
-        """Data symbols of signal ``r``, shaped as :meth:`modulate` takes
-        them; trailing axes are batch."""
-        p = self.params
-        r = np.asarray(r)
-        if len(r) != p.M:
-            raise ValueError(f"expected {p.M} samples, got {len(r)}")
-        A = apply_daft(despread(r, p), p.chirps_pre, adjoint=True)
-        d = scale_rows(self.b_rx, A[self._data])
-        return d.reshape((-1,) + d.shape[2:], order="F")
-
-
 # ---------------------------------------------------------------------------
 # chirped-multicarrier baseline (single-tap subcarriers, chirp-periodic prefix)
 # ---------------------------------------------------------------------------
@@ -232,28 +227,29 @@ class AfdmParams:
     def data_per_frame(self) -> int:
         return self.L_a * self.K
 
+    def modulate(self, d: np.ndarray) -> np.ndarray:
+        """Signal of the data symbols ``d``, the L_a*K of each frame along
+        axis 0, symbol after symbol; trailing axes are batch.
+
+        Each symbol is the adjoint affine transform of its L_a data after a
+        chirp-periodic prefix. The prefix copies the tail of the body with
+        the quadratic phase continuation that makes a linear delay-Doppler
+        channel act circularly on the body, so the channel module's
+        circular model applies exactly.
+        """
+        d, L_a, cpp_len = np.asarray(d), self.L_a, self.cpp_len
+        body = apply_daft(d.reshape((L_a, self.K) + d.shape[1:], order="F"),
+                          self.chirps, adjoint=True)
+        # each frame contiguous, so reshaping it is a view
+        s = np.empty((L_a + cpp_len,) + body.shape[1:], complex, order="F")
+        s[cpp_len:] = body
+        s[:cpp_len] = scale_rows(prefix_phase(self.chirps.c1, L_a, cpp_len),
+                                 body[L_a - cpp_len:])
+        return s.reshape((-1,) + s.shape[2:], order="F")
+
 
 def prefix_phase(c1: float, n_body: int, cpp_len: int) -> np.ndarray:
     """``exp(-j2πc1(n_body² - 2 n_body (cpp_len - m)))``, m < cpp_len: the
     chirp-periodic prefix phase of a length-``n_body`` block."""
     m = np.arange(cpp_len)
     return np.exp(-2j * np.pi * c1 * (n_body ** 2 - 2 * n_body * (cpp_len - m)))
-
-
-def afdm_modulate(x: np.ndarray, chirps: ChirpPair, cpp_len: int) -> np.ndarray:
-    """Adjoint affine transform of the symbol plus a chirp-periodic prefix.
-
-    The prefix copies the tail of the body with the quadratic phase
-    continuation that makes a linear delay-Doppler channel act circularly
-    on the body, so the channel module's circular model applies exactly.
-    The symbol runs along axis 0; trailing axes are batch (for instance
-    the K symbols of a frame, then the frames of a chunk).
-    """
-    x = np.asarray(x)
-    L_a = len(x)
-    if not 0 <= cpp_len < L_a:
-        raise ValueError("need 0 <= cpp_len < symbol length")
-    body = apply_daft(x, chirps, adjoint=True)
-    prefix = scale_rows(prefix_phase(chirps.c1, L_a, cpp_len),
-                        body[L_a - cpp_len:])
-    return np.concatenate([prefix, body])

@@ -14,9 +14,9 @@ import numpy as np
 
 from afbm.channel import ChannelSpec, check_paths_feasible
 from afbm.filterbank import data_indices, output_length
-from afbm.metrics import (AFDM_OOBE_OVERSAMPLE, TRIAL_CHUNK, _transmitter,
-                          _trial_frames, spectral_interpolate)
-from afbm.modem import BITS_PER_SYMBOL, AfbmModem, afdm_modulate
+from afbm.metrics import (AFDM_OOBE_OVERSAMPLE, TRIAL_CHUNK, _trial_frames,
+                          spectral_interpolate)
+from afbm.modem import BITS_PER_SYMBOL, AfdmParams, prefix_phase
 from afbm.transforms import apply_daft, chirp_phase
 
 # Gray bit pair of each QAM16 axis level rank, (level + 3) / 2
@@ -132,7 +132,7 @@ def assemble_filter_matrix(filt, K):
 def precoded_symbol_matrix(params):
     """Dense L x L/2 compensated precoder of one symbol's data: the data
     columns of ``W_L`` scaled by ``b_tx``."""
-    b = AfbmModem(params).b_tx
+    b = params.gains[0]
     W = daft_matrix(params.chirps_pre, params.dims.L)
     return W[:, data_indices(params.dims.L)] * b[None, :]
 
@@ -156,13 +156,23 @@ def dense_receive_matrix(params):
     chain = (assemble_filter_matrix(params.filter, 1)
              @ synthesis_matrix(params.dims, params.chirps_mod)
              @ daft_matrix(params.chirps_pre, params.dims.L))
-    b_rx = AfbmModem(params).b_rx
+    b_rx = params.gains[1]
     return b_rx[:, None] * chain.conj().T[data_indices(params.dims.L)]
 
 
 # ---------------------------------------------------------------------------
 # receivers, channel and detector, one frame at a time
 # ---------------------------------------------------------------------------
+
+def afdm_symbol(x, chirps, cpp_len):
+    """One prefixed baseline symbol: the adjoint affine transform of the
+    1-D ``x`` after its prefix, the body's last ``cpp_len`` samples times
+    the prefix phase."""
+    body = apply_daft(x, chirps, adjoint=True)
+    tail = body[len(body) - cpp_len:]
+    return np.concatenate([prefix_phase(chirps.c1, len(body), cpp_len) * tail,
+                           body])
+
 
 def afdm_demodulate(r, chirps, cpp_len):
     """Strip the prefix and apply the forward affine transform."""
@@ -294,20 +304,18 @@ def _frame_bits(params, rng):
     return rng.integers(0, 2, size=count)
 
 
-def random_afbm_frame(params, rng, modem=None):
+def random_afbm_frame(params, rng):
     """One random data frame: its bits, data symbols and transmit signal."""
-    if modem is None:
-        modem = AfbmModem(params)
     bits = _frame_bits(params, rng)
     d = map_symbols_dict(bits, params.constellation)
-    return bits, d, modem.modulate(d)
+    return bits, d, params.modulate(d)
 
 
 def _afdm_symbols(params, rng):
     bits = _frame_bits(params, rng)
     X = map_symbols_dict(bits, params.constellation).reshape(
         (params.L_a, params.K), order="F")
-    return bits, X, [afdm_modulate(X[:, k], params.chirps, params.cpp_len)
+    return bits, X, [afdm_symbol(X[:, k], params.chirps, params.cpp_len)
                      for k in range(params.K)]
 
 
@@ -328,12 +336,19 @@ def afdm_oobe_signal(params, rng):
 
 def spectrum_signal(source, frames, seed):
     """The whole spectrum record that ``metrics.spectrum_psd`` streams:
-    ``frames`` random frames of ``source``, rendered ``TRIAL_CHUNK`` at a
-    time as the experiment renders them and laid end to end in one array."""
-    p, _, render = _transmitter(source)
-    chunks = _trial_frames(p, seed, (frames,), TRIAL_CHUNK)
-    return np.concatenate([render(x).reshape(-1, order="F")
-                           for _, _, x in chunks])
+    ``frames`` random frames of ``source``, modulated ``TRIAL_CHUNK`` at a
+    time as the experiment modulates them and laid end to end in one
+    array, each prefixed symbol of the baseline then interpolated on its
+    own, one at a time."""
+    chunks = _trial_frames(source, seed, (frames,), TRIAL_CHUNK)
+    record = np.concatenate([source.modulate(x).reshape(-1, order="F")
+                             for _, _, x in chunks])
+    if isinstance(source, AfdmParams):
+        step = source.L_a + source.cpp_len
+        record = np.concatenate([
+            spectral_interpolate(record[i:i + step], AFDM_OOBE_OVERSAMPLE)
+            for i in range(0, len(record), step)])
+    return record
 
 
 def ber_trial_errors(params, paths, snr_grid, trials, seed):
@@ -354,12 +369,11 @@ def ber_trial_errors(params, paths, snr_grid, trials, seed):
     R = dense_receive_matrix(params)
     H_d = R @ H @ dense_transmit_matrix(params)
     cov = R @ R.conj().T
-    modem = AfbmModem(params)
     errors = np.zeros((len(snr_grid), trials), dtype=int)
     for i, snr_db in enumerate(snr_grid):
         for t in range(trials):
             rng = np.random.default_rng([seed, i, t])
-            bits, _, sig = random_afbm_frame(params, rng, modem)
+            bits, _, sig = random_afbm_frame(params, rng)
             rx = apply_channel(sig, H, snr_db, seed=rng)
             nvar = np.sum(np.abs(H @ sig) ** 2) / params.M / 10 ** (
                 snr_db / 10)

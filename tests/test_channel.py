@@ -9,13 +9,13 @@ from afbm.channel import (
     ChannelSpec,
     PathSpec,
     circular_diagonal_energy,
-    data_restricted_channel,
     effective_channels,
     path_separation_metric,
     pick_chirp_params,
 )
 from afbm.filterbank import prototype_filter
-from afbm.modem import AfbmModem, WaveformParams, afdm_modulate, spread
+from afbm.metrics import ber_experiment
+from afbm.modem import AfdmParams, WaveformParams, spread
 from afbm.transforms import ChirpPair, DaftDims, apply_daft
 from oracles import (apply_channel, assemble_filter_matrix, build_channel,
                      dense_receive_matrix, dense_transmit_matrix,
@@ -158,7 +158,7 @@ def test_circular_channel_matches_linear_convolution_over_prefix():
     paths = (PathSpec(0.9, 2, 1.0), PathSpec(0.5 - 0.2j, 5, -1.7))
     spec = ChannelSpec(paths=paths, M=M, c1=c1)
     d = crandn(rng, M)
-    s = afdm_modulate(d, chirps, cpp)          # prefix + body stream
+    s = AfdmParams(L_a=M, K=1, chirps=chirps, cpp_len=cpp).modulate(d)
     y_lin = np.zeros(M + cpp, dtype=complex)
     n = np.arange(M + cpp)
     for p in paths:
@@ -381,14 +381,21 @@ def test_path_separation_rejects_empty_channel():
 # detector-domain channel and equalization
 # ---------------------------------------------------------------------------
 
+def data_basis(params):
+    """``S``, the signals of the L/2 one-symbol frames of ``params`` that
+    each carry one unit data symbol: the BER detector's transmit basis, its
+    receive map being ``Sᴴ``."""
+    return params.modulate(np.eye(params.dims.L // 2))
+
+
 def test_data_restricted_channel_identity(ref_params):
-    H_d, G, _, _ = data_restricted_channel(
-        ChannelSpec(paths=(PathSpec(1.0, 0, 0.0),), M=384),
-        AfbmModem(ref_params))
+    S = data_basis(ref_params)
+    spec = ChannelSpec(paths=(PathSpec(1.0, 0, 0.0),), M=384)
+    H_d = S.conj().T @ spec.apply(S)
     assert H_d.shape == (64, 64)
     assert np.abs(H_d - np.eye(64)).max() < 1e-12
     # flat-fold prototype, split policy: white noise stays white
-    assert np.abs(G - np.eye(64)).max() < 1e-12
+    assert np.abs(S.conj().T @ S - np.eye(64)).max() < 1e-12
 
 
 def detector_case(filt, compensation, ref_params):
@@ -406,37 +413,50 @@ def detector_case(filt, compensation, ref_params):
 @pytest.mark.parametrize("compensation", ["split", "tx"])
 def test_data_restricted_channel_noise_covariance_matches_dense(
         filt, compensation, ref_params):
+    # the detector's model, H_d = Sᴴ H S and G = Sᴴ S, is the dense one;
+    # the dense receive chain is Sᴴ up to the positive diagonal
+    # b_rx / b_tx, which the whitened detector cancels
     params, spec = detector_case(filt, compensation, ref_params)
-    H_d, G, _, _ = data_restricted_channel(spec, AfbmModem(params))
-    R = dense_receive_matrix(params)
+    S = data_basis(params)
     T_d = dense_transmit_matrix(params)
-    ref = R @ R.conj().T
-    assert np.abs(G - ref).max() < 1e-12 * np.abs(ref).max()
-    ref = R @ build_channel(spec) @ T_d
+    ref = T_d.conj().T @ T_d
+    assert np.abs(S.conj().T @ S - ref).max() < 1e-12 * np.abs(ref).max()
+    ref = T_d.conj().T @ build_channel(spec) @ T_d
+    H_d = S.conj().T @ spec.apply(S)
     assert np.abs(H_d - ref).max() < 1e-12 * np.abs(ref).max()
+    b_tx, b_rx = params.gains
+    assert np.all(b_rx / b_tx > 0)
+    ref = dense_receive_matrix(params)
+    R = (b_rx / b_tx)[:, None] * T_d.conj().T
+    assert np.abs(R - ref).max() < 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("filt", ["HERMITE", "PHYDYAS"])
 @pytest.mark.parametrize("compensation", ["split", "tx"])
 def test_data_restricted_channel_model_is_the_chain(filt, compensation,
                                                     ref_params):
-    # the BER detector runs every frame through HS and R instead of the
+    # the BER detector runs every frame through HS and Sᴴ instead of the
     # transmit chain, the channel and the receive chain
     params, spec = detector_case(filt, compensation, ref_params)
-    modem = AfbmModem(params)
-    _, _, HS, R = data_restricted_channel(spec, modem)
-    S_d = modem.modulate(np.eye(params.dims.L // 2))
-    assert np.array_equal(HS, spec.apply(S_d))
-    r = crandn(np.random.default_rng(62), params.M, 3)
-    ref = modem.demodulate(r)
+    S = data_basis(params)
+    rng = np.random.default_rng(62)
+    x = crandn(rng, params.dims.L // 2, 3)
+    ref = spec.apply(params.modulate(x))
+    assert np.abs(spec.apply(S) @ x - ref).max() < 1e-12 * np.abs(ref).max()
+    r = crandn(rng, params.M, 3)
+    ref = params.demodulate(r)
+    b_tx, b_rx = params.gains
+    R = (b_rx / b_tx)[:, None] * S.conj().T
     assert np.abs(R @ r - ref).max() < 1e-12 * np.abs(ref).max()
 
 
 def test_data_restricted_channel_requires_single_symbol(ref_params_frame):
-    with pytest.raises(ValueError):
-        data_restricted_channel(
-            ChannelSpec(paths=(PathSpec(1.0, 0, 0.0),), M=1280),
-            AfbmModem(ref_params_frame))
+    # the detector's model is that of one-symbol frames: the experiment
+    # runs K = 1 frames whatever params.K
+    paths = (PathSpec(1.0, 0, 0.0), PathSpec(0.7, 1, 1.0))
+    one = replace(ref_params_frame, K=1)
+    assert (ber_experiment(ref_params_frame, paths, [0.0, 6.0], 4, seed=2)
+            == ber_experiment(one, paths, [0.0, 6.0], 4, seed=2))
 
 
 def test_mmse_zero_noise_is_zero_forcing():

@@ -389,6 +389,29 @@ def test_effchan_rejects_paths_beyond_the_declared_bounds(tmp_path, capsys):
             check_paths_feasible(bundled.paths, bundled.xi, size)
 
 
+def test_baseline_chirp_rule_binds_only_the_experiments_that_run_it(
+        tmp_path, capsys):
+    # the baseline's L = 64 point grid cannot hold 2 * 5 * 11 + 10 = 120,
+    # the waveform's P = 192 can: orth and ber, which never run the
+    # baseline, run; papr, oobe and effchan are refused before any output
+    cfg = write_config(tmp_path, {"waveform": {"L": 64}, "channel": {
+        "ell_max": 10, "f_max": 5.0,
+        "paths": [{"gain": 1.0, "delay": 0, "doppler": 0.0}]}})
+    for experiment in ("orth", "ber"):
+        out = tmp_path / experiment
+        assert main([experiment, "--config", str(cfg), "--out", str(out),
+                     "--trials", "2"]) == 0
+        assert (out / "results.csv").exists()
+    capsys.readouterr()
+    for experiment in ("papr", "oobe", "effchan"):
+        out = tmp_path / experiment
+        assert main([experiment, "--config", str(cfg), "--out",
+                     str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "afdm (L = 64)" in err and "exceeds P = 64" in err
+        assert not out.exists()
+
+
 def test_reruns_are_byte_identical(tmp_path):
     data = {"experiment": "effchan", "trials": 1,
             "waveform": SMALL_WAVEFORM}

@@ -31,8 +31,8 @@ from afbm.metrics import (
 )
 from afbm.channel import PathSpec, pick_chirp_params
 from afbm.filterbank import data_indices, prototype_filter
-from afbm.modem import (BITS_PER_SYMBOL, AfbmModem, AfdmParams,
-                        WaveformParams, symbol_table)
+from afbm.modem import (BITS_PER_SYMBOL, AfdmParams, WaveformParams,
+                        symbol_table)
 from afbm.transforms import ChirpPair, DaftDims
 from oracles import (afdm_oobe_signal, assemble_filter_matrix,
                      ber_trial_errors, daft_matrix, dense_receive_matrix,
@@ -192,7 +192,8 @@ def test_papr_ccdf_checks_thresholds_before_any_trial(ref_params_frame,
     def unreachable(*args):
         raise AssertionError("the Monte Carlo ran")
 
-    monkeypatch.setattr(metrics, "AfbmModem", unreachable)
+    for owner in (WaveformParams, AfdmParams):
+        monkeypatch.setattr(owner, "modulate", unreachable)
     monkeypatch.setattr(metrics, "_trial_frames", unreachable)
     for thr in ([9.0, 5.0], [5.0, np.nan], [np.inf], 6.0):
         for source in (ref_params_frame, _baseline()):
@@ -348,8 +349,7 @@ def _frames_one_at_a_time(source, trials, seed, afdm_frame):
     """Transmit signal of every trial, each from its own generator."""
     rngs = [np.random.default_rng([seed, t]) for t in range(trials)]
     if isinstance(source, WaveformParams):
-        modem = AfbmModem(source)
-        return [random_afbm_frame(source, rng, modem)[2] for rng in rngs]
+        return [random_afbm_frame(source, rng)[2] for rng in rngs]
     return [afdm_frame(source, rng) for rng in rngs]
 
 
@@ -627,9 +627,8 @@ def test_sir_is_that_of_the_modem_round_trip(ref_dims, ref_chirps, phydyas256):
         params = WaveformParams(dims=ref_dims, K=1, chirps_pre=ref_chirps,
                                 chirps_mod=ref_chirps, filter=phydyas256,
                                 compensation=compensation)
-        modem = AfbmModem(params)
         # one data symbol per frame
-        R = modem.demodulate(modem.modulate(np.eye(64)))
+        R = params.demodulate(params.modulate(np.eye(64)))
         sig = np.sum(np.abs(np.diag(R)) ** 2)
         sir = 10 * np.log10(sig / (np.sum(np.abs(R) ** 2) - sig))
         assert abs(sir_orthogonality(params) - sir) < 1e-9
@@ -651,16 +650,15 @@ def test_compensation_beats_uniform_scaling(ref_dims, ref_chirps, phydyas256):
     # leaves the fold ripple uncorrected and inflates the round-trip EVM
     params = WaveformParams(dims=ref_dims, K=1, chirps_pre=ref_chirps,
                             chirps_mod=ref_chirps, filter=phydyas256)
-    modem = AfbmModem(params)
-    gains = 1 / modem.b_tx ** 2
+    gains = 1 / params.gains[0] ** 2
     uniform = np.full(64, 1 / np.sqrt(np.mean(gains)))
-    flat = AfbmModem(params)
-    flat.b_tx = flat.b_rx = uniform
+    flat = replace(params)
+    vars(flat)["gains"] = (uniform, uniform)  # in place of the cached ones
     rng = np.random.default_rng(65)
     evm_comp = evm_flat = 0.0
     for _ in range(20):
         d = map_symbols_dict(rng.integers(0, 2, 128), "QPSK")
-        rx = modem.demodulate(modem.modulate(d))
+        rx = params.demodulate(params.modulate(d))
         evm_comp += np.sum(np.abs(rx - d) ** 2)
         rx = flat.demodulate(flat.modulate(d))
         evm_flat += np.sum(np.abs(rx - d) ** 2)
@@ -813,7 +811,8 @@ def test_ber_experiment_runs_no_chain_per_frame(ref_params, monkeypatch):
     import afbm.channel as channel
 
     calls = []
-    for owner, name in ((AfbmModem, "modulate"), (AfbmModem, "demodulate"),
+    for owner, name in ((WaveformParams, "modulate"),
+                        (WaveformParams, "demodulate"),
                         (channel.ChannelSpec, "apply")):
         def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
             calls.append(_name)
@@ -860,7 +859,7 @@ def test_ber_experiment_validation(ref_params, monkeypatch):
         raise AssertionError("the Monte Carlo ran")
 
     # 10 ** (snr / 10) overflows near 3083 dB; the noise is NaN near -3080
-    monkeypatch.setattr(metrics, "AfbmModem", unreachable)
+    monkeypatch.setattr(WaveformParams, "modulate", unreachable)
     monkeypatch.setattr(metrics, "_trial_frames", unreachable)
     for snr in (SNR_LIMIT_DB + 1, -4000.0, 4000.0, np.nan):
         with pytest.raises(ValueError, match="SNR"):

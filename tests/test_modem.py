@@ -7,20 +7,19 @@ import pytest
 
 from afbm.modem import (
     BITS_PER_SYMBOL,
-    AfbmModem,
     AfdmParams,
     WaveformParams,
-    afdm_modulate,
     demap_symbols,
     despread,
     place_grid,
     spread,
     symbol_table,
 )
-from afbm.filterbank import data_indices, prototype_filter
+from afbm.filterbank import (compensation_vector, data_indices,
+                             prototype_filter)
 from afbm.transforms import (ChirpPair, DaftDims, apply_daft,
                              apply_synthesis_adjoint)
-from oracles import (afdm_demodulate, afdm_demodulate_frame,
+from oracles import (afdm_demodulate, afdm_demodulate_frame, afdm_symbol,
                      demap_symbols_dict, dense_transmit_matrix,
                      filter_bank_adjoint_add_at, map_symbols_dict,
                      symbol_bits)
@@ -196,20 +195,23 @@ def test_place_grid_round_trip():
 
 
 def test_batched_map_place_modulate_match_single_frames(ref_params_frame):
-    # trailing axes are batch: column b of every stage is frame b alone
+    # trailing axes are batch: column b of every stage is frame b alone,
+    # for either waveform's modulate
     rng = np.random.default_rng(34)
-    bits = rng.integers(0, 2, (ref_params_frame.data_per_frame * 2, 3))
-    modem = AfbmModem(ref_params_frame)
-    symbols = np.apply_along_axis(map_symbols_dict, 0, bits, "QPSK")
-    frames = place_grid(symbols, 128, 8)
-    assert frames.shape == (128, 8, 3)
-    signals = modem.modulate(symbols)
-    assert signals.shape == (ref_params_frame.M, 3)
-    for b in range(3):
-        one = map_symbols_dict(bits[:, b], "QPSK")
-        assert np.array_equal(symbols[:, b], one)
-        assert np.array_equal(frames[..., b], place_grid(one, 128, 8))
-        assert np.array_equal(signals[:, b], modem.modulate(one))
+    baseline = AfdmParams(L_a=128, K=8, chirps=ChirpPair(3 / 256, 0.01),
+                          cpp_len=2)
+    for p in (ref_params_frame, baseline):
+        bits = rng.integers(0, 2, (p.data_per_frame * 2, 3))
+        symbols = np.apply_along_axis(map_symbols_dict, 0, bits, "QPSK")
+        signals = p.modulate(symbols)
+        assert signals.shape == (p.M, 3)
+        for b in range(3):
+            one = map_symbols_dict(bits[:, b], "QPSK")
+            assert np.array_equal(symbols[:, b], one)
+            assert np.array_equal(signals[:, b], p.modulate(one))
+            if isinstance(p, WaveformParams):
+                assert np.array_equal(place_grid(symbols, 128, 8)[..., b],
+                                      place_grid(one, 128, 8))
 
 
 def test_place_grid_validation(ref_params_frame):
@@ -217,10 +219,9 @@ def test_place_grid_validation(ref_params_frame):
         place_grid(np.zeros(5, dtype=complex), 8, 1)
     # modulate takes the (L/2)K data symbols of a frame along axis 0 and
     # refuses arrays of another length, grids among them
-    modem = AfbmModem(ref_params_frame)
     for shape in [(), (128,), (511,), (128, 8), (256, 2), (128, 8, 2)]:
         with pytest.raises(ValueError, match="symbols"):
-            modem.modulate(np.zeros(shape, dtype=complex))
+            ref_params_frame.modulate(np.zeros(shape, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -251,24 +252,50 @@ def test_waveform_params_validation(ref_dims, ref_chirps, hermite256):
                        compensation="rx")
 
 
+def test_gains_are_computed_once_per_params(ref_params, monkeypatch):
+    import afbm.modem as modem
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return compensation_vector(*args)
+
+    monkeypatch.setattr(modem, "compensation_vector", counted)
+    p = replace(ref_params)                       # a fresh instance
+    first = p.gains
+    frame = np.ones(p.data_per_frame, dtype=complex)
+    p.demodulate(p.modulate(frame))
+    assert p.gains is first and len(calls) == 1
+    # a changed policy or filter makes a new instance with its own gains
+    tx = replace(p, compensation="tx")
+    assert np.array_equal(tx.gains[0], first[0] ** 2)
+    assert np.all(tx.gains[1] == 1) and len(calls) == 2
+    phydyas = replace(p, filter=prototype_filter("PHYDYAS", 4, 256))
+    assert np.array_equal(phydyas.gains[0], compensation_vector(
+        phydyas.dims, phydyas.chirps_pre, phydyas.chirps_mod,
+        phydyas.filter))
+    assert not np.array_equal(phydyas.gains[0], first[0])
+
+
 # ---------------------------------------------------------------------------
 # transmit / receive chain
 # ---------------------------------------------------------------------------
 
 def test_modulate_output_length(ref_params_frame):
     rng = np.random.default_rng(34)
-    sig = AfbmModem(ref_params_frame).modulate(
+    sig = ref_params_frame.modulate(
         random_frame(rng, ref_params_frame))
     assert sig.shape == (1280,)
 
 
 def test_modulate_zero_and_linearity(ref_params):
     rng = np.random.default_rng(35)
-    modem = AfbmModem(ref_params)
-    assert np.all(modem.modulate(np.zeros(64, dtype=complex)) == 0)
-    f1, f2 = random_frame(rng, ref_params), random_frame(rng, ref_params)
-    s = modem.modulate(0.7 * f1 - 1.9j * f2)
-    ref = 0.7 * modem.modulate(f1) - 1.9j * modem.modulate(f2)
+    p = ref_params
+    assert np.all(p.modulate(np.zeros(64, dtype=complex)) == 0)
+    f1, f2 = random_frame(rng, p), random_frame(rng, p)
+    s = p.modulate(0.7 * f1 - 1.9j * f2)
+    ref = 0.7 * p.modulate(f1) - 1.9j * p.modulate(f2)
     assert np.abs(s - ref).max() < 1e-10
 
 
@@ -285,20 +312,18 @@ def test_modulate_matches_dense_matrix(kind, overlap, L, P, N, K):
                             filter=prototype_filter(kind, overlap, N))
     G = dense_transmit_matrix(params)
     rng = np.random.default_rng(36)
-    modem = AfbmModem(params)
     for _ in range(5):
         frame = random_frame(rng, params)
-        fast = modem.modulate(frame)
+        fast = params.modulate(frame)
         assert np.abs(fast - G @ frame).max() < 1e-10
 
 
 def test_single_symbol_round_trip(ref_params):
     rng = np.random.default_rng(37)
-    modem = AfbmModem(ref_params)
     worst = 0.0
     for _ in range(20):
         frame = random_frame(rng, ref_params)
-        rx = modem.demodulate(modem.modulate(frame))
+        rx = ref_params.demodulate(ref_params.modulate(frame))
         worst = max(worst, np.abs(rx - frame).max())
     assert worst < 1e-12
 
@@ -308,18 +333,16 @@ def test_round_trip_with_tx_side_compensation(ref_dims, ref_chirps, hermite256):
                             chirps_mod=ref_chirps, filter=hermite256,
                             compensation="tx")
     rng = np.random.default_rng(38)
-    modem = AfbmModem(params)
     frame = random_frame(rng, params)
-    rx = modem.demodulate(modem.modulate(frame))
+    rx = params.demodulate(params.modulate(frame))
     assert np.abs(rx - frame).max() < 1e-8
 
 
 def test_energy_is_preserved_single_symbol(ref_params):
     rng = np.random.default_rng(39)
-    modem = AfbmModem(ref_params)
     for _ in range(5):
         frame = random_frame(rng, ref_params)
-        ratio = (np.sum(np.abs(modem.modulate(frame)) ** 2)
+        ratio = (np.sum(np.abs(ref_params.modulate(frame)) ** 2)
                  / np.sum(np.abs(frame) ** 2))
         assert abs(ratio - 1.0) < 1e-6
 
@@ -331,9 +354,8 @@ def test_overlapped_symbols_interfere(ref_dims, ref_chirps, hermite256):
     params = WaveformParams(dims=ref_dims, K=2, chirps_pre=ref_chirps,
                             chirps_mod=ref_chirps, filter=hermite256)
     rng = np.random.default_rng(40)
-    modem = AfbmModem(params)
     frame = random_frame(rng, params)
-    rx = modem.demodulate(modem.modulate(frame))
+    rx = params.demodulate(params.modulate(frame))
     err = np.abs(rx - frame).max()
     assert 1e-6 < err < 0.2
 
@@ -347,20 +369,19 @@ def test_batched_demodulate_is_bit_identical(kind, overlap, K):
     params = WaveformParams(dims=DaftDims(16, 24, 32), K=K, chirps_pre=chirps,
                             chirps_mod=chirps,
                             filter=prototype_filter(kind, overlap, 32))
-    modem = AfbmModem(params)
     rng = np.random.default_rng(38)
     R = rng.standard_normal((params.M, 5)) + 1j * rng.standard_normal(
         (params.M, 5))
-    d = modem.demodulate(R)
+    d = params.demodulate(R)
     assert d.shape == (8 * K, 5)
-    assert np.array_equal(modem.demodulate(np.asfortranarray(R)), d)
+    assert np.array_equal(params.demodulate(np.asfortranarray(R)), d)
     for b in range(5):
-        assert np.array_equal(d[:, b], modem.demodulate(R[:, b]))
+        assert np.array_equal(d[:, b], params.demodulate(R[:, b]))
         # the receive chain with the np.add.at analysis filter bank
         Z = filter_bank_adjoint_add_at(R[:, b], params.filter, K)
         Xt = apply_synthesis_adjoint(Z, params.dims, chirps)
         At = apply_daft(Xt, chirps, adjoint=True)[data_indices(16)]
-        At = modem.b_rx[:, None] * At
+        At = params.gains[1][:, None] * At
         assert np.array_equal(d[:, b], At.ravel(order="F"))
 
 
@@ -393,33 +414,36 @@ def test_chain_adjoints_and_round_trip_for_random_configs(case):
     assert abs(np.vdot(spread(X, params), r)
                - np.vdot(X, despread(r, params))) < tol
 
-    modem = AfbmModem(params)
     frame = crandn(rng, L // 2 * params.K, 2)
     tol = 1e-12 * np.linalg.norm(frame) * np.linalg.norm(r)
-    assert abs(np.vdot(modem.modulate(frame), r)
-               - np.vdot(frame, modem.demodulate(r))) < tol
+    assert abs(np.vdot(params.modulate(frame), r)
+               - np.vdot(frame, params.demodulate(r))) < tol
 
     if (kind, overlap) in FLAT_FOLD:
         frame = crandn(rng, L // 2)
         for compensation in ("split", "tx"):
-            modem = AfbmModem(replace(params, K=1, compensation=compensation))
-            back = modem.demodulate(modem.modulate(frame))
+            p1 = replace(params, K=1, compensation=compensation)
+            back = p1.demodulate(p1.modulate(frame))
             assert np.abs(back - frame).max() < 1e-12
 
 
 def test_demodulate_rejects_wrong_length(ref_params):
     with pytest.raises(ValueError):
-        AfbmModem(ref_params).demodulate(np.zeros(100, dtype=complex))
+        ref_params.demodulate(np.zeros(100, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
 # prefix-based baseline
 # ---------------------------------------------------------------------------
 
+def afdm(L_a, chirps, cpp_len, K=1):
+    return AfdmParams(L_a=L_a, K=K, chirps=chirps, cpp_len=cpp_len)
+
+
 def test_afdm_zero_chirps_is_plain_dft():
     rng = np.random.default_rng(41)
     x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    out = afdm_modulate(x, ChirpPair(0.0, 0.0), 0)
+    out = afdm(32, ChirpPair(0.0, 0.0), 0).modulate(x)
     assert np.abs(out - np.fft.fft(x, norm="ortho")).max() < 1e-12
 
 
@@ -427,7 +451,7 @@ def test_afdm_round_trip():
     rng = np.random.default_rng(42)
     chirps = ChirpPair(3 / 256, 0.0)
     x = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-    s = afdm_modulate(x, chirps, 5)
+    s = afdm(128, chirps, 5).modulate(x)
     assert len(s) == 133
     back = afdm_demodulate(s, chirps, 5)
     assert np.abs(back - x).max() < 1e-12
@@ -437,19 +461,19 @@ def test_afdm_prefix_is_phase_rotated_tail():
     rng = np.random.default_rng(43)
     chirps = ChirpPair(0.02, 0.0)
     x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    s = afdm_modulate(x, chirps, 4)
+    s = afdm(16, chirps, 4).modulate(x)
     body = s[4:]
     assert np.abs(np.abs(s[:4]) - np.abs(body[-4:])).max() < 1e-12
 
 
 def test_afdm_linearity_and_zero():
-    chirps = ChirpPair(0.01, 0.005)
-    assert np.all(afdm_modulate(np.zeros(8, dtype=complex), chirps, 2) == 0)
+    p = afdm(8, ChirpPair(0.01, 0.005), 2)
+    assert np.all(p.modulate(np.zeros(8, dtype=complex)) == 0)
     rng = np.random.default_rng(44)
     a = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     b = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    lhs = afdm_modulate(2 * a - 1j * b, chirps, 2)
-    rhs = 2 * afdm_modulate(a, chirps, 2) - 1j * afdm_modulate(b, chirps, 2)
+    lhs = p.modulate(2 * a - 1j * b)
+    rhs = 2 * p.modulate(a) - 1j * p.modulate(b)
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -457,27 +481,30 @@ def test_afdm_frame_round_trip():
     rng = np.random.default_rng(45)
     chirps = ChirpPair(3 / 256, 0.0)
     X = rng.standard_normal((128, 4)) + 1j * rng.standard_normal((128, 4))
-    s = afdm_modulate(X, chirps, 2).ravel(order="F")
+    s = afdm(128, chirps, 2, K=4).modulate(X.ravel(order="F"))
     assert len(s) == (128 + 2) * 4
     back = afdm_demodulate_frame(s, 128, 4, chirps, 2)
     assert np.abs(back - X).max() < 1e-12
 
 
 def test_afdm_modulate_frame_batch_matches_single_frames():
+    # the K symbols of a frame, one after another, are each the one-symbol
+    # oracle's prefixed symbol; trailing axes are batch
     rng = np.random.default_rng(46)
     chirps = ChirpPair(3 / 256, 0.0)
     X = rng.standard_normal((64, 4, 3)) + 1j * rng.standard_normal((64, 4, 3))
-    symbols = afdm_modulate(X, chirps, 2)
-    assert symbols.shape == (64 + 2, 4, 3)
+    p = afdm(64, chirps, 2, K=4)
+    frames = p.modulate(X.reshape((256, 3), order="F"))
+    assert frames.shape == (p.M, 3)
     for b in range(3):
-        for k in range(4):
-            assert np.array_equal(symbols[:, k, b],
-                                  afdm_modulate(X[:, k, b], chirps, 2))
+        assert np.array_equal(frames[:, b], np.concatenate(
+            [afdm_symbol(X[:, k, b], chirps, 2) for k in range(4)]))
 
 
 def test_afdm_validation():
     with pytest.raises(ValueError):
-        afdm_modulate(np.zeros(8, dtype=complex), ChirpPair(0.0, 0.0), 8)
+        afdm(8, ChirpPair(0.0, 0.0), 2, K=2).modulate(
+            np.zeros(8, dtype=complex))
     with pytest.raises(ValueError):
         afdm_demodulate(np.zeros(3, dtype=complex), ChirpPair(0.0, 0.0), 4)
     with pytest.raises(ValueError):
