@@ -7,7 +7,3 @@ with a config-driven experiment CLI.
 """
 
 __version__ = "0.1.0"
-
-from .transforms import ChirpPair, DaftDims
-from .filterbank import prototype_filter
-from .modem import WaveformParams

@@ -12,16 +12,19 @@ chirp-periodic-prefixed block: its first l_r diagonal entries are
 exp(-j*2*pi*c1*(M^2 - 2*M*(l_r - m))) for row m < l_r and ones elsewhere,
 the phase that :func:`afbm.modem.prefix_phase` gives the baseline's prefix.
 
-:meth:`ChannelSpec.apply` applies ``H`` without building it: path r
-rolls the input down by l_r samples and scales row m by h_r times the
-m-th entries of Phi_r and Z^{f_r}, O(paths * M) per column.
+:func:`apply_paths` applies ``H`` to a block without building it, M
+being the block's length: path r rolls the input down by l_r samples and
+scales row m by h_r times the m-th entries of Phi_r and Z^{f_r},
+O(paths * M) per column. :func:`unit_power` scales the path gains to
+unit total power.
 
 Also here: the chirp-rate feasibility rule for keeping paths separable,
-the effective channels ``Bᴴ H B`` of a waveform basis ``B`` (the whole
-channel and each distinct path) and a path separation score. The BER
-detector needs no receive model of its own: it whitens its noise, which
-cancels the receive gains, so the transmit basis ``S`` gives its whole
-linear model (see :func:`afbm.metrics.ber_experiment`).
+:func:`effective_channels`, the effective channels ``Bᴴ H B`` of a
+waveform basis ``B`` (the whole channel and each distinct path), and a
+path separation score. The BER detector needs no receive model of its
+own: it whitens its noise, which cancels the receive gains, so the
+transmit basis ``S`` gives its whole linear model (see
+:func:`afbm.metrics.ber_experiment`).
 """
 
 from __future__ import annotations
@@ -53,55 +56,48 @@ class PathSpec:
             raise ValueError("doppler must be finite")
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Paths plus the block length and the chirp rate of the prefix phase."""
+def unit_power(paths) -> tuple:
+    """The same paths with gains scaled to unit total power."""
+    power = sum(abs(p.gain) ** 2 for p in paths)
+    if power <= 0:
+        raise ValueError("total path power must be positive")
+    scale = 1 / math.sqrt(power)
+    return tuple(replace(p, gain=p.gain * scale) for p in paths)
 
-    paths: tuple
-    M: int
-    c1: float = 0.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "paths", tuple(self.paths))
-        if len(self.paths) < 1:
-            raise ValueError("need at least one path")
-        for p in self.paths:
-            if p.delay >= self.M:
-                raise ValueError(f"path delay {p.delay} must be < M={self.M}")
+def apply_paths(paths, S: np.ndarray, c1: float = 0.0) -> np.ndarray:
+    """``H S``: the sum over paths of gain times prefix phase (chirp rate
+    ``c1``) times Doppler ramp times ``S`` rolled down by the delay, along
+    axis 0, whose length is the block length M; trailing axes of ``S``
+    are batch."""
+    S = np.asarray(S)
+    _check_paths(paths, len(S))
+    out = _apply_path(paths[0], S, c1, np.empty(S.shape, complex))
+    term = np.empty_like(out)
+    for p in paths[1:]:
+        out += _apply_path(p, S, c1, term)
+    return out
 
-    def normalized(self) -> "ChannelSpec":
-        """Same paths with gains scaled to unit total power."""
-        power = sum(abs(p.gain) ** 2 for p in self.paths)
-        if power <= 0:
-            raise ValueError("total path power must be positive")
-        scale = 1 / math.sqrt(power)
-        paths = tuple(replace(p, gain=p.gain * scale) for p in self.paths)
-        return ChannelSpec(paths=paths, M=self.M, c1=self.c1)
 
-    def apply(self, S: np.ndarray) -> np.ndarray:
-        """``H S``: the sum over paths of gain times prefix phase times
-        Doppler ramp times ``S`` rolled down by the delay, along axis 0;
-        trailing axes of ``S`` are batch."""
-        S = np.asarray(S)
-        out = self._apply_path(self.paths[0], S, np.empty(S.shape, complex))
-        term = np.empty_like(out)
-        for p in self.paths[1:]:
-            out += self._apply_path(p, S, term)
-        return out
+def _check_paths(paths, M: int) -> None:
+    if len(paths) < 1:
+        raise ValueError("need at least one path")
+    for p in paths:
+        if p.delay >= M:
+            raise ValueError(f"path delay {p.delay} must be < M={M}")
 
-    def _apply_path(self, p: PathSpec, S: np.ndarray, out: np.ndarray):
-        """Path ``p``'s term of :meth:`apply`, written into ``out`` (shaped
-        like ``S``) and returned."""
-        M, delay = self.M, p.delay
-        if len(S) != M:
-            raise ValueError(f"channel expects {M} samples, got {len(S)}")
-        d = p.gain * np.exp(-2j * np.pi * p.doppler * np.arange(M) / M)
-        d[:delay] *= prefix_phase(self.c1, M, delay)
-        d = d.reshape(d.shape + (1,) * (S.ndim - 1))
-        # rows m >= delay take S[m - delay]; the first delay rows wrap
-        np.multiply(d[delay:], S[:M - delay], out=out[delay:])
-        np.multiply(d[:delay], S[M - delay:], out=out[:delay])
-        return out
+
+def _apply_path(p: PathSpec, S: np.ndarray, c1: float, out: np.ndarray):
+    """Path ``p``'s term of :func:`apply_paths`, written into ``out``
+    (shaped like ``S``) and returned."""
+    M, delay = len(S), p.delay
+    d = p.gain * np.exp(-2j * np.pi * p.doppler * np.arange(M) / M)
+    d[:delay] *= prefix_phase(c1, M, delay)
+    d = d.reshape(d.shape + (1,) * (S.ndim - 1))
+    # rows m >= delay take S[m - delay]; the first delay rows wrap
+    np.multiply(d[delay:], S[:M - delay], out=out[delay:])
+    np.multiply(d[:delay], S[M - delay:], out=out[:delay])
+    return out
 
 
 def pick_chirp_params(ell_max: int, f_max: float, xi: int, P: int) -> ChirpPair:
@@ -133,24 +129,26 @@ def check_paths_feasible(paths, xi: int, P: int) -> None:
                       max(abs(p.doppler) for p in paths), xi, P)
 
 
-def effective_channels(spec: ChannelSpec, B: np.ndarray):
+def effective_channels(paths, B: np.ndarray, c1: float = 0.0):
     """Effective channels ``Bᴴ H B`` of a basis ``B`` (M x n, one column
     per symbol position, e.g. the :func:`spread` identity or the baseline's
-    adjoint affine transform).
+    adjoint affine transform), ``H`` being :func:`apply_paths` with the
+    prefix chirp rate ``c1``.
 
     Returns ``(total, references)``: ``references`` holds ``Bᴴ H_r B`` of
     the unit-gain channel of each distinct ``(delay, doppler)`` path, in
     first-seen order, and ``total`` is their sum weighted by each path's
     gain, which is ``Bᴴ H B`` because the map is linear in ``H``.
     """
+    _check_paths(paths, len(B))
     Bh = B.conj().T
     HB = np.empty(B.shape, dtype=complex)  # H_r B of each path in turn
     refs = {}
     total = 0
-    for p in spec.paths:
+    for p in paths:
         key = (p.delay, p.doppler)
         if key not in refs:
-            refs[key] = Bh @ spec._apply_path(replace(p, gain=1.0), B, HB)
+            refs[key] = Bh @ _apply_path(replace(p, gain=1.0), B, c1, HB)
         total = total + p.gain * refs[key]
     return total, list(refs.values())
 

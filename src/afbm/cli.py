@@ -30,12 +30,12 @@ from .transforms import ChirpPair, DaftDims, apply_daft
 from .filterbank import MAX_OVERLAP, prototype_filter
 from .modem import BITS_PER_SYMBOL, AfdmParams, WaveformParams, spread
 from .channel import (
-    ChannelSpec,
     PathSpec,
     check_paths_feasible,
     effective_channels,
     path_separation_metric,
     pick_chirp_params,
+    unit_power,
 )
 from . import metrics
 
@@ -351,8 +351,7 @@ def _run_effchan(cfg: ExperimentConfig, outdir: Path):
                             adjoint=True), chirps.c1)}
     eff, score = {}, {}
     for name, (basis, c1) in bases.items():
-        spec = ChannelSpec(paths=cfg.paths, M=len(basis), c1=c1).normalized()
-        eff[name], refs = effective_channels(spec, basis)
+        eff[name], refs = effective_channels(unit_power(cfg.paths), basis, c1)
         score[name] = path_separation_metric(eff[name], refs, cfg.xi)
 
     mag = np.abs(eff["afbm"])

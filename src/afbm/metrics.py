@@ -43,7 +43,7 @@ from .modem import (
     spread,
     symbol_table,
 )
-from .channel import ChannelSpec, check_paths_feasible
+from .channel import apply_paths, check_paths_feasible, unit_power
 
 SIR_CAP_DB = 150.0
 
@@ -503,9 +503,8 @@ def ber_experiment(params: WaveformParams, paths, snr_grid, trials: int,
     p = replace(params, K=1) if params.K != 1 else params
     check_paths_feasible(paths, xi, p.dims.P)
     M = p.M
-    spec = ChannelSpec(paths=paths, M=M, c1=p.chirps_mod.c1).normalized()
     S = p.modulate(np.eye(p.dims.L // 2))
-    HS, R = spec.apply(S), S.conj().T
+    HS, R = apply_paths(unit_power(paths), S, p.chirps_mod.c1), S.conj().T
     H_d, C = R @ HS, np.linalg.cholesky(R @ S)
     H_w = np.linalg.solve(C, H_d)
     lam, V = np.linalg.eigh(H_w.conj().T @ H_w)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from afbm import ChirpPair, DaftDims, WaveformParams, prototype_filter
+from afbm.filterbank import prototype_filter
+from afbm.modem import WaveformParams
+from afbm.transforms import ChirpPair, DaftDims
 
 
 @pytest.fixture(scope="session")

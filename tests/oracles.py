@@ -12,7 +12,7 @@ which only the tests import.
 
 import numpy as np
 
-from afbm.channel import ChannelSpec, check_paths_feasible
+from afbm.channel import check_paths_feasible, unit_power
 from afbm.filterbank import data_indices, output_length
 from afbm.metrics import (AFDM_OOBE_OVERSAMPLE, TRIAL_CHUNK, _trial_frames,
                           spectral_interpolate)
@@ -42,18 +42,18 @@ def daft_matrix(chirps, n):
             * chirp_phase(chirps.c2, n)[None, :])
 
 
-def build_channel(spec):
-    """Dense M x M circular delay-Doppler matrix of the given paths."""
-    M = spec.M
+def build_channel(paths, M, c1=0.0):
+    """Dense M x M circular delay-Doppler matrix of the given paths, with
+    the prefix phase of chirp rate ``c1``."""
     H = np.zeros((M, M), dtype=complex)
     m = np.arange(M)
-    for p in spec.paths:
+    for p in paths:
         doppler = np.exp(-2j * np.pi * p.doppler * m / M)
         phi = np.ones(M, dtype=complex)
         if p.delay:
             head = np.arange(p.delay)
             phi[:p.delay] = np.exp(
-                -2j * np.pi * spec.c1 * (M ** 2 - 2 * M * (p.delay - head)))
+                -2j * np.pi * c1 * (M ** 2 - 2 * M * (p.delay - head)))
         H[m, (m - p.delay) % M] += p.gain * phi * doppler
     return H
 
@@ -363,9 +363,7 @@ def ber_trial_errors(params, paths, snr_grid, trials, seed):
     the noise covariance ``R Rᴴ`` and a per-symbol demap.
     """
     check_paths_feasible(paths, 0, params.dims.P)
-    spec = ChannelSpec(paths=paths, M=params.M,
-                       c1=params.chirps_mod.c1).normalized()
-    H = build_channel(spec)
+    H = build_channel(unit_power(paths), params.M, params.chirps_mod.c1)
     R = dense_receive_matrix(params)
     H_d = R @ H @ dense_transmit_matrix(params)
     cov = R @ R.conj().T

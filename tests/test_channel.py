@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from afbm.channel import (
-    ChannelSpec,
     PathSpec,
+    apply_paths,
     circular_diagonal_energy,
     effective_channels,
     path_separation_metric,
     pick_chirp_params,
+    unit_power,
 )
 from afbm.filterbank import prototype_filter
 from afbm.metrics import ber_experiment
@@ -26,9 +27,9 @@ def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def channel_matrix(spec):
-    """The matrix of ``spec.apply``, column by column."""
-    return spec.apply(np.eye(spec.M, dtype=complex))
+def channel_matrix(paths, M):
+    """The matrix of ``apply_paths`` on M-sample blocks, column by column."""
+    return apply_paths(paths, np.eye(M, dtype=complex))
 
 
 def afbm_basis(params):
@@ -105,32 +106,32 @@ def test_path_spec_validation():
 
 
 def test_channel_spec_validation():
-    with pytest.raises(ValueError):
-        ChannelSpec(paths=(), M=16)
-    with pytest.raises(ValueError):
-        ChannelSpec(paths=(PathSpec(1.0, 20, 0.0),), M=16)
+    # an empty path list, and a delay as long as the block (16 samples)
+    block = np.zeros((16, 16), dtype=complex)
+    for paths in ((), (PathSpec(1.0, 16, 0.0),)):
+        with pytest.raises(ValueError):
+            apply_paths(paths, block)
+        with pytest.raises(ValueError):
+            effective_channels(paths, block)
 
 
 def test_channel_spec_normalization():
-    spec = ChannelSpec(paths=(PathSpec(3.0, 0, 0.0), PathSpec(4.0, 1, 1.0)),
-                       M=16)
-    norm = spec.normalized()
-    power = sum(abs(p.gain) ** 2 for p in norm.paths)
+    norm = unit_power((PathSpec(3.0, 0, 0.0), PathSpec(4.0, 1, 1.0)))
+    power = sum(abs(p.gain) ** 2 for p in norm)
     assert abs(power - 1.0) < 1e-12
-    assert abs(norm.paths[0].gain / norm.paths[1].gain - 3 / 4) < 1e-12
+    assert abs(norm[0].gain / norm[1].gain - 3 / 4) < 1e-12
 
 
 def test_identity_channels():
-    spec = ChannelSpec(paths=(PathSpec(1.0, 0, 0.0),), M=12)
-    assert np.abs(channel_matrix(spec) - np.eye(12)).max() < 1e-12
+    H = channel_matrix((PathSpec(1.0, 0, 0.0),), 12)
+    assert np.abs(H - np.eye(12)).max() < 1e-12
     # an integer Doppler equal to the block length wraps to no shift
-    spec = ChannelSpec(paths=(PathSpec(1.0, 0, 12.0),), M=12)
-    assert np.abs(channel_matrix(spec) - np.eye(12)).max() < 1e-12
+    H = channel_matrix((PathSpec(1.0, 0, 12.0),), 12)
+    assert np.abs(H - np.eye(12)).max() < 1e-12
 
 
 def test_single_path_population():
-    spec = ChannelSpec(paths=(PathSpec(0.8, 3, 1.0),), M=16)
-    H = channel_matrix(spec)
+    H = channel_matrix((PathSpec(0.8, 3, 1.0),), 16)
     nz = np.abs(H) > 1e-12
     assert nz.sum() == 16
     assert np.abs(np.abs(H[nz]) - 0.8).max() < 1e-12
@@ -141,9 +142,9 @@ def test_single_path_population():
 def test_two_path_population_and_linearity():
     p1 = PathSpec(1.0, 0, 1.0)
     p2 = PathSpec(0.5j, 2, -1.0)
-    H12 = channel_matrix(ChannelSpec(paths=(p1, p2), M=16))
-    H1 = channel_matrix(ChannelSpec(paths=(p1,), M=16))
-    H2 = channel_matrix(ChannelSpec(paths=(p2,), M=16))
+    H12 = channel_matrix((p1, p2), 16)
+    H1 = channel_matrix((p1,), 16)
+    H2 = channel_matrix((p2,), 16)
     assert np.count_nonzero(np.abs(H12) > 1e-12) == 32
     assert np.abs(H12 - H1 - H2).max() < 1e-14
 
@@ -156,7 +157,6 @@ def test_circular_channel_matches_linear_convolution_over_prefix():
     c1 = pick_chirp_params(cpp, 2.0, 0, M).c1
     chirps = ChirpPair(c1, 0.0)
     paths = (PathSpec(0.9, 2, 1.0), PathSpec(0.5 - 0.2j, 5, -1.7))
-    spec = ChannelSpec(paths=paths, M=M, c1=c1)
     d = crandn(rng, M)
     s = AfdmParams(L_a=M, K=1, chirps=chirps, cpp_len=cpp).modulate(d)
     y_lin = np.zeros(M + cpp, dtype=complex)
@@ -165,38 +165,33 @@ def test_circular_channel_matches_linear_convolution_over_prefix():
         shifted = np.zeros(M + cpp, dtype=complex)
         shifted[p.delay:] = s[:len(s) - p.delay]
         y_lin += p.gain * np.exp(-2j * np.pi * p.doppler * (n - cpp) / M) * shifted
-    assert np.abs(y_lin[cpp:] - spec.apply(s[cpp:])).max() < 1e-13
+    assert np.abs(y_lin[cpp:] - apply_paths(paths, s[cpp:], c1)).max() < 1e-13
 
 
-def _random_spec(rng, M):
-    """1-6 paths anywhere in [0, M), fractional and negative Doppler, a
-    nonzero prefix chirp, and at times a repeated (delay, doppler) pair
-    with another gain."""
+def _random_channel(rng, M):
+    """``(paths, c1)``: 1-6 paths anywhere in [0, M), fractional and
+    negative Doppler, at times a repeated (delay, doppler) pair with
+    another gain, and a nonzero prefix chirp rate."""
     paths = [PathSpec(complex(*rng.standard_normal(2)),
                       int(rng.integers(0, M)),
                       float(rng.choice([0.0, 1.0, -2.0, 0.5, -1.37])))
              for _ in range(int(rng.integers(1, 7)))]
     if rng.random() < 0.5:
         paths.append(PathSpec(0.3 - 0.4j, paths[0].delay, paths[0].doppler))
-    return ChannelSpec(paths=paths, M=M, c1=float(rng.uniform(0, 0.05)))
+    return paths, float(rng.uniform(0, 0.05))
 
 
 def test_apply_matches_the_dense_channel_matrix():
     rng = np.random.default_rng(59)
     for _ in range(40):
-        spec = _random_spec(rng, int(rng.integers(2, 40)))
-        H = build_channel(spec)
-        s = crandn(rng, spec.M)
-        S = crandn(rng, spec.M, 3, 2)
-        assert np.abs(spec.apply(s) - H @ s).max() < 1e-12
+        M = int(rng.integers(2, 40))
+        paths, c1 = _random_channel(rng, M)
+        H = build_channel(paths, M, c1)
+        s = crandn(rng, M)
+        S = crandn(rng, M, 3, 2)
+        assert np.abs(apply_paths(paths, s, c1) - H @ s).max() < 1e-12
         dense = np.einsum("ij,jkl->ikl", H, S)
-        assert np.abs(spec.apply(S) - dense).max() < 1e-12
-
-
-def test_apply_rejects_a_signal_of_another_length():
-    spec = ChannelSpec(paths=(PathSpec(1.0, 1, 0.0),), M=16)
-    with pytest.raises(ValueError):
-        spec.apply(np.zeros(15, dtype=complex))
+        assert np.abs(apply_paths(paths, S, c1) - dense).max() < 1e-12
 
 
 @pytest.mark.parametrize("waveform", ["afbm", "afdm"])
@@ -208,17 +203,16 @@ def test_effective_channels_match_the_dense_triple_product(waveform):
             B = afbm_basis(params)
         else:
             B = afdm_basis(ChirpPair(float(rng.uniform(0, 0.05)), 0.01), 24)
-        spec = _random_spec(rng, B.shape[0])
-        total, refs = effective_channels(spec, B)
-        assert np.abs(total - B.conj().T @ build_channel(spec) @ B).max() \
-            < 1e-12
-        distinct = list(dict.fromkeys((p.delay, p.doppler)
-                                      for p in spec.paths))
+        M = B.shape[0]
+        paths, c1 = _random_channel(rng, M)
+        total, refs = effective_channels(paths, B, c1)
+        assert np.abs(total - B.conj().T @ build_channel(paths, M, c1) @ B
+                      ).max() < 1e-12
+        distinct = list(dict.fromkeys((p.delay, p.doppler) for p in paths))
         assert len(refs) == len(distinct)
         for (delay, doppler), ref in zip(distinct, refs):
-            one = ChannelSpec(paths=(PathSpec(1.0, delay, doppler),),
-                              M=spec.M, c1=spec.c1)
-            dense = B.conj().T @ build_channel(one) @ B
+            one = (PathSpec(1.0, delay, doppler),)
+            dense = B.conj().T @ build_channel(one, M, c1) @ B
             assert np.abs(ref - dense).max() < 1e-12
 
 
@@ -226,15 +220,13 @@ def test_effective_channels_sum_both_gains_of_a_repeated_path():
     params = small_params()
     B = afbm_basis(params)
     p = PathSpec(0.6, 3, -0.5)
-    twin = ChannelSpec(paths=(p, PathSpec(0.8j, 3, -0.5)), M=params.M,
-                       c1=0.02)
-    total, refs = effective_channels(twin, B)
+    twin = (p, PathSpec(0.8j, 3, -0.5))
+    total, refs = effective_channels(twin, B, 0.02)
     (ref,) = refs
     assert np.abs(total - (0.6 + 0.8j) * ref).max() < 1e-14
-    merged = ChannelSpec(paths=(PathSpec(0.6 + 0.8j, 3, -0.5),),
-                         M=params.M, c1=0.02)
-    assert np.abs(total - B.conj().T @ build_channel(merged) @ B).max() \
-        < 1e-12
+    merged = (PathSpec(0.6 + 0.8j, 3, -0.5),)
+    dense = B.conj().T @ build_channel(merged, params.M, 0.02) @ B
+    assert np.abs(total - dense).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +235,7 @@ def test_effective_channels_sum_both_gains_of_a_repeated_path():
 
 def test_apply_channel_noiseless_and_deterministic():
     rng = np.random.default_rng(53)
-    H = build_channel(ChannelSpec(paths=(PathSpec(1.0, 1, 0.5),), M=32))
+    H = build_channel((PathSpec(1.0, 1, 0.5),), 32)
     s = crandn(rng, 32)
     clean = apply_channel(s, H, np.inf)
     assert np.abs(clean - H @ s).max() < 1e-14
@@ -269,15 +261,9 @@ def test_apply_channel_noise_power():
 # effective channel
 # ---------------------------------------------------------------------------
 
-def test_effective_channels_reject_a_basis_of_another_length():
-    spec = ChannelSpec(paths=(PathSpec(1.0, 0, 0.0),), M=384)
-    with pytest.raises(ValueError):
-        effective_channels(spec, afbm_basis(small_params()))
-
-
 def test_effective_channel_of_identity_is_scaled_identity(ref_params):
-    spec = ChannelSpec(paths=(PathSpec(1.0, 0, 0.0),), M=384)
-    He, _ = effective_channels(spec, afbm_basis(ref_params))
+    He, _ = effective_channels((PathSpec(1.0, 0, 0.0),),
+                               afbm_basis(ref_params))
     scale = np.real(He[0, 0])
     assert abs(scale - 1 / 256) < 1e-12
     assert np.abs(He - scale * np.eye(128)).max() < 1e-12
@@ -287,11 +273,9 @@ def test_effective_channel_is_linear_in_the_channel():
     params = small_params()
     B = afbm_basis(params)
     paths = (PathSpec(1.0, 2, 0.5), PathSpec(0.3 - 0.2j, 5, -1.0))
-    spec = ChannelSpec(paths=paths, M=params.M, c1=0.02)
-    scaled = ChannelSpec(paths=[PathSpec(1.7j * p.gain, p.delay, p.doppler)
-                                for p in paths], M=params.M, c1=0.02)
-    lhs, _ = effective_channels(scaled, B)
-    rhs, _ = effective_channels(spec, B)
+    scaled = [PathSpec(1.7j * p.gain, p.delay, p.doppler) for p in paths]
+    lhs, _ = effective_channels(scaled, B, 0.02)
+    rhs, _ = effective_channels(paths, B, 0.02)
     assert np.abs(lhs - 1.7j * rhs).max() < 1e-12
 
 
@@ -305,15 +289,16 @@ def test_effective_channel_matches_dense_triple_product(kind, overlap, L, P, N):
     B = (assemble_filter_matrix(params.filter, 1)
          @ synthesis_matrix(params.dims, params.chirps_mod))
     rng = np.random.default_rng(56)
-    spec = _random_spec(rng, params.M)
-    He, _ = effective_channels(spec, afbm_basis(params))
-    assert np.abs(He - B.conj().T @ build_channel(spec) @ B).max() < 1e-10
+    paths, c1 = _random_channel(rng, params.M)
+    He, _ = effective_channels(paths, afbm_basis(params), c1)
+    H = build_channel(paths, params.M, c1)
+    assert np.abs(He - B.conj().T @ H @ B).max() < 1e-10
 
 
 def test_afdm_effective_channel_single_diagonal():
     chirps = ChirpPair(pick_chirp_params(2, 1.0, 0, 64).c1, 0.0)
-    spec = ChannelSpec(paths=(PathSpec(1.0, 2, 1.0),), M=64, c1=chirps.c1)
-    He, _ = effective_channels(spec, afdm_basis(chirps, 64))
+    He, _ = effective_channels((PathSpec(1.0, 2, 1.0),),
+                               afdm_basis(chirps, 64), chirps.c1)
     energy = circular_diagonal_energy(He)
     top = np.argmax(energy)
     assert energy[top] / energy.sum() > 1 - 1e-12
@@ -336,8 +321,7 @@ def test_path_separation_single_path_concentrates(ref_params):
     c1 = ref_params.chirps_mod.c1
     B = afbm_basis(ref_params)
     for path in (PathSpec(1.0, 2, 0.0), PathSpec(1.0, 1, 1.5)):
-        spec = ChannelSpec(paths=(path,), M=384, c1=c1)
-        metric = path_separation_metric(*effective_channels(spec, B))
+        metric = path_separation_metric(*effective_channels((path,), B, c1))
         assert metric > 0.99
 
 
@@ -345,8 +329,8 @@ def test_path_separation_guard_width_absorbs_fractional_doppler(ref_params):
     # one cycle per frame is 2/3 cycle per block: energy leaks into the
     # neighbouring diagonals and a +-1 window recovers most of it
     c1 = ref_params.chirps_mod.c1
-    spec = ChannelSpec(paths=(PathSpec(1.0, 1, 1.0),), M=384, c1=c1)
-    He, refs = effective_channels(spec, afbm_basis(ref_params))
+    He, refs = effective_channels((PathSpec(1.0, 1, 1.0),),
+                                  afbm_basis(ref_params), c1)
     narrow = path_separation_metric(He, refs, xi=0)
     wide = path_separation_metric(He, refs, xi=1)
     assert narrow < 0.8
@@ -356,8 +340,7 @@ def test_path_separation_guard_width_absorbs_fractional_doppler(ref_params):
 def test_path_separation_duplicate_paths_share_reference(ref_params):
     c1 = ref_params.chirps_mod.c1
     twin = (PathSpec(0.6, 1, 1.5), PathSpec(0.8j, 1, 1.5))
-    spec = ChannelSpec(paths=twin, M=384, c1=c1)
-    He, refs = effective_channels(spec, afbm_basis(ref_params))
+    He, refs = effective_channels(twin, afbm_basis(ref_params), c1)
     assert len(refs) == 1
     assert path_separation_metric(He, refs) > 0.99
 
@@ -365,10 +348,10 @@ def test_path_separation_duplicate_paths_share_reference(ref_params):
 def test_path_separation_exact_for_integer_doppler_baseline():
     c1 = pick_chirp_params(2, 1.0, 0, 64).c1
     chirps = ChirpPair(c1, 0.0)
-    spec = ChannelSpec(paths=(PathSpec(1.0, 0, 0.0), PathSpec(0.7, 1, 1.0),
-                              PathSpec(0.5, 2, -1.0)), M=64, c1=c1).normalized()
+    paths = unit_power((PathSpec(1.0, 0, 0.0), PathSpec(0.7, 1, 1.0),
+                        PathSpec(0.5, 2, -1.0)))
     metric = path_separation_metric(
-        *effective_channels(spec, afdm_basis(chirps, 64)))
+        *effective_channels(paths, afdm_basis(chirps, 64), c1))
     assert abs(metric - 1.0) < 1e-12
 
 
@@ -390,8 +373,7 @@ def data_basis(params):
 
 def test_data_restricted_channel_identity(ref_params):
     S = data_basis(ref_params)
-    spec = ChannelSpec(paths=(PathSpec(1.0, 0, 0.0),), M=384)
-    H_d = S.conj().T @ spec.apply(S)
+    H_d = S.conj().T @ apply_paths((PathSpec(1.0, 0, 0.0),), S)
     assert H_d.shape == (64, 64)
     assert np.abs(H_d - np.eye(64)).max() < 1e-12
     # flat-fold prototype, split policy: white noise stays white
@@ -400,13 +382,12 @@ def test_data_restricted_channel_identity(ref_params):
 
 def detector_case(filt, compensation, ref_params):
     """K = 1 ``params`` with Hermite 1.5 or PHYDYAS 4, and a two-path
-    channel with its prefix phase."""
+    channel ``(paths, c1)`` with the prefix chirp rate of ``params``."""
     params = replace(ref_params, compensation=compensation,
                      filter=prototype_filter(filt, 1.5 if filt == "HERMITE"
                                              else 4, 256))
-    spec = ChannelSpec(paths=(PathSpec(1.0, 0, 0.0), PathSpec(0.7, 1, 1.0)),
-                       M=params.M, c1=params.chirps_mod.c1)
-    return params, spec
+    paths = (PathSpec(1.0, 0, 0.0), PathSpec(0.7, 1, 1.0))
+    return params, (paths, params.chirps_mod.c1)
 
 
 @pytest.mark.parametrize("filt", ["HERMITE", "PHYDYAS"])
@@ -416,13 +397,13 @@ def test_data_restricted_channel_noise_covariance_matches_dense(
     # the detector's model, H_d = Sᴴ H S and G = Sᴴ S, is the dense one;
     # the dense receive chain is Sᴴ up to the positive diagonal
     # b_rx / b_tx, which the whitened detector cancels
-    params, spec = detector_case(filt, compensation, ref_params)
+    params, (paths, c1) = detector_case(filt, compensation, ref_params)
     S = data_basis(params)
     T_d = dense_transmit_matrix(params)
     ref = T_d.conj().T @ T_d
     assert np.abs(S.conj().T @ S - ref).max() < 1e-12 * np.abs(ref).max()
-    ref = T_d.conj().T @ build_channel(spec) @ T_d
-    H_d = S.conj().T @ spec.apply(S)
+    ref = T_d.conj().T @ build_channel(paths, params.M, c1) @ T_d
+    H_d = S.conj().T @ apply_paths(paths, S, c1)
     assert np.abs(H_d - ref).max() < 1e-12 * np.abs(ref).max()
     b_tx, b_rx = params.gains
     assert np.all(b_rx / b_tx > 0)
@@ -437,12 +418,13 @@ def test_data_restricted_channel_model_is_the_chain(filt, compensation,
                                                     ref_params):
     # the BER detector runs every frame through HS and Sᴴ instead of the
     # transmit chain, the channel and the receive chain
-    params, spec = detector_case(filt, compensation, ref_params)
+    params, (paths, c1) = detector_case(filt, compensation, ref_params)
     S = data_basis(params)
     rng = np.random.default_rng(62)
     x = crandn(rng, params.dims.L // 2, 3)
-    ref = spec.apply(params.modulate(x))
-    assert np.abs(spec.apply(S) @ x - ref).max() < 1e-12 * np.abs(ref).max()
+    ref = apply_paths(paths, params.modulate(x), c1)
+    HS = apply_paths(paths, S, c1)
+    assert np.abs(HS @ x - ref).max() < 1e-12 * np.abs(ref).max()
     r = crandn(rng, params.M, 3)
     ref = params.demodulate(r)
     b_tx, b_rx = params.gains

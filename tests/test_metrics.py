@@ -808,12 +808,12 @@ def test_ber_experiment_rows_do_not_depend_on_the_pass_size(
 
 def test_ber_experiment_runs_no_chain_per_frame(ref_params, monkeypatch):
     # the linear model is built once; the passes are matrix products
-    import afbm.channel as channel
+    import afbm.metrics as metrics
 
     calls = []
     for owner, name in ((WaveformParams, "modulate"),
                         (WaveformParams, "demodulate"),
-                        (channel.ChannelSpec, "apply")):
+                        (metrics, "apply_paths")):
         def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
