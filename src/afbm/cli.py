@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
@@ -343,10 +343,10 @@ def _run_orth(cfg: ExperimentConfig, outdir: Path):
 
 
 def _run_effchan(cfg: ExperimentConfig, outdir: Path):
-    params1, chirps = replace(cfg.waveform, K=1), cfg.afdm.chirps
+    params, chirps = cfg.waveform, cfg.afdm.chirps
     bases = {  # one column per symbol position, with the prefix chirp rate
-        "afbm": (spread(np.eye(params1.dims.L, dtype=complex)[:, None, :],
-                        params1), params1.chirps_mod.c1),
+        "afbm": (spread(np.eye(params.dims.L, dtype=complex)[:, None, :],
+                        params), params.chirps_mod.c1),
         "afdm": (apply_daft(np.eye(cfg.afdm.L_a, dtype=complex), chirps,
                             adjoint=True), chirps.c1)}
     eff, score = {}, {}

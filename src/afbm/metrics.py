@@ -33,14 +33,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .transforms import apply_daft
+from .filterbank import fold_gram
 from .modem import (
     AfdmParams,
     BITS_PER_SYMBOL,
     WaveformParams,
     demap_symbols,
-    place_grid,
-    spread,
     symbol_table,
 )
 from .channel import apply_paths, check_paths_feasible, unit_power
@@ -427,15 +425,13 @@ def spectrum_psd(source, frames: int, seed, segment: int) -> PsdEstimate:
 
 def orthogonality_gram(params: WaveformParams, compensated: bool = True) -> np.ndarray:
     """Ideal-channel response of the single-symbol chain on the data
-    positions, (L/2) x (L/2): ``BᴴB``, ``B`` the :func:`spread` of the
-    precoded data identity, which exposes the raw filter interference.
-    With ``compensated`` it is the modem round trip ``diag(b_rx) BᴴB
-    diag(b_tx)`` there, ``(b_tx, b_rx)`` the ``params.gains``.
+    positions, (L/2) x (L/2): ``BᴴB``, ``B`` the spread of the precoded
+    data identity, which exposes the raw filter interference; no column
+    is filtered, it is the :func:`~afbm.filterbank.fold_gram` of
+    ``params.data_columns()``. With ``compensated`` it is the modem round
+    trip ``diag(b_rx) BᴴB diag(b_tx)``, ``(b_tx, b_rx)`` the gains.
     """
-    L = params.dims.L
-    B = spread(apply_daft(place_grid(np.eye(L // 2), L, 1), params.chirps_pre),
-               params)
-    gram = B.conj().T @ B
+    gram = fold_gram(params.data_columns(), params.filter)
     if compensated:
         b_tx, b_rx = params.gains
         gram = b_rx[:, None] * gram * b_tx

@@ -10,7 +10,7 @@ Each waveform's parameters are its transmitter: ``p.modulate(d)`` of a
 symbol, and returns its signal; in both, trailing axes stack frames.
 Only this module lays the data out on the L x K subcarrier grid:
 :func:`place_grid` puts each symbol's data on the first and last L/4
-subcarriers (:func:`~afbm.filterbank.data_indices`) and leaves the guard
+subcarriers, the rows of :func:`data_indices`, and leaves the guard
 half zero. Transmit chain per frame of data ``d``:
 
 1. per-subcarrier compensation, placement and L-point affine precoding,
@@ -49,7 +49,6 @@ from .filterbank import (
     apply_filter_bank,
     apply_filter_bank_adjoint,
     compensation_vector,
-    data_indices,
     output_length,
 )
 
@@ -100,10 +99,16 @@ class WaveformParams:
         :func:`compensation_vector` on each side under "split"; "tx" is
         one-sided, the full squared factor at the transmitter and none at
         the receiver."""
-        b = compensation_vector(self.dims, self.chirps_pre, self.chirps_mod,
-                                self.filter)
+        b = compensation_vector(self.data_columns(), self.filter)
         return ((b, b) if self.compensation == "split"
                 else (b * b, np.ones_like(b)))
+
+    def data_columns(self) -> np.ndarray:
+        """N x L/2 synthesis of the precoded data identity: one symbol's
+        data positions spread, ahead of the filter."""
+        data = np.eye(self.dims.L)[:, data_indices(self.dims.L)]
+        return apply_synthesis(apply_daft(data, self.chirps_pre), self.dims,
+                               self.chirps_mod)
 
     def modulate(self, d: np.ndarray) -> np.ndarray:
         """Signal of the data symbols ``d``, the (L/2)*K of each frame
@@ -152,12 +157,16 @@ def demap_symbols(symbols: np.ndarray, constellation: str) -> np.ndarray:
 # grid placement
 # ---------------------------------------------------------------------------
 
+def data_indices(L: int) -> np.ndarray:
+    """Row indices carrying data: the first and last L/4 positions."""
+    return np.r_[0:L // 4, L - L // 4:L]
+
+
 def place_grid(d: np.ndarray, L: int, K: int) -> np.ndarray:
     """L x K grid of the data symbols ``d``, zero on the guard rows.
 
     ``d`` holds the (L/2)*K symbols of a frame along axis 0, column after
-    column, each column on the :func:`~afbm.filterbank.data_indices` rows;
-    trailing axes are batch.
+    column, each on the :func:`data_indices` rows; trailing axes are batch.
     """
     d = np.asarray(d)
     if d.ndim == 0 or len(d) != (L // 2) * K:

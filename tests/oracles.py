@@ -13,10 +13,11 @@ which only the tests import.
 import numpy as np
 
 from afbm.channel import check_paths_feasible, unit_power
-from afbm.filterbank import data_indices, output_length
+from afbm.filterbank import output_length
 from afbm.metrics import (AFDM_OOBE_OVERSAMPLE, TRIAL_CHUNK, _trial_frames,
                           spectral_interpolate)
-from afbm.modem import BITS_PER_SYMBOL, AfdmParams, prefix_phase
+from afbm.modem import (BITS_PER_SYMBOL, AfdmParams, data_indices,
+                        prefix_phase)
 from afbm.transforms import apply_daft, chirp_phase
 
 # Gray bit pair of each QAM16 axis level rank, (level + 3) / 2

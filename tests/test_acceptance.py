@@ -13,7 +13,7 @@ import numpy as np
 
 from afbm.channel import PathSpec, pick_chirp_params
 from afbm.cli import read_config_file, resolve_config, run
-from afbm.filterbank import data_indices, prototype_filter
+from afbm.filterbank import prototype_filter
 from afbm.metrics import (
     band_edges,
     ber_experiment,
@@ -24,7 +24,7 @@ from afbm.metrics import (
     sir_orthogonality,
     spectrum_psd,
 )
-from afbm.modem import AfdmParams, WaveformParams, spread
+from afbm.modem import AfdmParams, WaveformParams, data_indices, spread
 from afbm.transforms import ChirpPair, DaftDims
 from oracles import (assemble_filter_matrix, daft_matrix,
                      dense_transmit_matrix, map_symbols_dict,

@@ -8,12 +8,11 @@ from afbm.filterbank import (
     apply_filter_bank,
     apply_filter_bank_adjoint,
     compensation_vector,
-    data_indices,
     fold_power,
     output_length,
     prototype_filter,
 )
-from afbm.modem import WaveformParams, spread
+from afbm.modem import WaveformParams, data_indices, spread
 from afbm.transforms import ChirpPair, DaftDims
 from oracles import (assemble_filter_matrix, daft_matrix,
                      filter_bank_adjoint_add_at, filter_bank_overlap_add,
@@ -245,6 +244,12 @@ def test_data_indices_layout():
     assert np.array_equal(idx[32:], np.arange(96, 128))
 
 
+def _data_columns(dims, chirps, filt):
+    """The one-symbol data columns of a chain with equal chirp pairs."""
+    return WaveformParams(dims=dims, K=1, chirps_pre=chirps, chirps_mod=chirps,
+                          filter=filt).data_columns()
+
+
 def _dense_chain_gains(dims, chirps_pre, chirps_mod, filt):
     """Diagonal of the dense single-symbol chain Gram ``BᴴB``."""
     B = (assemble_filter_matrix(filt, 1)
@@ -257,7 +262,7 @@ def test_chain_gains_match_bruteforce():
     dims = DaftDims(16, 24, 32)
     chirps = ChirpPair(0.017, 0.003)
     filt = prototype_filter("PHYDYAS", 2, 32)
-    b = compensation_vector(dims, chirps, chirps, filt)
+    b = compensation_vector(_data_columns(dims, chirps, filt), filt)
     gains = _dense_chain_gains(dims, chirps, chirps, filt)[data_indices(16)]
     assert np.abs(1 / b ** 2 - gains).max() < 1e-12
     assert np.all(b > 0)
@@ -265,7 +270,8 @@ def test_chain_gains_match_bruteforce():
 
 def test_compensation_vector_structure(ref_dims, ref_chirps, hermite256):
     # one gain per data position, none for the guard half
-    b = compensation_vector(ref_dims, ref_chirps, ref_chirps, hermite256)
+    b = compensation_vector(_data_columns(ref_dims, ref_chirps, hermite256),
+                            hermite256)
     assert b.shape == (64,)
     assert np.all(b > 0)
     gains = _dense_chain_gains(ref_dims, ref_chirps, ref_chirps, hermite256)
@@ -276,7 +282,7 @@ def test_compensation_rect_uniform():
     dims = DaftDims(8, 8, 8)
     chirps = ChirpPair(0.0, 0.0)
     filt = prototype_filter("RECT", 1, 8)
-    b = compensation_vector(dims, chirps, chirps, filt)
+    b = compensation_vector(_data_columns(dims, chirps, filt), filt)
     assert np.abs(b - b[0]).max() < 1e-12
 
 
@@ -286,7 +292,7 @@ def test_compensation_singular_chain_raises():
     dims = DaftDims(8, 8, 8)
     chirps = ChirpPair(0.0, 0.0)
     with pytest.raises(ArithmeticError):
-        compensation_vector(dims, chirps, chirps, dead)
+        compensation_vector(_data_columns(dims, chirps, dead), dead)
 
 
 def test_gram_diagonal_equals_gains_through_fast_path():
@@ -299,5 +305,5 @@ def test_gram_diagonal_equals_gains_through_fast_path():
     W = daft_matrix(chirps, dims.L)
     cols = spread(W[:, None, :], params)
     diag = np.sum(np.abs(cols) ** 2, axis=0)
-    b = compensation_vector(dims, chirps, chirps, filt)
+    b = compensation_vector(params.data_columns(), filt)
     assert np.abs(diag[data_indices(16)] - 1 / b ** 2).max() < 1e-12

@@ -30,9 +30,9 @@ from afbm.metrics import (
     spectrum_psd,
 )
 from afbm.channel import PathSpec, pick_chirp_params
-from afbm.filterbank import data_indices, prototype_filter
+from afbm.filterbank import prototype_filter
 from afbm.modem import (BITS_PER_SYMBOL, AfdmParams, WaveformParams,
-                        symbol_table)
+                        data_indices, symbol_table)
 from afbm.transforms import ChirpPair, DaftDims
 from oracles import (afdm_oobe_signal, assemble_filter_matrix,
                      ber_trial_errors, daft_matrix, dense_receive_matrix,
@@ -572,11 +572,18 @@ def test_orthogonality_gram_invariant(ref_params):
 
 @pytest.mark.parametrize("compensation", ["split", "tx"])
 @pytest.mark.parametrize("compensated", [True, False])
-@pytest.mark.parametrize("kind,overlap", [("HERMITE", 1.5), ("PHYDYAS", 2)])
-def test_orthogonality_gram_matches_dense_chain(kind, overlap, compensated,
+@pytest.mark.parametrize("kind,overlap,c2", [
+    pytest.param("HERMITE", 1.5, 0.003, id="HERMITE-1.5"),
+    pytest.param("PHYDYAS", 2, 0.003, id="PHYDYAS-2"),
+    pytest.param("PHYDYAS", 4, 0.003, id="PHYDYAS-4"),
+    pytest.param("RECT", 1, 0.003, id="RECT-1"),
+    pytest.param("PHYDYAS", 2, 0.0, id="PHYDYAS-2-c2=0")])
+def test_orthogonality_gram_matches_dense_chain(kind, overlap, c2, compensated,
                                                 compensation):
-    # the data block of the dense round trip, or of the raw chain's BᴴB
-    chirps = ChirpPair(0.017, 0.003)
+    # the data block of the dense round trip, or of the raw chain's BᴴB: the
+    # fold Gram on power folds of 1, 2 and 4 terms, through both synthesis
+    # paths (c2 != 0 runs the P-point step, c2 = 0 skips it)
+    chirps = ChirpPair(0.017, c2)
     params = WaveformParams(dims=DaftDims(16, 24, 32), K=1, chirps_pre=chirps,
                             chirps_mod=chirps,
                             filter=prototype_filter(kind, overlap, 32),
@@ -596,9 +603,9 @@ def test_orthogonality_gram_matches_dense_chain(kind, overlap, compensated,
 @pytest.mark.parametrize("compensation", ["split", "tx"])
 def test_orthogonality_gram_peak_allocation_at_fig4(ref_dims, ref_chirps,
                                                     phydyas256, compensation):
-    # M = 1024 and L/2 = 64, so the spread data basis is one 1 MiB array
-    # and its conjugate another; the gains only scale the 64 x 64 Gram, so
-    # neither policy spreads a second basis
+    # no column is filtered: the N x L/2 data columns (256 x 64) are
+    # 256 KiB, their fold-weighted copy and conjugate as much again, and
+    # the gains only scale the 64 x 64 Gram, so neither policy builds more
     params = WaveformParams(dims=ref_dims, K=1, chirps_pre=ref_chirps,
                             chirps_mod=ref_chirps, filter=phydyas256,
                             compensation=compensation)
@@ -609,7 +616,7 @@ def test_orthogonality_gram_peak_allocation_at_fig4(ref_dims, ref_chirps,
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 2 ** 20
+    assert peak <= 1.5 * 2 ** 20
 
 
 def test_sir_reference_values(ref_params, ref_dims, ref_chirps, phydyas256):

@@ -9,14 +9,14 @@ from afbm.modem import (
     BITS_PER_SYMBOL,
     AfdmParams,
     WaveformParams,
+    data_indices,
     demap_symbols,
     despread,
     place_grid,
     spread,
     symbol_table,
 )
-from afbm.filterbank import (compensation_vector, data_indices,
-                             prototype_filter)
+from afbm.filterbank import compensation_vector, prototype_filter
 from afbm.transforms import (ChirpPair, DaftDims, apply_daft,
                              apply_synthesis_adjoint)
 from oracles import (afdm_demodulate, afdm_demodulate_frame, afdm_symbol,
@@ -273,8 +273,7 @@ def test_gains_are_computed_once_per_params(ref_params, monkeypatch):
     assert np.all(tx.gains[1] == 1) and len(calls) == 2
     phydyas = replace(p, filter=prototype_filter("PHYDYAS", 4, 256))
     assert np.array_equal(phydyas.gains[0], compensation_vector(
-        phydyas.dims, phydyas.chirps_pre, phydyas.chirps_mod,
-        phydyas.filter))
+        phydyas.data_columns(), phydyas.filter))
     assert not np.array_equal(phydyas.gains[0], first[0])
 
 
