@@ -11,7 +11,9 @@ symbol, and returns its signal; in both, trailing axes stack frames.
 Only this module lays the data out on the L x K subcarrier grid:
 :func:`place_grid` puts each symbol's data on the first and last L/4
 subcarriers, the rows of :func:`data_indices`, and leaves the guard
-half zero. Transmit chain per frame of data ``d``:
+half zero; the data rows are one circular run, so it places them by two
+slices into a Fortran-ordered grid, and the chain keeps each frame
+contiguous down to its signal. Transmit chain per frame of data ``d``:
 
 1. per-subcarrier compensation, placement and L-point affine precoding,
    ``X = W_L A``, ``A`` the grid of ``diag(b_tx) d``;
@@ -115,8 +117,9 @@ class WaveformParams:
         along axis 0 as :func:`place_grid` takes them; trailing axes are
         batch."""
         A = place_grid(d, self.dims.L, self.K)
-        data = data_indices(self.dims.L)
-        A[data] = scale_rows(self.gains[0], A[data])
+        b, q = self.gains[0], self.dims.L // 4
+        A[:q] = scale_rows(b[:q], A[:q])
+        A[-q:] = scale_rows(b[q:], A[-q:])
         return spread(apply_daft(A, self.chirps_pre), self)
 
     def demodulate(self, r: np.ndarray) -> np.ndarray:
@@ -167,13 +170,16 @@ def place_grid(d: np.ndarray, L: int, K: int) -> np.ndarray:
 
     ``d`` holds the (L/2)*K symbols of a frame along axis 0, column after
     column, each on the :func:`data_indices` rows; trailing axes are batch.
+    The grid is Fortran-ordered, so each frame is contiguous.
     """
     d = np.asarray(d)
     if d.ndim == 0 or len(d) != (L // 2) * K:
         raise ValueError(f"expected {(L // 2) * K} symbols along axis 0, "
                          f"got shape {d.shape}")
-    A = np.zeros((L, K) + d.shape[1:], dtype=complex)
-    A[data_indices(L)] = d.reshape((L // 2, K) + d.shape[1:], order="F")
+    D = d.reshape((L // 2, K) + d.shape[1:], order="F")
+    A = np.zeros((L, K) + d.shape[1:], dtype=complex, order="F")
+    A[:L // 4] = D[:L // 4]
+    A[L - L // 4:] = D[L // 4:]
     return A
 
 

@@ -7,7 +7,9 @@ is exp(+j*2*pi*k*l/n) and chirp diagonals rotate as exp(-j*2*pi*c*m^2).
 The ``apply_*`` functions are FFT-based fast paths, tested against the
 dense matrices of the test oracles. They transform along axis 0 and
 treat any trailing axes as batch, so one call applies the operator to
-every column of a stack of frames.
+every column of a stack of frames. numpy's FFTs keep the memory order of
+their input, so a Fortran-ordered stack is transformed along contiguous
+columns.
 
 The synthesis runs ``Λ_c1ᴴ`` on the L rows, the P-point ``Fᴴ Λ_c2ᴴ F``,
 the placement of the P bins into N and one N-point DFT; its adjoint
@@ -15,6 +17,11 @@ runs the adjoint steps in reverse order. At ``c2 = 0`` the second chirp
 is the identity (exactly, the factor is 1), so ``apply_daft`` and the
 synthesis skip their step with it. Every bundled configuration and
 every ``pick_chirp_params`` result has ``c2 = 0``.
+
+The bins ``(i - P/2) mod N`` are one circular run, so the synthesis
+writes its rows by two slices into a Fortran-ordered array and
+transforms it in place; its FFT and the filter bank after it read each
+column contiguously.
 """
 
 from __future__ import annotations
@@ -107,7 +114,8 @@ def apply_daft(x: np.ndarray, chirps: ChirpPair, adjoint: bool = False) -> np.nd
         return scale_rows(chirp_phase(chirps.c2, n).conj(), y)
     if chirps.c2 != 0:
         x = scale_rows(chirp_phase(chirps.c2, n), x)
-    return scale_rows(p1, np.fft.ifft(x, axis=0, norm="ortho"))
+    y = np.fft.ifft(x, axis=0, norm="ortho")
+    return np.multiply(p1.reshape((-1,) + (1,) * (y.ndim - 1)), y, out=y)
 
 
 def apply_synthesis(x: np.ndarray, dims: DaftDims, chirps: ChirpPair) -> np.ndarray:
@@ -115,13 +123,20 @@ def apply_synthesis(x: np.ndarray, dims: DaftDims, chirps: ChirpPair) -> np.ndar
     ``c2 = 0`` its P-point step is skipped and only L bins are placed."""
     if x.shape[0] != dims.L:
         raise ValueError(f"expected {dims.L} rows, got {x.shape[0]}")
-    u = scale_rows(chirp_phase(chirps.c1, dims.L).conj(), x)
-    if chirps.c2 != 0:
-        u = np.fft.fft(u, n=dims.P, axis=0, norm="ortho")  # zero-padded to P
+    v = chirp_phase(chirps.c1, dims.L).conj()
+    v = v.reshape((-1,) + (1,) * (x.ndim - 1))
+    # the bins (i - P/2) mod N of the rows i run circularly from N - P/2
+    w = np.zeros((dims.N,) + x.shape[1:], dtype=complex, order="F")
+    start, half = dims.N - dims.P // 2, dims.P // 2
+    if chirps.c2 == 0:  # the chirped rows straight into their bins
+        head = min(dims.L, half)
+        np.multiply(v[:head], x[:head], out=w[start:start + head])
+        np.multiply(v[head:], x[head:], out=w[:dims.L - head])
+    else:
+        u = np.fft.fft(v * x, n=dims.P, axis=0, norm="ortho")  # padded to P
         u = apply_dft(scale_rows(chirp_phase(chirps.c2, dims.P).conj(), u))
-    w = np.zeros((dims.N,) + x.shape[1:], dtype=complex)
-    w[dims.spread_bins[:len(u)]] = u
-    return apply_dft(w, adjoint=True)
+        w[start:], w[:half] = u[:half], u[half:]
+    return np.fft.fft(w, axis=0, norm="ortho", out=w)  # apply_dft's adjoint
 
 
 def apply_synthesis_adjoint(y: np.ndarray, dims: DaftDims, chirps: ChirpPair) -> np.ndarray:

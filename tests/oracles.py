@@ -14,8 +14,8 @@ import numpy as np
 
 from afbm.channel import check_paths_feasible, unit_power
 from afbm.filterbank import output_length
-from afbm.metrics import (AFDM_OOBE_OVERSAMPLE, TRIAL_CHUNK, _trial_frames,
-                          spectral_interpolate)
+from afbm.metrics import (AFDM_OOBE_OVERSAMPLE, PAPR_OVERSAMPLE, TRIAL_CHUNK,
+                          _trial_frames, spectral_interpolate)
 from afbm.modem import (BITS_PER_SYMBOL, AfdmParams, data_indices,
                         prefix_phase)
 from afbm.transforms import apply_daft, chirp_phase
@@ -294,6 +294,22 @@ def filter_bank_adjoint_add_at(r, filt, K):
     for k in range(K):
         np.add.at(z[:, k], idx, filt.coeffs * r[k * hop:k * hop + filt.length])
     return z
+
+
+# ---------------------------------------------------------------------------
+# envelope
+# ---------------------------------------------------------------------------
+
+def papr_zero_padded(signal):
+    """PAPR (dB) of the envelope interpolated ``PAPR_OVERSAMPLE`` times
+    by zero padding the whole spectrum: one inverse FFT of
+    ``PAPR_OVERSAMPLE`` times the frame length, the peak and the mean
+    taken over all its samples. A 1-D signal gives a float, trailing
+    axes one value per frame."""
+    s = np.asarray(signal)
+    env = np.abs(spectral_interpolate(s, PAPR_OVERSAMPLE)) ** 2
+    ratio = 10 * np.log10(env.max(axis=0) / env.mean(axis=0))
+    return float(ratio) if s.ndim == 1 else ratio
 
 
 # ---------------------------------------------------------------------------

@@ -160,24 +160,33 @@ def test_single_symbol_filter_matches_dense():
     assert np.abs(back - G1.T @ R).max() < 1e-13
 
 
-@pytest.mark.parametrize("kind,overlap,N,K", [("HERMITE", 1.5, 16, 1),
-                                              ("HERMITE", 1.5, 16, 3),
-                                              ("PHYDYAS", 4, 8, 1),
-                                              ("PHYDYAS", 4, 8, 3),
-                                              ("RECT", 1, 8, 4)])
+FILTER_BANK_CASES = [("HERMITE", 1.5, 16, 1, (2, 3)),
+                   ("HERMITE", 1.5, 16, 3, (2, 3)),
+                   ("HERMITE", 1.5, 16, 8, (16,)),
+                   ("PHYDYAS", 4, 8, 1, (2, 3)),
+                   ("PHYDYAS", 4, 8, 3, (2, 3)),
+                   ("PHYDYAS", 2, 8, 8, (2, 3)),
+                   ("PHYDYAS", 4, 8, 8, (2, 3)),
+                   ("RECT", 1, 8, 4, (2, 3))]
+
+
+@pytest.mark.parametrize("kind,overlap,N,K,batch", FILTER_BANK_CASES,
+                         ids=["-".join(map(str, c[:4]))
+                              for c in FILTER_BANK_CASES])
 def test_batched_filter_bank_is_bit_identical_to_zeroed_overlap_add(
-        kind, overlap, N, K):
+        kind, overlap, N, K, batch):
     filt = prototype_filter(kind, overlap, N)
     rng = np.random.default_rng(25)
-    Y = crandn(rng, N, K, 2, 3)
+    Y = crandn(rng, N, K, *batch)
     s = apply_filter_bank(Y, filt)
-    assert s.shape == (output_length(filt, K), 2, 3)
-    for j in range(2):
-        for c in range(3):
-            assert np.array_equal(s[:, j, c],
-                                  filter_bank_overlap_add(Y[:, :, j, c], filt))
-            assert np.array_equal(s[:, j, c], apply_filter_bank(
-                np.ascontiguousarray(Y[:, :, j, c]), filt))
+    assert s.shape == (output_length(filt, K),) + batch
+    assert np.array_equal(apply_filter_bank(np.asfortranarray(Y), filt), s)
+    for b in np.ndindex(batch):
+        col = (slice(None),) + b
+        assert np.array_equal(s[col], filter_bank_overlap_add(
+            Y[(slice(None), slice(None)) + b], filt))
+        assert np.array_equal(s[col], apply_filter_bank(
+            np.ascontiguousarray(Y[(slice(None), slice(None)) + b]), filt))
 
 
 @pytest.mark.parametrize("kind,overlap,N,K", [("HERMITE", 1.5, 16, 1),

@@ -13,6 +13,7 @@ import pytest
 
 from afbm.metrics import (
     BER_PASS,
+    PAPR_OVERSAMPLE,
     SNR_LIMIT_DB,
     TRIAL_CHUNK,
     WELCH_BLOCK,
@@ -36,9 +37,10 @@ from afbm.modem import (BITS_PER_SYMBOL, AfdmParams, WaveformParams,
 from afbm.transforms import ChirpPair, DaftDims
 from oracles import (afdm_oobe_signal, assemble_filter_matrix,
                      ber_trial_errors, daft_matrix, dense_receive_matrix,
-                     dense_transmit_matrix, map_symbols_dict, qfunc,
-                     random_afbm_frame, random_afdm_frame, spectrum_signal,
-                     symbol_bits, synthesis_matrix, welch_psd)
+                     dense_transmit_matrix, map_symbols_dict,
+                     papr_zero_padded, qfunc, random_afbm_frame,
+                     random_afdm_frame, spectrum_signal, symbol_bits,
+                     synthesis_matrix, welch_psd)
 
 
 # ---------------------------------------------------------------------------
@@ -76,15 +78,6 @@ def test_spectral_interpolation_of_odd_lengths_keeps_the_top_bin(n, factor):
     assert np.abs(up - ref).max() < 1e-12
 
 
-def test_spectral_interpolation_into_a_used_buffer():
-    rng = np.random.default_rng(64)
-    for n in (32, 33):
-        x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-        out = np.full((4 * n, 3), 7 + 7j, order="F")
-        assert spectral_interpolate(x, 4, out=out) is out
-        assert np.array_equal(out, spectral_interpolate(x, 4))
-
-
 def test_spectral_interpolation_takes_an_integral_float_factor():
     x = np.random.default_rng(66).standard_normal(16)
     assert np.array_equal(spectral_interpolate(x, 2.0),
@@ -96,8 +89,6 @@ def test_spectral_interpolation_validation():
     for factor in (0, 1, 2.5):
         with pytest.raises(ValueError, match="factor"):
             spectral_interpolate(x, factor)
-    with pytest.raises(ValueError, match="shape"):
-        spectral_interpolate(x, 2, out=np.empty(8, dtype=complex))
 
 
 def test_papr_reference_values():
@@ -134,6 +125,53 @@ def test_papr_oversampling_never_reduces_the_peak():
         x = np.fft.ifft(map_symbols_dict(rng.integers(0, 2, 128), "QPSK"))
         power = np.abs(x) ** 2
         assert papr(x) >= 10 * np.log10(power.max() / power.mean()) - 1e-9
+
+
+PAPR_LENGTHS = [63, 64, 131, 195, 1040, 1280]
+
+
+def _papr_input(rng, n, kind):
+    shape = (n, 5)
+    x = rng.standard_normal(shape)
+    return x if kind == "real" else x + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", PAPR_LENGTHS)
+def test_papr_matches_the_zero_padded_oracle(n, kind):
+    stack = _papr_input(np.random.default_rng(n), n, kind)
+    expected = papr_zero_padded(stack)
+    for s in (stack, np.asfortranarray(stack), np.ascontiguousarray(stack)):
+        assert np.abs(papr(s) - expected).max() < 1e-12
+    assert abs(papr(stack[:, 2]) - expected[2]) < 1e-12
+    cube = stack[:, :4].reshape(n, 2, 2)
+    assert papr(cube).shape == (2, 2)
+    assert np.abs(papr(cube) - papr_zero_padded(cube)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", PAPR_LENGTHS)
+def test_papr_phases_interpolate_the_frame(n):
+    F = PAPR_OVERSAMPLE
+    rng = np.random.default_rng(n + 1)
+    x = _papr_input(rng, n, "complex")[:, :2]
+    x[n // 3, 1] = 100  # the peak, on a phase-0 sample
+    z = np.empty(((F - 1) * n, 2), dtype=complex, order="F")
+    env = np.empty(z.shape, order="F")
+    ratio = papr(x, out=(z, env))
+    assert ratio[1] == papr(x[:, 1])
+    up = spectral_interpolate(x, F)
+    for r in range(1, F):
+        phase = z[(r - 1) * n:r * n]
+        assert np.abs(phase - up[r::F]).max() < 1e-12 * np.abs(x).max()
+        assert np.array_equal(env[(r - 1) * n:r * n], np.abs(phase))
+    # phase 0 is the frame itself, bit for bit: the peak of frame 1 is its
+    # input sample, squared, over Parseval's mean of its spectrum
+    X = np.fft.fft(x[:, 1])
+    power = np.square(X.real) + np.square(X.imag)
+    if n % 2 == 0:
+        power[n // 2] *= 0.5
+    assert env[:, 1].max() < 100
+    assert ratio[1] == 10 * np.log10(10000 / (power.sum() / n ** 2))
 
 
 def test_ccdf_curve_validation():
@@ -371,6 +409,19 @@ def test_papr_ccdf_chunks_match_one_frame_at_a_time(
     curve = papr_ccdf(source, trials, np.array([6.0]), seed=4)
     frames = _frames_one_at_a_time(source, trials, 4, _afdm_burst)
     assert np.array_equal(curve.samples, [papr(s) for s in frames])
+
+
+def test_papr_ccdf_peak_memory_at_the_reference_profile(ref_params_frame):
+    # the polyphase work arrays hold (PAPR_OVERSAMPLE - 1) * M rows per
+    # frame: 3,650,888 B; with 4M-row zero-padding ones it was 4,076,864 B
+    papr_ccdf(ref_params_frame, 1, np.array([6.0]), seed=1)  # lazy imports
+    tracemalloc.start()
+    try:
+        papr_ccdf(ref_params_frame, 32, np.array([6.0]), seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.8 * 2 ** 20
 
 
 @pytest.mark.parametrize("trials", CHUNK_CROSSING_TRIALS)
