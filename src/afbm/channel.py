@@ -20,10 +20,12 @@ unit total power.
 
 Also here: the chirp-rate feasibility rule for keeping paths separable,
 :func:`effective_channels`, the effective channels ``Bᴴ H B`` of a
-waveform basis ``B`` (the whole channel and each distinct path), and a
-path separation score. The BER detector needs no receive model of its
-own: it whitens its noise, which cancels the receive gains, so the
-transmit basis ``S`` gives its whole linear model (see
+waveform's one-symbol basis ``B`` (the whole channel and each distinct
+path), each path folded onto the N rows of the columns before the
+window and finished by the waveform's fast adjoint, and a path
+separation score. The BER detector needs no receive model of its own:
+it whitens its noise, which cancels the receive gains, so the transmit
+basis ``S`` gives its whole linear model (see
 :func:`afbm.metrics.ber_experiment`).
 """
 
@@ -34,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .transforms import ChirpPair
+from .transforms import ChirpPair, scale_rows
 from .modem import prefix_phase
 
 
@@ -87,13 +89,20 @@ def _check_paths(paths, M: int) -> None:
             raise ValueError(f"path delay {p.delay} must be < M={M}")
 
 
+def _path_diagonal(p: PathSpec, M: int, c1: float) -> np.ndarray:
+    """Row m's factor of path ``p`` on an M-sample block: the gain times
+    the Doppler ramp, times the prefix phase (chirp rate ``c1``) on the
+    first ``p.delay`` rows, the ones that wrap."""
+    d = p.gain * np.exp(-2j * np.pi * p.doppler * np.arange(M) / M)
+    d[:p.delay] *= prefix_phase(c1, M, p.delay)
+    return d
+
+
 def _apply_path(p: PathSpec, S: np.ndarray, c1: float, out: np.ndarray):
     """Path ``p``'s term of :func:`apply_paths`, written into ``out``
     (shaped like ``S``) and returned."""
     M, delay = len(S), p.delay
-    d = p.gain * np.exp(-2j * np.pi * p.doppler * np.arange(M) / M)
-    d[:delay] *= prefix_phase(c1, M, delay)
-    d = d.reshape(d.shape + (1,) * (S.ndim - 1))
+    d = _path_diagonal(p, M, c1).reshape((M,) + (1,) * (S.ndim - 1))
     # rows m >= delay take S[m - delay]; the first delay rows wrap
     np.multiply(d[delay:], S[:M - delay], out=out[delay:])
     np.multiply(d[:delay], S[M - delay:], out=out[:delay])
@@ -129,36 +138,72 @@ def check_paths_feasible(paths, xi: int, P: int) -> None:
                       max(abs(p.doppler) for p in paths), xi, P)
 
 
-def effective_channels(paths, B: np.ndarray, c1: float = 0.0):
-    """Effective channels ``Bᴴ H B`` of a basis ``B`` (M x n, one column
-    per symbol position, e.g. the :func:`spread` identity or the baseline's
-    adjoint affine transform), ``H`` being :func:`apply_paths` with the
-    prefix chirp rate ``c1``.
+def effective_channels(paths, Y: np.ndarray, w: np.ndarray, adjoint,
+                       c1: float = 0.0):
+    """Effective channels ``Bᴴ H B`` of a one-symbol basis ``B`` (M x n,
+    one column per symbol position), given as the N-row columns ``Y``
+    (N x n) before the filter, the window ``w`` (length M) with
+    ``B[m] = w[m] Y[m mod N]``, and ``adjoint``, the waveform's fast
+    ``Yᴴ`` on N-row input; ``H`` is :func:`apply_paths` with the prefix
+    chirp rate ``c1``. AFBM passes ``apply_synthesis`` of the identity,
+    the prototype and ``apply_synthesis_adjoint``; the baseline passes
+    its adjoint affine transform of the identity, ones and the forward
+    transform.
 
     Returns ``(total, references)``: ``references`` holds ``Bᴴ H_r B`` of
     the unit-gain channel of each distinct ``(delay, doppler)`` path, in
     first-seen order, and ``total`` is their sum weighted by each path's
     gain, which is ``Bᴴ H B`` because the map is linear in ``H``.
     """
-    _check_paths(paths, len(B))
-    Bh = B.conj().T
-    HB = np.empty(B.shape, dtype=complex)  # H_r B of each path in turn
+    _check_paths(paths, len(w))
     refs = {}
     total = 0
     for p in paths:
         key = (p.delay, p.doppler)
         if key not in refs:
-            refs[key] = Bh @ _apply_path(replace(p, gain=1.0), B, c1, HB)
+            refs[key] = adjoint(_fold_path(replace(p, gain=1.0), Y, w, c1))
         total = total + p.gain * refs[key]
     return total, list(refs.values())
 
 
+def _fold_path(p: PathSpec, Y: np.ndarray, w: np.ndarray, c1: float):
+    """``Z`` with ``Yᴴ Z = Bᴴ H_p B`` for the basis ``B[m] = w[m] Y[m mod N]``
+    of :func:`effective_channels`.
+
+    Row m of ``H_p B`` is ``d[m] w[m-l] Y[(m-l) mod N]``, indices mod M,
+    ``d`` the :func:`_path_diagonal` and l the delay; ``Bᴴ`` weights it
+    by ``conj(w[m])`` and sums the rows m of each residue mod N. The rows
+    m >= l read ``Y`` rolled by l; the l wrapped rows read row
+    ``(m - l + M) mod N``, ``Y`` rolled by l - M, the same roll only when
+    N divides M. The work is O(M + N n), with no M-row array of columns.
+    """
+    M, N, delay = len(w), len(Y), p.delay
+    q = w.conj() * _path_diagonal(p, M, c1) * np.roll(w, delay)
+    late, wrapped = _fold(q[delay:], delay, N), _fold(q[:delay], 0, N)
+    if M % N == 0:
+        return scale_rows(late + wrapped, np.roll(Y, delay, axis=0))
+    return (scale_rows(late, np.roll(Y, delay, axis=0))
+            + scale_rows(wrapped, np.roll(Y, delay - M, axis=0)))
+
+
+def _fold(v: np.ndarray, start: int, N: int) -> np.ndarray:
+    """``out[i]``, i < N: the sum of ``v[j]`` over the j with
+    ``(start + j) mod N == i``."""
+    lead = start % N
+    rows = np.zeros(-(-(lead + len(v)) // N) * N, dtype=complex)
+    rows[lead:lead + len(v)] = v
+    return rows.reshape(-1, N).sum(axis=0)
+
+
 def circular_diagonal_energy(H: np.ndarray) -> np.ndarray:
-    """Energy on each circular diagonal: out[d] = sum_i |H[i, (i+d) % n]|^2."""
+    """Energy on each circular diagonal: out[d] = sum_i |H[i, (i+d) % n]|^2,
+    read from ``|H|²`` tiled twice as the strided view ``[i, i + d]``."""
     n = H.shape[0]
-    i = np.arange(n)
-    return np.sum(np.abs(H[i[:, None], (i[:, None] + i[None, :]) % n]) ** 2,
-                  axis=0)
+    E = np.abs(H) ** 2
+    tiled = np.concatenate((E, E), axis=1)
+    row, col = tiled.strides
+    return np.lib.stride_tricks.as_strided(
+        tiled, (n, n), (row + col, col), writeable=False).sum(axis=0)
 
 
 def path_separation_metric(H_eff, references, xi: int = 0) -> float:

@@ -26,9 +26,10 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .transforms import ChirpPair, DaftDims, apply_daft
+from .transforms import (ChirpPair, DaftDims, apply_daft, apply_synthesis,
+                         apply_synthesis_adjoint)
 from .filterbank import MAX_OVERLAP, prototype_filter
-from .modem import BITS_PER_SYMBOL, AfdmParams, WaveformParams, spread
+from .modem import BITS_PER_SYMBOL, AfdmParams, WaveformParams
 from .channel import (
     PathSpec,
     check_paths_feasible,
@@ -70,6 +71,14 @@ def _num(default=None, minimum=-math.inf, maximum=math.inf) -> _Key:
                 default)
 
 
+def _rate(minimum: float = -1, default=None) -> _Key:
+    """A chirp rate within one period, |c| < 1: the phase ``c m²`` of a
+    whole cycle per sample² or more aliases, and at 1e308 it is nan."""
+    return _Key(lambda v: _finite(v) and abs(v) < 1 and v >= minimum,
+                "a chirp rate with |c| < 1"
+                + (f" and >= {minimum}" if minimum > -1 else ""), default)
+
+
 def _one_of(choices: tuple, default) -> _Key:
     return _Key(lambda v: v in choices, f"one of {choices}", default)
 
@@ -87,8 +96,8 @@ _SCHEMA = {
         "filter": _one_of(("HERMITE", "PHYDYAS", "RECT"), "HERMITE"),
         "constellation": _one_of(tuple(BITS_PER_SYMBOL), "QPSK"),
         "compensation": _one_of(("split", "tx"), "split"),
-        "c1": _num(minimum=0), "c2": _num(0.0),
-        "c1_pre": _num(minimum=0), "c2_pre": _num()},
+        "c1": _rate(0), "c2": _rate(default=0.0),
+        "c1_pre": _rate(0), "c2_pre": _rate()},
     "channel": {
         "ell_max": _int(0, 2), "xi": _int(0, 0),
         "f_max": _num(1.0, minimum=0),
@@ -100,7 +109,7 @@ _SCHEMA = {
                 _nonempty(g) and len(g) == 2 and all(map(_finite, g))),
                 "a finite number or a [real, imag] pair"),
             "delay": _int(0), "doppler": _num()})},
-    "afdm": {"cpp_len": _int(0), "c1": _num(minimum=0), "c2": _num()},
+    "afdm": {"cpp_len": _int(0), "c1": _rate(0), "c2": _rate()},
     "snr_grid": _Key(lambda v: _nonempty(v) and all(
         _finite(x) and abs(x) <= metrics.SNR_LIMIT_DB for x in v),
         f"a non-empty list of numbers within ±{metrics.SNR_LIMIT_DB:g} dB",
@@ -281,7 +290,7 @@ def _write_table(cfg: ExperimentConfig, path, columns, rows,
         if columns:
             fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
+            fh.write(",".join(map(_format_cell, row)) + "\n")
 
 
 def _run_papr(cfg: ExperimentConfig, outdir: Path):
@@ -343,15 +352,21 @@ def _run_orth(cfg: ExperimentConfig, outdir: Path):
 
 
 def _run_effchan(cfg: ExperimentConfig, outdir: Path):
-    params, chirps = cfg.waveform, cfg.afdm.chirps
-    bases = {  # one column per symbol position, with the prefix chirp rate
-        "afbm": (spread(np.eye(params.dims.L, dtype=complex)[:, None, :],
-                        params), params.chirps_mod.c1),
-        "afdm": (apply_daft(np.eye(cfg.afdm.L_a, dtype=complex), chirps,
-                            adjoint=True), chirps.c1)}
+    dims, chirps = cfg.waveform.dims, cfg.waveform.chirps_mod
+    L_a, chirps_a = cfg.afdm.L_a, cfg.afdm.chirps
+    # per waveform, one column per symbol position before the window, the
+    # window, the columns' fast adjoint and the prefix chirp rate
+    bases = {
+        "afbm": (apply_synthesis(np.eye(dims.L, dtype=complex), dims, chirps),
+                 cfg.waveform.filter.coeffs,
+                 lambda Z: apply_synthesis_adjoint(Z, dims, chirps),
+                 chirps.c1),
+        "afdm": (apply_daft(np.eye(L_a, dtype=complex), chirps_a,
+                            adjoint=True),
+                 np.ones(L_a), lambda Z: apply_daft(Z, chirps_a), chirps_a.c1)}
     eff, score = {}, {}
-    for name, (basis, c1) in bases.items():
-        eff[name], refs = effective_channels(unit_power(cfg.paths), basis, c1)
+    for name, basis in bases.items():
+        eff[name], refs = effective_channels(unit_power(cfg.paths), *basis)
         score[name] = path_separation_metric(eff[name], refs, cfg.xi)
 
     mag = np.abs(eff["afbm"])
@@ -382,12 +397,22 @@ _RUNNERS = {"papr": _run_papr, "oobe": _run_oobe, "orth": _run_orth,
 
 def run(cfg: ExperimentConfig) -> list:
     """Execute the experiment, write its CSV outputs, print a summary and
-    return the ``(metric, config, x, y)`` rows of ``results.csv``."""
+    return the ``(metric, config, x, y)`` rows of ``results.csv``. If the
+    run raises, the directories this call created are removed; one that
+    existed before is left as it is."""
     outdir = Path(cfg.out)
+    created = next((d for d in reversed((outdir, *outdir.parents))
+                    if not d.exists()), None)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows, summary = _RUNNERS[cfg.experiment](cfg, outdir)
-    _write_table(cfg, outdir / "results.csv", ("metric", "config", "x", "y"),
-                 rows)
+    try:
+        rows, summary = _RUNNERS[cfg.experiment](cfg, outdir)
+        _write_table(cfg, outdir / "results.csv",
+                     ("metric", "config", "x", "y"), rows)
+    except BaseException:
+        if created is not None:
+            import shutil  # only on this error path
+            shutil.rmtree(created, ignore_errors=True)
+        raise
     print(summary)
     return rows
 

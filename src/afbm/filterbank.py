@@ -155,7 +155,7 @@ def apply_filter_bank(y: np.ndarray, filt: PrototypeFilter) -> np.ndarray:
     if N != filt.N:
         raise ValueError("row count must equal the filter bank size")
     if K == 1:  # window in place, no zeroed sum: on a 2-vCPU Xeon VM the
-        # fig4 effchan basis (1024 x 128) took 0.40 ms here and 0.71 ms
+        # fig4 one-symbol basis (1024 x 128) took 0.40 ms here and 0.71 ms
         # through the half-block loop below
         s = np.asarray(y[np.arange(filt.length) % N, 0], dtype=complex)
         s *= filt.coeffs.reshape((-1,) + (1,) * (y.ndim - 2))

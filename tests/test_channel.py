@@ -1,5 +1,6 @@
 """Unit tests for the doubly-dispersive channel model and equalization."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,9 +18,10 @@ from afbm.channel import (
 from afbm.filterbank import prototype_filter
 from afbm.metrics import ber_experiment
 from afbm.modem import AfdmParams, WaveformParams, spread
-from afbm.transforms import ChirpPair, DaftDims, apply_daft
+from afbm.transforms import (ChirpPair, DaftDims, apply_daft,
+                             apply_synthesis, apply_synthesis_adjoint)
 from oracles import (apply_channel, assemble_filter_matrix, build_channel,
-                     dense_receive_matrix, dense_transmit_matrix,
+                     daft_matrix, dense_receive_matrix, dense_transmit_matrix,
                      mmse_equalize, synthesis_matrix)
 
 
@@ -40,6 +42,21 @@ def afbm_basis(params):
 def afdm_basis(chirps, n):
     """Columns of the baseline's adjoint affine transform (n x n)."""
     return apply_daft(np.eye(n, dtype=complex), chirps, adjoint=True)
+
+
+def afbm_operands(params):
+    """``(Y, w, adjoint)`` of :func:`afbm_basis` for ``effective_channels``:
+    its rows are ``w[m] Y[m mod N]``, ``Y`` the synthesised identity."""
+    dims, chirps = params.dims, params.chirps_mod
+    return (apply_synthesis(np.eye(dims.L, dtype=complex), dims, chirps),
+            params.filter.coeffs,
+            lambda Z: apply_synthesis_adjoint(Z, dims, chirps))
+
+
+def afdm_operands(chirps, n):
+    """``(Y, w, adjoint)`` of :func:`afdm_basis`, which has no window."""
+    return (afdm_basis(chirps, n), np.ones(n),
+            lambda Z: apply_daft(Z, chirps))
 
 
 def small_params(kind="HERMITE", overlap=1.5, L=16, P=24, N=32, c1=0.02):
@@ -112,7 +129,7 @@ def test_channel_spec_validation():
         with pytest.raises(ValueError):
             apply_paths(paths, block)
         with pytest.raises(ValueError):
-            effective_channels(paths, block)
+            effective_channels(paths, *afdm_operands(ChirpPair(0.0), 16))
 
 
 def test_channel_spec_normalization():
@@ -194,18 +211,30 @@ def test_apply_matches_the_dense_channel_matrix():
         assert np.abs(apply_paths(paths, S, c1) - dense).max() < 1e-12
 
 
-@pytest.mark.parametrize("waveform", ["afbm", "afdm"])
-def test_effective_channels_match_the_dense_triple_product(waveform):
-    rng = np.random.default_rng(60 if waveform == "afbm" else 61)
-    params = small_params()
+@pytest.mark.parametrize("waveform,seed", [
+    (("HERMITE", 1.5, 16, 24, 32), 60),  # M = 48: N does not divide M
+    (("PHYDYAS", 4, 8, 16, 16), 62),
+    (("RECT", 1, 8, 8, 8), 63),
+    ("afdm", 61),
+], ids=["afbm", "afbm-phydyas4", "afbm-rect", "afdm"])
+def test_effective_channels_match_the_dense_triple_product(waveform, seed):
+    # delays anywhere in [0, M), so some reach past N and wrap the fold
+    rng = np.random.default_rng(seed)
+    longest = 0
     for _ in range(15):
-        if waveform == "afbm":
-            B = afbm_basis(params)
+        if waveform == "afdm":
+            chirps = ChirpPair(float(rng.uniform(0, 0.05)), 0.01)
+            B = daft_matrix(chirps, 24).conj().T
+            operands = afdm_operands(chirps, 24)
         else:
-            B = afdm_basis(ChirpPair(float(rng.uniform(0, 0.05)), 0.01), 24)
+            params = small_params(*waveform)
+            B = (assemble_filter_matrix(params.filter, 1)
+                 @ synthesis_matrix(params.dims, params.chirps_mod))
+            operands = afbm_operands(params)
         M = B.shape[0]
         paths, c1 = _random_channel(rng, M)
-        total, refs = effective_channels(paths, B, c1)
+        longest = max([longest] + [p.delay for p in paths])
+        total, refs = effective_channels(paths, *operands, c1)
         assert np.abs(total - B.conj().T @ build_channel(paths, M, c1) @ B
                       ).max() < 1e-12
         distinct = list(dict.fromkeys((p.delay, p.doppler) for p in paths))
@@ -214,6 +243,8 @@ def test_effective_channels_match_the_dense_triple_product(waveform):
             one = (PathSpec(1.0, delay, doppler),)
             dense = B.conj().T @ build_channel(one, M, c1) @ B
             assert np.abs(ref - dense).max() < 1e-12
+    N = len(operands[0])
+    assert M == N or longest >= N  # a delay past N where the window is longer
 
 
 def test_effective_channels_sum_both_gains_of_a_repeated_path():
@@ -221,7 +252,7 @@ def test_effective_channels_sum_both_gains_of_a_repeated_path():
     B = afbm_basis(params)
     p = PathSpec(0.6, 3, -0.5)
     twin = (p, PathSpec(0.8j, 3, -0.5))
-    total, refs = effective_channels(twin, B, 0.02)
+    total, refs = effective_channels(twin, *afbm_operands(params), 0.02)
     (ref,) = refs
     assert np.abs(total - (0.6 + 0.8j) * ref).max() < 1e-14
     merged = (PathSpec(0.6 + 0.8j, 3, -0.5),)
@@ -263,19 +294,18 @@ def test_apply_channel_noise_power():
 
 def test_effective_channel_of_identity_is_scaled_identity(ref_params):
     He, _ = effective_channels((PathSpec(1.0, 0, 0.0),),
-                               afbm_basis(ref_params))
+                               *afbm_operands(ref_params))
     scale = np.real(He[0, 0])
     assert abs(scale - 1 / 256) < 1e-12
     assert np.abs(He - scale * np.eye(128)).max() < 1e-12
 
 
 def test_effective_channel_is_linear_in_the_channel():
-    params = small_params()
-    B = afbm_basis(params)
+    operands = afbm_operands(small_params())
     paths = (PathSpec(1.0, 2, 0.5), PathSpec(0.3 - 0.2j, 5, -1.0))
     scaled = [PathSpec(1.7j * p.gain, p.delay, p.doppler) for p in paths]
-    lhs, _ = effective_channels(scaled, B, 0.02)
-    rhs, _ = effective_channels(paths, B, 0.02)
+    lhs, _ = effective_channels(scaled, *operands, 0.02)
+    rhs, _ = effective_channels(paths, *operands, 0.02)
     assert np.abs(lhs - 1.7j * rhs).max() < 1e-12
 
 
@@ -290,15 +320,34 @@ def test_effective_channel_matches_dense_triple_product(kind, overlap, L, P, N):
          @ synthesis_matrix(params.dims, params.chirps_mod))
     rng = np.random.default_rng(56)
     paths, c1 = _random_channel(rng, params.M)
-    He, _ = effective_channels(paths, afbm_basis(params), c1)
+    He, _ = effective_channels(paths, *afbm_operands(params), c1)
     H = build_channel(paths, params.M, c1)
     assert np.abs(He - B.conj().T @ H @ B).max() < 1e-10
+
+
+def test_effective_channels_peak_memory_at_fig4(ref_dims, ref_chirps,
+                                               phydyas256):
+    # the fig4 AFBM effective channels from the N-row columns on: 3,020,280
+    # B; building the M-row basis B and each H_r B (1024 x 128, 2 MiB
+    # each) with the dense Bᴴ(H_r B) took 7,603,904 B
+    params = WaveformParams(dims=ref_dims, K=1, chirps_pre=ref_chirps,
+                            chirps_mod=ref_chirps, filter=phydyas256)
+    paths = unit_power((PathSpec(1.0, 0, 0.0), PathSpec(0.7, 1, 1.0),
+                        PathSpec(0.5, 2, -1.0)))
+    effective_channels(paths, *afbm_operands(params), ref_chirps.c1)
+    tracemalloc.start()
+    try:
+        effective_channels(paths, *afbm_operands(params), ref_chirps.c1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * 2 ** 20
 
 
 def test_afdm_effective_channel_single_diagonal():
     chirps = ChirpPair(pick_chirp_params(2, 1.0, 0, 64).c1, 0.0)
     He, _ = effective_channels((PathSpec(1.0, 2, 1.0),),
-                               afdm_basis(chirps, 64), chirps.c1)
+                               *afdm_operands(chirps, 64), chirps.c1)
     energy = circular_diagonal_energy(He)
     top = np.argmax(energy)
     assert energy[top] / energy.sum() > 1 - 1e-12
@@ -319,9 +368,10 @@ def test_path_separation_single_path_concentrates(ref_params):
     # a Doppler of 1.5 cycles per 384-sample frame is exactly one cycle per
     # 256-sample block, so the effective channel stays on one diagonal
     c1 = ref_params.chirps_mod.c1
-    B = afbm_basis(ref_params)
+    operands = afbm_operands(ref_params)
     for path in (PathSpec(1.0, 2, 0.0), PathSpec(1.0, 1, 1.5)):
-        metric = path_separation_metric(*effective_channels((path,), B, c1))
+        metric = path_separation_metric(
+            *effective_channels((path,), *operands, c1))
         assert metric > 0.99
 
 
@@ -330,7 +380,7 @@ def test_path_separation_guard_width_absorbs_fractional_doppler(ref_params):
     # neighbouring diagonals and a +-1 window recovers most of it
     c1 = ref_params.chirps_mod.c1
     He, refs = effective_channels((PathSpec(1.0, 1, 1.0),),
-                                  afbm_basis(ref_params), c1)
+                                  *afbm_operands(ref_params), c1)
     narrow = path_separation_metric(He, refs, xi=0)
     wide = path_separation_metric(He, refs, xi=1)
     assert narrow < 0.8
@@ -340,7 +390,7 @@ def test_path_separation_guard_width_absorbs_fractional_doppler(ref_params):
 def test_path_separation_duplicate_paths_share_reference(ref_params):
     c1 = ref_params.chirps_mod.c1
     twin = (PathSpec(0.6, 1, 1.5), PathSpec(0.8j, 1, 1.5))
-    He, refs = effective_channels(twin, afbm_basis(ref_params), c1)
+    He, refs = effective_channels(twin, *afbm_operands(ref_params), c1)
     assert len(refs) == 1
     assert path_separation_metric(He, refs) > 0.99
 
@@ -351,7 +401,7 @@ def test_path_separation_exact_for_integer_doppler_baseline():
     paths = unit_power((PathSpec(1.0, 0, 0.0), PathSpec(0.7, 1, 1.0),
                         PathSpec(0.5, 2, -1.0)))
     metric = path_separation_metric(
-        *effective_channels(paths, afdm_basis(chirps, 64), c1))
+        *effective_channels(paths, *afdm_operands(chirps, 64), c1))
     assert abs(metric - 1.0) < 1e-12
 
 

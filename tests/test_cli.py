@@ -11,6 +11,7 @@ from afbm import __version__
 from afbm.channel import check_paths_feasible
 from afbm.metrics import SNR_LIMIT_DB
 from afbm.transforms import ChirpPair
+import afbm.cli as cli
 from afbm.cli import (
     EXPERIMENTS,
     _write_table,
@@ -121,6 +122,12 @@ NAN = float("nan")
     ({"snr_grid": [0, 4000]}, "snr_grid"),
     ({"snr_grid": [-4000]}, "snr_grid"),
     ({"snr_grid": [SNR_LIMIT_DB + 0.5]}, "snr_grid"),
+    ({"waveform": {"c1": 1e308}}, "waveform.c1"),
+    ({"waveform": {"c2": -1.0}}, "waveform.c2"),
+    ({"waveform": {"c1_pre": 1.0}}, "waveform.c1_pre"),
+    ({"waveform": {"c2_pre": 2.5}}, "waveform.c2_pre"),
+    ({"afdm": {"c1": 1.0}}, "afdm.c1"),
+    ({"afdm": {"c2": -1e308}}, "afdm.c2"),
 ], ids=["trials-bool", "seed-bool", "K-float", "snr-nan", "delay-float",
         "waveform-int", "afdm-int", "channel-list", "path-int",
         "path-no-doppler", "f_max-str", "c1-str", "overlap-str", "f_max-nan",
@@ -128,7 +135,8 @@ NAN = float("nan")
         "out-int", "paths-empty", "gain-bool", "doppler-bool", "f_max-bool",
         "overlap-bool", "gain-str", "filter-lowercase", "zero-power",
         "overlap-1e30", "overlap-1e6", "snr-overflow", "snr-underflow",
-        "snr-past-limit"])
+        "snr-past-limit", "c1-1e308", "c2-minus-one", "c1_pre-one",
+        "c2_pre-past-period", "afdm-c1-one", "afdm-c2-huge"])
 def test_resolve_config_rejects_values_of_the_wrong_type(
         data, name, tmp_path, capsys, monkeypatch):
     with pytest.raises(ValueError, match=re.escape(name)):
@@ -234,6 +242,23 @@ def test_resolve_config_explicit_chirps_override_the_rule():
     assert cfg.waveform.chirps_mod.c1 == 0.05
     assert cfg.waveform.chirps_mod.c2 == 0.001
     assert cfg.afdm.chirps.c1 == 0.02
+
+
+def test_chirp_rates_are_held_within_one_period():
+    # |c| < 1 holds every rate, c1 >= 0 as well; the message names the rule
+    edge = 1 - 2 ** -53
+    cfg = resolve_config({
+        "waveform": {"c1": edge, "c2": -edge, "c1_pre": 0.0, "c2_pre": edge},
+        "afdm": {"c1": edge, "c2": -edge}})
+    assert cfg.waveform.chirps_mod == ChirpPair(edge, -edge)
+    assert cfg.afdm.chirps == ChirpPair(edge, -edge)
+    with pytest.raises(ValueError, match=re.escape(
+            "waveform.c1 must be a chirp rate with |c| < 1 and >= 0, "
+            "got 1e+308")):
+        resolve_config({"waveform": {"c1": 1e308}})
+    with pytest.raises(ValueError, match=re.escape(
+            "afdm.c2 must be a chirp rate with |c| < 1, got -1")):
+        resolve_config({"afdm": {"c2": -1}})
 
 
 def test_resolve_config_separate_precoding_chirps():
@@ -410,6 +435,30 @@ def test_baseline_chirp_rule_binds_only_the_experiments_that_run_it(
         err = capsys.readouterr().err
         assert "afdm (L = 64)" in err and "exceeds P = 64" in err
         assert not out.exists()
+
+
+def test_a_failed_run_removes_only_the_directories_it_created(
+        tmp_path, monkeypatch, capsys):
+    def fail(cfg, outdir):
+        (outdir / "partial.csv").write_text("half a table\n")
+        raise RuntimeError("runner failed")
+
+    monkeypatch.setitem(cli._RUNNERS, "orth", fail)
+    data = {"experiment": "orth", "waveform": SMALL_WAVEFORM}
+    new = tmp_path / "new"
+    with pytest.raises(RuntimeError, match="runner failed"):
+        run(resolve_config({**data, "out": str(new / "run")}))
+    assert not new.exists()
+    assert main(["orth", "--out", str(new)]) == 1
+    assert "runner failed" in capsys.readouterr().err
+    assert not new.exists()
+    # a directory that was there before, as a rerun into it finds it, stays
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    with pytest.raises(RuntimeError, match="runner failed"):
+        run(resolve_config({**data, "out": str(kept)}))
+    assert kept.is_dir()
+    assert [p.name for p in kept.iterdir()] == ["partial.csv"]
 
 
 def test_reruns_are_byte_identical(tmp_path):
