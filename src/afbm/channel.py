@@ -32,10 +32,12 @@ basis ``S`` gives its whole linear model (see
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .filterbank import fold
 from .transforms import ChirpPair, scale_rows
 from .modem import prefix_phase
 
@@ -54,15 +56,24 @@ class PathSpec:
                 or self.delay < 0):
             raise ValueError(
                 f"delay must be a nonnegative integer, got {self.delay!r}")
-        if not np.isfinite(self.doppler):
-            raise ValueError("doppler must be finite")
+        for name, kind in (("gain", numbers.Complex),
+                           ("doppler", numbers.Real)):
+            v = getattr(self, name)  # a bool is not a number
+            if (isinstance(v, bool) or not isinstance(v, kind)
+                    or not np.isfinite(v)):
+                raise ValueError(f"{name} must be a finite "
+                                 f"{kind.__name__.lower()} number, got {v!r}")
 
 
 def unit_power(paths) -> tuple:
     """The same paths with gains scaled to unit total power."""
-    power = sum(abs(p.gain) ** 2 for p in paths)
-    if power <= 0:
-        raise ValueError("total path power must be positive")
+    try:
+        power = sum(abs(p.gain) ** 2 for p in paths)
+    except OverflowError:  # a |gain| past about 1e154 squares past the range
+        power = math.inf
+    if not 0 < power < math.inf:
+        raise ValueError(
+            f"total path power must be positive and finite, got {power}")
     scale = 1 / math.sqrt(power)
     return tuple(replace(p, gain=p.gain * scale) for p in paths)
 
@@ -179,20 +190,11 @@ def _fold_path(p: PathSpec, Y: np.ndarray, w: np.ndarray, c1: float):
     """
     M, N, delay = len(w), len(Y), p.delay
     q = w.conj() * _path_diagonal(p, M, c1) * np.roll(w, delay)
-    late, wrapped = _fold(q[delay:], delay, N), _fold(q[:delay], 0, N)
+    late, wrapped = fold(q[delay:], N, delay), fold(q[:delay], N)
     if M % N == 0:
         return scale_rows(late + wrapped, np.roll(Y, delay, axis=0))
     return (scale_rows(late, np.roll(Y, delay, axis=0))
             + scale_rows(wrapped, np.roll(Y, delay - M, axis=0)))
-
-
-def _fold(v: np.ndarray, start: int, N: int) -> np.ndarray:
-    """``out[i]``, i < N: the sum of ``v[j]`` over the j with
-    ``(start + j) mod N == i``."""
-    lead = start % N
-    rows = np.zeros(-(-(lead + len(v)) // N) * N, dtype=complex)
-    rows[lead:lead + len(v)] = v
-    return rows.reshape(-1, N).sum(axis=0)
 
 
 def circular_diagonal_energy(H: np.ndarray) -> np.ndarray:

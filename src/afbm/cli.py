@@ -248,8 +248,10 @@ def resolve_config(data: dict) -> ExperimentConfig:
         PathSpec(gain=complex(*np.ravel(p["gain"])), delay=p["delay"],
                  doppler=p["doppler"])
         for p in ch["paths"])
-    if sum(abs(p.gain) ** 2 for p in paths) <= 0:
-        raise ValueError("channel.paths must have positive total power")
+    try:
+        unit_power(paths)
+    except ValueError as err:
+        raise ValueError(f"channel.paths: {err}") from err
     for size in {"effchan": (dims.P, dims.L), "ber": (dims.P,)}.get(
             resolved["experiment"], ()):
         try:

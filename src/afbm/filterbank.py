@@ -3,9 +3,10 @@ the Gram of one symbol's columns through the filter, whose diagonal
 gives the compensation vector that restores complex orthogonality.
 
 The filter bank returns Fortran-ordered frames, each one contiguous
-column. Over K > 1 symbols it overlap-adds by half-blocks of N/2
-samples: each half-block of the pulse windows one half of every symbol
-at once, with no gathered periodic extension.
+column. It overlap-adds by half-blocks of N/2 samples, each half-block
+of the pulse windowing one half of every symbol at once, with no
+gathered periodic extension; the analysis runs the mirror loop.
+:func:`fold` of the squared pulse is its period-N power profile.
 
 The three built-in prototypes:
 
@@ -24,7 +25,6 @@ The three built-in prototypes:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,13 +82,14 @@ def _check_overlap(overlap: float, N: int) -> int:
     return int(round(on))
 
 
-def fold_power(coeffs: np.ndarray, N: int) -> np.ndarray:
-    """Period-N fold of the squared pulse: out[i] = sum_p coeffs[i+p*N]^2."""
-    out = np.zeros(N)
-    for p in range(math.ceil(len(coeffs) / N)):
-        seg = coeffs[p * N:(p + 1) * N] ** 2
-        out[:len(seg)] += seg
-    return out
+def fold(v: np.ndarray, N: int, start: int = 0) -> np.ndarray:
+    """Period-N fold along axis 0, trailing axes batch: ``out[i]``, i < N,
+    is the sum of ``v[j]`` over the j with ``(start + j) mod N == i``,
+    added in ascending j when N > 1."""
+    lead = start % N
+    rows = np.zeros((-(-(lead + len(v)) // N) * N,) + v.shape[1:], v.dtype)
+    rows[lead:lead + len(v)] = v
+    return rows.reshape((-1, N) + v.shape[1:]).sum(axis=0)
 
 
 def _hermite_envelope(overlap: float, N: int) -> np.ndarray:
@@ -119,7 +120,7 @@ def prototype_filter(kind: str, overlap: float, N: int) -> PrototypeFilter:
             g += 2 * (-1) ** k * hk * np.cos(2 * np.pi * k * (m + 0.5) / length)
     elif kind == "HERMITE":
         h = _hermite_envelope(overlap, N)
-        d = fold_power(h, N)
+        d = fold(h ** 2, N)
         if d.min() <= _SINGULAR_TOL:
             raise ValueError("degenerate Hermite fold; unsupported overlap/N")
         g = h / np.sqrt(d[np.arange(length) % N])
@@ -145,21 +146,15 @@ def apply_filter_bank(y: np.ndarray, filt: PrototypeFilter) -> np.ndarray:
     axes; the output is the length-M time signal (M x batch),
     Fortran-ordered, so each frame is contiguous.
 
-    For K > 1 the sum runs by half-blocks of N/2 samples, with no gather:
-    half-block j of the pulse windows half ``j % 2`` of every symbol at
-    once and lands in output half-blocks ``j … j+K-1``. The loop runs j
-    downwards from a zeroed output, so every sample adds its symbols in
-    ascending order, as a symbol-by-symbol overlap-add does.
+    The sum runs by half-blocks of N/2 samples, with no gather: half-block
+    j of the pulse windows half ``j % 2`` of every symbol at once and
+    lands in output half-blocks ``j … j+K-1``. The loop runs j downwards
+    from a zeroed output, so every sample adds its symbols in ascending
+    order, as a symbol-by-symbol overlap-add does.
     """
     N, K = y.shape[:2]
     if N != filt.N:
         raise ValueError("row count must equal the filter bank size")
-    if K == 1:  # window in place, no zeroed sum: on a 2-vCPU Xeon VM the
-        # fig4 one-symbol basis (1024 x 128) took 0.40 ms here and 0.71 ms
-        # through the half-block loop below
-        s = np.asarray(y[np.arange(filt.length) % N, 0], dtype=complex)
-        s *= filt.coeffs.reshape((-1,) + (1,) * (y.ndim - 2))
-        return s
     hop = N // 2
     s = np.zeros((output_length(filt, K),) + y.shape[2:], dtype=complex,
                  order="F")
@@ -171,22 +166,23 @@ def apply_filter_bank(y: np.ndarray, filt: PrototypeFilter) -> np.ndarray:
 
 
 def apply_filter_bank_adjoint(r: np.ndarray, filt: PrototypeFilter, K: int) -> np.ndarray:
-    """Fast analysis: window each symbol's span and fold it to period N.
+    """Fast analysis, the mirror of :func:`apply_filter_bank`: half-block
+    j of the pulse windows output half-blocks ``j … j+K-1`` of ``r`` and
+    adds them to half ``j % 2`` of every symbol at once.
 
     ``r`` is the length-M time signal, optionally with trailing batch
-    axes; the output is N x K (x batch). Every span is folded in the same
-    order as for a lone column, so a batch equals per-column calls.
+    axes; the output is N x K (x batch). The loop runs j upwards, so each
+    symbol sums its pulse's samples in ascending order, as a fold of its
+    windowed span to period N does, and a batch equals per-column calls.
     """
-    N = filt.N
-    hop = N // 2
+    hop = filt.N // 2
     if len(r) != output_length(filt, K):
         raise ValueError("input length does not match K symbols")
-    z = np.zeros((N, K) + r.shape[1:], dtype=complex)
-    for k in range(K):
-        seg = scale_rows(filt.coeffs, r[k * hop:k * hop + filt.length])
-        for p in range(0, filt.length, N):
-            part = seg[p:p + N]
-            z[:len(part), k] += part
+    z = np.zeros((filt.N, K) + r.shape[1:], dtype=complex)
+    blocks = r.reshape((hop, -1) + r.shape[1:], order="F")
+    for j in range(filt.length // hop):
+        g = filt.coeffs[j * hop:(j + 1) * hop]
+        z[j % 2 * hop:(j % 2 + 1) * hop] += scale_rows(g, blocks[:, j:j + K])
     return z
 
 
@@ -194,7 +190,7 @@ def compensation_vector(cols: np.ndarray, filt: PrototypeFilter) -> np.ndarray:
     """Real gain of each one-symbol column of ``cols`` (N x n): the
     inverse square root of its power gain through the filter, the
     diagonal of :func:`fold_gram`, taken as fold-weighted norms."""
-    w = fold_power(filt.coeffs, filt.N)
+    w = fold(filt.coeffs ** 2, filt.N)
     c = np.einsum("i,ij,ij->j", w, cols.conj(), cols).real
     bad = c <= _SINGULAR_TOL
     if np.any(bad):
@@ -206,6 +202,6 @@ def compensation_vector(cols: np.ndarray, filt: PrototypeFilter) -> np.ndarray:
 
 def fold_gram(cols: np.ndarray, filt: PrototypeFilter) -> np.ndarray:
     """Gram of the one-symbol columns ``cols`` (N x n) through the filter,
-    ``colsᴴ diag(w) cols`` with ``w`` the :func:`fold_power` of the
+    ``colsᴴ diag(w) cols`` with ``w`` the :func:`fold` of the squared
     prototype: sample m of a filtered column is ``g[m] col[m mod N]``."""
-    return cols.conj().T @ scale_rows(fold_power(filt.coeffs, filt.N), cols)
+    return cols.conj().T @ scale_rows(fold(filt.coeffs ** 2, filt.N), cols)

@@ -21,7 +21,7 @@ every ``pick_chirp_params`` result has ``c2 = 0``.
 The bins ``(i - P/2) mod N`` are one circular run, so the synthesis
 writes its rows by two slices into a Fortran-ordered array and
 transforms it in place; its FFT and the filter bank after it read each
-column contiguously.
+column contiguously. The adjoint reads the same two slices back.
 """
 
 from __future__ import annotations
@@ -71,11 +71,6 @@ class DaftDims:
         if not (self.L <= self.P <= self.N):
             raise ValueError(
                 f"need L <= P <= N, got L={self.L}, P={self.P}, N={self.N}")
-
-    @property
-    def spread_bins(self) -> np.ndarray:
-        """N-point bin ``(i - P/2) mod N`` of spread bin i, centred on 0."""
-        return (np.arange(self.P) - self.P // 2) % self.N
 
 
 def chirp_phase(c: float, n: int) -> np.ndarray:
@@ -140,14 +135,17 @@ def apply_synthesis(x: np.ndarray, dims: DaftDims, chirps: ChirpPair) -> np.ndar
 
 
 def apply_synthesis_adjoint(y: np.ndarray, dims: DaftDims, chirps: ChirpPair) -> np.ndarray:
-    """Fast application of the adjoint synthesis operator to N-row input;
-    at ``c2 = 0`` its P-point step is skipped and only L bins are read."""
+    """Fast application of the adjoint synthesis operator to N-row input,
+    reading the bins :func:`apply_synthesis` writes; at ``c2 = 0`` its
+    P-point step is skipped and only L bins are read."""
     if y.shape[0] != dims.N:
         raise ValueError(f"expected {dims.N} rows, got {y.shape[0]}")
     w = apply_dft(y)
+    start, half = dims.N - dims.P // 2, dims.P // 2
     if chirps.c2 == 0:
-        v = w[dims.spread_bins[:dims.L]]
+        head = min(dims.L, half)
+        v = np.concatenate((w[start:start + head], w[:dims.L - head]))
     else:
-        v = apply_dft(w[dims.spread_bins], adjoint=True)
+        v = apply_dft(np.concatenate((w[start:], w[:half])), adjoint=True)
         v = apply_dft(scale_rows(chirp_phase(chirps.c2, dims.P), v))[:dims.L]
     return scale_rows(chirp_phase(chirps.c1, dims.L), v)

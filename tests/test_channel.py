@@ -120,6 +120,18 @@ def test_path_spec_validation():
         PathSpec(gain=1.0, delay=0.5, doppler=0.0)
     with pytest.raises(ValueError):
         PathSpec(gain=1.0, delay=0, doppler=np.inf)
+    # a gain that is not a finite number would turn every unit_power gain
+    # to nan; a complex or non-numeric Doppler is refused as well
+    for gain in (np.nan, np.inf, complex(1, np.nan), -np.inf * 1j, "x", None,
+                 True, [1.0]):
+        with pytest.raises(ValueError,
+                           match="gain must be a finite complex number"):
+            PathSpec(gain=gain, delay=0, doppler=0.0)
+    for doppler in (np.nan, 1j, "x", False):
+        with pytest.raises(ValueError, match="doppler must be a finite real"):
+            PathSpec(gain=1.0, delay=0, doppler=doppler)
+    for gain in (1, 0.5, 0.3 - 0.4j, np.float32(2), np.complex128(1j)):
+        assert PathSpec(gain, 1, np.float64(-1.5)).gain == gain
 
 
 def test_channel_spec_validation():
@@ -137,6 +149,10 @@ def test_channel_spec_normalization():
     power = sum(abs(p.gain) ** 2 for p in norm)
     assert abs(power - 1.0) < 1e-12
     assert abs(norm[0].gain / norm[1].gain - 3 / 4) < 1e-12
+    # a power that is zero or past the float range is refused
+    for gains in ((0.0,), (1e200,), (1e154, 1e154), (complex(1e308, 1e308),)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            unit_power(tuple(PathSpec(g, 0, 0.0) for g in gains))
 
 
 def test_identity_channels():

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,8 @@ NAN = float("nan")
     ({"waveform": {"c2_pre": 2.5}}, "waveform.c2_pre"),
     ({"afdm": {"c1": 1.0}}, "afdm.c1"),
     ({"afdm": {"c2": -1e308}}, "afdm.c2"),
+    (one_path(gain=1e200), "channel.paths"),
+    (one_path(gain=[1e300, 1e300]), "channel.paths"),
 ], ids=["trials-bool", "seed-bool", "K-float", "snr-nan", "delay-float",
         "waveform-int", "afdm-int", "channel-list", "path-int",
         "path-no-doppler", "f_max-str", "c1-str", "overlap-str", "f_max-nan",
@@ -136,7 +139,8 @@ NAN = float("nan")
         "overlap-bool", "gain-str", "filter-lowercase", "zero-power",
         "overlap-1e30", "overlap-1e6", "snr-overflow", "snr-underflow",
         "snr-past-limit", "c1-1e308", "c2-minus-one", "c1_pre-one",
-        "c2_pre-past-period", "afdm-c1-one", "afdm-c2-huge"])
+        "c2_pre-past-period", "afdm-c1-one", "afdm-c2-huge",
+        "power-overflow", "complex-gain-overflow"])
 def test_resolve_config_rejects_values_of_the_wrong_type(
         data, name, tmp_path, capsys, monkeypatch):
     with pytest.raises(ValueError, match=re.escape(name)):
@@ -513,3 +517,89 @@ def test_main_rejects_unknown_experiment(capsys):
 
 def test_experiment_names_are_stable():
     assert EXPERIMENTS == ("papr", "oobe", "orth", "effchan", "ber")
+
+
+# ---------------------------------------------------------------------------
+# random configs over the schema
+# ---------------------------------------------------------------------------
+
+_PROTOTYPES = [("HERMITE", 0.5), ("HERMITE", 1), ("HERMITE", 1.5),
+               ("HERMITE", 4), ("PHYDYAS", 1), ("PHYDYAS", 2), ("PHYDYAS", 4),
+               ("RECT", 1)]
+
+
+def _random_config(rng) -> dict:
+    """A config drawn over the schema's keys and ranges: small grids, each
+    optional key present or not, and now and then a value at or past the
+    edge of its range (an odd or mismatched size, a rate near 1, a path
+    gain or Doppler up to 1e308)."""
+    def some(p=0.5):
+        return rng.random() < p
+
+    def wide(top=308):  # a magnitude over many decades, either sign
+        return float(rng.choice([-1, 1]) * 10 ** rng.uniform(-300, top))
+
+    N = 2 * int(rng.integers(2, 33))
+    P = 2 * int(rng.integers(1, N // 2 + 1))
+    wf = {"N": N, "P": P, "L": 4 * int(rng.integers(1, max(P // 4, 1) + 1)),
+          "K": int(rng.integers(1, 4))}
+    if some(0.1):
+        wf[str(rng.choice(["L", "P", "N"]))] = int(rng.integers(1, 70))
+    if some(0.8):
+        kind = _PROTOTYPES[rng.integers(len(_PROTOTYPES))]
+        wf["filter"], wf["overlap"] = kind
+    elif some():
+        wf["overlap"] = float(rng.uniform(0, 4))
+    for key, choices in (("constellation", ["QPSK", "QAM16"]),
+                         ("compensation", ["split", "tx"])):
+        if some():
+            wf[key] = str(rng.choice(choices))
+    for key, low in (("c1", 0), ("c2", -1), ("c1_pre", 0), ("c2_pre", -1)):
+        if some(0.3):
+            edge = [rng.uniform(low, 1), low, 1 - 2 ** -52]
+            wf[key] = float(rng.choice(edge))
+    channel = {"ell_max": int(rng.integers(0, 6)),
+               "f_max": float(rng.uniform(0, 4)) if some(0.9) else abs(wide())}
+    if some(0.3):
+        channel["xi"] = int(rng.integers(0, 3))
+    if some():
+        channel["paths"] = [
+            {"gain": ([wide(), float(rng.standard_normal())] if some(0.2)
+                      else wide() if some(0.2)
+                      else float(rng.standard_normal())),
+             "delay": int(rng.integers(0, 9)),
+             "doppler": float(rng.uniform(-4, 4)) if some(0.9) else wide()}
+            for _ in range(int(rng.integers(1, 4)))]
+    afdm = {}
+    if some(0.3):
+        afdm["cpp_len"] = int(rng.integers(0, 7))
+    for key, low in (("c1", 0), ("c2", -1)):
+        if some(0.3):
+            afdm[key] = float(rng.uniform(low, 1))
+    data = {"experiment": str(rng.choice(EXPERIMENTS)), "waveform": wf,
+            "channel": channel, "afdm": afdm,
+            "trials": int(rng.integers(1, 4)),
+            "seed": int(rng.integers(0, 2 ** 63))}
+    if some(0.3):
+        data["snr_grid"] = [float(rng.uniform(-SNR_LIMIT_DB, SNR_LIMIT_DB))
+                            for _ in range(int(rng.integers(1, 4)))]
+    return data
+
+
+def test_random_configs_are_refused_or_run_to_finite_rows(tmp_path):
+    # every config either fails resolve_config with a ValueError, before
+    # any computation, or runs without a warning to finite result rows
+    ran = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in range(1200):
+            data = _random_config(np.random.default_rng([53, i]))
+            data["out"] = str(tmp_path / str(i))
+            try:
+                cfg = resolve_config(data)
+            except ValueError:
+                continue
+            rows = run(cfg)
+            assert np.all(np.isfinite([row[2:] for row in rows])), data
+            ran[cfg.experiment] = ran.get(cfg.experiment, 0) + 1
+    assert set(ran) == set(EXPERIMENTS) and sum(ran.values()) > 150, ran

@@ -8,7 +8,7 @@ from afbm.filterbank import (
     apply_filter_bank,
     apply_filter_bank_adjoint,
     compensation_vector,
-    fold_power,
+    fold,
     output_length,
     prototype_filter,
 )
@@ -78,16 +78,34 @@ def test_invalid_prototypes_rejected():
 def test_hermite_fold_is_flat():
     for N in (64, 128, 256):
         filt = prototype_filter("HERMITE", 1.5, N)
-        fold = fold_power(filt.coeffs, N)
-        assert fold.shape == (N,)
+        power = fold(filt.coeffs ** 2, N)
+        assert power.shape == (N,)
         # unit energy spread evenly across the N phases
-        assert np.abs(fold - 1.0 / N).max() < 1e-12
+        assert np.abs(power - 1.0 / N).max() < 1e-12
 
 
 def test_phydyas_fold_has_ripple():
     filt = prototype_filter("PHYDYAS", 4, 256)
-    fold = fold_power(filt.coeffs, 256)
-    assert np.ptp(fold) / fold.mean() > 0.01
+    power = fold(filt.coeffs ** 2, 256)
+    assert np.ptp(power) / power.mean() > 0.01
+
+
+def test_fold_matches_a_loop():
+    # lengths below, at and above N, starts past N, real and complex
+    # input, trailing batch axes; the loop adds in ascending j as fold does
+    rng = np.random.default_rng(26)
+    for N in (2, 4, 6, 16):
+        for n in sorted({0, 1, N - 1, N, N + 1, 3 * N + 2}):
+            for start in (0, 1, N - 1, N, 2 * N + 3):
+                for batch in ((), (3,), (2, 3)):
+                    v = crandn(rng, n, *batch)
+                    for x in (v, v.real):
+                        want = np.zeros((N,) + batch, x.dtype)
+                        for j in range(n):
+                            want[(start + j) % N] += x[j]
+                        got = fold(x, N, start)
+                        assert got.dtype == x.dtype
+                        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +179,9 @@ def test_single_symbol_filter_matches_dense():
 
 
 FILTER_BANK_CASES = [("HERMITE", 1.5, 16, 1, (2, 3)),
+                   ("HERMITE", 1.5, 30, 1, ()),
+                   ("PHYDYAS", 4, 16, 1, (16,)),
+                   ("RECT", 1, 8, 1, (2, 3)),
                    ("HERMITE", 1.5, 16, 3, (2, 3)),
                    ("HERMITE", 1.5, 16, 8, (16,)),
                    ("PHYDYAS", 4, 8, 1, (2, 3)),
