@@ -371,9 +371,13 @@ def _run_effchan(cfg: ExperimentConfig, outdir: Path):
         eff[name], refs = effective_channels(unit_power(cfg.paths), *basis)
         score[name] = path_separation_metric(eff[name], refs, cfg.xi)
 
-    mag = np.abs(eff["afbm"])
-    _write_table(cfg, outdir / "effchan_magnitude.csv", (), mag.tolist(),
-                 shape=f"{mag.shape[0]}x{mag.shape[1]}")
+    # 12 significant digits (relative rounding <= 5e-12): writing the
+    # shortest repr of every float cost more than computing the grid
+    mag, digits = np.abs(eff["afbm"]), 12
+    row = ",".join([f"%.{digits}g"] * mag.shape[1])
+    _write_table(cfg, outdir / "effchan_magnitude.csv", (),
+                 ((row % tuple(values),) for values in mag.tolist()),
+                 shape=f"{mag.shape[0]}x{mag.shape[1]}", digits=digits)
 
     rows = [(f"path_separation_{name}", cfg.config_id, cfg.xi, value)
             for name, value in score.items()]
@@ -399,7 +403,8 @@ _RUNNERS = {"papr": _run_papr, "oobe": _run_oobe, "orth": _run_orth,
 
 def run(cfg: ExperimentConfig) -> list:
     """Execute the experiment, write its CSV outputs, print a summary and
-    return the ``(metric, config, x, y)`` rows of ``results.csv``. If the
+    return the ``(metric, config, x, y)`` rows of ``results.csv``. A row
+    whose ``x`` or ``y`` is not finite is refused, naming its metric. If the
     run raises, the directories this call created are removed; one that
     existed before is left as it is."""
     outdir = Path(cfg.out)
@@ -408,6 +413,10 @@ def run(cfg: ExperimentConfig) -> list:
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         rows, summary = _RUNNERS[cfg.experiment](cfg, outdir)
+        for metric, _, x, y in rows:
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"{metric} is not finite: x = {x!r}, "
+                                 f"y = {y!r}")
         _write_table(cfg, outdir / "results.csv",
                      ("metric", "config", "x", "y"), rows)
     except BaseException:

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from afbm import __version__
-from afbm.channel import check_paths_feasible
-from afbm.metrics import SNR_LIMIT_DB
+from afbm.channel import check_paths_feasible, effective_channels
+from afbm.metrics import SNR_LIMIT_DB, spectrum_psd
 from afbm.transforms import ChirpPair
 import afbm.cli as cli
 from afbm.cli import (
@@ -344,7 +344,18 @@ def test_orth_experiment_runs(tmp_path):
     assert (tmp_path / "orth" / "results.csv").exists()
 
 
-def test_effchan_experiment_writes_magnitude_grid(tmp_path):
+def test_effchan_experiment_writes_magnitude_grid(tmp_path, monkeypatch):
+    # the grid is written at 12 significant digits: each value within
+    # 5e-12 relative of |effective channel| as computed (AFBM's is the
+    # first effective_channels call)
+    totals = []
+
+    def spy(*args):
+        eff, refs = effective_channels(*args)
+        totals.append(eff)
+        return eff, refs
+
+    monkeypatch.setattr(cli, "effective_channels", spy)
     cfg = resolve_config({"experiment": "effchan", "trials": 1,
                           "waveform": SMALL_WAVEFORM,
                           "out": str(tmp_path / "eff")})
@@ -352,11 +363,61 @@ def test_effchan_experiment_writes_magnitude_grid(tmp_path):
     names = [row[0] for row in rows]
     assert "path_separation_afbm" in names
     assert "path_separation_afdm" in names
-    grid = (tmp_path / "eff" / "effchan_magnitude.csv").read_text()
-    data_lines = [ln for ln in grid.splitlines()
-                  if ln and not ln.startswith("#") and not ln[0].isalpha()]
-    assert len(data_lines) == 32
-    assert all(len(ln.split(",")) == 32 for ln in data_lines)
+    lines = (tmp_path / "eff" / "effchan_magnitude.csv").read_text()
+    lines = lines.splitlines()
+    assert "# shape=32x32" in lines and "# digits=12" in lines
+    grid = [ln.split(",") for ln in lines if not ln.startswith("#")]
+    assert len(grid) == 32 and all(len(values) == 32 for values in grid)
+    np.testing.assert_allclose(np.array(grid, dtype=float),
+                               np.abs(totals[0]), rtol=5e-12, atol=0)
+
+
+def _floats(path) -> np.ndarray:
+    """Every cell of a CSV table's numeric columns, parsed back."""
+    body = [ln.split(",") for ln in Path(path).read_text().splitlines()
+            if not ln.startswith("#")][1:]
+    return np.array(body, dtype=float)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def test_every_other_table_round_trips_exactly(tmp_path, monkeypatch):
+    # only effchan_magnitude.csv is rounded: results.csv, papr_*, psd_* and
+    # ber.csv hold the shortest repr, which parses back to the same bits
+    spectra = []
+
+    def spy(*args):
+        spectra.append(spectrum_psd(*args))
+        return spectra[-1]
+
+    monkeypatch.setattr(cli.metrics, "spectrum_psd", spy)
+    runs = {"papr": {"trials": 25}, "oobe": {"trials": 12},
+            "ber": {"trials": 3, "snr_grid": [0.0, 6.0]}}
+    for experiment, data in runs.items():
+        out = tmp_path / experiment
+        rows = run(resolve_config({"experiment": experiment,
+                                   "out": str(out), **data}))
+        results = [ln.split(",") for ln in
+                   (out / "results.csv").read_text().splitlines()
+                   if not ln.startswith("#")][1:]
+        assert [r[:2] for r in results] == [[m, c] for m, c, _, _ in rows]
+        assert _same_bits([r[2:] for r in results],
+                          [r[2:] for r in rows])
+        for name in ("afbm", "afdm") if experiment == "papr" else ():
+            curve = [r[2:] for r in rows if r[0] == f"papr_ccdf_{name}"]
+            assert _same_bits(_floats(out / f"papr_{name}.csv"), curve)
+        for name, psd in zip(("afbm", "afdm"),
+                             spectra if experiment == "oobe" else ()):
+            assert _same_bits(_floats(out / f"psd_{name}.csv"),
+                              np.column_stack((psd.freq, psd.power_dbr)))
+        if experiment == "ber":
+            assert _same_bits(_floats(out / "ber.csv"),
+                              [r[2:] for r in rows])
+    assert len(spectra) == 2
 
 
 def test_papr_experiment_small(tmp_path):
@@ -463,6 +524,19 @@ def test_a_failed_run_removes_only_the_directories_it_created(
         run(resolve_config({**data, "out": str(kept)}))
     assert kept.is_dir()
     assert [p.name for p in kept.iterdir()] == ["partial.csv"]
+
+
+def test_a_non_finite_row_is_refused_and_nothing_is_left(
+        tmp_path, monkeypatch):
+    def nan_row(cfg, outdir):
+        (outdir / "partial.csv").write_text("a table\n")
+        return [("sir_compensated", cfg.config_id, 0, float("nan"))], ""
+
+    monkeypatch.setitem(cli._RUNNERS, "orth", nan_row)
+    out = tmp_path / "new" / "run"
+    with pytest.raises(ValueError, match="sir_compensated is not finite"):
+        run(resolve_config({"experiment": "orth", "out": str(out)}))
+    assert not (tmp_path / "new").exists()
 
 
 def test_reruns_are_byte_identical(tmp_path):
