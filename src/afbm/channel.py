@@ -12,6 +12,13 @@ chirp-periodic-prefixed block: its first l_r diagonal entries are
 exp(-j*2*pi*c1*(M^2 - 2*M*(l_r - m))) for row m < l_r and ones elsewhere,
 the phase that :func:`afbm.modem.prefix_phase` gives the baseline's prefix.
 
+A path's delay l_r counts samples of the block the channel is handed
+and its Doppler f_r cycles over that block. For AFBM the block is the
+prototype's length, in ``effchan`` and in the K = 1 frames of ``ber``
+alike (384 samples at fig3, 1024 at fig4, 512 at fig2); for the
+baseline it is the L_a-sample body. The same f_r is thus a different
+Doppler per sample for each waveform and prototype (ROADMAP item 11).
+
 :func:`apply_paths` applies ``H`` to a block without building it, M
 being the block's length: path r rolls the input down by l_r samples and
 scales row m by h_r times the m-th entries of Phi_r and Z^{f_r},
@@ -66,7 +73,10 @@ class PathSpec:
 
 
 def unit_power(paths) -> tuple:
-    """The same paths with gains scaled to unit total power."""
+    """The same paths with gains scaled to unit total power, the sum of
+    |gain|² over the paths as listed. Paths that cancel are refused: the
+    channel is zero when the scaled gains of each distinct ``(delay,
+    doppler)`` sum to zero."""
     try:
         power = sum(abs(p.gain) ** 2 for p in paths)
     except OverflowError:  # a |gain| past about 1e154 squares past the range
@@ -75,7 +85,14 @@ def unit_power(paths) -> tuple:
         raise ValueError(
             f"total path power must be positive and finite, got {power}")
     scale = 1 / math.sqrt(power)
-    return tuple(replace(p, gain=p.gain * scale) for p in paths)
+    scaled = tuple(replace(p, gain=p.gain * scale) for p in paths)
+    net = {}
+    for p in scaled:
+        net[p.delay, p.doppler] = net.get((p.delay, p.doppler), 0) + p.gain
+    if not any(net.values()):
+        raise ValueError("the paths cancel: the gains of each distinct "
+                         "(delay, doppler) sum to zero")
+    return scaled
 
 
 def apply_paths(paths, S: np.ndarray, c1: float = 0.0) -> np.ndarray:
@@ -156,10 +173,7 @@ def effective_channels(paths, Y: np.ndarray, w: np.ndarray, adjoint,
     (N x n) before the filter, the window ``w`` (length M) with
     ``B[m] = w[m] Y[m mod N]``, and ``adjoint``, the waveform's fast
     ``Yᴴ`` on N-row input; ``H`` is :func:`apply_paths` with the prefix
-    chirp rate ``c1``. AFBM passes ``apply_synthesis`` of the identity,
-    the prototype and ``apply_synthesis_adjoint``; the baseline passes
-    its adjoint affine transform of the identity, ones and the forward
-    transform.
+    chirp rate ``c1``: the four of a waveform's ``symbol_operands()``.
 
     Returns ``(total, references)``: ``references`` holds ``Bᴴ H_r B`` of
     the unit-gain channel of each distinct ``(delay, doppler)`` path, in

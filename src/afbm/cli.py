@@ -26,10 +26,10 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .transforms import (ChirpPair, DaftDims, apply_daft, apply_synthesis,
-                         apply_synthesis_adjoint)
+from .transforms import ChirpPair, DaftDims
 from .filterbank import MAX_OVERLAP, prototype_filter
-from .modem import BITS_PER_SYMBOL, AfdmParams, WaveformParams
+from .modem import (AFDM_OOBE_OVERSAMPLE, BITS_PER_SYMBOL, AfdmParams,
+                    WaveformParams)
 from .channel import (
     PathSpec,
     check_paths_feasible,
@@ -238,7 +238,7 @@ def resolve_config(data: dict) -> ExperimentConfig:
     trials = resolved["trials"]
     if resolved["experiment"] == "oobe":
         lengths = (trials * waveform.M,
-                   trials * metrics.AFDM_OOBE_OVERSAMPLE * afdm.M)
+                   trials * AFDM_OOBE_OVERSAMPLE * afdm.M)
         if min(lengths) < 4 * dims.N:
             raise ValueError(f"trials = {trials} is too few for oobe: the "
                              f"afbm and afdm records hold {lengths[0]} and "
@@ -325,7 +325,7 @@ def _run_oobe(cfg: ExperimentConfig, outdir: Path):
     segment = 4 * cfg.waveform.dims.N  # resolve_config checks the records
     rows, floors, probes = [], {}, {}
     for name, source in (("afbm", cfg.waveform), ("afdm", cfg.afdm)):
-        edges = metrics.band_edges(source)
+        edges = source.band
         psd = metrics.spectrum_psd(source, cfg.trials, cfg.seed, segment)
         floors[name] = metrics.oobe_floor(psd, edges)
         probes[name] = metrics.oobe_level(psd, edges, 0.1 * edges[1])
@@ -354,21 +354,9 @@ def _run_orth(cfg: ExperimentConfig, outdir: Path):
 
 
 def _run_effchan(cfg: ExperimentConfig, outdir: Path):
-    dims, chirps = cfg.waveform.dims, cfg.waveform.chirps_mod
-    L_a, chirps_a = cfg.afdm.L_a, cfg.afdm.chirps
-    # per waveform, one column per symbol position before the window, the
-    # window, the columns' fast adjoint and the prefix chirp rate
-    bases = {
-        "afbm": (apply_synthesis(np.eye(dims.L, dtype=complex), dims, chirps),
-                 cfg.waveform.filter.coeffs,
-                 lambda Z: apply_synthesis_adjoint(Z, dims, chirps),
-                 chirps.c1),
-        "afdm": (apply_daft(np.eye(L_a, dtype=complex), chirps_a,
-                            adjoint=True),
-                 np.ones(L_a), lambda Z: apply_daft(Z, chirps_a), chirps_a.c1)}
-    eff, score = {}, {}
-    for name, basis in bases.items():
-        eff[name], refs = effective_channels(unit_power(cfg.paths), *basis)
+    paths, eff, score = unit_power(cfg.paths), {}, {}
+    for name, source in (("afbm", cfg.waveform), ("afdm", cfg.afdm)):
+        eff[name], refs = effective_channels(paths, *source.symbol_operands())
         score[name] = path_separation_metric(eff[name], refs, cfg.xi)
 
     # 12 significant digits (relative rounding <= 5e-12): writing the

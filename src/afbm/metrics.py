@@ -11,8 +11,8 @@ one reused PCG64, and each symbol is looked up in a :func:`symbol_table`
 by an index read straight from the raw words. Every loop then takes the
 draws of many frames as one batch, one column per frame. The PAPR and
 spectrum loops push ``TRIAL_CHUNK`` trials at a time through the
-source's ``modulate``, with samples equal to those of one frame at a
-time bit for bit.
+source's ``modulate`` or ``spectrum``, with samples equal to those of
+one frame at a time bit for bit.
 The BER loop runs one flat list of ``(snr_index, trial)`` jobs,
 ``BER_PASS`` frames at a time across SNR points, through no chain at all:
 the channel and the whitened MMSE detector are one linear model, built
@@ -42,7 +42,6 @@ import numpy as np
 
 from .filterbank import fold_gram
 from .modem import (
-    AfdmParams,
     BITS_PER_SYMBOL,
     WaveformParams,
     demap_symbols,
@@ -73,9 +72,6 @@ BER_PASS = 64
 
 # interpolation factor of the PAPR envelope
 PAPR_OVERSAMPLE = 4
-
-# band-limited interpolation factor of the baseline's spectrum record
-AFDM_OOBE_OVERSAMPLE = 2
 
 # segments per FFT of psd_welch: 1 MB at 1024 samples, whatever the record
 WELCH_BLOCK = 64
@@ -125,36 +121,6 @@ class PsdEstimate:
 # ---------------------------------------------------------------------------
 # envelope statistics
 # ---------------------------------------------------------------------------
-
-def spectral_interpolate(x: np.ndarray, factor: int) -> np.ndarray:
-    """Band-limited resampling by an integer factor >= 2 via FFT zero
-    padding.
-
-    The ``(n + 1) // 2`` bins from DC upwards stay at the low edge of the
-    spectrum and the rest at the high edge. The Nyquist bin of an
-    even-length input is split in half across the two edges, keeping
-    real signals real and the interpolation exact for band-limited
-    content. Samples run along axis 0; trailing axes are batch, and each
-    output column is contiguous.
-    """
-    if factor < 2 or int(factor) != factor:
-        raise ValueError("factor must be an integer >= 2")
-    factor = int(factor)
-    x = np.asarray(x)
-    n = len(x)
-    out = np.empty((factor * n,) + x.shape[1:], dtype=complex, order="F")
-    h = (n + 1) // 2
-    high = factor * n - (n - h)
-    np.fft.fft(x, axis=0, out=out[:n])
-    out[high:] = out[h:n]
-    out[h:high] = 0
-    if n % 2 == 0:
-        out[high] *= 0.5
-        out[h] = out[high]
-    np.fft.ifft(out, axis=0, out=out)
-    out *= factor
-    return out
-
 
 @functools.lru_cache(maxsize=8)
 def _phase_ramps(M: int) -> np.ndarray:
@@ -312,8 +278,7 @@ def _trial_frames(p, seed, shape: tuple, size: int, normals=None):
 def papr_ccdf(source, trials: int, thresholds, seed) -> CcdfCurve:
     """Empirical PAPR CCDF over random data frames.
 
-    ``source`` is either a :class:`WaveformParams` or an
-    :class:`AfdmParams` baseline descriptor.
+    ``source`` is the parameters of either waveform, AFBM or the baseline.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -430,34 +395,15 @@ def oobe_floor(psd: PsdEstimate, band_edges) -> float:
     return float(psd.power_dbr[outside].min())
 
 
-def band_edges(source):
-    """Occupied band of the spectrum record of a waveform: ±P/(2N) for the
-    filtered waveform at its native rate, the inner 1/AFDM_OOBE_OVERSAMPLE
-    of the spectrum for the rendered baseline."""
-    half = (1 / (2 * AFDM_OOBE_OVERSAMPLE) if isinstance(source, AfdmParams)
-            else source.dims.P / (2 * source.dims.N))
-    return (-half, half)
-
-
 def spectrum_psd(source, frames: int, seed, segment: int) -> PsdEstimate:
-    """:func:`psd_welch` of the record of ``frames`` random frames of
-    ``source``, each rendered for the spectrum and laid end to end: the
-    filtered waveform at its native rate, the baseline with each prefixed
-    symbol interpolated ``AFDM_OOBE_OVERSAMPLE`` times on its own. The
-    frames are rendered ``TRIAL_CHUNK`` at a time and streamed into the
-    estimate, so the record is never held whole."""
+    """:func:`psd_welch` of the ``source.spectrum`` records of ``frames``
+    random frames end to end, streamed ``TRIAL_CHUNK`` frames at a time."""
     if frames < 1:
         raise ValueError("frames must be >= 1")
-    render = source.modulate
-    if isinstance(source, AfdmParams):  # each prefixed symbol on its own
-        def render(x):  # views: modulate returns Fortran-ordered frames
-            z = spectral_interpolate(source.modulate(x).reshape(
-                (source.M // source.K, -1), order="F"), AFDM_OOBE_OVERSAMPLE)
-            return z.reshape((-1, x.shape[1]), order="F")
     chunks = _trial_frames(source, seed, (frames,), TRIAL_CHUNK)
     # frame t is column t of its chunk
-    return psd_welch((frame for _, _, x in chunks for frame in render(x).T),
-                     segment)
+    return psd_welch((frame for _, _, x in chunks
+                      for frame in source.spectrum(x).T), segment)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ Each waveform's parameters are its transmitter: ``p.modulate(d)`` of a
 :class:`WaveformParams` or an :class:`AfdmParams` takes the
 ``p.data_per_frame`` data symbols of a frame along axis 0, symbol after
 symbol, and returns its signal; in both, trailing axes stack frames.
+Each also answers how it is measured: ``p.spectrum(d)`` and ``p.band``,
+the OOBE record and its band, and ``p.symbol_operands()``, the one-symbol
+basis of its effective channels.
 Only this module lays the data out on the L x K subcarrier grid:
 :func:`place_grid` puts each symbol's data on the first and last L/4
 subcarriers, the rows of :func:`data_indices`, and leaves the guard
@@ -45,6 +48,7 @@ from .transforms import (
     apply_synthesis,
     apply_synthesis_adjoint,
     scale_rows,
+    spectral_interpolate,
 )
 from .filterbank import (
     PrototypeFilter,
@@ -55,6 +59,9 @@ from .filterbank import (
 )
 
 BITS_PER_SYMBOL = {"QPSK": 2, "QAM16": 4}
+
+# band-limited interpolation factor of the baseline's spectrum record
+AFDM_OOBE_OVERSAMPLE = 2
 
 # Gray-coded level of each base-2**(bps/2) digit on one axis: the high
 # digit of a symbol index gives the real part, the low digit the imaginary
@@ -95,6 +102,12 @@ class WaveformParams:
     def data_per_frame(self) -> int:
         return (self.dims.L // 2) * self.K
 
+    @property
+    def band(self) -> tuple:
+        """Occupied band of the :meth:`spectrum` record, ±P/(2N)."""
+        half = self.dims.P / (2 * self.dims.N)
+        return (-half, half)
+
     @cached_property
     def gains(self) -> tuple:
         """``(b_tx, b_rx)``, the gains of the L/2 data subcarriers: the
@@ -129,6 +142,18 @@ class WaveformParams:
                        adjoint=True)
         d = scale_rows(self.gains[1], A[data_indices(self.dims.L)])
         return d.reshape((-1,) + d.shape[2:], order="F")
+
+    spectrum = modulate  # the spectrum record of frames is their signal
+
+    def symbol_operands(self) -> tuple:
+        """One symbol as :func:`~afbm.channel.effective_channels` takes it,
+        ``(Y, w, adjoint, c1)``: the synthesised identity, the prototype
+        (its length is the block a path's delay and Doppler count in), the
+        synthesis adjoint and the prefix chirp rate."""
+        dims, chirps = self.dims, self.chirps_mod
+        return (apply_synthesis(np.eye(dims.L, dtype=complex), dims, chirps),
+                self.filter.coeffs,
+                lambda Z: apply_synthesis_adjoint(Z, dims, chirps), chirps.c1)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +267,12 @@ class AfdmParams:
     def data_per_frame(self) -> int:
         return self.L_a * self.K
 
+    @property
+    def band(self) -> tuple:
+        """Inner 1/``AFDM_OOBE_OVERSAMPLE`` of the :meth:`spectrum` record."""
+        half = 1 / (2 * AFDM_OOBE_OVERSAMPLE)
+        return (-half, half)
+
     def modulate(self, d: np.ndarray) -> np.ndarray:
         """Signal of the data symbols ``d``, the L_a*K of each frame along
         axis 0, symbol after symbol; trailing axes are batch.
@@ -261,6 +292,24 @@ class AfdmParams:
         s[:cpp_len] = scale_rows(prefix_phase(self.chirps.c1, L_a, cpp_len),
                                  body[L_a - cpp_len:])
         return s.reshape((-1,) + s.shape[2:], order="F")
+
+    def spectrum(self, d: np.ndarray) -> np.ndarray:
+        """The spectrum record of the frames of ``d``: their signal, each
+        prefixed symbol interpolated ``AFDM_OOBE_OVERSAMPLE`` times alone."""
+        s = self.modulate(d)  # Fortran-ordered: both reshapes are views
+        z = spectral_interpolate(s.reshape((self.M // self.K, -1), order="F"),
+                                 AFDM_OOBE_OVERSAMPLE)
+        return z.reshape((-1,) + s.shape[1:], order="F")
+
+    def symbol_operands(self) -> tuple:
+        """One symbol as :func:`~afbm.channel.effective_channels` takes it,
+        ``(Y, w, adjoint, c1)``: the adjoint transform of the identity, no
+        window (its L_a ones are the block a path's delay and Doppler count
+        in), the forward transform and the prefix chirp rate."""
+        chirps = self.chirps
+        return (apply_daft(np.eye(self.L_a, dtype=complex), chirps,
+                           adjoint=True),
+                np.ones(self.L_a), lambda Z: apply_daft(Z, chirps), chirps.c1)
 
 
 def prefix_phase(c1: float, n_body: int, cpp_len: int) -> np.ndarray:

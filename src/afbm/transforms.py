@@ -149,3 +149,33 @@ def apply_synthesis_adjoint(y: np.ndarray, dims: DaftDims, chirps: ChirpPair) ->
         v = apply_dft(np.concatenate((w[start:], w[:half])), adjoint=True)
         v = apply_dft(scale_rows(chirp_phase(chirps.c2, dims.P), v))[:dims.L]
     return scale_rows(chirp_phase(chirps.c1, dims.L), v)
+
+
+def spectral_interpolate(x: np.ndarray, factor: int) -> np.ndarray:
+    """Band-limited resampling by an integer factor >= 2 via FFT zero
+    padding.
+
+    The ``(n + 1) // 2`` bins from DC upwards stay at the low edge of the
+    spectrum and the rest at the high edge. The Nyquist bin of an
+    even-length input is split in half across the two edges, keeping
+    real signals real and the interpolation exact for band-limited
+    content. Samples run along axis 0; trailing axes are batch, and each
+    output column is contiguous.
+    """
+    if factor < 2 or int(factor) != factor:
+        raise ValueError("factor must be an integer >= 2")
+    factor = int(factor)
+    x = np.asarray(x)
+    n = len(x)
+    out = np.empty((factor * n,) + x.shape[1:], dtype=complex, order="F")
+    h = (n + 1) // 2
+    high = factor * n - (n - h)
+    np.fft.fft(x, axis=0, out=out[:n])
+    out[high:] = out[h:n]
+    out[h:high] = 0
+    if n % 2 == 0:
+        out[high] *= 0.5
+        out[h] = out[high]
+    np.fft.ifft(out, axis=0, out=out)
+    out *= factor
+    return out

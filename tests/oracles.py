@@ -14,11 +14,10 @@ import numpy as np
 
 from afbm.channel import check_paths_feasible, unit_power
 from afbm.filterbank import output_length
-from afbm.metrics import (AFDM_OOBE_OVERSAMPLE, PAPR_OVERSAMPLE, TRIAL_CHUNK,
-                          _trial_frames, spectral_interpolate)
-from afbm.modem import (BITS_PER_SYMBOL, AfdmParams, data_indices,
-                        prefix_phase)
-from afbm.transforms import apply_daft, chirp_phase
+from afbm.metrics import PAPR_OVERSAMPLE, TRIAL_CHUNK, _trial_frames
+from afbm.modem import (AFDM_OOBE_OVERSAMPLE, BITS_PER_SYMBOL, AfdmParams,
+                        data_indices, prefix_phase)
+from afbm.transforms import apply_daft, chirp_phase, spectral_interpolate
 
 # Gray bit pair of each QAM16 axis level rank, (level + 3) / 2
 _QAM16_AXIS_BITS = {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}

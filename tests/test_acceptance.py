@@ -15,7 +15,6 @@ from afbm.channel import PathSpec, pick_chirp_params
 from afbm.cli import read_config_file, resolve_config, run
 from afbm.filterbank import prototype_filter
 from afbm.metrics import (
-    band_edges,
     ber_experiment,
     oobe_floor,
     oobe_level,
@@ -156,8 +155,8 @@ def test_acceptance_5_oobe(capfd):
                            segment=seg)
     est_afd = spectrum_psd(_reference_baseline(), frames=64, seed=2,
                            segment=seg)
-    edges_a = band_edges(_reference_waveform(K=8))
-    edges_b = band_edges(_reference_baseline())
+    edges_a = _reference_waveform(K=8).band
+    edges_b = _reference_baseline().band
     margins = []
     for rel in (0.10, 0.20, 0.30):
         lvl_phy = oobe_level(est_phy, edges_a, rel * edges_a[1])

@@ -18,8 +18,7 @@ from afbm.channel import (
 from afbm.filterbank import prototype_filter
 from afbm.metrics import ber_experiment
 from afbm.modem import AfdmParams, WaveformParams, spread
-from afbm.transforms import (ChirpPair, DaftDims, apply_daft,
-                             apply_synthesis, apply_synthesis_adjoint)
+from afbm.transforms import ChirpPair, DaftDims
 from oracles import (apply_channel, assemble_filter_matrix, build_channel,
                      daft_matrix, dense_receive_matrix, dense_transmit_matrix,
                      mmse_equalize, synthesis_matrix)
@@ -37,26 +36,6 @@ def channel_matrix(paths, M):
 def afbm_basis(params):
     """Time samples of each single-symbol subcarrier (M x L)."""
     return spread(np.eye(params.dims.L, dtype=complex)[:, None, :], params)
-
-
-def afdm_basis(chirps, n):
-    """Columns of the baseline's adjoint affine transform (n x n)."""
-    return apply_daft(np.eye(n, dtype=complex), chirps, adjoint=True)
-
-
-def afbm_operands(params):
-    """``(Y, w, adjoint)`` of :func:`afbm_basis` for ``effective_channels``:
-    its rows are ``w[m] Y[m mod N]``, ``Y`` the synthesised identity."""
-    dims, chirps = params.dims, params.chirps_mod
-    return (apply_synthesis(np.eye(dims.L, dtype=complex), dims, chirps),
-            params.filter.coeffs,
-            lambda Z: apply_synthesis_adjoint(Z, dims, chirps))
-
-
-def afdm_operands(chirps, n):
-    """``(Y, w, adjoint)`` of :func:`afdm_basis`, which has no window."""
-    return (afdm_basis(chirps, n), np.ones(n),
-            lambda Z: apply_daft(Z, chirps))
 
 
 def small_params(kind="HERMITE", overlap=1.5, L=16, P=24, N=32, c1=0.02):
@@ -137,11 +116,12 @@ def test_path_spec_validation():
 def test_channel_spec_validation():
     # an empty path list, and a delay as long as the block (16 samples)
     block = np.zeros((16, 16), dtype=complex)
+    baseline = AfdmParams(L_a=16, K=1, chirps=ChirpPair(0.0), cpp_len=0)
     for paths in ((), (PathSpec(1.0, 16, 0.0),)):
         with pytest.raises(ValueError):
             apply_paths(paths, block)
         with pytest.raises(ValueError):
-            effective_channels(paths, *afdm_operands(ChirpPair(0.0), 16))
+            effective_channels(paths, *baseline.symbol_operands()[:3])
 
 
 def test_channel_spec_normalization():
@@ -153,6 +133,17 @@ def test_channel_spec_normalization():
     for gains in ((0.0,), (1e200,), (1e154, 1e154), (complex(1e308, 1e308),)):
         with pytest.raises(ValueError, match="positive and finite"):
             unit_power(tuple(PathSpec(g, 0, 0.0) for g in gains))
+
+
+def test_paths_that_cancel_are_refused():
+    pair = (PathSpec(1.0, 0, 0.0), PathSpec(-1.0, 0, 0.0))
+    with pytest.raises(ValueError, match="the paths cancel"):
+        unit_power(pair)
+    with pytest.raises(ValueError, match="the paths cancel"):
+        ber_experiment(small_params(), pair, [0.0], 2, seed=0)
+    # one more path keeps a channel; the power counts every listed path
+    norm = unit_power(pair + (PathSpec(0.5, 1, 1.0),))
+    assert abs(norm[2].gain - 0.5 / 1.5) < 1e-15
 
 
 def test_identity_channels():
@@ -241,12 +232,13 @@ def test_effective_channels_match_the_dense_triple_product(waveform, seed):
         if waveform == "afdm":
             chirps = ChirpPair(float(rng.uniform(0, 0.05)), 0.01)
             B = daft_matrix(chirps, 24).conj().T
-            operands = afdm_operands(chirps, 24)
+            operands = AfdmParams(L_a=24, K=1, chirps=chirps,
+                                  cpp_len=0).symbol_operands()[:3]
         else:
             params = small_params(*waveform)
             B = (assemble_filter_matrix(params.filter, 1)
                  @ synthesis_matrix(params.dims, params.chirps_mod))
-            operands = afbm_operands(params)
+            operands = params.symbol_operands()[:3]
         M = B.shape[0]
         paths, c1 = _random_channel(rng, M)
         longest = max([longest] + [p.delay for p in paths])
@@ -268,7 +260,7 @@ def test_effective_channels_sum_both_gains_of_a_repeated_path():
     B = afbm_basis(params)
     p = PathSpec(0.6, 3, -0.5)
     twin = (p, PathSpec(0.8j, 3, -0.5))
-    total, refs = effective_channels(twin, *afbm_operands(params), 0.02)
+    total, refs = effective_channels(twin, *params.symbol_operands()[:3], 0.02)
     (ref,) = refs
     assert np.abs(total - (0.6 + 0.8j) * ref).max() < 1e-14
     merged = (PathSpec(0.6 + 0.8j, 3, -0.5),)
@@ -310,14 +302,14 @@ def test_apply_channel_noise_power():
 
 def test_effective_channel_of_identity_is_scaled_identity(ref_params):
     He, _ = effective_channels((PathSpec(1.0, 0, 0.0),),
-                               *afbm_operands(ref_params))
+                               *ref_params.symbol_operands()[:3])
     scale = np.real(He[0, 0])
     assert abs(scale - 1 / 256) < 1e-12
     assert np.abs(He - scale * np.eye(128)).max() < 1e-12
 
 
 def test_effective_channel_is_linear_in_the_channel():
-    operands = afbm_operands(small_params())
+    operands = small_params().symbol_operands()[:3]
     paths = (PathSpec(1.0, 2, 0.5), PathSpec(0.3 - 0.2j, 5, -1.0))
     scaled = [PathSpec(1.7j * p.gain, p.delay, p.doppler) for p in paths]
     lhs, _ = effective_channels(scaled, *operands, 0.02)
@@ -336,7 +328,7 @@ def test_effective_channel_matches_dense_triple_product(kind, overlap, L, P, N):
          @ synthesis_matrix(params.dims, params.chirps_mod))
     rng = np.random.default_rng(56)
     paths, c1 = _random_channel(rng, params.M)
-    He, _ = effective_channels(paths, *afbm_operands(params), c1)
+    He, _ = effective_channels(paths, *params.symbol_operands()[:3], c1)
     H = build_channel(paths, params.M, c1)
     assert np.abs(He - B.conj().T @ H @ B).max() < 1e-10
 
@@ -350,10 +342,10 @@ def test_effective_channels_peak_memory_at_fig4(ref_dims, ref_chirps,
                             chirps_mod=ref_chirps, filter=phydyas256)
     paths = unit_power((PathSpec(1.0, 0, 0.0), PathSpec(0.7, 1, 1.0),
                         PathSpec(0.5, 2, -1.0)))
-    effective_channels(paths, *afbm_operands(params), ref_chirps.c1)
+    effective_channels(paths, *params.symbol_operands()[:3], ref_chirps.c1)
     tracemalloc.start()
     try:
-        effective_channels(paths, *afbm_operands(params), ref_chirps.c1)
+        effective_channels(paths, *params.symbol_operands()[:3], ref_chirps.c1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -362,8 +354,9 @@ def test_effective_channels_peak_memory_at_fig4(ref_dims, ref_chirps,
 
 def test_afdm_effective_channel_single_diagonal():
     chirps = ChirpPair(pick_chirp_params(2, 1.0, 0, 64).c1, 0.0)
+    baseline = AfdmParams(L_a=64, K=1, chirps=chirps, cpp_len=0)
     He, _ = effective_channels((PathSpec(1.0, 2, 1.0),),
-                               *afdm_operands(chirps, 64), chirps.c1)
+                               *baseline.symbol_operands()[:3], chirps.c1)
     energy = circular_diagonal_energy(He)
     top = np.argmax(energy)
     assert energy[top] / energy.sum() > 1 - 1e-12
@@ -384,7 +377,7 @@ def test_path_separation_single_path_concentrates(ref_params):
     # a Doppler of 1.5 cycles per 384-sample frame is exactly one cycle per
     # 256-sample block, so the effective channel stays on one diagonal
     c1 = ref_params.chirps_mod.c1
-    operands = afbm_operands(ref_params)
+    operands = ref_params.symbol_operands()[:3]
     for path in (PathSpec(1.0, 2, 0.0), PathSpec(1.0, 1, 1.5)):
         metric = path_separation_metric(
             *effective_channels((path,), *operands, c1))
@@ -396,7 +389,7 @@ def test_path_separation_guard_width_absorbs_fractional_doppler(ref_params):
     # neighbouring diagonals and a +-1 window recovers most of it
     c1 = ref_params.chirps_mod.c1
     He, refs = effective_channels((PathSpec(1.0, 1, 1.0),),
-                                  *afbm_operands(ref_params), c1)
+                                  *ref_params.symbol_operands()[:3], c1)
     narrow = path_separation_metric(He, refs, xi=0)
     wide = path_separation_metric(He, refs, xi=1)
     assert narrow < 0.8
@@ -406,7 +399,7 @@ def test_path_separation_guard_width_absorbs_fractional_doppler(ref_params):
 def test_path_separation_duplicate_paths_share_reference(ref_params):
     c1 = ref_params.chirps_mod.c1
     twin = (PathSpec(0.6, 1, 1.5), PathSpec(0.8j, 1, 1.5))
-    He, refs = effective_channels(twin, *afbm_operands(ref_params), c1)
+    He, refs = effective_channels(twin, *ref_params.symbol_operands()[:3], c1)
     assert len(refs) == 1
     assert path_separation_metric(He, refs) > 0.99
 
@@ -416,8 +409,9 @@ def test_path_separation_exact_for_integer_doppler_baseline():
     chirps = ChirpPair(c1, 0.0)
     paths = unit_power((PathSpec(1.0, 0, 0.0), PathSpec(0.7, 1, 1.0),
                         PathSpec(0.5, 2, -1.0)))
+    baseline = AfdmParams(L_a=64, K=1, chirps=chirps, cpp_len=0)
     metric = path_separation_metric(
-        *effective_channels(paths, *afdm_operands(chirps, 64), c1))
+        *effective_channels(paths, *baseline.symbol_operands()[:3], c1))
     assert abs(metric - 1.0) < 1e-12
 
 

@@ -479,6 +479,40 @@ def test_effchan_rejects_paths_beyond_the_declared_bounds(tmp_path, capsys):
             check_paths_feasible(bundled.paths, bundled.xi, size)
 
 
+# two paths on one delay and Doppler whose gains cancel: the channel is zero
+CANCELLING = [{"gain": 1.0, "delay": 0, "doppler": 0.0},
+              {"gain": -1.0, "delay": 0, "doppler": 0.0}]
+
+
+def test_paths_that_cancel_are_refused_before_any_output(tmp_path, capsys):
+    # ber ran them to BER 0.5 from nan estimates, effchan failed in its
+    # runner; now the config is refused like a zero total power
+    cfg = write_config(tmp_path, {"channel": {"paths": CANCELLING}})
+    for experiment in ("ber", "effchan", "papr"):
+        out = tmp_path / experiment
+        assert main([experiment, "--config", str(cfg), "--out", str(out),
+                     "--trials", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "channel.paths: the paths cancel" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("paths", [
+    CANCELLING + [{"gain": 0.5, "delay": 1, "doppler": 1.0}],
+    [{"gain": g, "delay": 0, "doppler": 0.0} for g in (0.1, 0.2, -0.3)],
+], ids=["partial", "near"])
+def test_paths_that_nearly_cancel_run_to_finite_rows(paths, tmp_path):
+    # only an exact cancellation is refused: 0.1 + 0.2 - 0.3 is 5.6e-17
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for experiment in ("ber", "effchan"):
+            rows = run(resolve_config({
+                "experiment": experiment, "trials": 2,
+                "channel": {"paths": paths},
+                "out": str(tmp_path / experiment)}))
+            assert np.all(np.isfinite([row[2:] for row in rows]))
+
+
 def test_baseline_chirp_rule_binds_only_the_experiments_that_run_it(
         tmp_path, capsys):
     # the baseline's L = 64 point grid cannot hold 2 * 5 * 11 + 10 = 120,

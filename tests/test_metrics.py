@@ -18,7 +18,7 @@ from afbm.metrics import (
     TRIAL_CHUNK,
     WELCH_BLOCK,
     CcdfCurve,
-    band_edges,
+    _trial_frames,
     ber_experiment,
     oobe_floor,
     oobe_level,
@@ -27,14 +27,13 @@ from afbm.metrics import (
     papr_ccdf,
     psd_welch,
     sir_orthogonality,
-    spectral_interpolate,
     spectrum_psd,
 )
 from afbm.channel import PathSpec, pick_chirp_params
 from afbm.filterbank import prototype_filter
 from afbm.modem import (BITS_PER_SYMBOL, AfdmParams, WaveformParams,
                         data_indices, symbol_table)
-from afbm.transforms import ChirpPair, DaftDims
+from afbm.transforms import ChirpPair, DaftDims, spectral_interpolate
 from oracles import (afdm_oobe_signal, assemble_filter_matrix,
                      ber_trial_errors, daft_matrix, dense_receive_matrix,
                      dense_transmit_matrix, map_symbols_dict,
@@ -576,15 +575,65 @@ def test_spectrum_psd_peak_allocation_at_fig4(ref_dims, ref_chirps,
     assert peaks[1] <= 1.1 * peaks[0]
 
 
+# ---------------------------------------------------------------------------
+# the waveform interface: what each waveform answers for the experiments
+# ---------------------------------------------------------------------------
+
+INTERFACE_SOURCES = ["hermite", "phydyas", "hermite-c2", "afdm", "afdm-c2"]
+
+
+@pytest.fixture(params=INTERFACE_SOURCES)
+def source(request, ref_params_frame, ref_dims, ref_chirps, phydyas256):
+    """Each waveform: AFBM with Hermite 1.5 or PHYDYAS 4, or the baseline,
+    the "-c2" ones with c2 != 0 in every chirp pair."""
+    name, _, c2 = request.param.partition("-")
+    source = {"hermite": ref_params_frame,
+              "phydyas": _phydyas_frame(ref_dims, ref_chirps, phydyas256),
+              "afdm": _baseline()}[name]
+    return _with_c2(source) if c2 else source
+
+
+def test_symbol_operands_adjoint_is_the_conjugate_transpose(source):
+    Y, w, adjoint, c1 = source.symbol_operands()
+    rng = np.random.default_rng(67)
+    Z = rng.standard_normal((len(Y), 5, 2)) @ [1, 1j]
+    assert np.abs(adjoint(Z) - Y.conj().T @ Z).max() < 1e-12
+    # the window is the block a path's delay and Doppler count in
+    if isinstance(source, AfdmParams):
+        assert (len(w), c1) == (source.L_a, source.chirps.c1)
+    else:
+        assert (len(w), c1) == (source.filter.length, source.chirps_mod.c1)
+
+
+def test_spectrum_of_a_batch_is_each_frame_alone(source):
+    rng = np.random.default_rng(68)
+    d = symbol_table(source.constellation)[
+        rng.integers(0, 4, (source.data_per_frame, 3))]
+    batch = source.spectrum(d)
+    assert batch.shape[1:] == (3,)
+    for j in range(3):
+        assert np.array_equal(batch[:, j:j + 1],
+                              source.spectrum(d[:, j:j + 1]))
+        assert np.array_equal(batch[:, j], source.spectrum(d[:, j]))
+
+
+def test_spectrum_is_the_oracle_record(source):
+    frames = TRIAL_CHUNK + 3
+    chunks = _trial_frames(source, 9, (frames,), TRIAL_CHUNK)
+    record = np.concatenate([source.spectrum(x).ravel(order="F")
+                             for _, _, x in chunks])
+    assert np.array_equal(record, spectrum_signal(source, frames, seed=9))
+
+
 def test_band_edges(ref_params_frame):
-    lo, hi = band_edges(ref_params_frame)
+    lo, hi = ref_params_frame.band
     assert (lo, hi) == (-0.375, 0.375)            # P / (2 N)
-    assert band_edges(_baseline()) == (-0.25, 0.25)
+    assert _baseline().band == (-0.25, 0.25)
 
 
 def test_oobe_level_probes(ref_params_frame):
     est = spectrum_psd(ref_params_frame, frames=20, seed=11, segment=1024)
-    edges = band_edges(ref_params_frame)
+    edges = ref_params_frame.band
     level = oobe_level(est, edges, offset=0.05)
     assert level < -30.0
     with pytest.raises(ValueError):
@@ -605,10 +654,10 @@ def test_oobe_contrast_between_waveforms(ref_dims, ref_chirps, phydyas256):
     est_a = spectrum_psd(sharp, frames=40, seed=12, segment=1024)
     est_b = spectrum_psd(baseline, frames=40, seed=12, segment=1024)
     rel = 0.1
-    lvl_a = oobe_level(est_a, band_edges(sharp), 0.375 * rel)
-    lvl_b = oobe_level(est_b, band_edges(baseline), 0.25 * rel)
+    lvl_a = oobe_level(est_a, sharp.band, 0.375 * rel)
+    lvl_b = oobe_level(est_b, baseline.band, 0.25 * rel)
     assert lvl_a < lvl_b - 40.0
-    assert oobe_floor(est_a, band_edges(sharp)) < -80.0
+    assert oobe_floor(est_a, sharp.band) < -80.0
 
 
 # ---------------------------------------------------------------------------
