@@ -101,11 +101,13 @@ def apply_paths(paths, S: np.ndarray, c1: float = 0.0) -> np.ndarray:
     axis 0, whose length is the block length M; trailing axes of ``S``
     are batch."""
     S = np.asarray(S)
-    _check_paths(paths, len(S))
-    out = _apply_path(paths[0], S, c1, np.empty(S.shape, complex))
-    term = np.empty_like(out)
-    for p in paths[1:]:
-        out += _apply_path(p, S, c1, term)
+    M = len(S)
+    _check_paths(paths, M)
+    terms = (scale_rows(_path_diagonal(p, M, c1),
+                        np.roll(S, p.delay, axis=0)) for p in paths)
+    out = next(terms)
+    for term in terms:
+        out += term
     return out
 
 
@@ -124,17 +126,6 @@ def _path_diagonal(p: PathSpec, M: int, c1: float) -> np.ndarray:
     d = p.gain * np.exp(-2j * np.pi * p.doppler * np.arange(M) / M)
     d[:p.delay] *= prefix_phase(c1, M, p.delay)
     return d
-
-
-def _apply_path(p: PathSpec, S: np.ndarray, c1: float, out: np.ndarray):
-    """Path ``p``'s term of :func:`apply_paths`, written into ``out``
-    (shaped like ``S``) and returned."""
-    M, delay = len(S), p.delay
-    d = _path_diagonal(p, M, c1).reshape((M,) + (1,) * (S.ndim - 1))
-    # rows m >= delay take S[m - delay]; the first delay rows wrap
-    np.multiply(d[delay:], S[:M - delay], out=out[delay:])
-    np.multiply(d[:delay], S[M - delay:], out=out[:delay])
-    return out
 
 
 def pick_chirp_params(ell_max: int, f_max: float, xi: int, P: int) -> ChirpPair:

@@ -231,10 +231,14 @@ def resolve_config(data: dict) -> ExperimentConfig:
                   else pick_chirp_params(ell_max, f_max, xi, dims.L).c1)
         except ValueError as err:
             raise ValueError(f"afdm (L = {dims.L}): {err}") from err
+        cpp_len = af.get("cpp_len", ell_max)
+        if cpp_len >= dims.L:
+            source = "" if "cpp_len" in af else " (from channel.ell_max)"
+            raise ValueError(f"afdm.cpp_len = {cpp_len}{source} must be < "
+                             f"L = {dims.L}, the baseline's symbol body")
         afdm = AfdmParams(L_a=dims.L, K=wf["K"],
                           chirps=ChirpPair(c1=c1, c2=af.get("c2", 0.0)),
-                          cpp_len=af.get("cpp_len", ell_max),
-                          constellation=wf["constellation"])
+                          cpp_len=cpp_len, constellation=wf["constellation"])
     trials = resolved["trials"]
     if resolved["experiment"] == "oobe":
         lengths = (trials * waveform.M,

@@ -6,9 +6,10 @@ the master seed and the trial index (``default_rng([seed, trial])``; the
 BER loop uses ``default_rng([seed, snr_index, trial])``), so results are
 deterministic, order independent, and stable when the trial count grows
 (earlier trials keep their draws). The generators are not built one by
-one: every key is seeded in one batch, each trial's state is set into
-one reused PCG64, and each symbol is looked up in a :func:`symbol_table`
-by an index read straight from the raw words. Every loop then takes the
+one: the keys are seeded ``SEED_BLOCK`` at a time as the draws reach
+them, each trial's state is set into one reused PCG64, and each symbol
+is looked up in a :func:`symbol_table` by an index read straight from
+the raw words. Every loop then takes the
 draws of many frames as one batch, one column per frame. The PAPR and
 spectrum loops push ``TRIAL_CHUNK`` trials at a time through the
 source's ``modulate`` or ``spectrum``, with samples equal to those of
@@ -33,13 +34,13 @@ contiguous column.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .transforms import _interpolated_phases
 from .filterbank import fold_gram
 from .modem import (
     BITS_PER_SYMBOL,
@@ -69,6 +70,12 @@ TRIAL_CHUNK = 16
 # sessions of six interleaved rounds, no size ahead of the spread, with
 # tracemalloc peaks of 2.1, 2.1, 2.4, 3.4 and 4.8 MB.
 BER_PASS = 64
+
+# Keys per seeding block of the Monte Carlo draws. A key's PCG64 state
+# takes about 850 B until drawn: seeded at once, the 8e4 keys of a fig3
+# ber run of 1e4 trials peaked at 106 MiB. Hashing costs about 1 us per
+# key at 1024 keys and 9 us at 16; no benchmark run has over 200 keys.
+SEED_BLOCK = 1024
 
 # interpolation factor of the PAPR envelope
 PAPR_OVERSAMPLE = 4
@@ -122,24 +129,6 @@ class PsdEstimate:
 # envelope statistics
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=8)
-def _phase_ramps(M: int) -> np.ndarray:
-    """M x (F - 1) spectral ramps of the polyphase envelope, F =
-    ``PAPR_OVERSAMPLE``: column r - 1 is ``exp(2πj k r / (F M))`` of the
-    signed bin k, and ``cos(πr / F)`` on the split Nyquist bin of an even
-    M. Fortran-ordered and read-only; cached, as each call of ``papr``
-    needs them and they took a tenth of its time."""
-    k = np.arange(M)
-    k[(M + 1) // 2:] -= M
-    r = np.arange(1, PAPR_OVERSAMPLE)
-    t = np.exp(2j * np.pi * np.outer(k, r) / (PAPR_OVERSAMPLE * M))
-    if M % 2 == 0:
-        t[M // 2] = np.cos(np.pi * r / PAPR_OVERSAMPLE)
-    t = np.asfortranarray(t)  # each ramp contiguous: 3x faster products
-    t.flags.writeable = False
-    return t
-
-
 def papr(signal, out: tuple | None = None):
     """Peak-to-average power ratio of the frame envelope interpolated
     ``PAPR_OVERSAMPLE`` times, in dB.
@@ -149,8 +138,8 @@ def papr(signal, out: tuple | None = None):
 
     The envelope is the band-limited interpolation of the frame's M-point
     spectrum X, its Nyquist bin split in half for an even M, taken phase
-    by phase: sample ``F m + r`` (F = ``PAPR_OVERSAMPLE``) is
-    ``IFFT_M(X t_r)[m]``, ``t_r`` the ramps of :func:`_phase_ramps`.
+    by phase (F = ``PAPR_OVERSAMPLE``) by
+    :func:`~afbm.transforms._interpolated_phases`.
     Phase 0 is the frame itself, so one M-point FFT and F - 1 M-point
     inverse FFTs make the envelope. The peak is the larger of the
     frame's and the other phases' largest magnitude, squared; the mean
@@ -183,9 +172,8 @@ def papr(signal, out: tuple | None = None):
     if not np.all(mean > 0):
         raise ValueError("PAPR undefined for a zero-energy signal")
     # views of the Fortran-ordered work arrays, frame by frame
-    phases = z.reshape((M, PAPR_OVERSAMPLE - 1, -1), order="F")
-    np.multiply(_phase_ramps(M)[:, :, None], X[:, None], out=phases)
-    np.fft.ifft(phases, axis=0, out=phases)
+    phases = _interpolated_phases(
+        X, z.reshape((M, PAPR_OVERSAMPLE - 1, -1), order="F"))
     mags = np.abs(phases, out=env.reshape(phases.shape, order="F"))
     peak = np.maximum(mags.max(axis=(0, 1)), np.abs(x).max(axis=0))
     ratio = 10 * np.log10(np.square(peak, out=peak) / mean)
@@ -212,21 +200,21 @@ def _mix(x, y):
     return v ^ v >> np.uint32(16)
 
 
-def _pcg64_states(seed, shape):
-    """The PCG64 state of ``default_rng([seed, *index])`` for every index
-    of an array of ``shape``, in C order: all keys hashed at once in numpy
-    as ``SeedSequence`` hashes them, then seeded as PCG64 seeds them. The
-    seed must be a non-negative ``int`` or ``np.integer``, as
-    ``SeedSequence`` tells integers apart.
+def _pcg64_states(seed, shape, keys: range):
+    """The PCG64 state of ``default_rng([seed, *index])`` for the index of
+    each C-order position in ``keys`` of an array of ``shape``: the keys
+    hashed at once in numpy as ``SeedSequence`` hashes them, then seeded
+    as PCG64 seeds them. The seed must be a non-negative ``int`` or
+    ``np.integer``, as ``SeedSequence`` tells integers apart.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, not {seed!r}")
     seed = int(seed)
     # the seed's 32-bit words, low word first, then the index; entropy
     # shorter than the pool mixes as if padded with zeros
-    rows = [np.full(math.prod(shape), seed >> s & _MASK32)
+    rows = [np.full(len(keys), seed >> s & _MASK32)
             for s in range(0, max(seed.bit_length(), 1), 32)]
-    rows += list(np.indices(shape).reshape(len(shape), -1))
+    rows += np.unravel_index(np.arange(keys.start, keys.stop), shape)
     rows += [np.zeros_like(rows[0])] * (4 - len(rows))
     entropy = np.array(rows, dtype=np.uint32)
     ha, hb = _hashes(*_HASH_A), _hashes(*_HASH_B)
@@ -260,11 +248,14 @@ def _trial_frames(p, seed, shape: tuple, size: int, normals=None):
     table = symbol_table(p.constellation)
     bit_generator = np.random.PCG64(0)
     normal = np.random.Generator(bit_generator).standard_normal
-    states = _pcg64_states(seed, shape)
-    raw = np.empty((words, min(size, len(states))), dtype=np.uint64)
-    for j0 in range(0, len(states), size):
-        b = min(size, len(states) - j0)
-        for col, state in enumerate(states[j0:j0 + b]):
+    n = math.prod(shape)
+    states = itertools.chain.from_iterable(
+        _pcg64_states(seed, shape, range(k, min(k + SEED_BLOCK, n)))
+        for k in range(0, n, SEED_BLOCK))
+    raw = np.empty((words, min(size, n)), dtype=np.uint64)
+    for j0 in range(0, n, size):
+        b = min(size, n - j0)
+        for col, state in enumerate(itertools.islice(states, b)):
             bit_generator.state = state
             raw[:, col] = bit_generator.random_raw(words)
             if normals is not None:

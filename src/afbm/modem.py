@@ -48,7 +48,7 @@ from .transforms import (
     apply_synthesis,
     apply_synthesis_adjoint,
     scale_rows,
-    spectral_interpolate,
+    _interpolated_phases,
 )
 from .filterbank import (
     PrototypeFilter,
@@ -296,9 +296,11 @@ class AfdmParams:
     def spectrum(self, d: np.ndarray) -> np.ndarray:
         """The spectrum record of the frames of ``d``: their signal, each
         prefixed symbol interpolated ``AFDM_OOBE_OVERSAMPLE`` times alone."""
-        s = self.modulate(d)  # Fortran-ordered: both reshapes are views
-        z = spectral_interpolate(s.reshape((self.M // self.K, -1), order="F"),
-                                 AFDM_OOBE_OVERSAMPLE)
+        s = self.modulate(d)  # Fortran-ordered: the reshapes are views
+        x = s.reshape((self.M // self.K, -1), order="F")
+        z = np.empty((AFDM_OOBE_OVERSAMPLE,) + x.shape, complex, order="F")
+        z[0] = x  # phase 0, interleaved with the others sample by sample
+        _interpolated_phases(np.fft.fft(x, axis=0), z[1:].transpose(1, 0, 2))
         return z.reshape((-1,) + s.shape[1:], order="F")
 
     def symbol_operands(self) -> tuple:

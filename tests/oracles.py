@@ -17,7 +17,7 @@ from afbm.filterbank import output_length
 from afbm.metrics import PAPR_OVERSAMPLE, TRIAL_CHUNK, _trial_frames
 from afbm.modem import (AFDM_OOBE_OVERSAMPLE, BITS_PER_SYMBOL, AfdmParams,
                         data_indices, prefix_phase)
-from afbm.transforms import apply_daft, chirp_phase, spectral_interpolate
+from afbm.transforms import apply_daft, chirp_phase
 
 # Gray bit pair of each QAM16 axis level rank, (level + 3) / 2
 _QAM16_AXIS_BITS = {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}
@@ -298,6 +298,36 @@ def filter_bank_adjoint_add_at(r, filt, K):
 # ---------------------------------------------------------------------------
 # envelope
 # ---------------------------------------------------------------------------
+
+def spectral_interpolate(x: np.ndarray, factor: int) -> np.ndarray:
+    """Band-limited resampling by an integer factor >= 2 via FFT zero
+    padding.
+
+    The ``(n + 1) // 2`` bins from DC upwards stay at the low edge of the
+    spectrum and the rest at the high edge. The Nyquist bin of an
+    even-length input is split in half across the two edges, keeping
+    real signals real and the interpolation exact for band-limited
+    content. Samples run along axis 0; trailing axes are batch, and each
+    output column is contiguous.
+    """
+    if factor < 2 or int(factor) != factor:
+        raise ValueError("factor must be an integer >= 2")
+    factor = int(factor)
+    x = np.asarray(x)
+    n = len(x)
+    out = np.empty((factor * n,) + x.shape[1:], dtype=complex, order="F")
+    h = (n + 1) // 2
+    high = factor * n - (n - h)
+    np.fft.fft(x, axis=0, out=out[:n])
+    out[high:] = out[h:n]
+    out[h:high] = 0
+    if n % 2 == 0:
+        out[high] *= 0.5
+        out[h] = out[high]
+    np.fft.ifft(out, axis=0, out=out)
+    out *= factor
+    return out
+
 
 def papr_zero_padded(signal):
     """PAPR (dB) of the envelope interpolated ``PAPR_OVERSAMPLE`` times

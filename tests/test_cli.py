@@ -131,6 +131,9 @@ NAN = float("nan")
     ({"afdm": {"c2": -1e308}}, "afdm.c2"),
     (one_path(gain=1e200), "channel.paths"),
     (one_path(gain=[1e300, 1e300]), "channel.paths"),
+    ({"afdm": {"cpp_len": 200}}, "afdm.cpp_len = 200 must be < L = 128"),
+    ({"channel": {"ell_max": 128, "f_max": 0.0}},
+     "afdm.cpp_len = 128 (from channel.ell_max) must be < L = 128"),
 ], ids=["trials-bool", "seed-bool", "K-float", "snr-nan", "delay-float",
         "waveform-int", "afdm-int", "channel-list", "path-int",
         "path-no-doppler", "f_max-str", "c1-str", "overlap-str", "f_max-nan",
@@ -140,7 +143,8 @@ NAN = float("nan")
         "overlap-1e30", "overlap-1e6", "snr-overflow", "snr-underflow",
         "snr-past-limit", "c1-1e308", "c2-minus-one", "c1_pre-one",
         "c2_pre-past-period", "afdm-c1-one", "afdm-c2-huge",
-        "power-overflow", "complex-gain-overflow"])
+        "power-overflow", "complex-gain-overflow", "cpp_len-past-L",
+        "ell_max-past-L"])
 def test_resolve_config_rejects_values_of_the_wrong_type(
         data, name, tmp_path, capsys, monkeypatch):
     with pytest.raises(ValueError, match=re.escape(name)):

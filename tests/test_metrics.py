@@ -1,5 +1,6 @@
 """Unit tests for envelope, spectrum, orthogonality and link metrics."""
 
+import math
 import os
 import subprocess
 import sys
@@ -31,15 +32,16 @@ from afbm.metrics import (
 )
 from afbm.channel import PathSpec, pick_chirp_params
 from afbm.filterbank import prototype_filter
-from afbm.modem import (BITS_PER_SYMBOL, AfdmParams, WaveformParams,
-                        data_indices, symbol_table)
-from afbm.transforms import ChirpPair, DaftDims, spectral_interpolate
+from afbm.modem import (AFDM_OOBE_OVERSAMPLE, BITS_PER_SYMBOL, AfdmParams,
+                        WaveformParams, data_indices, symbol_table)
+from afbm.transforms import ChirpPair, DaftDims
 from oracles import (afdm_oobe_signal, assemble_filter_matrix,
                      ber_trial_errors, daft_matrix, dense_receive_matrix,
                      dense_transmit_matrix, map_symbols_dict,
                      papr_zero_padded, qfunc, random_afbm_frame,
-                     random_afdm_frame, spectrum_signal, symbol_bits,
-                     synthesis_matrix, welch_psd)
+                     random_afdm_frame, spectral_interpolate,
+                     spectrum_signal, symbol_bits, synthesis_matrix,
+                     welch_psd)
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +321,45 @@ def test_pcg64_states_equal_those_of_default_rng():
 
     for seed in SEED_SHAPES + (2 ** 31, 2 ** 32, 2 ** 128 - 1):
         for shape in ((3,), (2, 3), (1, 1, 2)):
-            states = metrics._pcg64_states(seed, shape)
+            states = metrics._pcg64_states(seed, shape,
+                                           range(math.prod(shape)))
             assert states == [
                 np.random.default_rng([seed, *i]).bit_generator.state
                 for i in np.ndindex(shape)], (seed, shape)
+
+
+def test_trial_frames_draw_across_seeding_blocks():
+    import afbm.metrics as metrics
+
+    # passes of 7 frames straddle the blocks, keys of two indices span them
+    p = SimpleNamespace(constellation="QPSK", data_per_frame=6)
+    shape = (2, metrics.SEED_BLOCK // 2 + 3)
+    edges = {metrics.SEED_BLOCK + e for e in (-2, -1, 0, 1)}
+    seen = set()
+    for j0, index, _ in metrics._trial_frames(p, 5, shape, 7):
+        for j in edges & set(range(j0, j0 + index.shape[1])):
+            key = [5, *np.unravel_index(j, shape)]
+            assert np.array_equal(symbol_bits(index, "QPSK")[:, j - j0],
+                                  np.random.default_rng(key).integers(
+                                      0, 2, size=12))
+            seen.add(j)
+    assert seen == edges
+
+
+def test_trial_frames_seed_one_block_at_a_time():
+    import afbm.metrics as metrics
+
+    # the first pass of 10**6 frames holds one block of states; seeding
+    # every key at once took about 850 B per key
+    p = SimpleNamespace(constellation="QPSK", data_per_frame=4)
+    next(metrics._trial_frames(p, 3, (10,), TRIAL_CHUNK))  # lazy imports
+    tracemalloc.start()
+    try:
+        next(metrics._trial_frames(p, 3, (10 ** 6,), TRIAL_CHUNK))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20
 
 
 def test_trial_frames_refuse_other_seeds(ref_params):
@@ -342,7 +379,7 @@ def test_trial_frames_refuse_other_seeds(ref_params):
 
 def test_monte_carlo_seeds_without_default_rng(ref_params_frame, ref_params,
                                                monkeypatch):
-    # every key is seeded in one batch, never through default_rng
+    # every key is seeded in blocks, never through default_rng
     expected = (papr_ccdf(ref_params_frame, 20, [8.0], seed=11).samples,
                 ber_experiment(ref_params, AWGN, [0.0, 4.0], 3, seed=11))
 
@@ -388,6 +425,13 @@ def _frames_one_at_a_time(source, trials, seed, afdm_frame):
     if isinstance(source, WaveformParams):
         return [random_afbm_frame(source, rng)[2] for rng in rngs]
     return [afdm_frame(source, rng) for rng in rngs]
+
+
+def _spectrum_frame_by_frame(source, frames, seed):
+    """The spectrum record of ``frames`` random frames, each rendered
+    alone through ``source.spectrum`` as a 1-D frame."""
+    return np.concatenate([source.spectrum(x[:, 0]) for _, _, x in
+                           _trial_frames(source, seed, (frames,), 1)])
 
 
 def _afdm_burst(params, rng):
@@ -541,7 +585,7 @@ def test_spectrum_psd_is_psd_welch_of_the_whole_record(
               else _phydyas_frame(ref_dims, ref_chirps, phydyas256))
     if c2:
         source = _with_c2(source)
-    record = spectrum_signal(source, frames, seed=8)
+    record = _spectrum_frame_by_frame(source, frames, seed=8)
     streamed = spectrum_psd(source, frames, seed=8, segment=segment)
     whole = psd_welch([record], segment)
     assert np.array_equal(streamed.power_dbr, whole.power_dbr)
@@ -622,7 +666,33 @@ def test_spectrum_is_the_oracle_record(source):
     chunks = _trial_frames(source, 9, (frames,), TRIAL_CHUNK)
     record = np.concatenate([source.spectrum(x).ravel(order="F")
                              for _, _, x in chunks])
-    assert np.array_equal(record, spectrum_signal(source, frames, seed=9))
+    assert np.array_equal(record, _spectrum_frame_by_frame(source, frames, 9))
+    oracle = spectrum_signal(source, frames, seed=9)
+    if isinstance(source, AfdmParams):  # polyphase against zero padding
+        assert np.abs(record - oracle).max() <= 1e-13 * np.abs(oracle).max()
+    else:
+        assert np.array_equal(record, oracle)
+
+
+@pytest.mark.parametrize("batch", [(), (2, 3)], ids=["1d", "batched"])
+@pytest.mark.parametrize("c2", [0.0, 0.003])
+@pytest.mark.parametrize("cpp_len", [0, 2, 3])  # symbols of 64, 66, 67
+def test_afdm_spectrum_is_the_zero_padded_interpolation(cpp_len, c2, batch):
+    source = AfdmParams(L_a=64, K=3, chirps=ChirpPair(3 / 128, c2),
+                        cpp_len=cpp_len)
+    F = AFDM_OOBE_OVERSAMPLE
+    rng = np.random.default_rng([70, cpp_len])
+    d = symbol_table(source.constellation)[
+        rng.integers(0, 4, (source.data_per_frame,) + batch)]
+    s = source.modulate(d)
+    # each prefixed symbol of each frame zero padded on its own
+    expected = spectral_interpolate(
+        s.reshape((source.L_a + cpp_len, -1), order="F"), F).reshape(
+        (-1,) + batch, order="F")
+    z = source.spectrum(d)
+    assert z.shape == (F * source.M,) + batch
+    assert np.abs(z - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert np.array_equal(z[::F], s)  # phase 0 is the signal itself
 
 
 def test_band_edges(ref_params_frame):
