@@ -74,18 +74,22 @@ class PathSpec:
 
 def unit_power(paths) -> tuple:
     """The same paths with gains scaled to unit total power, the sum of
-    |gain|² over the paths as listed. Paths that cancel are refused: the
+    |gain|² over the paths as listed. The sum is taken of the gains over
+    the power of two at or below their largest real or imaginary part in
+    magnitude, an exact division: no gain squares past the float range,
+    gains scaled by a power of two give the same result to the bit, and
+    gains whose largest part lies in [1, 2) are not changed by it. Gains
+    that are all zero are refused, and so are paths that cancel: the
     channel is zero when the scaled gains of each distinct ``(delay,
     doppler)`` sum to zero."""
-    try:
-        power = sum(abs(p.gain) ** 2 for p in paths)
-    except OverflowError:  # a |gain| past about 1e154 squares past the range
-        power = math.inf
-    if not 0 < power < math.inf:
+    big = max(max(abs(p.gain.real), abs(p.gain.imag)) for p in paths)
+    if not big:
         raise ValueError(
-            f"total path power must be positive and finite, got {power}")
-    scale = 1 / math.sqrt(power)
-    scaled = tuple(replace(p, gain=p.gain * scale) for p in paths)
+            "total path power must be positive and finite, got 0.0")
+    unit = 2.0 ** (math.frexp(big)[1] - 1)
+    gains = [p.gain / unit for p in paths]
+    scale = 1 / math.sqrt(sum(abs(g) ** 2 for g in gains))
+    scaled = tuple(replace(p, gain=g * scale) for p, g in zip(paths, gains))
     net = {}
     for p in scaled:
         net[p.delay, p.doppler] = net.get((p.delay, p.doppler), 0) + p.gain

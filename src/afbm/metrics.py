@@ -305,10 +305,12 @@ def psd_welch(pieces, segment: int) -> PsdEstimate:
     ``w[n] = 0.5 - 0.5 cos(2 pi n / segment)`` the periodic Hann window,
     on the shifted ``np.fft.fftfreq`` axis.
 
-    The pieces are read as they come, holding at most the samples of one
-    block of ``WELCH_BLOCK`` segments besides the current piece. Blocks are
-    counted from the record's start, so however the record is cut, the
-    estimate is the same to the bit.
+    The pieces are read as they come. Blocks of ``WELCH_BLOCK`` segments
+    start every ``WELCH_BLOCK * step`` samples from the record's start, so
+    however the record is cut, the estimate is the same to the bit. Besides
+    the current piece, the loop holds the unread tail of the record, the
+    block being formed from it and the head of the piece, and that block's
+    FFTs.
     """
     if segment < 8:
         raise ValueError("segment must be >= 8")
@@ -318,44 +320,33 @@ def psd_welch(pieces, segment: int) -> PsdEstimate:
     w = w * (1 / np.sqrt(sum(w ** 2)))
     step = segment - round(segment / 2)
     span = (WELCH_BLOCK - 1) * step + segment  # the samples of one block
-    keep = segment - step  # the next block starts WELCH_BLOCK * step later
-    pxx, count, held, buf = np.zeros(segment), 0, 0, None
+    pxx, count, tail = np.zeros(segment), 0, np.empty(0, dtype=complex)
 
     def add_block(samples):
         nonlocal pxx, count
-        segments = np.lib.stride_tricks.sliding_window_view(
-            samples, segment)[::step]
-        X = work[:len(segments)]
-        np.multiply(segments, w, out=X)
+        X = np.lib.stride_tricks.sliding_window_view(
+            samples, segment)[::step] * w
         np.fft.fft(X, axis=1, out=X)
         power, imag = X.real, X.imag  # |X|^2 in the real parts of X
         np.square(power, out=power)
         power += np.square(imag, out=imag)
         pxx += power.sum(axis=0)
-        count += len(segments)
+        count += len(X)
 
     for piece in pieces:
         piece = np.asarray(piece)
         if piece.ndim != 1:
             raise ValueError("each piece of the record must be 1-D")
-        if buf is None:
-            # allocated once the source has made its first piece: allocated
-            # before it, repeated 200-frame fig4 oobe runs took 4.4k instead
-            # of 2.3k minor faults each, as the heap of the chunk
-            # temporaries was given back and faulted in again
-            buf = np.empty(span, dtype=complex)
-            work = np.empty((WELCH_BLOCK, segment), dtype=complex)
         pos = 0
-        while pos < len(piece):
-            take = min(span - held, len(piece) - pos)
-            buf[held:held + take] = piece[pos:pos + take]
-            held, pos = held + take, pos + take
-            if held == span:
-                add_block(buf)
-                buf[:keep] = buf[span - keep:]
-                held = keep
-    if held >= segment:
-        add_block(buf[:held])
+        while len(tail) + len(piece) - pos >= span:
+            take = span - len(tail)
+            tail = np.concatenate((tail, piece[pos:pos + take]))
+            pos += take
+            add_block(tail)  # a whole block
+            tail = tail[WELCH_BLOCK * step:]
+        tail = np.concatenate((tail, piece[pos:]))
+    if len(tail) >= segment:
+        add_block(tail)
     if not count:
         raise ValueError(f"the record is shorter than one {segment}-sample "
                          "segment")
@@ -392,9 +383,9 @@ def spectrum_psd(source, frames: int, seed, segment: int) -> PsdEstimate:
     if frames < 1:
         raise ValueError("frames must be >= 1")
     chunks = _trial_frames(source, seed, (frames,), TRIAL_CHUNK)
-    # frame t is column t of its chunk
-    return psd_welch((frame for _, _, x in chunks
-                      for frame in source.spectrum(x).T), segment)
+    # the record is Fortran-ordered: a chunk's frames end to end
+    return psd_welch((source.spectrum(x).ravel(order="F")
+                      for _, _, x in chunks), segment)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from afbm.channel import (
     pick_chirp_params,
     unit_power,
 )
+from afbm.cli import resolve_config
 from afbm.filterbank import prototype_filter
 from afbm.metrics import ber_experiment
 from afbm.modem import AfdmParams, WaveformParams, spread
@@ -129,10 +130,33 @@ def test_channel_spec_normalization():
     power = sum(abs(p.gain) ** 2 for p in norm)
     assert abs(power - 1.0) < 1e-12
     assert abs(norm[0].gain / norm[1].gain - 3 / 4) < 1e-12
-    # a power that is zero or past the float range is refused
-    for gains in ((0.0,), (1e200,), (1e154, 1e154), (complex(1e308, 1e308),)):
-        with pytest.raises(ValueError, match="positive and finite"):
-            unit_power(tuple(PathSpec(g, 0, 0.0) for g in gains))
+    # a zero power is refused
+    with pytest.raises(ValueError, match="positive and finite"):
+        unit_power((PathSpec(0.0, 0, 0.0),))
+    # a power past the float range runs: as the same gains times 2^-1000,
+    # bit for bit, and as those gains at magnitude one
+    for gains, unscaled in (((1e200,), (1.0,)), ((1e154, 1e154), (1.0, 1.0)),
+                            ((complex(1e308, 1e308),), (1 + 1j,))):
+        norm = [p.gain for p in unit_power(
+            tuple(PathSpec(g, 0, 0.0) for g in gains))]
+        assert norm == [p.gain for p in unit_power(
+            tuple(PathSpec(g * 2.0 ** -1000, 0, 0.0) for g in gains))]
+        assert np.abs(np.subtract(norm, [p.gain for p in unit_power(
+            tuple(PathSpec(g, 0, 0.0) for g in unscaled))])).max() < 1e-15
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+def test_unit_power_is_the_same_at_any_power_of_two(k):
+    paths = resolve_config({}).paths
+    scaled = tuple(replace(p, gain=p.gain * 2.0 ** k) for p in paths)
+    assert unit_power(scaled) == unit_power(paths)
+
+
+@pytest.mark.parametrize("g", [1e-160, 1e-170])
+def test_unit_power_of_small_gains_is_one(g):
+    # their squares lie near or past the float range's lower end
+    norm = unit_power((PathSpec(g, 0, 0.0), PathSpec(g / 2, 1, 1.0)))
+    assert abs(sum(abs(p.gain) ** 2 for p in norm) - 1) < 1e-15
 
 
 def test_paths_that_cancel_are_refused():

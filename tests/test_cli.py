@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from afbm import __version__
-from afbm.channel import check_paths_feasible, effective_channels
+from afbm.channel import (PathSpec, check_paths_feasible,
+                          effective_channels, unit_power)
 from afbm.metrics import SNR_LIMIT_DB, spectrum_psd
 from afbm.transforms import ChirpPair
 import afbm.cli as cli
@@ -129,8 +130,6 @@ NAN = float("nan")
     ({"waveform": {"c2_pre": 2.5}}, "waveform.c2_pre"),
     ({"afdm": {"c1": 1.0}}, "afdm.c1"),
     ({"afdm": {"c2": -1e308}}, "afdm.c2"),
-    (one_path(gain=1e200), "channel.paths"),
-    (one_path(gain=[1e300, 1e300]), "channel.paths"),
     ({"afdm": {"cpp_len": 200}}, "afdm.cpp_len = 200 must be < L = 128"),
     ({"channel": {"ell_max": 128, "f_max": 0.0}},
      "afdm.cpp_len = 128 (from channel.ell_max) must be < L = 128"),
@@ -143,8 +142,7 @@ NAN = float("nan")
         "overlap-1e30", "overlap-1e6", "snr-overflow", "snr-underflow",
         "snr-past-limit", "c1-1e308", "c2-minus-one", "c1_pre-one",
         "c2_pre-past-period", "afdm-c1-one", "afdm-c2-huge",
-        "power-overflow", "complex-gain-overflow", "cpp_len-past-L",
-        "ell_max-past-L"])
+        "cpp_len-past-L", "ell_max-past-L"])
 def test_resolve_config_rejects_values_of_the_wrong_type(
         data, name, tmp_path, capsys, monkeypatch):
     with pytest.raises(ValueError, match=re.escape(name)):
@@ -155,6 +153,21 @@ def test_resolve_config_rejects_values_of_the_wrong_type(
     assert main(["papr", "--config", str(path)]) == 1
     assert name in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("gain,unscaled",
+                         [(1e200, 1.0), ([1e300, 1e300], 1 + 1j)],
+                         ids=["power-overflow", "complex-gain-overflow"])
+def test_resolve_config_runs_gains_past_the_float_range(gain, unscaled):
+    # a gain whose square overflows is normalised as the same gain times
+    # 2^-1000, bit for bit, and as the gain at magnitude one
+    def normalised(g):
+        return unit_power(resolve_config(one_path(gain=g)).paths)[0].gain
+
+    assert normalised(gain) == normalised(
+        np.multiply(gain, 2.0 ** -1000).tolist())
+    assert abs(normalised(gain) - unit_power(
+        (PathSpec(unscaled, 0, 0.0),))[0].gain) < 1e-15
 
 
 def test_oobe_refuses_a_band_that_fills_the_spectrum(tmp_path, capsys):
