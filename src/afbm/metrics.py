@@ -308,9 +308,9 @@ def psd_welch(pieces, segment: int) -> PsdEstimate:
     The pieces are read as they come. Blocks of ``WELCH_BLOCK`` segments
     start every ``WELCH_BLOCK * step`` samples from the record's start, so
     however the record is cut, the estimate is the same to the bit. Besides
-    the current piece, the loop holds the unread tail of the record, the
-    block being formed from it and the head of the piece, and that block's
-    FFTs.
+    the current piece, the loop holds the unread tail of the record as
+    copies of the pieces' unread parts, so a piece's buffer may be reused,
+    joined once they fill a block; that block and its FFTs.
     """
     if segment < 8:
         raise ValueError("segment must be >= 8")
@@ -320,10 +320,12 @@ def psd_welch(pieces, segment: int) -> PsdEstimate:
     w = w * (1 / np.sqrt(sum(w ** 2)))
     step = segment - round(segment / 2)
     span = (WELCH_BLOCK - 1) * step + segment  # the samples of one block
-    pxx, count, tail = np.zeros(segment), 0, np.empty(0, dtype=complex)
+    pxx, count, tail, held = np.zeros(segment), 0, [], 0
 
-    def add_block(samples):
+    def add_block(parts):  # the block joined from parts; returns its tail
         nonlocal pxx, count
+        samples = np.concatenate(parts, dtype=complex)
+        parts.clear()  # frees the parts before the FFTs
         X = np.lib.stride_tricks.sliding_window_view(
             samples, segment)[::step] * w
         np.fft.fft(X, axis=1, out=X)
@@ -332,20 +334,20 @@ def psd_welch(pieces, segment: int) -> PsdEstimate:
         power += np.square(imag, out=imag)
         pxx += power.sum(axis=0)
         count += len(X)
+        return samples[WELCH_BLOCK * step:].copy()  # a copy: frees the block
 
     for piece in pieces:
         piece = np.asarray(piece)
         if piece.ndim != 1:
             raise ValueError("each piece of the record must be 1-D")
         pos = 0
-        while len(tail) + len(piece) - pos >= span:
-            take = span - len(tail)
-            tail = np.concatenate((tail, piece[pos:pos + take]))
-            pos += take
-            add_block(tail)  # a whole block
-            tail = tail[WELCH_BLOCK * step:]
-        tail = np.concatenate((tail, piece[pos:]))
-    if len(tail) >= segment:
+        while held + len(piece) - pos >= span:  # a whole block
+            end = pos + span - held
+            tail.append(piece[pos:end])
+            tail, pos, held = [add_block(tail)], end, segment - step
+        tail.append(piece[pos:].copy())
+        held += len(piece) - pos
+    if held >= segment:
         add_block(tail)
     if not count:
         raise ValueError(f"the record is shorter than one {segment}-sample "

@@ -14,14 +14,16 @@ columns.
 The synthesis runs ``Λ_c1ᴴ`` on the L rows, the P-point ``Fᴴ Λ_c2ᴴ F``,
 the placement of the P bins into N and one N-point DFT; its adjoint
 runs the adjoint steps in reverse order. At ``c2 = 0`` the second chirp
-is the identity (exactly, the factor is 1), so ``apply_daft`` and the
-synthesis skip their step with it. Every bundled configuration and
-every ``pick_chirp_params`` result has ``c2 = 0``.
+is the identity (exactly, the factor is 1), so ``apply_daft`` skips its
+multiply and the synthesis its P-point pair, whose P rows would be the
+L chirped rows and zeros. Every bundled configuration and every
+``pick_chirp_params`` result has ``c2 = 0``.
 
-The bins ``(i - P/2) mod N`` are one circular run, so the synthesis
-writes its rows by two slices into a Fortran-ordered array and
-transforms it in place; its FFT and the filter bank after it read each
-column contiguously. The adjoint reads the same two slices back.
+The bins ``(i - P/2) mod N`` of the rows i are one circular run from
+``N - P/2``, so the synthesis writes its L or P rows by one pair of
+slices into a Fortran-ordered array and transforms it in place; its FFT
+and the filter bank after it read each column contiguously. The adjoint
+reads the same pair of slices back.
 
 The PAPR envelope and the baseline's spectrum record both take the
 F-fold band-limited interpolation of a signal from here, phase by phase:
@@ -121,38 +123,32 @@ def apply_daft(x: np.ndarray, chirps: ChirpPair, adjoint: bool = False) -> np.nd
 
 def apply_synthesis(x: np.ndarray, dims: DaftDims, chirps: ChirpPair) -> np.ndarray:
     """Fast application of the N x L synthesis operator to L-row input; at
-    ``c2 = 0`` its P-point step is skipped and only L bins are placed."""
+    ``c2 = 0`` its P-point step is skipped and its L chirped rows placed."""
     if x.shape[0] != dims.L:
         raise ValueError(f"expected {dims.L} rows, got {x.shape[0]}")
-    v = chirp_phase(chirps.c1, dims.L).conj()
-    v = v.reshape((-1,) + (1,) * (x.ndim - 1))
+    u = scale_rows(chirp_phase(chirps.c1, dims.L).conj(), x)
+    if chirps.c2 != 0:  # the P-point Fᴴ Λ_c2ᴴ F, its input padded to P
+        u = np.fft.fft(u, n=dims.P, axis=0, norm="ortho")
+        u = apply_dft(scale_rows(chirp_phase(chirps.c2, dims.P).conj(), u))
     # the bins (i - P/2) mod N of the rows i run circularly from N - P/2
     w = np.zeros((dims.N,) + x.shape[1:], dtype=complex, order="F")
-    start, half = dims.N - dims.P // 2, dims.P // 2
-    if chirps.c2 == 0:  # the chirped rows straight into their bins
-        head = min(dims.L, half)
-        np.multiply(v[:head], x[:head], out=w[start:start + head])
-        np.multiply(v[head:], x[head:], out=w[:dims.L - head])
-    else:
-        u = np.fft.fft(v * x, n=dims.P, axis=0, norm="ortho")  # padded to P
-        u = apply_dft(scale_rows(chirp_phase(chirps.c2, dims.P).conj(), u))
-        w[start:], w[:half] = u[:half], u[half:]
+    start, head = dims.N - dims.P // 2, min(len(u), dims.P // 2)
+    w[start:start + head], w[:len(u) - head] = u[:head], u[head:]
     return np.fft.fft(w, axis=0, norm="ortho", out=w)  # apply_dft's adjoint
 
 
 def apply_synthesis_adjoint(y: np.ndarray, dims: DaftDims, chirps: ChirpPair) -> np.ndarray:
     """Fast application of the adjoint synthesis operator to N-row input,
-    reading the bins :func:`apply_synthesis` writes; at ``c2 = 0`` its
-    P-point step is skipped and only L bins are read."""
+    reading the run of bins :func:`apply_synthesis` writes: its first L
+    rows at ``c2 = 0``, where the P-point step is skipped, all P otherwise."""
     if y.shape[0] != dims.N:
         raise ValueError(f"expected {dims.N} rows, got {y.shape[0]}")
     w = apply_dft(y)
-    start, half = dims.N - dims.P // 2, dims.P // 2
-    if chirps.c2 == 0:
-        head = min(dims.L, half)
-        v = np.concatenate((w[start:start + head], w[:dims.L - head]))
-    else:
-        v = apply_dft(np.concatenate((w[start:], w[:half])), adjoint=True)
+    n = dims.L if chirps.c2 == 0 else dims.P  # the rows the synthesis placed
+    start, head = dims.N - dims.P // 2, min(n, dims.P // 2)
+    v = np.concatenate((w[start:start + head], w[:n - head]))
+    if chirps.c2 != 0:  # the adjoint P-point step
+        v = apply_dft(v, adjoint=True)
         v = apply_dft(scale_rows(chirp_phase(chirps.c2, dims.P), v))[:dims.L]
     return scale_rows(chirp_phase(chirps.c1, dims.L), v)
 

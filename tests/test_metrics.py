@@ -567,6 +567,29 @@ def test_psd_welch_is_the_same_however_the_record_is_cut(segment, segments,
                               whole)
 
 
+def test_psd_welch_joins_a_record_in_one_sample_pieces_once_per_block(
+        monkeypatch):
+    # each sample is copied into its block and, with the overlap, into the
+    # next: a tail re-copied with every piece made the copies quadratic
+    segment, blocks = 8, 5
+    step = segment - round(segment / 2)
+    n = blocks * ((WELCH_BLOCK - 1) * step + segment) + step - 1
+    x = np.random.default_rng(69).standard_normal(n) + 0j
+    whole = psd_welch([x], segment).power_dbr
+    copied, concatenate = [], np.concatenate
+
+    def counting_concatenate(arrays, *args, **kwargs):
+        out = concatenate(arrays, *args, **kwargs)
+        copied.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "concatenate", counting_concatenate)
+    pieces = psd_welch(_pieces(x, range(1, n)), segment).power_dbr
+    monkeypatch.undo()
+    assert np.array_equal(pieces, whole)
+    assert sum(copied) <= 2 * n
+
+
 # frames of the PHYDYAS frame (1920 samples) and the rendered baseline (2080)
 # that give, at segments of 1024: 2 and 3 segments, fewer than one block; 74
 # and 80, a block and a partial one; 130 and 140, whose chunks of 16 frames

@@ -224,6 +224,26 @@ def test_apply_synthesis_matches_dense():
                           - Q @ X).max() < 1e-10
             assert np.abs(apply_synthesis_adjoint(Y, dims, chirps)
                           - Q.conj().T @ Y).max() < 1e-10
+    # every valid dims up to N = 32, P = N, N = 2 mod 4 and L > P/2 (the run
+    # of bins wraps past bin 0) among them, on an L x K x batch stack: the
+    # synthesis keeps it Fortran-ordered
+    every_dims = [DaftDims(L, P, N) for N in range(4, 33, 2)
+                  for P in range(4, N + 1, 2) for L in range(4, P + 1, 4)]
+    assert len(every_dims) == 372
+    assert {(d.P == d.N, d.N % 4, 2 * d.L > d.P) for d in every_dims} == {
+        (square, mod4, wide) for square in (False, True) for mod4 in (0, 2)
+        for wide in (False, True)}
+    for dims in every_dims:
+        c1, c2 = rng.uniform(0, 0.05), rng.uniform(1e-3, 0.01)
+        for chirps in (ChirpPair(c1, 0.0), ChirpPair(c1, c2)):
+            Q = synthesis_matrix(dims, chirps)
+            X = crandn(rng, dims.L, 2, 3)
+            Y = crandn(rng, dims.N, 2, 3)
+            S = apply_synthesis(X, dims, chirps)
+            assert S.flags.f_contiguous
+            assert np.abs(S - np.einsum("nl,lkb->nkb", Q, X)).max() < 1e-10
+            assert np.abs(apply_synthesis_adjoint(Y, dims, chirps)
+                          - np.einsum("nl,nkb->lkb", Q.conj(), Y)).max() < 1e-10
     dims = DaftDims(128, 192, 256)
     for chirps in (ChirpPair(3 / 384, 0.0), ChirpPair(3 / 384, 0.0023)):
         Q = synthesis_matrix(dims, chirps)
