@@ -134,16 +134,12 @@ class ExperimentConfig:
     out: str
     resolved: dict = field(repr=False)
 
-    @cached_property  # read for every row a run writes
+    @cached_property  # read for every table a run writes
     def config_hash(self) -> str:
         hashed = {k: v for k, v in self.resolved.items()
                   if k not in ("out", "seed")}
         blob = json.dumps(hashed, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
-
-    @property
-    def config_id(self) -> str:
-        return self.config_hash[:8]
 
 
 def _walk(data, schema: dict, where="", exact=False) -> dict:
@@ -273,21 +269,12 @@ def resolve_config(data: dict) -> ExperimentConfig:
 # experiment runners
 # ---------------------------------------------------------------------------
 
-def _format_cell(v) -> str:
-    if type(v) is float:  # the bulk of every table, tested first
-        return repr(v)
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
 def _write_table(cfg: ExperimentConfig, path, columns, rows,
                  **header) -> None:
     """A CSV file: the reproducibility header of the run and then
     ``header`` as ``# key=value`` lines, the column names if any, and the
-    rows."""
+    rows, each cell written as its ``str``: a float (Python or numpy) as
+    its shortest ``repr``, which parses back to it exactly."""
     header = dict(config_hash=cfg.config_hash, seed=cfg.seed,
                   version=__version__, experiment=cfg.experiment, **header)
     with open(path, "w") as fh:
@@ -296,7 +283,7 @@ def _write_table(cfg: ExperimentConfig, path, columns, rows,
         if columns:
             fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(map(_format_cell, row)) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _run_papr(cfg: ExperimentConfig, outdir: Path):
@@ -308,17 +295,16 @@ def _run_papr(cfg: ExperimentConfig, outdir: Path):
     }
     rows = []
     for name, curve in curves.items():
-        # lists of floats take the fast path of _format_cell
+        # Python floats: their str is faster than a numpy scalar's
         table = list(zip(curve.thresholds.tolist(),
                          curve.probabilities.tolist()))
-        rows += [(f"papr_ccdf_{name}", cfg.config_id, th, p)
-                 for th, p in table]
+        rows += [(f"papr_ccdf_{name}", th, p) for th, p in table]
         _write_table(cfg, outdir / f"papr_{name}.csv",
                      ("threshold_db", "ccdf"), table)
     lvl_afbm = curves["afbm"].level_at(1e-2)
     lvl_afdm = curves["afdm"].level_at(1e-2)
-    rows.append(("papr_at_ccdf_1e-2_afbm", cfg.config_id, 1e-2, lvl_afbm))
-    rows.append(("papr_at_ccdf_1e-2_afdm", cfg.config_id, 1e-2, lvl_afdm))
+    rows.append(("papr_at_ccdf_1e-2_afbm", 1e-2, lvl_afbm))
+    rows.append(("papr_at_ccdf_1e-2_afdm", 1e-2, lvl_afdm))
     summary = (f"papr: afbm {lvl_afbm:.2f} dB, afdm {lvl_afdm:.2f} dB at "
                f"CCDF 1e-2 (gap {lvl_afdm - lvl_afbm:.2f} dB, "
                f"{cfg.trials} frames)")
@@ -336,10 +322,8 @@ def _run_oobe(cfg: ExperimentConfig, outdir: Path):
         _write_table(cfg, outdir / f"psd_{name}.csv",
                      ("normalized_frequency", "power_dbr"),
                      zip(psd.freq.tolist(), psd.power_dbr.tolist()))
-        rows.append((f"oobe_floor_{name}", cfg.config_id, edges[1],
-                     floors[name]))
-        rows.append((f"oobe_probe10_{name}", cfg.config_id, 1.1 * edges[1],
-                     probes[name]))
+        rows.append((f"oobe_floor_{name}", edges[1], floors[name]))
+        rows.append((f"oobe_probe10_{name}", 1.1 * edges[1], probes[name]))
     summary = (f"oobe: floors afbm {floors['afbm']:.1f} / afdm "
                f"{floors['afdm']:.1f} dBr; +10% probes afbm "
                f"{probes['afbm']:.1f} / afdm {probes['afdm']:.1f} dBr")
@@ -349,8 +333,7 @@ def _run_oobe(cfg: ExperimentConfig, outdir: Path):
 def _run_orth(cfg: ExperimentConfig, outdir: Path):
     sir_c = metrics.sir_orthogonality(cfg.waveform, compensated=True)
     sir_u = metrics.sir_orthogonality(cfg.waveform, compensated=False)
-    rows = [("sir_compensated", cfg.config_id, 0, sir_c),
-            ("sir_uncompensated", cfg.config_id, 0, sir_u)]
+    rows = [("sir_compensated", 0, sir_c), ("sir_uncompensated", 0, sir_u)]
     summary = (f"orth: sir {sir_c:.1f} dB compensated, {sir_u:.1f} dB "
                f"uncompensated ({cfg.waveform.filter.kind} "
                f"O={cfg.waveform.filter.overlap:g})")
@@ -371,7 +354,7 @@ def _run_effchan(cfg: ExperimentConfig, outdir: Path):
                  ((row % tuple(values),) for values in mag.tolist()),
                  shape=f"{mag.shape[0]}x{mag.shape[1]}", digits=digits)
 
-    rows = [(f"path_separation_{name}", cfg.config_id, cfg.xi, value)
+    rows = [(f"path_separation_{name}", cfg.xi, value)
             for name, value in score.items()]
     summary = (f"effchan: path separation afbm {score['afbm']:.4f}, afdm "
                f"{score['afdm']:.4f} (xi={cfg.xi}, {len(cfg.paths)} paths)")
@@ -382,7 +365,7 @@ def _run_ber(cfg: ExperimentConfig, outdir: Path):
     ber = metrics.ber_experiment(cfg.waveform, cfg.paths, cfg.snr_grid,
                                  cfg.trials, cfg.seed, xi=cfg.xi)
     _write_table(cfg, outdir / "ber.csv", ("snr_db", "ber"), ber)
-    rows = [("ber", cfg.config_id, snr, value) for snr, value in ber]
+    rows = [("ber", snr, value) for snr, value in ber]
     last = ber[-1]
     summary = (f"ber: {last[1]:.3e} at {last[0]:g} dB "
                f"({cfg.trials} frames/point)")
@@ -395,20 +378,24 @@ _RUNNERS = {"papr": _run_papr, "oobe": _run_oobe, "orth": _run_orth,
 
 def run(cfg: ExperimentConfig) -> list:
     """Execute the experiment, write its CSV outputs, print a summary and
-    return the ``(metric, config, x, y)`` rows of ``results.csv``. A row
-    whose ``x`` or ``y`` is not finite is refused, naming its metric. If the
-    run raises, the directories this call created are removed; one that
-    existed before is left as it is."""
+    return the ``(metric, config, x, y)`` rows of ``results.csv``: each
+    runner's ``(metric, x, y)`` rows with the config id, the first 8 hex
+    digits of the config hash, put in here. A row whose ``x`` or ``y`` is
+    not finite is refused, naming its metric. If the run raises, the
+    directories this call created are removed; one that existed before is
+    left as it is."""
     outdir = Path(cfg.out)
     created = next((d for d in reversed((outdir, *outdir.parents))
                     if not d.exists()), None)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        rows, summary = _RUNNERS[cfg.experiment](cfg, outdir)
-        for metric, _, x, y in rows:
+        found, summary = _RUNNERS[cfg.experiment](cfg, outdir)
+        rows = []
+        for metric, x, y in found:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"{metric} is not finite: x = {x!r}, "
                                  f"y = {y!r}")
+            rows.append((metric, cfg.config_hash[:8], x, y))
         _write_table(cfg, outdir / "results.csv",
                      ("metric", "config", "x", "y"), rows)
     except BaseException:

@@ -104,7 +104,11 @@ class WaveformParams:
 
     @property
     def band(self) -> tuple:
-        """Occupied band of the :meth:`spectrum` record, ±P/(2N)."""
+        """The declared band of the :meth:`spectrum` record, ±P/(2N), the
+        span of the P bins. At c2 = 0 the signal fills only its upper
+        [P/(2N) - L/N, P/(2N)], [-0.125, 0.375] at fig3 and fig4: the
+        OOBE floor and probes see only |f| > P/(2N), so the empty side
+        inside this band is not counted as out of band."""
         half = self.dims.P / (2 * self.dims.N)
         return (-half, half)
 

@@ -345,6 +345,22 @@ def test_result_table_format(tmp_path):
     assert path.read_text().splitlines()[4:] == ["sir,150.0", "count,2"]
 
 
+def test_every_cell_is_written_by_one_rule(tmp_path):
+    # a float, Python or numpy, is its shortest repr, an int or a str as it
+    # stands, and the effchan grid's preformatted %.12g row passes through
+    cfg = resolve_config({"experiment": "effchan"})
+    grid_row = ",".join(["%.12g"] * 3) % (1 / 3, 2.0, 1e-13)
+    rows = [(0.1, 1e-05, 1e16, -0.0), (7, "ber"),
+            (np.float64(0.1), np.float64(1e16), np.float64(-0.0),
+             np.int64(-3)),
+            (grid_row,)]
+    path = tmp_path / "cells.csv"
+    _write_table(cfg, path, (), rows)
+    assert path.read_text().splitlines()[4:] == [
+        "0.1,1e-05,1e+16,-0.0", "7,ber", "0.1,1e+16,-0.0,-3",
+        "0.333333333333,2,1e-13"]
+
+
 # ---------------------------------------------------------------------------
 # experiment dispatch
 # ---------------------------------------------------------------------------
@@ -581,7 +597,7 @@ def test_a_non_finite_row_is_refused_and_nothing_is_left(
         tmp_path, monkeypatch):
     def nan_row(cfg, outdir):
         (outdir / "partial.csv").write_text("a table\n")
-        return [("sir_compensated", cfg.config_id, 0, float("nan"))], ""
+        return [("sir_compensated", 0, float("nan"))], ""
 
     monkeypatch.setitem(cli._RUNNERS, "orth", nan_row)
     out = tmp_path / "new" / "run"
