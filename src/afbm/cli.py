@@ -8,7 +8,9 @@ config, deterministically under a fixed seed::
 
 Command-line flags override config-file values. An empty (or missing)
 config produces the reference setup: L=128, P=192, N=256, K=8, Hermite
-prototype with overlap 1.5, QPSK, and a three-path channel.
+prototype with overlap 1.5, QPSK, and a three-path channel. Runners
+compute; :func:`run` alone writes, once every result row is finite, so a
+failed run leaves an existing output directory as it was.
 """
 
 from __future__ import annotations
@@ -266,7 +268,8 @@ def resolve_config(data: dict) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners
+# experiment runners: each returns its (metric, x, y) rows, its summary and
+# its tables, file name -> (columns, rows, header lines as a dict)
 # ---------------------------------------------------------------------------
 
 def _write_table(cfg: ExperimentConfig, path, columns, rows,
@@ -286,21 +289,20 @@ def _write_table(cfg: ExperimentConfig, path, columns, rows,
             fh.write(",".join(map(str, row)) + "\n")
 
 
-def _run_papr(cfg: ExperimentConfig, outdir: Path):
+def _run_papr(cfg: ExperimentConfig):
     thresholds = np.round(np.arange(4.0, 14.0 + 1e-9, 0.25), 10)
     curves = {
         "afbm": metrics.papr_ccdf(cfg.waveform, cfg.trials, thresholds,
                                   cfg.seed),
         "afdm": metrics.papr_ccdf(cfg.afdm, cfg.trials, thresholds, cfg.seed),
     }
-    rows = []
+    rows, tables = [], {}
     for name, curve in curves.items():
         # Python floats: their str is faster than a numpy scalar's
         table = list(zip(curve.thresholds.tolist(),
                          curve.probabilities.tolist()))
         rows += [(f"papr_ccdf_{name}", th, p) for th, p in table]
-        _write_table(cfg, outdir / f"papr_{name}.csv",
-                     ("threshold_db", "ccdf"), table)
+        tables[f"papr_{name}.csv"] = ("threshold_db", "ccdf"), table, {}
     lvl_afbm = curves["afbm"].level_at(1e-2)
     lvl_afdm = curves["afdm"].level_at(1e-2)
     rows.append(("papr_at_ccdf_1e-2_afbm", 1e-2, lvl_afbm))
@@ -308,39 +310,39 @@ def _run_papr(cfg: ExperimentConfig, outdir: Path):
     summary = (f"papr: afbm {lvl_afbm:.2f} dB, afdm {lvl_afdm:.2f} dB at "
                f"CCDF 1e-2 (gap {lvl_afdm - lvl_afbm:.2f} dB, "
                f"{cfg.trials} frames)")
-    return rows, summary
+    return rows, summary, tables
 
 
-def _run_oobe(cfg: ExperimentConfig, outdir: Path):
+def _run_oobe(cfg: ExperimentConfig):
     segment = 4 * cfg.waveform.dims.N  # resolve_config checks the records
-    rows, floors, probes = [], {}, {}
+    rows, tables, floors, probes = [], {}, {}, {}
     for name, source in (("afbm", cfg.waveform), ("afdm", cfg.afdm)):
         edges = source.band
         psd = metrics.spectrum_psd(source, cfg.trials, cfg.seed, segment)
         floors[name] = metrics.oobe_floor(psd, edges)
         probes[name] = metrics.oobe_level(psd, edges, 0.1 * edges[1])
-        _write_table(cfg, outdir / f"psd_{name}.csv",
-                     ("normalized_frequency", "power_dbr"),
-                     zip(psd.freq.tolist(), psd.power_dbr.tolist()))
+        tables[f"psd_{name}.csv"] = (
+            ("normalized_frequency", "power_dbr"),
+            zip(psd.freq.tolist(), psd.power_dbr.tolist()), {})
         rows.append((f"oobe_floor_{name}", edges[1], floors[name]))
         rows.append((f"oobe_probe10_{name}", 1.1 * edges[1], probes[name]))
     summary = (f"oobe: floors afbm {floors['afbm']:.1f} / afdm "
                f"{floors['afdm']:.1f} dBr; +10% probes afbm "
                f"{probes['afbm']:.1f} / afdm {probes['afdm']:.1f} dBr")
-    return rows, summary
+    return rows, summary, tables
 
 
-def _run_orth(cfg: ExperimentConfig, outdir: Path):
-    sir_c = metrics.sir_orthogonality(cfg.waveform, compensated=True)
-    sir_u = metrics.sir_orthogonality(cfg.waveform, compensated=False)
+def _run_orth(cfg: ExperimentConfig):
+    sir_u, sir_c = map(metrics.sir_orthogonality,  # raw, compensated
+                       metrics.orthogonality_gram(cfg.waveform))
     rows = [("sir_compensated", 0, sir_c), ("sir_uncompensated", 0, sir_u)]
     summary = (f"orth: sir {sir_c:.1f} dB compensated, {sir_u:.1f} dB "
                f"uncompensated ({cfg.waveform.filter.kind} "
                f"O={cfg.waveform.filter.overlap:g})")
-    return rows, summary
+    return rows, summary, {}
 
 
-def _run_effchan(cfg: ExperimentConfig, outdir: Path):
+def _run_effchan(cfg: ExperimentConfig):
     paths, eff, score = unit_power(cfg.paths), {}, {}
     for name, source in (("afbm", cfg.waveform), ("afdm", cfg.afdm)):
         eff[name], refs = effective_channels(paths, *source.symbol_operands())
@@ -350,26 +352,24 @@ def _run_effchan(cfg: ExperimentConfig, outdir: Path):
     # shortest repr of every float cost more than computing the grid
     mag, digits = np.abs(eff["afbm"]), 12
     row = ",".join([f"%.{digits}g"] * mag.shape[1])
-    _write_table(cfg, outdir / "effchan_magnitude.csv", (),
-                 ((row % tuple(values),) for values in mag.tolist()),
-                 shape=f"{mag.shape[0]}x{mag.shape[1]}", digits=digits)
+    grid = ((), ((row % tuple(values),) for values in mag.tolist()),
+            dict(shape=f"{mag.shape[0]}x{mag.shape[1]}", digits=digits))
 
     rows = [(f"path_separation_{name}", cfg.xi, value)
             for name, value in score.items()]
     summary = (f"effchan: path separation afbm {score['afbm']:.4f}, afdm "
                f"{score['afdm']:.4f} (xi={cfg.xi}, {len(cfg.paths)} paths)")
-    return rows, summary
+    return rows, summary, {"effchan_magnitude.csv": grid}
 
 
-def _run_ber(cfg: ExperimentConfig, outdir: Path):
+def _run_ber(cfg: ExperimentConfig):
     ber = metrics.ber_experiment(cfg.waveform, cfg.paths, cfg.snr_grid,
                                  cfg.trials, cfg.seed, xi=cfg.xi)
-    _write_table(cfg, outdir / "ber.csv", ("snr_db", "ber"), ber)
     rows = [("ber", snr, value) for snr, value in ber]
     last = ber[-1]
     summary = (f"ber: {last[1]:.3e} at {last[0]:g} dB "
                f"({cfg.trials} frames/point)")
-    return rows, summary
+    return rows, summary, {"ber.csv": (("snr_db", "ber"), ber, {})}
 
 
 _RUNNERS = {"papr": _run_papr, "oobe": _run_oobe, "orth": _run_orth,
@@ -377,27 +377,29 @@ _RUNNERS = {"papr": _run_papr, "oobe": _run_oobe, "orth": _run_orth,
 
 
 def run(cfg: ExperimentConfig) -> list:
-    """Execute the experiment, write its CSV outputs, print a summary and
-    return the ``(metric, config, x, y)`` rows of ``results.csv``: each
+    """Execute the experiment, then write its CSV outputs, print a summary
+    and return the ``(metric, config, x, y)`` rows of ``results.csv``: each
     runner's ``(metric, x, y)`` rows with the config id, the first 8 hex
-    digits of the config hash, put in here. A row whose ``x`` or ``y`` is
-    not finite is refused, naming its metric. If the run raises, the
-    directories this call created are removed; one that existed before is
-    left as it is."""
+    digits of the config hash, put in here. The output directory is made
+    first, but no file is written until every row is checked: a row whose
+    ``x`` or ``y`` is not finite is refused, naming its metric. If the run
+    raises, the directories this call created are removed, and one that
+    existed before is left as it was."""
     outdir = Path(cfg.out)
     created = next((d for d in reversed((outdir, *outdir.parents))
                     if not d.exists()), None)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        found, summary = _RUNNERS[cfg.experiment](cfg, outdir)
+        found, summary, tables = _RUNNERS[cfg.experiment](cfg)
         rows = []
         for metric, x, y in found:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"{metric} is not finite: x = {x!r}, "
                                  f"y = {y!r}")
             rows.append((metric, cfg.config_hash[:8], x, y))
-        _write_table(cfg, outdir / "results.csv",
-                     ("metric", "config", "x", "y"), rows)
+        tables["results.csv"] = ("metric", "config", "x", "y"), rows, {}
+        for name, (columns, body, header) in tables.items():
+            _write_table(cfg, outdir / name, columns, body, **header)
     except BaseException:
         if created is not None:
             import shutil  # only on this error path

@@ -394,30 +394,27 @@ def spectrum_psd(source, frames: int, seed, segment: int) -> PsdEstimate:
 # orthogonality
 # ---------------------------------------------------------------------------
 
-def orthogonality_gram(params: WaveformParams, compensated: bool = True) -> np.ndarray:
+def orthogonality_gram(params: WaveformParams) -> tuple:
     """Ideal-channel response of the single-symbol chain on the data
-    positions, (L/2) x (L/2): ``BᴴB``, ``B`` the spread of the precoded
-    data identity, which exposes the raw filter interference; no column
-    is filtered, it is the :func:`~afbm.filterbank.fold_gram` of
-    ``params.data_columns()``. With ``compensated`` it is the modem round
-    trip ``diag(b_rx) BᴴB diag(b_tx)``, ``(b_tx, b_rx)`` the gains.
+    positions, (L/2) x (L/2), raw and compensated: ``BᴴB``, ``B`` the
+    spread of the precoded data identity, which exposes the raw filter
+    interference, and the modem round trip ``diag(b_rx) BᴴB diag(b_tx)``,
+    ``(b_tx, b_rx)`` the gains. No column is filtered: ``BᴴB`` is the
+    :func:`~afbm.filterbank.fold_gram` of ``params.data_columns()``.
     """
     gram = fold_gram(params.data_columns(), params.filter)
-    if compensated:
-        b_tx, b_rx = params.gains
-        gram = b_rx[:, None] * gram * b_tx
-    return gram
+    b_tx, b_rx = params.gains
+    return gram, b_rx[:, None] * gram * b_tx
 
 
-def sir_orthogonality(params: WaveformParams, compensated: bool = True) -> float:
-    """Signal-to-self-interference ratio of the ideal-channel chain (dB).
+def sir_orthogonality(gram: np.ndarray) -> float:
+    """Signal-to-self-interference ratio of a chain response ``gram`` (dB).
 
-    Ratio of diagonal to off-diagonal energy of its response on the data
-    positions, capped at the 150 dB reporting sentinel.
+    Ratio of diagonal to off-diagonal energy, capped at the 150 dB
+    reporting sentinel.
     """
-    M_orth = orthogonality_gram(params, compensated)
-    sig = np.sum(np.abs(np.diag(M_orth)) ** 2)
-    interference = np.sum(np.abs(M_orth) ** 2) - sig
+    sig = np.sum(np.abs(np.diag(gram)) ** 2)
+    interference = np.sum(np.abs(gram) ** 2) - sig
     if interference <= sig * 10 ** (-SIR_CAP_DB / 10):
         return SIR_CAP_DB
     return float(min(10 * np.log10(sig / interference), SIR_CAP_DB))

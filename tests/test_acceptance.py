@@ -53,9 +53,9 @@ def _reference_baseline(K=8):
 def test_acceptance_1_orthogonality_restoration(capfd):
     start = time.monotonic()
     params = _reference_waveform()
-    M_orth = orthogonality_gram(params)
+    _, M_orth = orthogonality_gram(params)
     diag_err = np.abs(np.diag(M_orth) - 1.0).max()
-    sir = sir_orthogonality(params)
+    sir = sir_orthogonality(M_orth)
     elapsed = time.monotonic() - start
     ok = diag_err <= 1e-8 and sir >= 60.0 and elapsed <= 30.0
     _report(capfd, 1, ok, f"data diagonal within {diag_err:.2e} of 1, "

@@ -11,6 +11,7 @@ import pytest
 from afbm import __version__
 from afbm.channel import (PathSpec, check_paths_feasible,
                           effective_channels, unit_power)
+from afbm.filterbank import fold_gram
 from afbm.metrics import SNR_LIMIT_DB, spectrum_psd
 from afbm.transforms import ChirpPair
 import afbm.cli as cli
@@ -569,10 +570,17 @@ def test_baseline_chirp_rule_binds_only_the_experiments_that_run_it(
         assert not out.exists()
 
 
+def _earlier_run(directory) -> dict:
+    """A directory that an earlier run filled: its files and their bytes."""
+    directory.mkdir()
+    for name in ("results.csv", "psd_afdm.csv"):
+        (directory / name).write_text(f"# an earlier {name}\n1.0,2.0\n")
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
 def test_a_failed_run_removes_only_the_directories_it_created(
         tmp_path, monkeypatch, capsys):
-    def fail(cfg, outdir):
-        (outdir / "partial.csv").write_text("half a table\n")
+    def fail(cfg):
         raise RuntimeError("runner failed")
 
     monkeypatch.setitem(cli._RUNNERS, "orth", fail)
@@ -584,26 +592,86 @@ def test_a_failed_run_removes_only_the_directories_it_created(
     assert main(["orth", "--out", str(new)]) == 1
     assert "runner failed" in capsys.readouterr().err
     assert not new.exists()
-    # a directory that was there before, as a rerun into it finds it, stays
+    # a directory that was there before, as a rerun into it finds it, is
+    # left as it was: no runner writes, so no table of the failed run is in it
     kept = tmp_path / "kept"
-    kept.mkdir()
+    before = _earlier_run(kept)
     with pytest.raises(RuntimeError, match="runner failed"):
         run(resolve_config({**data, "out": str(kept)}))
-    assert kept.is_dir()
-    assert [p.name for p in kept.iterdir()] == ["partial.csv"]
+    assert {p.name: p.read_bytes() for p in kept.iterdir()} == before
+    # nor is the afbm table of an oobe run interrupted during its afdm one
+    spectra = []
+
+    def interrupted(*args):
+        if spectra:
+            raise KeyboardInterrupt
+        spectra.append(spectrum_psd(*args))
+        return spectra[-1]
+
+    monkeypatch.setattr(cli.metrics, "spectrum_psd", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(resolve_config({**data, "experiment": "oobe", "trials": 4,
+                            "out": str(kept)}))
+    assert len(spectra) == 1
+    assert {p.name: p.read_bytes() for p in kept.iterdir()} == before
 
 
-def test_a_non_finite_row_is_refused_and_nothing_is_left(
-        tmp_path, monkeypatch):
-    def nan_row(cfg, outdir):
-        (outdir / "partial.csv").write_text("a table\n")
-        return [("sir_compensated", 0, float("nan"))], ""
+def test_a_non_finite_row_is_refused_and_nothing_is_left(tmp_path,
+                                                         monkeypatch):
+    def nan_row(cfg):
+        table = ("x",), [(1.0,)], {}
+        return [("sir_compensated", 0, float("nan"))], "", {"t.csv": table}
 
     monkeypatch.setitem(cli._RUNNERS, "orth", nan_row)
     out = tmp_path / "new" / "run"
     with pytest.raises(ValueError, match="sir_compensated is not finite"):
         run(resolve_config({"experiment": "orth", "out": str(out)}))
     assert not (tmp_path / "new").exists()
+    # an existing directory keeps its earlier files, and gains neither the
+    # runner's table nor results.csv
+    kept = tmp_path / "kept"
+    before = _earlier_run(kept)
+    with pytest.raises(ValueError, match="sir_compensated is not finite"):
+        run(resolve_config({"experiment": "orth", "out": str(kept)}))
+    assert {p.name: p.read_bytes() for p in kept.iterdir()} == before
+
+
+@pytest.mark.parametrize("experiment,names", [
+    ("papr", ["papr_afbm.csv", "papr_afdm.csv"]),
+    ("oobe", ["psd_afbm.csv", "psd_afdm.csv"]),
+    ("orth", []),
+    ("effchan", ["effchan_magnitude.csv"]),
+    ("ber", ["ber.csv"])])
+def test_runners_compute_their_tables_and_touch_no_disk(experiment, names,
+                                                        tmp_path):
+    # a runner takes the config alone and returns its rows, its summary and
+    # its tables; run writes those tables and results.csv, nothing else
+    cfg = resolve_config({"experiment": experiment, "trials": 4,
+                          "snr_grid": [0.0, 6.0], "waveform": SMALL_WAVEFORM,
+                          "out": str(tmp_path / "out")})
+    found, summary, tables = cli._RUNNERS[experiment](cfg)
+    assert not (tmp_path / "out").exists()
+    assert summary.startswith(f"{experiment}: ")
+    assert found and all(len(row) == 3 for row in found)
+    assert list(tables) == names
+    assert all(len(table) == 3 and isinstance(table[2], dict)
+               for table in tables.values())
+    run(cfg)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+        names + ["results.csv"])
+
+
+def test_orth_builds_its_gram_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fold_gram(*args)
+
+    monkeypatch.setattr(cli.metrics, "fold_gram", counted)
+    run(resolve_config({"experiment": "orth", "waveform": SMALL_WAVEFORM,
+                        "out": str(tmp_path / "orth")}))
+    assert len(calls) == 1
 
 
 def test_reruns_are_byte_identical(tmp_path):
