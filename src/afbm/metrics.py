@@ -9,9 +9,10 @@ deterministic, order independent, and stable when the trial count grows
 one: the keys are seeded ``SEED_BLOCK`` at a time as the draws reach
 them, each trial's state is set into one reused PCG64, and each symbol
 is looked up in a :func:`symbol_table` by an index read straight from
-the raw words. Every loop then takes the
-draws of many frames as one batch, one column per frame. The PAPR and
-spectrum loops push ``TRIAL_CHUNK`` trials at a time through the
+the raw words. Every loop takes the draws of many frames as one batch:
+each frame's words are one contiguous row of the draw, and its indices
+and symbols one Fortran-contiguous column of the transpose. The PAPR
+and spectrum loops push ``TRIAL_CHUNK`` trials at a time through the
 source's ``modulate`` or ``spectrum``, with samples equal to those of
 one frame at a time bit for bit.
 The BER loop runs one flat list of ``(snr_index, trial)`` jobs,
@@ -52,15 +53,13 @@ from .channel import apply_paths, check_paths_feasible, unit_power
 
 SIR_CAP_DB = 150.0
 
-# Trials per batch of the PAPR, spectrum and BER Monte Carlo. Batching
-# shares the fixed cost of the ~40 numpy calls of a frame among the
-# trials. On a 2-vCPU Xeon VM, one AFBM plus one AFDM reference frame
-# took a median 444, 386, 395 and 387-479 us at chunks of 8, 16, 24 and
-# 32, and the peak allocation of a chunk doubles from 16 to 32 (the
-# 4x-interpolated envelopes) without a gain. papr_ccdf allocates the
-# 3M x TRIAL_CHUNK envelope phase and magnitude buffers once per call and
-# every chunk reuses them: allocated per chunk, their pages went back to
-# the system and were faulted in again on the next one.
+# Trials per batch of the PAPR and spectrum Monte Carlo. Batching shares
+# the fixed cost of the ~40 numpy calls of a frame among the trials. On a
+# 2-vCPU Xeon VM, 200 fig3 papr trials per waveform took a median 33.7,
+# 33.5 and 35.5 ms at chunks of 8, 16 and 32, and 200 fig4 oobe frames
+# 42.6, 41.0 and 43.9 ms; 16 was ahead of 8 and 32 in 8 to 10 of ten
+# rounds. papr_ccdf allocates its 3M x TRIAL_CHUNK envelope buffers once
+# per call and every chunk reuses them, so their pages stay faulted in.
 TRIAL_CHUNK = 16
 
 # Frames per pass of the BER Monte Carlo, whose jobs are one-symbol
@@ -236,13 +235,14 @@ def _pcg64_states(seed, shape, keys: range):
 
 def _trial_frames(p, seed, shape: tuple, size: int, normals=None):
     """``(j0, index, symbols)`` per pass of up to ``size`` frames, one
-    column per frame: the :func:`symbol_table` indices of the
-    ``p.data_per_frame`` symbols of each frame, and the symbols.
+    Fortran-contiguous column per frame: the :func:`symbol_table` indices
+    of the ``p.data_per_frame`` symbols of each frame, and the symbols.
 
     Frame ``j``, of index ``np.unravel_index(j, shape)``, draws from
     ``default_rng([seed, *index])`` one raw word per QPSK symbol, two per
-    QAM16 symbol, whose bits 31 and 63 are the bits of ``integers(0, 2,
-    count)``, then, if ``normals`` is given, its row ``j - j0``.
+    QAM16 symbol, into row ``j - j0`` of the pass's draw, whose transpose
+    the columns are; their bits 31 and 63 are the bits of ``integers(0,
+    2, count)``. Then, if ``normals`` is given, it draws its row ``j - j0``.
     """
     words = p.data_per_frame * BITS_PER_SYMBOL[p.constellation] // 2
     table = symbol_table(p.constellation)
@@ -252,18 +252,19 @@ def _trial_frames(p, seed, shape: tuple, size: int, normals=None):
     states = itertools.chain.from_iterable(
         _pcg64_states(seed, shape, range(k, min(k + SEED_BLOCK, n)))
         for k in range(0, n, SEED_BLOCK))
-    raw = np.empty((words, min(size, n)), dtype=np.uint64)
+    raw = np.empty((min(size, n), words), dtype=np.uint64)
     for j0 in range(0, n, size):
         b = min(size, n - j0)
-        for col, state in enumerate(itertools.islice(states, b)):
+        for row, state in enumerate(itertools.islice(states, b)):
             bit_generator.state = state
-            raw[:, col] = bit_generator.random_raw(words)
+            raw[row] = bit_generator.random_raw(words)
             if normals is not None:
-                normal(out=normals[col])
-        index = (raw[:, :b] >> 30 & 2 | raw[:, :b] >> 63).view(np.int64)
+                normal(out=normals[row])
+        index = (raw[:b] >> 63).view(np.int64)
+        index |= (raw[:b] >> 30 & 2).view(np.int64)
         if words > p.data_per_frame:  # QAM16: two base-4 digits per symbol
-            index = index[0::2] * 4 + index[1::2]
-        yield j0, index, table[index]
+            index = index[:, 0::2] * 4 + index[:, 1::2]
+        yield j0, index.T, np.take(table, index).T
 
 
 def papr_ccdf(source, trials: int, thresholds, seed) -> CcdfCurve:

@@ -14,12 +14,12 @@ basis of its effective channels.
 Only this module lays the data out on the L x K subcarrier grid:
 :func:`place_grid` puts each symbol's data on the first and last L/4
 subcarriers, the rows of :func:`data_indices`, and leaves the guard
-half zero; the data rows are one circular run, so it places them by two
-slices into a Fortran-ordered grid, and the chain keeps each frame
-contiguous down to its signal. Transmit chain per frame of data ``d``:
+half zero; it places the data rows, one circular run, times their gains
+by two slices into a Fortran-ordered grid precoded in place, so each frame
+stays contiguous down to its signal. Transmit chain per frame of ``d``:
 
-1. per-subcarrier compensation, placement and L-point affine precoding,
-   ``X = W_L A``, ``A`` the grid of ``diag(b_tx) d``;
+1. placement with per-subcarrier compensation and L-point affine
+   precoding, ``X = W_L A``, ``A`` the grid of ``diag(b_tx) d``;
 2. :func:`spread`: per-symbol spreading to N samples through the
    synthesis operator, then overlapped filtering, symbols delayed every
    N/2 samples, ``s = G (I_K ⊗ Q) X``.
@@ -133,11 +133,8 @@ class WaveformParams:
         """Signal of the data symbols ``d``, the (L/2)*K of each frame
         along axis 0 as :func:`place_grid` takes them; trailing axes are
         batch."""
-        A = place_grid(d, self.dims.L, self.K)
-        b, q = self.gains[0], self.dims.L // 4
-        A[:q] = scale_rows(b[:q], A[:q])
-        A[-q:] = scale_rows(b[q:], A[-q:])
-        return spread(apply_daft(A, self.chirps_pre), self)
+        A = place_grid(d, self.dims.L, self.K, self.gains[0])
+        return spread(apply_daft(A, self.chirps_pre, out=A), self)
 
     def demodulate(self, r: np.ndarray) -> np.ndarray:
         """Data symbols of signal ``r``, shaped as :meth:`modulate` takes
@@ -194,21 +191,27 @@ def data_indices(L: int) -> np.ndarray:
     return np.r_[0:L // 4, L - L // 4:L]
 
 
-def place_grid(d: np.ndarray, L: int, K: int) -> np.ndarray:
+def place_grid(d: np.ndarray, L: int, K: int,
+               gains: np.ndarray | None = None) -> np.ndarray:
     """L x K grid of the data symbols ``d``, zero on the guard rows.
 
     ``d`` holds the (L/2)*K symbols of a frame along axis 0, column after
-    column, each on the :func:`data_indices` rows; trailing axes are batch.
-    The grid is Fortran-ordered, so each frame is contiguous.
+    column, each on the :func:`data_indices` rows times its ``gains``
+    entry, if given; trailing axes are batch. The grid is Fortran-ordered,
+    so each frame is contiguous.
     """
     d = np.asarray(d)
     if d.ndim == 0 or len(d) != (L // 2) * K:
         raise ValueError(f"expected {(L // 2) * K} symbols along axis 0, "
                          f"got shape {d.shape}")
-    D = d.reshape((L // 2, K) + d.shape[1:], order="F")
-    A = np.zeros((L, K) + d.shape[1:], dtype=complex, order="F")
-    A[:L // 4] = D[:L // 4]
-    A[L - L // 4:] = D[L // 4:]
+    D, q = d.reshape((L // 2, K) + d.shape[1:], order="F"), L // 4
+    A = np.empty((L, K) + d.shape[1:], dtype=complex, order="F")
+    A[q:L - q] = 0
+    if gains is None:
+        A[:q], A[L - q:] = D[:q], D[q:]
+    else:
+        scale_rows(gains[:q], D[:q], A[:q])
+        scale_rows(gains[q:], D[q:], A[L - q:])
     return A
 
 
@@ -288,13 +291,12 @@ class AfdmParams:
         circular model applies exactly.
         """
         d, L_a, cpp_len = np.asarray(d), self.L_a, self.cpp_len
-        body = apply_daft(d.reshape((L_a, self.K) + d.shape[1:], order="F"),
-                          self.chirps, adjoint=True)
+        D = d.reshape((L_a, self.K) + d.shape[1:], order="F")
         # each frame contiguous, so reshaping it is a view
-        s = np.empty((L_a + cpp_len,) + body.shape[1:], complex, order="F")
-        s[cpp_len:] = body
-        s[:cpp_len] = scale_rows(prefix_phase(self.chirps.c1, L_a, cpp_len),
-                                 body[L_a - cpp_len:])
+        s = np.empty((L_a + cpp_len,) + D.shape[1:], complex, order="F")
+        body = apply_daft(D, self.chirps, adjoint=True, out=s[cpp_len:])
+        scale_rows(prefix_phase(self.chirps.c1, L_a, cpp_len),
+                   body[L_a - cpp_len:], s[:cpp_len])
         return s.reshape((-1,) + s.shape[2:], order="F")
 
     def spectrum(self, d: np.ndarray) -> np.ndarray:

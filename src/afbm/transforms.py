@@ -20,10 +20,11 @@ L chirped rows and zeros. Every bundled configuration and every
 ``pick_chirp_params`` result has ``c2 = 0``.
 
 The bins ``(i - P/2) mod N`` of the rows i are one circular run from
-``N - P/2``, so the synthesis writes its L or P rows by one pair of
-slices into a Fortran-ordered array and transforms it in place; its FFT
-and the filter bank after it read each column contiguously. The adjoint
-reads the same pair of slices back.
+``N - P/2``: the synthesis writes its L chirped rows (at ``c2 = 0``) or
+the P rows of its P-point step straight into one pair of slices of a
+Fortran-ordered array, zeroes the other bins and transforms it in place,
+so its FFT and the filter bank after it read each column contiguously.
+The adjoint reads the same pair of slices back.
 
 The PAPR envelope and the baseline's spectrum record both take the
 F-fold band-limited interpolation of a signal from here, phase by phase:
@@ -94,9 +95,9 @@ def chirp_phase(c: float, n: int) -> np.ndarray:
 # fast application paths (FFT-based, vectorized over columns)
 # ---------------------------------------------------------------------------
 
-def scale_rows(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Multiply row i of ``x`` (axis 0, any trailing batch axes) by ``v[i]``."""
-    return v.reshape(v.shape + (1,) * (x.ndim - 1)) * x
+def scale_rows(v: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
+    """Multiply row i of ``x`` (axis 0) by ``v[i]``, into ``out`` if given."""
+    return np.multiply(v.reshape(v.shape + (1,) * (x.ndim - 1)), x, out=out)
 
 
 def apply_dft(x: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -106,34 +107,42 @@ def apply_dft(x: np.ndarray, adjoint: bool = False) -> np.ndarray:
     return np.fft.ifft(x, axis=0, norm="ortho")
 
 
-def apply_daft(x: np.ndarray, chirps: ChirpPair, adjoint: bool = False) -> np.ndarray:
-    """Apply the n-point affine transform (n = len of axis 0), or its adjoint."""
+def apply_daft(x: np.ndarray, chirps: ChirpPair, adjoint: bool = False,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Apply the n-point affine transform (n = len of axis 0), or its
+    adjoint, into ``out`` if given, which may be ``x`` itself."""
     n = x.shape[0]
     p1 = chirp_phase(chirps.c1, n)
     if adjoint:
-        y = np.fft.fft(scale_rows(p1.conj(), x), axis=0, norm="ortho")
-        if chirps.c2 == 0:
-            return y
-        return scale_rows(chirp_phase(chirps.c2, n).conj(), y)
+        y = scale_rows(p1.conj(), x, out)
+        np.fft.fft(y, axis=0, norm="ortho", out=y)
+        if chirps.c2 != 0:
+            scale_rows(chirp_phase(chirps.c2, n).conj(), y, y)
+        return y
     if chirps.c2 != 0:
-        x = scale_rows(chirp_phase(chirps.c2, n), x)
-    y = np.fft.ifft(x, axis=0, norm="ortho")
-    return np.multiply(p1.reshape((-1,) + (1,) * (y.ndim - 1)), y, out=y)
+        x = scale_rows(chirp_phase(chirps.c2, n), x, out)
+    y = np.fft.ifft(x, axis=0, norm="ortho", out=out)
+    return scale_rows(p1, y, y)
 
 
 def apply_synthesis(x: np.ndarray, dims: DaftDims, chirps: ChirpPair) -> np.ndarray:
-    """Fast application of the N x L synthesis operator to L-row input; at
-    ``c2 = 0`` its P-point step is skipped and its L chirped rows placed."""
+    """Fast application of the N x L synthesis operator to L-row input: at
+    ``c2 = 0`` no P-point step, the L rows chirped straight into bins."""
     if x.shape[0] != dims.L:
         raise ValueError(f"expected {dims.L} rows, got {x.shape[0]}")
-    u = scale_rows(chirp_phase(chirps.c1, dims.L).conj(), x)
-    if chirps.c2 != 0:  # the P-point Fᴴ Λ_c2ᴴ F, its input padded to P
-        u = np.fft.fft(u, n=dims.P, axis=0, norm="ortho")
-        u = apply_dft(scale_rows(chirp_phase(chirps.c2, dims.P).conj(), u))
+    c = chirp_phase(chirps.c1, dims.L).conj()
+    n = dims.L if chirps.c2 == 0 else dims.P  # the rows placed
     # the bins (i - P/2) mod N of the rows i run circularly from N - P/2
-    w = np.zeros((dims.N,) + x.shape[1:], dtype=complex, order="F")
-    start, head = dims.N - dims.P // 2, min(len(u), dims.P // 2)
-    w[start:start + head], w[:len(u) - head] = u[:head], u[head:]
+    start, head = dims.N - dims.P // 2, min(n, dims.P // 2)
+    w = np.empty((dims.N,) + x.shape[1:], dtype=complex, order="F")
+    w[n - head:start], w[start + head:] = 0, 0  # the bins left empty
+    if chirps.c2 == 0:
+        scale_rows(c[:head], x[:head], w[start:start + head])
+        scale_rows(c[head:], x[head:], w[:n - head])
+    else:  # the P-point Fᴴ Λ_c2ᴴ F, its input padded to P
+        u = np.fft.fft(scale_rows(c, x), n=dims.P, axis=0, norm="ortho")
+        u = apply_dft(scale_rows(chirp_phase(chirps.c2, dims.P).conj(), u))
+        w[start:start + head], w[:n - head] = u[:head], u[head:]
     return np.fft.fft(w, axis=0, norm="ortho", out=w)  # apply_dft's adjoint
 
 

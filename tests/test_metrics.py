@@ -362,6 +362,22 @@ def test_trial_frames_seed_one_block_at_a_time():
     assert peak <= 2 * 2 ** 20
 
 
+@pytest.mark.parametrize("constellation", ["QPSK", "QAM16"])
+def test_trial_frames_yield_fortran_columns(constellation):
+    # each frame's raw words are one row of the draw, so its indices and
+    # symbols come out as one contiguous column, which place_grid and the
+    # baseline reshape as views
+    import afbm.metrics as metrics
+
+    p = SimpleNamespace(constellation=constellation, data_per_frame=12)
+    for j0, index, syms in metrics._trial_frames(p, 2, (21,), TRIAL_CHUNK):
+        b = min(TRIAL_CHUNK, 21 - j0)
+        assert index.shape == syms.shape == (12, b)
+        assert index.dtype == np.int64 and syms.dtype == complex
+        assert index.flags.f_contiguous and syms.flags.f_contiguous
+        assert np.array_equal(syms, symbol_table(constellation)[index])
+
+
 def test_trial_frames_refuse_other_seeds(ref_params):
     import afbm.metrics as metrics
 

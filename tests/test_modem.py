@@ -1,10 +1,14 @@
 """Unit tests for symbol mapping, the modem chain and the prefix baseline."""
 
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from afbm.cli import read_config_file, resolve_config
+from afbm.metrics import TRIAL_CHUNK, _trial_frames
 from afbm.modem import (
     BITS_PER_SYMBOL,
     AfdmParams,
@@ -20,7 +24,7 @@ from afbm.filterbank import compensation_vector, prototype_filter
 from afbm.transforms import (ChirpPair, DaftDims, apply_daft,
                              apply_synthesis_adjoint)
 from oracles import (afdm_demodulate, afdm_demodulate_frame, afdm_symbol,
-                     demap_symbols_dict, dense_transmit_matrix,
+                     daft_matrix, demap_symbols_dict, dense_transmit_matrix,
                      filter_bank_adjoint_add_at, map_symbols_dict,
                      symbol_bits)
 
@@ -212,6 +216,77 @@ def test_batched_map_place_modulate_match_single_frames(ref_params_frame):
             if isinstance(p, WaveformParams):
                 assert np.array_equal(place_grid(symbols, 128, 8)[..., b],
                                       place_grid(one, 128, 8))
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# fig3 with c2 != 0 in every chirp pair, as CI's c2 runs set it
+C2_CONFIG = {"waveform": {"c2": 0.001, "c2_pre": 0.002},
+             "afdm": {"c2": 0.003}}
+
+
+def _sources(name):
+    """The AFBM and baseline parameters of a bundled config, or of
+    ``C2_CONFIG`` for "c2"."""
+    data = (C2_CONFIG if name == "c2"
+            else read_config_file(CONFIG_DIR / f"{name}.cfg"))
+    cfg = resolve_config(dict(data, experiment="papr"))
+    return cfg.waveform, cfg.afdm
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4", "c2"])
+def test_modulate_gives_the_same_fortran_frames_for_any_memory_order(name):
+    # each stage writes into the array the next one reads: the same
+    # symbols C-ordered, Fortran-ordered or frame by frame give the same
+    # samples, one contiguous column per frame, and those of the dense
+    # AFBM chain and of the baseline built one prefixed symbol at a time
+    for p in _sources(name):
+        _, _, x = next(_trial_frames(p, 7, (5,), 5))
+        signals = [p.modulate(np.asfortranarray(x)),
+                   p.modulate(np.ascontiguousarray(x))]
+        assert all(s.shape == (p.M, 5) and s.flags.f_contiguous
+                   for s in signals)
+        frames = [p.modulate(x[:, b].copy()) for b in range(5)]
+        assert all(f.shape == (p.M,) and f.flags.contiguous for f in frames)
+        signals.append(np.stack(frames, axis=1))
+        for s in signals[1:]:
+            assert np.array_equal(s, signals[0])
+        if isinstance(p, WaveformParams):
+            ref = dense_transmit_matrix(p) @ x
+            assert np.abs(signals[0] - ref).max() < 1e-12 * np.abs(ref).max()
+        else:
+            X = x.reshape((p.L_a, p.K, 5), order="F")
+            body = signals[0].reshape((-1, p.K, 5), order="F")[p.cpp_len:]
+            ref = np.einsum("ij,jkb->ikb",
+                            daft_matrix(p.chirps, p.L_a).conj().T, X)
+            assert np.abs(body - ref).max() < 1e-12 * np.abs(ref).max()
+            for b in range(5):
+                assert np.array_equal(frames[b], np.concatenate(
+                    [afdm_symbol(X[:, k, b], p.chirps, p.cpp_len)
+                     for k in range(p.K)]))
+
+
+# tracemalloc peak of one warm TRIAL_CHUNK-frame modulate call: the AFBM
+# grid and the AFDM frame are each written once per stage. Before, at
+# 1,902,920 and 2,066,760 B (AFBM) and 542,432 B (AFDM), the gains, the
+# precoding and the prefix went through temporaries copied back.
+MODULATE_PEAK_BYTES = {("fig3", "WaveformParams"): 1.70 * 2 ** 20,
+                       ("fig4", "WaveformParams"): 1.85 * 2 ** 20,
+                       ("fig3", "AfdmParams"): 542_432,
+                       ("fig4", "AfdmParams"): 542_432}
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4"])
+def test_modulate_peak_memory_of_a_chunk(name):
+    for p in _sources(name):
+        _, _, x = next(_trial_frames(p, 1, (TRIAL_CHUNK,), TRIAL_CHUNK))
+        p.modulate(x)  # warm: the gains and lazy imports
+        tracemalloc.start()
+        try:
+            p.modulate(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= MODULATE_PEAK_BYTES[name, type(p).__name__], peak
 
 
 def test_place_grid_validation(ref_params_frame):
