@@ -106,7 +106,7 @@ def apply_paths(paths, S: np.ndarray, c1: float = 0.0) -> np.ndarray:
     are batch."""
     S = np.asarray(S)
     M = len(S)
-    _check_paths(paths, M)
+    check_delays(paths, M)
     terms = (scale_rows(_path_diagonal(p, M, c1),
                         np.roll(S, p.delay, axis=0)) for p in paths)
     out = next(terms)
@@ -115,7 +115,8 @@ def apply_paths(paths, S: np.ndarray, c1: float = 0.0) -> np.ndarray:
     return out
 
 
-def _check_paths(paths, M: int) -> None:
+def check_delays(paths, M: int) -> None:
+    """Refuse no paths, or a path delayed by the M-sample block or more."""
     if len(paths) < 1:
         raise ValueError("need at least one path")
     for p in paths:
@@ -175,7 +176,7 @@ def effective_channels(paths, Y: np.ndarray, w: np.ndarray, adjoint,
     first-seen order, and ``total`` is their sum weighted by each path's
     gain, which is ``Bᴴ H B`` because the map is linear in ``H``.
     """
-    _check_paths(paths, len(w))
+    check_delays(paths, len(w))
     refs = {}
     total = 0
     for p in paths:

@@ -34,6 +34,7 @@ from .modem import (AFDM_OOBE_OVERSAMPLE, BITS_PER_SYMBOL, AfdmParams,
                     WaveformParams)
 from .channel import (
     PathSpec,
+    check_delays,
     check_paths_feasible,
     effective_channels,
     path_separation_metric,
@@ -98,8 +99,7 @@ _SCHEMA = {
         "filter": _one_of(("HERMITE", "PHYDYAS", "RECT"), "HERMITE"),
         "constellation": _one_of(tuple(BITS_PER_SYMBOL), "QPSK"),
         "compensation": _one_of(("split", "tx"), "split"),
-        "c1": _rate(0), "c2": _rate(default=0.0),
-        "c1_pre": _rate(0), "c2_pre": _rate()},
+        "c1": _rate(0), "c2": _rate(default=0.0)},
     "channel": {
         "ell_max": _int(0, 2), "xi": _int(0, 0),
         "f_max": _num(1.0, minimum=0),
@@ -215,11 +215,8 @@ def resolve_config(data: dict) -> ExperimentConfig:
     ell_max, f_max, xi = ch["ell_max"], ch["f_max"], ch["xi"]
     c1 = (wf["c1"] if "c1" in wf
           else pick_chirp_params(ell_max, f_max, xi, dims.P).c1)
-    chirps_mod = ChirpPair(c1=c1, c2=wf["c2"])
-    chirps_pre = ChirpPair(c1=wf.get("c1_pre", c1),
-                           c2=wf.get("c2_pre", chirps_mod.c2))
     waveform = WaveformParams(
-        dims=dims, K=wf["K"], chirps_pre=chirps_pre, chirps_mod=chirps_mod,
+        dims=dims, K=wf["K"], chirps=ChirpPair(c1=c1, c2=wf["c2"]),
         filter=filt, constellation=wf["constellation"],
         compensation=wf["compensation"])
     afdm = None  # orth and ber do not run the baseline
@@ -254,10 +251,14 @@ def resolve_config(data: dict) -> ExperimentConfig:
         unit_power(paths)
     except ValueError as err:
         raise ValueError(f"channel.paths: {err}") from err
-    for size in {"effchan": (dims.P, dims.L), "ber": (dims.P,)}.get(
+    # the grid each waveform separates the paths on and the block their
+    # delays count in: AFBM's prototype (one symbol), the baseline's body
+    for size, block in {"effchan": ((dims.P, filt.length), (dims.L, dims.L)),
+                        "ber": ((dims.P, filt.length),)}.get(
             resolved["experiment"], ()):
         try:
             check_paths_feasible(paths, xi, size)
+            check_delays(paths, block)
         except ValueError as err:
             raise ValueError(f"channel.paths: {err}") from err
     return ExperimentConfig(

@@ -435,8 +435,8 @@ def ber_experiment(params: WaveformParams, paths, snr_grid, trials: int,
     at SNR ``snr_db`` gets white noise of variance ``nvar``, its received
     power over ``10 ** (snr_db / 10)``. The channel is ``paths`` scaled
     to unit total power, on the M samples of that frame with the prefix
-    phase of its modulation chirp rate c1. ``xi`` is the Doppler guard of
-    the chirp feasibility rule that the paths must meet.
+    phase of its chirp rate c1. ``xi`` is the Doppler guard of the chirp
+    feasibility rule that the paths must meet.
 
     Detection runs on the data symbols, through the transmit basis ``S =
     p.modulate(I)`` (M x L/2): a frame of symbols ``x`` arrives through
@@ -469,7 +469,7 @@ def ber_experiment(params: WaveformParams, paths, snr_grid, trials: int,
     check_paths_feasible(paths, xi, p.dims.P)
     M = p.M
     S = p.modulate(np.eye(p.dims.L // 2))
-    HS, R = apply_paths(unit_power(paths), S, p.chirps_mod.c1), S.conj().T
+    HS, R = apply_paths(unit_power(paths), S, p.chirps.c1), S.conj().T
     H_d, C = R @ HS, np.linalg.cholesky(R @ S)
     H_w = np.linalg.solve(C, H_d)
     lam, V = np.linalg.eigh(H_w.conj().T @ H_w)

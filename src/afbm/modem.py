@@ -77,8 +77,7 @@ class WaveformParams:
 
     dims: DaftDims
     K: int
-    chirps_pre: ChirpPair
-    chirps_mod: ChirpPair
+    chirps: ChirpPair
     filter: PrototypeFilter
     constellation: str = "QPSK"
     compensation: str = "split"
@@ -126,20 +125,20 @@ class WaveformParams:
         """N x L/2 synthesis of the precoded data identity: one symbol's
         data positions spread, ahead of the filter."""
         data = np.eye(self.dims.L)[:, data_indices(self.dims.L)]
-        return apply_synthesis(apply_daft(data, self.chirps_pre), self.dims,
-                               self.chirps_mod)
+        return apply_synthesis(apply_daft(data, self.chirps), self.dims,
+                               self.chirps)
 
     def modulate(self, d: np.ndarray) -> np.ndarray:
         """Signal of the data symbols ``d``, the (L/2)*K of each frame
         along axis 0 as :func:`place_grid` takes them; trailing axes are
         batch."""
         A = place_grid(d, self.dims.L, self.K, self.gains[0])
-        return spread(apply_daft(A, self.chirps_pre, out=A), self)
+        return spread(apply_daft(A, self.chirps, out=A), self)
 
     def demodulate(self, r: np.ndarray) -> np.ndarray:
         """Data symbols of signal ``r``, shaped as :meth:`modulate` takes
         them; trailing axes are batch. :func:`despread` checks the length."""
-        A = apply_daft(despread(np.asarray(r), self), self.chirps_pre,
+        A = apply_daft(despread(np.asarray(r), self), self.chirps,
                        adjoint=True)
         d = scale_rows(self.gains[1], A[data_indices(self.dims.L)])
         return d.reshape((-1,) + d.shape[2:], order="F")
@@ -150,8 +149,9 @@ class WaveformParams:
         """One symbol as :func:`~afbm.channel.effective_channels` takes it,
         ``(Y, w, adjoint, c1)``: the synthesised identity, the prototype
         (its length is the block a path's delay and Doppler count in), the
-        synthesis adjoint and the prefix chirp rate."""
-        dims, chirps = self.dims, self.chirps_mod
+        synthesis adjoint and c1. AFBM sends no prefix: c1 is the rate of
+        the circular channel model's wrapped-row phase (ROADMAP item 4)."""
+        dims, chirps = self.dims, self.chirps
         return (apply_synthesis(np.eye(dims.L, dtype=complex), dims, chirps),
                 self.filter.coeffs,
                 lambda Z: apply_synthesis_adjoint(Z, dims, chirps), chirps.c1)
@@ -192,13 +192,13 @@ def data_indices(L: int) -> np.ndarray:
 
 
 def place_grid(d: np.ndarray, L: int, K: int,
-               gains: np.ndarray | None = None) -> np.ndarray:
+               gains: np.ndarray) -> np.ndarray:
     """L x K grid of the data symbols ``d``, zero on the guard rows.
 
     ``d`` holds the (L/2)*K symbols of a frame along axis 0, column after
     column, each on the :func:`data_indices` rows times its ``gains``
-    entry, if given; trailing axes are batch. The grid is Fortran-ordered,
-    so each frame is contiguous.
+    entry; trailing axes are batch. The grid is Fortran-ordered, so each
+    frame is contiguous.
     """
     d = np.asarray(d)
     if d.ndim == 0 or len(d) != (L // 2) * K:
@@ -207,11 +207,8 @@ def place_grid(d: np.ndarray, L: int, K: int,
     D, q = d.reshape((L // 2, K) + d.shape[1:], order="F"), L // 4
     A = np.empty((L, K) + d.shape[1:], dtype=complex, order="F")
     A[q:L - q] = 0
-    if gains is None:
-        A[:q], A[L - q:] = D[:q], D[q:]
-    else:
-        scale_rows(gains[:q], D[:q], A[:q])
-        scale_rows(gains[q:], D[q:], A[L - q:])
+    scale_rows(gains[:q], D[:q], A[:q])
+    scale_rows(gains[q:], D[q:], A[L - q:])
     return A
 
 
@@ -227,7 +224,7 @@ def spread(X: np.ndarray, params: WaveformParams) -> np.ndarray:
     their own. The output is the length-M time signal (M x batch).
     """
     return apply_filter_bank(
-        apply_synthesis(X, params.dims, params.chirps_mod), params.filter)
+        apply_synthesis(X, params.dims, params.chirps), params.filter)
 
 
 def despread(r: np.ndarray, params: WaveformParams) -> np.ndarray:
@@ -235,7 +232,7 @@ def despread(r: np.ndarray, params: WaveformParams) -> np.ndarray:
     signal (x batch) to L x K (x batch)."""
     return apply_synthesis_adjoint(
         apply_filter_bank_adjoint(r, params.filter, params.K),
-        params.dims, params.chirps_mod)
+        params.dims, params.chirps)
 
 
 # ---------------------------------------------------------------------------

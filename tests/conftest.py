@@ -31,15 +31,15 @@ def phydyas256():
 @pytest.fixture(scope="session")
 def ref_params(ref_dims, ref_chirps, hermite256):
     """Single-symbol reference waveform (Hermite prototype)."""
-    return WaveformParams(dims=ref_dims, K=1, chirps_pre=ref_chirps,
-                          chirps_mod=ref_chirps, filter=hermite256)
+    return WaveformParams(dims=ref_dims, K=1, chirps=ref_chirps,
+                          filter=hermite256)
 
 
 @pytest.fixture(scope="session")
 def ref_params_frame(ref_dims, ref_chirps, hermite256):
     """Full eight-symbol frame used by the envelope/spectrum experiments."""
-    return WaveformParams(dims=ref_dims, K=8, chirps_pre=ref_chirps,
-                          chirps_mod=ref_chirps, filter=hermite256)
+    return WaveformParams(dims=ref_dims, K=8, chirps=ref_chirps,
+                          filter=hermite256)
 
 
 def random_unit_vector(rng, n):

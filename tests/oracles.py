@@ -133,7 +133,7 @@ def precoded_symbol_matrix(params):
     """Dense L x L/2 compensated precoder of one symbol's data: the data
     columns of ``W_L`` scaled by ``b_tx``."""
     b = params.gains[0]
-    W = daft_matrix(params.chirps_pre, params.dims.L)
+    W = daft_matrix(params.chirps, params.dims.L)
     return W[:, data_indices(params.dims.L)] * b[None, :]
 
 
@@ -142,7 +142,7 @@ def dense_transmit_matrix(params):
     data. ``modulate(d)`` equals this matrix times ``d``.
     """
     G = assemble_filter_matrix(params.filter, params.K)
-    Qc = synthesis_matrix(params.dims, params.chirps_mod) @ \
+    Qc = synthesis_matrix(params.dims, params.chirps) @ \
         precoded_symbol_matrix(params)
     return G @ np.kron(np.eye(params.K), Qc)
 
@@ -154,8 +154,8 @@ def dense_receive_matrix(params):
     if params.K != 1:
         raise ValueError("the receive matrix is defined for K = 1")
     chain = (assemble_filter_matrix(params.filter, 1)
-             @ synthesis_matrix(params.dims, params.chirps_mod)
-             @ daft_matrix(params.chirps_pre, params.dims.L))
+             @ synthesis_matrix(params.dims, params.chirps)
+             @ daft_matrix(params.chirps, params.dims.L))
     b_rx = params.gains[1]
     return b_rx[:, None] * chain.conj().T[data_indices(params.dims.L)]
 
@@ -409,7 +409,7 @@ def ber_trial_errors(params, paths, snr_grid, trials, seed):
     the noise covariance ``R Rᴴ`` and a per-symbol demap.
     """
     check_paths_feasible(paths, 0, params.dims.P)
-    H = build_channel(unit_power(paths), params.M, params.chirps_mod.c1)
+    H = build_channel(unit_power(paths), params.M, params.chirps.c1)
     R = dense_receive_matrix(params)
     H_d = R @ H @ dense_transmit_matrix(params)
     cov = R @ R.conj().T

@@ -1,8 +1,8 @@
 """Every fast operator against its oracle on every small valid shape.
 
 Enumerates every valid ``(L, P, N)`` up to a largest N and crosses it with
-the prototypes, K in {1, 2, 3}, c2 zero and non-zero and both
-compensation policies. Each configuration checks, against the dense
+the prototypes, K in {1, 2, 3}, one chirp pair at c2 zero and non-zero
+and both compensation policies. Each configuration checks, against the dense
 matrices and plain references of :mod:`oracles`:
 
 * ``modulate`` against ``dense_transmit_matrix``, the power
@@ -122,7 +122,7 @@ def check_effective_channel(params):
     path = PathSpec(0.8 - 0.6j, (2 * M) // 3, 1.37)
     total, _ = effective_channels((path,), Y, w, adjoint, c1)
     B = (assemble_filter_matrix(params.filter, 1)
-         @ synthesis_matrix(params.dims, params.chirps_mod))
+         @ synthesis_matrix(params.dims, params.chirps))
     if not _close(total, B.conj().T @ build_channel((path,), M, c1) @ B):
         return "effective_channels"
     return None
@@ -158,17 +158,17 @@ def sweep(max_n, seed=0):
     for dims in valid_dims(max_n):
         L, P, N = dims.L, dims.P, dims.N
         for c2 in C2:
-            pre, mod = ChirpPair(0.0211, c2), ChirpPair(0.0371, c2)
+            chirps = ChirpPair(0.0371, c2)
             for K in KS:
-                afdm = AfdmParams(L_a=L, K=K, chirps=mod, cpp_len=L // 4)
+                afdm = AfdmParams(L_a=L, K=K, chirps=chirps, cpp_len=L // 4)
                 note(check_afdm(afdm, rng), (L, K, c2))
             for kind, overlap in PROTOTYPES:
                 try:
                     filt = prototype_filter(kind, overlap, N)
                 except ValueError:
                     continue  # a combination the constructor refuses
-                one = WaveformParams(dims=dims, K=1, chirps_pre=pre,
-                                     chirps_mod=mod, filter=filt)
+                one = WaveformParams(dims=dims, K=1, chirps=chirps,
+                                     filter=filt)
                 note(check_effective_channel(one),
                      (L, P, N, kind, overlap, c2))
                 for K in KS:

@@ -42,7 +42,7 @@ def _report(capfd, number: int, ok: bool, detail: str) -> None:
 def _reference_waveform(kind="HERMITE", overlap=1.5, K=1):
     chirps = ChirpPair(3 / 384, 0.0)
     return WaveformParams(dims=DaftDims(128, 192, 256), K=K,
-                          chirps_pre=chirps, chirps_mod=chirps,
+                          chirps=chirps,
                           filter=prototype_filter(kind, overlap, 256))
 
 
@@ -93,7 +93,7 @@ def test_acceptance_3_oracle_equivalence(capfd):
         chirps = ChirpPair(float(rng.uniform(0, 0.05)),
                            float(rng.uniform(0, 0.02)))
         params = WaveformParams(dims=DaftDims(L, P, N), K=K,
-                                chirps_pre=chirps, chirps_mod=chirps,
+                                chirps=chirps,
                                 filter=prototype_filter(kind, overlap, N))
         G = assemble_filter_matrix(params.filter, K)
         Q = synthesis_matrix(params.dims, chirps)

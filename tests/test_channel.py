@@ -41,8 +41,7 @@ def afbm_basis(params):
 
 def small_params(kind="HERMITE", overlap=1.5, L=16, P=24, N=32, c1=0.02):
     chirps = ChirpPair(c1, 0.0)
-    return WaveformParams(dims=DaftDims(L, P, N), K=1, chirps_pre=chirps,
-                          chirps_mod=chirps,
+    return WaveformParams(dims=DaftDims(L, P, N), K=1, chirps=chirps,
                           filter=prototype_filter(kind, overlap, N))
 
 
@@ -261,7 +260,7 @@ def test_effective_channels_match_the_dense_triple_product(waveform, seed):
         else:
             params = small_params(*waveform)
             B = (assemble_filter_matrix(params.filter, 1)
-                 @ synthesis_matrix(params.dims, params.chirps_mod))
+                 @ synthesis_matrix(params.dims, params.chirps))
             operands = params.symbol_operands()[:3]
         M = B.shape[0]
         paths, c1 = _random_channel(rng, M)
@@ -349,7 +348,7 @@ def test_effective_channel_is_linear_in_the_channel():
 def test_effective_channel_matches_dense_triple_product(kind, overlap, L, P, N):
     params = small_params(kind, overlap, L, P, N)
     B = (assemble_filter_matrix(params.filter, 1)
-         @ synthesis_matrix(params.dims, params.chirps_mod))
+         @ synthesis_matrix(params.dims, params.chirps))
     rng = np.random.default_rng(56)
     paths, c1 = _random_channel(rng, params.M)
     He, _ = effective_channels(paths, *params.symbol_operands()[:3], c1)
@@ -362,8 +361,8 @@ def test_effective_channels_peak_memory_at_fig4(ref_dims, ref_chirps,
     # the fig4 AFBM effective channels from the N-row columns on: 3,020,280
     # B; building the M-row basis B and each H_r B (1024 x 128, 2 MiB
     # each) with the dense Bᴴ(H_r B) took 7,603,904 B
-    params = WaveformParams(dims=ref_dims, K=1, chirps_pre=ref_chirps,
-                            chirps_mod=ref_chirps, filter=phydyas256)
+    params = WaveformParams(dims=ref_dims, K=1, chirps=ref_chirps,
+                            filter=phydyas256)
     paths = unit_power((PathSpec(1.0, 0, 0.0), PathSpec(0.7, 1, 1.0),
                         PathSpec(0.5, 2, -1.0)))
     effective_channels(paths, *params.symbol_operands()[:3], ref_chirps.c1)
@@ -400,7 +399,7 @@ def test_circular_diagonal_energy_hand_case():
 def test_path_separation_single_path_concentrates(ref_params):
     # a Doppler of 1.5 cycles per 384-sample frame is exactly one cycle per
     # 256-sample block, so the effective channel stays on one diagonal
-    c1 = ref_params.chirps_mod.c1
+    c1 = ref_params.chirps.c1
     operands = ref_params.symbol_operands()[:3]
     for path in (PathSpec(1.0, 2, 0.0), PathSpec(1.0, 1, 1.5)):
         metric = path_separation_metric(
@@ -411,7 +410,7 @@ def test_path_separation_single_path_concentrates(ref_params):
 def test_path_separation_guard_width_absorbs_fractional_doppler(ref_params):
     # one cycle per frame is 2/3 cycle per block: energy leaks into the
     # neighbouring diagonals and a +-1 window recovers most of it
-    c1 = ref_params.chirps_mod.c1
+    c1 = ref_params.chirps.c1
     He, refs = effective_channels((PathSpec(1.0, 1, 1.0),),
                                   *ref_params.symbol_operands()[:3], c1)
     narrow = path_separation_metric(He, refs, xi=0)
@@ -421,7 +420,7 @@ def test_path_separation_guard_width_absorbs_fractional_doppler(ref_params):
 
 
 def test_path_separation_duplicate_paths_share_reference(ref_params):
-    c1 = ref_params.chirps_mod.c1
+    c1 = ref_params.chirps.c1
     twin = (PathSpec(0.6, 1, 1.5), PathSpec(0.8j, 1, 1.5))
     He, refs = effective_channels(twin, *ref_params.symbol_operands()[:3], c1)
     assert len(refs) == 1
@@ -471,7 +470,7 @@ def detector_case(filt, compensation, ref_params):
                      filter=prototype_filter(filt, 1.5 if filt == "HERMITE"
                                              else 4, 256))
     paths = (PathSpec(1.0, 0, 0.0), PathSpec(0.7, 1, 1.0))
-    return params, (paths, params.chirps_mod.c1)
+    return params, (paths, params.chirps.c1)
 
 
 @pytest.mark.parametrize("filt", ["HERMITE", "PHYDYAS"])

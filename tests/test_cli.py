@@ -46,7 +46,7 @@ def test_empty_config_gives_reference_defaults(tmp_path):
     wf = cfg.waveform
     assert (wf.dims.L, wf.dims.P, wf.dims.N, wf.K) == (128, 192, 256, 8)
     assert wf.filter.kind == "HERMITE" and wf.filter.overlap == 1.5
-    assert abs(wf.chirps_mod.c1 - 3 / 384) < 1e-15
+    assert abs(wf.chirps.c1 - 3 / 384) < 1e-15
     assert cfg.afdm.L_a == 128 and cfg.afdm.cpp_len == 2
     assert abs(cfg.afdm.chirps.c1 - 3 / 256) < 1e-15
     assert cfg.trials == 1000 and cfg.seed == 0
@@ -127,6 +127,7 @@ NAN = float("nan")
     ({"snr_grid": [SNR_LIMIT_DB + 0.5]}, "snr_grid"),
     ({"waveform": {"c1": 1e308}}, "waveform.c1"),
     ({"waveform": {"c2": -1.0}}, "waveform.c2"),
+    # the precoder has no chirp pair of its own: unknown keys
     ({"waveform": {"c1_pre": 1.0}}, "waveform.c1_pre"),
     ({"waveform": {"c2_pre": 2.5}}, "waveform.c2_pre"),
     ({"afdm": {"c1": 1.0}}, "afdm.c1"),
@@ -249,9 +250,9 @@ def test_unknown_key_fails_through_the_command_line(tmp_path, capsys):
 
 def test_resolve_config_accepts_every_documented_key():
     cfg = resolve_config({
-        "waveform": {"c1": 0.01, "c2": 0.0, "c1_pre": 0.02, "c2_pre": 0.001},
+        "waveform": {"c1": 0.01, "c2": 0.001},
         "afdm": {"cpp_len": 3, "c1": 0.015, "c2": 0.0}})
-    assert cfg.waveform.chirps_pre == ChirpPair(0.02, 0.001)
+    assert cfg.waveform.chirps == ChirpPair(0.01, 0.001)
     assert cfg.afdm.cpp_len == 3 and cfg.afdm.chirps.c1 == 0.015
     for name in ("fig2", "fig3", "fig4"):
         resolve_config(read_config_file(CONFIG_DIR / f"{name}.cfg"))
@@ -260,9 +261,7 @@ def test_resolve_config_accepts_every_documented_key():
 def test_resolve_config_explicit_chirps_override_the_rule():
     cfg = resolve_config({"waveform": {"c1": 0.05, "c2": 0.001},
                           "afdm": {"c1": 0.02}})
-    assert cfg.waveform.chirps_mod == cfg.waveform.chirps_pre
-    assert cfg.waveform.chirps_mod.c1 == 0.05
-    assert cfg.waveform.chirps_mod.c2 == 0.001
+    assert cfg.waveform.chirps == ChirpPair(0.05, 0.001)
     assert cfg.afdm.chirps.c1 == 0.02
 
 
@@ -270,9 +269,9 @@ def test_chirp_rates_are_held_within_one_period():
     # |c| < 1 holds every rate, c1 >= 0 as well; the message names the rule
     edge = 1 - 2 ** -53
     cfg = resolve_config({
-        "waveform": {"c1": edge, "c2": -edge, "c1_pre": 0.0, "c2_pre": edge},
+        "waveform": {"c1": edge, "c2": -edge},
         "afdm": {"c1": edge, "c2": -edge}})
-    assert cfg.waveform.chirps_mod == ChirpPair(edge, -edge)
+    assert cfg.waveform.chirps == ChirpPair(edge, -edge)
     assert cfg.afdm.chirps == ChirpPair(edge, -edge)
     with pytest.raises(ValueError, match=re.escape(
             "waveform.c1 must be a chirp rate with |c| < 1 and >= 0, "
@@ -283,10 +282,43 @@ def test_chirp_rates_are_held_within_one_period():
         resolve_config({"afdm": {"c2": -1}})
 
 
-def test_resolve_config_separate_precoding_chirps():
-    cfg = resolve_config({"waveform": {"c1_pre": 0.03}})
-    assert cfg.waveform.chirps_pre.c1 == 0.03
-    assert abs(cfg.waveform.chirps_mod.c1 - 3 / 384) < 1e-15
+def test_resolve_config_refuses_separate_precoding_chirps(tmp_path, capsys):
+    # one chirp pair serves the precoder and the synthesis: a valid rate
+    # under either former precoder key is an unknown key, named, and no
+    # output is written
+    out = tmp_path / "out"
+    for key in ("c1_pre", "c2_pre"):
+        data = {"waveform": {key: 0.03}}
+        message = f"unknown config key 'waveform.{key}'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            resolve_config(data)
+        assert main(["papr", "--config", str(write_config(tmp_path, data)),
+                     "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _schema_leaves(schema: dict):
+    """The name of every settable key of a schema section, a path's
+    entries among them."""
+    for key, rule in schema.items():
+        if isinstance(rule, dict):
+            yield from _schema_leaves(rule)
+        else:
+            yield key
+            yield from _schema_leaves(rule.entries or {})
+
+
+def test_readme_rule_table_names_every_schema_key():
+    # the keys column of the README's rule table and the schema name the
+    # same keys, so a key removed from the code cannot linger in the docs
+    # nor a new one be left out of them
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    table = readme.split("| Rule | Keys |\n", 1)[1].split("\n\n", 1)[0]
+    documented = {name.split(".")[-1]
+                  for row in table.splitlines() if row.startswith("| ")
+                  for name in re.findall(r"`([^`]+)`", row.rsplit("|", 2)[1])}
+    assert documented == set(_schema_leaves(cli._SCHEMA))
 
 
 def test_config_hash_ignores_seed_and_out():
@@ -511,6 +543,32 @@ def test_effchan_rejects_paths_beyond_the_declared_bounds(tmp_path, capsys):
         bundled = resolve_config(read_config_file(path))
         for size in (bundled.waveform.dims.P, bundled.afdm.L_a):
             check_paths_feasible(bundled.paths, bundled.xi, size)
+
+
+@pytest.mark.parametrize("experiment,waveform,block", [
+    ("effchan", {}, 128),
+    ("ber", {"L": 8, "P": 8, "N": 8, "filter": "RECT", "overlap": 1}, 8),
+], ids=["effchan-afdm-body", "ber-rect-frame"])
+def test_a_delay_of_a_whole_block_is_refused_before_any_output(
+        experiment, waveform, block, tmp_path, capsys):
+    # at Doppler 0 the feasibility rule admits a delay equal to its grid;
+    # a delay of the whole block a path counts in failed inside the runner:
+    # the baseline's L = 128 body in effchan, and the 8-sample RECT frame
+    # in ber, where P = 8 as well
+    data = {"experiment": experiment, "waveform": waveform, "channel": {
+        "paths": [{"gain": 1.0, "delay": block, "doppler": 0.0}]}}
+    message = f"channel.paths: path delay {block} must be < M={block}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        resolve_config(data)
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(write_config(tmp_path, data)),
+                 "--trials", "1", "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    # one sample less resolves and runs
+    data["channel"]["paths"][0]["delay"] = block - 1
+    rows = run(resolve_config(dict(data, trials=1, out=str(out))))
+    assert np.all(np.isfinite([row[2:] for row in rows]))
 
 
 # two paths on one delay and Doppler whose gains cancel: the channel is zero
@@ -763,7 +821,7 @@ def _random_config(rng) -> dict:
                          ("compensation", ["split", "tx"])):
         if some():
             wf[key] = str(rng.choice(choices))
-    for key, low in (("c1", 0), ("c2", -1), ("c1_pre", 0), ("c2_pre", -1)):
+    for key, low in (("c1", 0), ("c2", -1)):
         if some(0.3):
             edge = [rng.uniform(low, 1), low, 1 - 2 ** -52]
             wf[key] = float(rng.choice(edge))

@@ -275,16 +275,16 @@ def test_data_indices_layout():
 
 
 def _data_columns(dims, chirps, filt):
-    """The one-symbol data columns of a chain with equal chirp pairs."""
-    return WaveformParams(dims=dims, K=1, chirps_pre=chirps, chirps_mod=chirps,
+    """The one-symbol data columns of a chain."""
+    return WaveformParams(dims=dims, K=1, chirps=chirps,
                           filter=filt).data_columns()
 
 
-def _dense_chain_gains(dims, chirps_pre, chirps_mod, filt):
+def _dense_chain_gains(dims, chirps, filt):
     """Diagonal of the dense single-symbol chain Gram ``BᴴB``."""
     B = (assemble_filter_matrix(filt, 1)
-         @ synthesis_matrix(dims, chirps_mod)
-         @ daft_matrix(chirps_pre, dims.L))
+         @ synthesis_matrix(dims, chirps)
+         @ daft_matrix(chirps, dims.L))
     return np.real(np.diag(B.conj().T @ B))
 
 
@@ -293,7 +293,7 @@ def test_chain_gains_match_bruteforce():
     chirps = ChirpPair(0.017, 0.003)
     filt = prototype_filter("PHYDYAS", 2, 32)
     b = compensation_vector(_data_columns(dims, chirps, filt), filt)
-    gains = _dense_chain_gains(dims, chirps, chirps, filt)[data_indices(16)]
+    gains = _dense_chain_gains(dims, chirps, filt)[data_indices(16)]
     assert np.abs(1 / b ** 2 - gains).max() < 1e-12
     assert np.all(b > 0)
 
@@ -304,7 +304,7 @@ def test_compensation_vector_structure(ref_dims, ref_chirps, hermite256):
                             hermite256)
     assert b.shape == (64,)
     assert np.all(b > 0)
-    gains = _dense_chain_gains(ref_dims, ref_chirps, ref_chirps, hermite256)
+    gains = _dense_chain_gains(ref_dims, ref_chirps, hermite256)
     assert np.abs(1 / b ** 2 - gains[data_indices(128)]).max() < 1e-12
 
 
@@ -330,8 +330,7 @@ def test_gram_diagonal_equals_gains_through_fast_path():
     dims = DaftDims(16, 24, 32)
     chirps = ChirpPair(0.01, 0.0)
     filt = prototype_filter("HERMITE", 1.5, 32)
-    params = WaveformParams(dims=dims, K=1, chirps_pre=chirps,
-                            chirps_mod=chirps, filter=filt)
+    params = WaveformParams(dims=dims, K=1, chirps=chirps, filter=filt)
     W = daft_matrix(chirps, dims.L)
     cols = spread(W[:, None, :], params)
     diag = np.sum(np.abs(cols) ** 2, axis=0)

@@ -420,19 +420,16 @@ def _baseline():
 
 
 def _phydyas_frame(ref_dims, ref_chirps, phydyas256):
-    return WaveformParams(dims=ref_dims, K=8, chirps_pre=ref_chirps,
-                          chirps_mod=ref_chirps, filter=phydyas256)
+    return WaveformParams(dims=ref_dims, K=8, chirps=ref_chirps,
+                          filter=phydyas256)
 
 
 def _with_c2(source):
-    """``source`` with c2 != 0 in every chirp pair (0.002 for precoding,
-    0.001 for modulation, 0.003 for the baseline), so the batched chain
-    runs the c2 chirp of ``apply_daft`` and the P-point DFT pair of
-    ``apply_synthesis``."""
-    if isinstance(source, AfdmParams):
-        return replace(source, chirps=replace(source.chirps, c2=0.003))
-    return replace(source, chirps_pre=replace(source.chirps_pre, c2=0.002),
-                   chirps_mod=replace(source.chirps_mod, c2=0.001))
+    """``source`` with c2 != 0 in its chirp pair (0.001 for AFBM, 0.003
+    for the baseline), so the batched chain runs the c2 chirp of
+    ``apply_daft`` and the P-point DFT pair of ``apply_synthesis``."""
+    c2 = 0.003 if isinstance(source, AfdmParams) else 0.001
+    return replace(source, chirps=replace(source.chirps, c2=c2))
 
 
 def _frames_one_at_a_time(source, trials, seed, afdm_frame):
@@ -544,8 +541,8 @@ def test_psd_welch_validation():
 ], ids=["64-1024-0.5", "1-None-0.5", "64-1000-0.5", "64-1001-0.5"])
 def test_psd_welch_matches_scipy(ref_dims, ref_chirps, phydyas256, frames,
                                  segment):
-    sharp = WaveformParams(dims=ref_dims, K=8, chirps_pre=ref_chirps,
-                           chirps_mod=ref_chirps, filter=phydyas256)
+    sharp = WaveformParams(dims=ref_dims, K=8, chirps=ref_chirps,
+                           filter=phydyas256)
     s = spectrum_signal(sharp, frames=frames, seed=2)
     segment = segment or len(s)
     est = psd_welch([s], segment)
@@ -685,7 +682,7 @@ def test_symbol_operands_adjoint_is_the_conjugate_transpose(source):
     if isinstance(source, AfdmParams):
         assert (len(w), c1) == (source.L_a, source.chirps.c1)
     else:
-        assert (len(w), c1) == (source.filter.length, source.chirps_mod.c1)
+        assert (len(w), c1) == (source.filter.length, source.chirps.c1)
 
 
 def test_spectrum_of_a_batch_is_each_frame_alone(source):
@@ -756,8 +753,8 @@ def test_oobe_level_probes(ref_params_frame):
 
 
 def test_oobe_contrast_between_waveforms(ref_dims, ref_chirps, phydyas256):
-    sharp = WaveformParams(dims=ref_dims, K=8, chirps_pre=ref_chirps,
-                           chirps_mod=ref_chirps, filter=phydyas256)
+    sharp = WaveformParams(dims=ref_dims, K=8, chirps=ref_chirps,
+                           filter=phydyas256)
     baseline = AfdmParams(L_a=128, K=8, chirps=ChirpPair(3 / 256, 0.0),
                           cpp_len=2)
     est_a = spectrum_psd(sharp, frames=40, seed=12, segment=1024)
@@ -794,8 +791,7 @@ def test_orthogonality_gram_matches_dense_chain(kind, overlap, c2, compensated,
     # on power folds of 1, 2 and 4 terms, through both synthesis paths
     # (c2 != 0 runs the P-point step, c2 = 0 skips it)
     chirps = ChirpPair(0.017, c2)
-    params = WaveformParams(dims=DaftDims(16, 24, 32), K=1, chirps_pre=chirps,
-                            chirps_mod=chirps,
+    params = WaveformParams(dims=DaftDims(16, 24, 32), K=1, chirps=chirps,
                             filter=prototype_filter(kind, overlap, 32),
                             compensation=compensation)
     data = data_indices(16)
@@ -818,9 +814,8 @@ def test_orthogonality_gram_peak_allocation_at_fig4(ref_dims, ref_chirps,
     # no column is filtered: the N x L/2 data columns (256 x 64) are
     # 256 KiB, their fold-weighted copy and conjugate as much again, and
     # the gains only scale the 64 x 64 Gram, so neither policy builds more
-    params = WaveformParams(dims=ref_dims, K=1, chirps_pre=ref_chirps,
-                            chirps_mod=ref_chirps, filter=phydyas256,
-                            compensation=compensation)
+    params = WaveformParams(dims=ref_dims, K=1, chirps=ref_chirps,
+                            filter=phydyas256, compensation=compensation)
     orthogonality_gram(params)
     tracemalloc.start()
     try:
@@ -838,8 +833,8 @@ def _sir(params) -> float:
 
 def test_sir_reference_values(ref_params, ref_dims, ref_chirps, phydyas256):
     assert _sir(ref_params) >= 60.0
-    phyd = WaveformParams(dims=ref_dims, K=1, chirps_pre=ref_chirps,
-                          chirps_mod=ref_chirps, filter=phydyas256)
+    phyd = WaveformParams(dims=ref_dims, K=1, chirps=ref_chirps,
+                          filter=phydyas256)
     sir_p = _sir(phyd)
     assert sir_p < _sir(ref_params)
     assert 20.0 < sir_p < 60.0                    # low but finite residual
@@ -848,9 +843,8 @@ def test_sir_reference_values(ref_params, ref_dims, ref_chirps, phydyas256):
 def test_sir_is_that_of_the_modem_round_trip(ref_dims, ref_chirps, phydyas256):
     # under the tx policy the chain response is B_rxᴴ B_tx, not BᴴB
     for compensation in ("split", "tx"):
-        params = WaveformParams(dims=ref_dims, K=1, chirps_pre=ref_chirps,
-                                chirps_mod=ref_chirps, filter=phydyas256,
-                                compensation=compensation)
+        params = WaveformParams(dims=ref_dims, K=1, chirps=ref_chirps,
+                                filter=phydyas256, compensation=compensation)
         # one data symbol per frame
         R = params.demodulate(params.modulate(np.eye(64)))
         sig = np.sum(np.abs(np.diag(R)) ** 2)
@@ -863,8 +857,7 @@ def test_sir_is_capped(ref_params):
 
 
 def test_overlap_one_filters_are_exactly_orthogonal(ref_dims, ref_chirps):
-    rect_like = WaveformParams(dims=ref_dims, K=1, chirps_pre=ref_chirps,
-                               chirps_mod=ref_chirps,
+    rect_like = WaveformParams(dims=ref_dims, K=1, chirps=ref_chirps,
                                filter=prototype_filter("PHYDYAS", 1, 256))
     assert _sir(rect_like) == 150.0
 
@@ -872,8 +865,8 @@ def test_overlap_one_filters_are_exactly_orthogonal(ref_dims, ref_chirps):
 def test_compensation_beats_uniform_scaling(ref_dims, ref_chirps, phydyas256):
     # replacing the per-position compensation by its best uniform constant
     # leaves the fold ripple uncorrected and inflates the round-trip EVM
-    params = WaveformParams(dims=ref_dims, K=1, chirps_pre=ref_chirps,
-                            chirps_mod=ref_chirps, filter=phydyas256)
+    params = WaveformParams(dims=ref_dims, K=1, chirps=ref_chirps,
+                            filter=phydyas256)
     gains = 1 / params.gains[0] ** 2
     uniform = np.full(64, 1 / np.sqrt(np.mean(gains)))
     flat = replace(params)
@@ -986,7 +979,7 @@ def _ber_case(name, ref_params):
     else:
         chirps = pick_chirp_params(2, 1.0, 0, 128)
         params = WaveformParams(dims=DaftDims(64, 128, 128), K=1,
-                                chirps_pre=chirps, chirps_mod=chirps,
+                                chirps=chirps,
                                 filter=prototype_filter("PHYDYAS", 4, 128))
         grid = [-10.0, -7.0, -4.0]
     if name.endswith("-tx"):

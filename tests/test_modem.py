@@ -175,14 +175,14 @@ def test_mapping_validation():
 
 def test_place_grid_layout():
     d = np.array([1 + 1j, 2.0, 3j, 4.0])
-    A = place_grid(d, 8, 1)
+    A = place_grid(d, 8, 1, np.ones(4))
     assert np.allclose(A[:, 0], [1 + 1j, 2, 0, 0, 0, 0, 3j, 4])
 
 
 def test_place_grid_round_trip():
     rng = np.random.default_rng(33)
     d = map_symbols_dict(rng.integers(0, 2, 2 * 512), "QPSK")
-    A = place_grid(d, 128, 8)
+    A = place_grid(d, 128, 8, np.ones(64))
     assert A.shape == (128, 8)
     assert np.array_equal(A[data_indices(128)].ravel(order="F"), d)
     # seeded random (L, K, batch), batch of zero to two axes
@@ -191,7 +191,7 @@ def test_place_grid_round_trip():
         batch = tuple(int(n) for n in rng.integers(1, 4,
                                                     rng.integers(0, 3)))
         d = crandn(rng, L // 2 * K, *batch)
-        A = place_grid(d, L, K)
+        A = place_grid(d, L, K, np.ones(L // 2))
         assert A.shape == (L, K) + batch
         assert not np.any(A[L // 4:L - L // 4])
         back = A[data_indices(L)].reshape((-1,) + batch, order="F")
@@ -214,14 +214,14 @@ def test_batched_map_place_modulate_match_single_frames(ref_params_frame):
             assert np.array_equal(symbols[:, b], one)
             assert np.array_equal(signals[:, b], p.modulate(one))
             if isinstance(p, WaveformParams):
-                assert np.array_equal(place_grid(symbols, 128, 8)[..., b],
-                                      place_grid(one, 128, 8))
+                g = np.ones(64)
+                assert np.array_equal(place_grid(symbols, 128, 8, g)[..., b],
+                                      place_grid(one, 128, 8, g))
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-# fig3 with c2 != 0 in every chirp pair, as CI's c2 runs set it
-C2_CONFIG = {"waveform": {"c2": 0.001, "c2_pre": 0.002},
-             "afdm": {"c2": 0.003}}
+# fig3 with c2 != 0 in both chirp pairs, as CI's c2 runs set it
+C2_CONFIG = {"waveform": {"c2": 0.001}, "afdm": {"c2": 0.003}}
 
 
 def _sources(name):
@@ -291,7 +291,7 @@ def test_modulate_peak_memory_of_a_chunk(name):
 
 def test_place_grid_validation(ref_params_frame):
     with pytest.raises(ValueError):
-        place_grid(np.zeros(5, dtype=complex), 8, 1)
+        place_grid(np.zeros(5, dtype=complex), 8, 1, np.ones(4))
     # modulate takes the (L/2)K data symbols of a frame along axis 0 and
     # refuses arrays of another length, grids among them
     for shape in [(), (128,), (511,), (128, 8), (256, 2), (128, 8, 2)]:
@@ -311,20 +311,17 @@ def test_waveform_params_derived_quantities(ref_params_frame):
 
 def test_waveform_params_validation(ref_dims, ref_chirps, hermite256):
     with pytest.raises(ValueError):
-        WaveformParams(dims=ref_dims, K=0, chirps_pre=ref_chirps,
-                       chirps_mod=ref_chirps, filter=hermite256)
+        WaveformParams(dims=ref_dims, K=0, chirps=ref_chirps,
+                       filter=hermite256)
     with pytest.raises(ValueError):
-        WaveformParams(dims=ref_dims, K=1, chirps_pre=ref_chirps,
-                       chirps_mod=ref_chirps,
+        WaveformParams(dims=ref_dims, K=1, chirps=ref_chirps,
                        filter=prototype_filter("HERMITE", 1.5, 128))
     with pytest.raises(ValueError):
-        WaveformParams(dims=ref_dims, K=1, chirps_pre=ref_chirps,
-                       chirps_mod=ref_chirps, filter=hermite256,
-                       constellation="PSK8")
+        WaveformParams(dims=ref_dims, K=1, chirps=ref_chirps,
+                       filter=hermite256, constellation="PSK8")
     with pytest.raises(ValueError):
-        WaveformParams(dims=ref_dims, K=1, chirps_pre=ref_chirps,
-                       chirps_mod=ref_chirps, filter=hermite256,
-                       compensation="rx")
+        WaveformParams(dims=ref_dims, K=1, chirps=ref_chirps,
+                       filter=hermite256, compensation="rx")
 
 
 def test_gains_are_computed_once_per_params(ref_params, monkeypatch):
@@ -380,16 +377,16 @@ def test_modulate_zero_and_linearity(ref_params):
     ("RECT", 1, 8, 8, 8, 1),
 ])
 def test_modulate_matches_dense_matrix(kind, overlap, L, P, N, K):
-    params = WaveformParams(dims=DaftDims(L, P, N), K=K,
-                            chirps_pre=ChirpPair(0.03, 0.01),
-                            chirps_mod=ChirpPair(0.007, 0.0),
-                            filter=prototype_filter(kind, overlap, N))
-    G = dense_transmit_matrix(params)
+    # both branches of each chirp stage: c2 != 0, then c2 = 0
     rng = np.random.default_rng(36)
-    for _ in range(5):
-        frame = random_frame(rng, params)
-        fast = params.modulate(frame)
-        assert np.abs(fast - G @ frame).max() < 1e-10
+    for chirps in (ChirpPair(0.03, 0.01), ChirpPair(0.007, 0.0)):
+        params = WaveformParams(dims=DaftDims(L, P, N), K=K, chirps=chirps,
+                                filter=prototype_filter(kind, overlap, N))
+        G = dense_transmit_matrix(params)
+        for _ in range(5):
+            frame = random_frame(rng, params)
+            fast = params.modulate(frame)
+            assert np.abs(fast - G @ frame).max() < 1e-10
 
 
 def test_single_symbol_round_trip(ref_params):
@@ -403,9 +400,8 @@ def test_single_symbol_round_trip(ref_params):
 
 
 def test_round_trip_with_tx_side_compensation(ref_dims, ref_chirps, hermite256):
-    params = WaveformParams(dims=ref_dims, K=1, chirps_pre=ref_chirps,
-                            chirps_mod=ref_chirps, filter=hermite256,
-                            compensation="tx")
+    params = WaveformParams(dims=ref_dims, K=1, chirps=ref_chirps,
+                            filter=hermite256, compensation="tx")
     rng = np.random.default_rng(38)
     frame = random_frame(rng, params)
     rx = params.demodulate(params.modulate(frame))
@@ -425,8 +421,8 @@ def test_overlapped_symbols_interfere(ref_dims, ref_chirps, hermite256):
     # successive symbols advance by half a block, so neighbouring pulses
     # overlap; per-symbol orthogonality does not extend across the hop and
     # a K > 1 frame round trip shows residual cross-talk.
-    params = WaveformParams(dims=ref_dims, K=2, chirps_pre=ref_chirps,
-                            chirps_mod=ref_chirps, filter=hermite256)
+    params = WaveformParams(dims=ref_dims, K=2, chirps=ref_chirps,
+                            filter=hermite256)
     rng = np.random.default_rng(40)
     frame = random_frame(rng, params)
     rx = params.demodulate(params.modulate(frame))
@@ -440,8 +436,7 @@ def test_overlapped_symbols_interfere(ref_dims, ref_chirps, hermite256):
                                              ("PHYDYAS", 4, 3)])
 def test_batched_demodulate_is_bit_identical(kind, overlap, K):
     chirps = ChirpPair(0.02, 0.0)
-    params = WaveformParams(dims=DaftDims(16, 24, 32), K=K, chirps_pre=chirps,
-                            chirps_mod=chirps,
+    params = WaveformParams(dims=DaftDims(16, 24, 32), K=K, chirps=chirps,
                             filter=prototype_filter(kind, overlap, 32))
     rng = np.random.default_rng(38)
     R = rng.standard_normal((params.M, 5)) + 1j * rng.standard_normal(
@@ -466,21 +461,18 @@ FLAT_FOLD = {("HERMITE", 1.5), ("PHYDYAS", 1), ("RECT", 1)}
 
 @pytest.mark.parametrize("case", range(30))
 def test_chain_adjoints_and_round_trip_for_random_configs(case):
-    # a seeded random valid (L, P, N, K, chirps, prototype); both chirp
-    # pairs are drawn independently with c2 != 0, then cases 10-19 set
-    # c2 = 0 in chirps_pre and cases 20-29 in chirps_mod (the collapsed
-    # synthesis)
+    # a seeded random valid (L, P, N, K, chirps, prototype); cases 0-14
+    # draw c2 != 0, cases 15-29 take c2 = 0 (no c2 chirp in the precoder,
+    # no P-point step in the synthesis)
     rng = np.random.default_rng([47, case])
     kind, overlap = PROTOTYPES[case % len(PROTOTYPES)]
     N = int(rng.choice([8, 16, 32, 64]))
     L = 4 * int(rng.integers(1, N // 4 + 1))
     P = int(rng.choice(np.arange(L, N + 1, 2)))
-    chirps = [ChirpPair(float(rng.uniform(0, 0.1)),
-                        float(rng.uniform(0.001, 0.05))) for _ in range(2)]
-    if case >= 10:
-        chirps[case // 10 - 1] = replace(chirps[case // 10 - 1], c2=0.0)
+    chirps = ChirpPair(float(rng.uniform(0, 0.1)),
+                       float(rng.uniform(0.001, 0.05)) if case < 15 else 0.0)
     params = WaveformParams(dims=DaftDims(L, P, N), K=int(rng.integers(1, 4)),
-                            chirps_pre=chirps[0], chirps_mod=chirps[1],
+                            chirps=chirps,
                             filter=prototype_filter(kind, overlap, N))
     X = crandn(rng, L, params.K, 2)
     r = crandn(rng, params.M, 2)
