@@ -102,9 +102,9 @@ class CcdfCurve:
 
     def __post_init__(self):
         p = np.asarray(self.probabilities)
-        if np.any(p < 0) or np.any(p > 1):
+        if not np.all((0 <= p) & (p <= 1)):  # NaN fails each check
             raise ValueError("probabilities must lie in [0, 1]")
-        if np.any(np.diff(p) > 1e-15):
+        if not np.all(np.diff(p) <= 1e-15):
             raise ValueError("CCDF must be non-increasing in the threshold")
 
     def level_at(self, probability: float) -> float:
@@ -120,7 +120,7 @@ class PsdEstimate:
     power_dbr: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
-        if abs(float(np.max(self.power_dbr))) > 1e-9:
+        if not abs(float(np.max(self.power_dbr))) <= 1e-9:  # NaN fails
             raise ValueError("PSD must be normalized to a 0 dBr peak")
 
 
@@ -308,10 +308,10 @@ def psd_welch(pieces, segment: int) -> PsdEstimate:
 
     The pieces are read as they come. Blocks of ``WELCH_BLOCK`` segments
     start every ``WELCH_BLOCK * step`` samples from the record's start, so
-    however the record is cut, the estimate is the same to the bit. Besides
-    the current piece, the loop holds the unread tail of the record as
-    copies of the pieces' unread parts, so a piece's buffer may be reused,
-    joined once they fill a block; that block and its FFTs.
+    however the record is cut, the estimate is the same to the bit. Each
+    piece is copied as it comes into one block buffer, so its memory may
+    be reused; a full buffer is transformed, and its last ``segment -
+    step`` samples, the next block's start, slid to its front.
     """
     if segment < 8:
         raise ValueError("segment must be >= 8")
@@ -321,12 +321,11 @@ def psd_welch(pieces, segment: int) -> PsdEstimate:
     w = w * (1 / np.sqrt(sum(w ** 2)))
     step = segment - round(segment / 2)
     span = (WELCH_BLOCK - 1) * step + segment  # the samples of one block
-    pxx, count, tail, held = np.zeros(segment), 0, [], 0
+    block, held = np.empty(span, dtype=complex), 0
+    pxx, count = np.zeros(segment), 0
 
-    def add_block(parts):  # the block joined from parts; returns its tail
+    def add_block(samples):  # the segments of samples, summed into pxx
         nonlocal pxx, count
-        samples = np.concatenate(parts, dtype=complex)
-        parts.clear()  # frees the parts before the FFTs
         X = np.lib.stride_tricks.sliding_window_view(
             samples, segment)[::step] * w
         np.fft.fft(X, axis=1, out=X)
@@ -335,24 +334,24 @@ def psd_welch(pieces, segment: int) -> PsdEstimate:
         power += np.square(imag, out=imag)
         pxx += power.sum(axis=0)
         count += len(X)
-        return samples[WELCH_BLOCK * step:].copy()  # a copy: frees the block
 
-    for piece in pieces:
-        piece = np.asarray(piece)
+    for piece in map(np.asarray, pieces):
         if piece.ndim != 1:
             raise ValueError("each piece of the record must be 1-D")
-        pos = 0
-        while held + len(piece) - pos >= span:  # a whole block
-            end = pos + span - held
-            tail.append(piece[pos:end])
-            tail, pos, held = [add_block(tail)], end, segment - step
-        tail.append(piece[pos:].copy())
-        held += len(piece) - pos
+        while held + len(piece) >= span:  # a whole block
+            block[held:], piece = piece[:span - held], piece[span - held:]
+            add_block(block)
+            held = segment - step  # its tail starts the next block
+            block[:held] = block[-held:]
+        block[held:held + len(piece)] = piece
+        held += len(piece)
     if held >= segment:
-        add_block(tail)
+        add_block(block[:held])
     if not count:
         raise ValueError(f"the record is shorter than one {segment}-sample "
                          "segment")
+    if not pxx.any():
+        raise ValueError("PSD undefined for a zero-power record")
     pxx = np.fft.fftshift(pxx / count)
     freq = np.fft.fftshift(np.fft.fftfreq(segment))
     return PsdEstimate(freq=freq, power_dbr=10 * np.log10(pxx / pxx.max()))

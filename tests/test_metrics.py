@@ -19,6 +19,7 @@ from afbm.metrics import (
     TRIAL_CHUNK,
     WELCH_BLOCK,
     CcdfCurve,
+    PsdEstimate,
     _trial_frames,
     ber_experiment,
     oobe_floor,
@@ -185,6 +186,14 @@ def test_ccdf_curve_validation():
     with pytest.raises(ValueError):
         CcdfCurve(thresholds=thr, probabilities=np.array([1.2, 0.5, 0.1]),
                   samples=np.ones(10))
+
+
+def test_ccdf_curve_refuses_nan_probabilities():
+    # each check is the condition that must hold, which NaN fails
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        CcdfCurve(thresholds=np.array([1.0, 2.0]),
+                  probabilities=np.array([np.nan, 0.5]),
+                  samples=np.array([1.5]))
 
 
 def _ccdf_draws():
@@ -521,6 +530,18 @@ def test_psd_welch_preserves_total_power():
     assert abs(integral / np.mean(np.abs(x) ** 2) - 1) < 0.05
 
 
+def test_psd_estimate_refuses_a_nan_peak():
+    with pytest.raises(ValueError, match="0 dBr peak"):
+        PsdEstimate(freq=np.array([-0.5, 0.0]),
+                    power_dbr=np.array([np.nan, 0.0]))
+
+
+def test_psd_welch_refuses_a_zero_power_record():
+    # refused before the division that would make every bin NaN
+    with pytest.raises(ValueError, match="zero-power"):
+        psd_welch([np.zeros(4096, complex)], 1024)
+
+
 def test_psd_welch_validation():
     x = np.ones(64, dtype=complex)
     with pytest.raises(ValueError):
@@ -582,8 +603,9 @@ def test_psd_welch_is_the_same_however_the_record_is_cut(segment, segments,
 
 def test_psd_welch_joins_a_record_in_one_sample_pieces_once_per_block(
         monkeypatch):
-    # each sample is copied into its block and, with the overlap, into the
-    # next: a tail re-copied with every piece made the copies quadratic
+    # each sample is copied once, into the block buffer, and no piece is
+    # joined: this guards against a per-piece join coming back, as a tail
+    # re-copied with every piece once made the copies quadratic
     segment, blocks = 8, 5
     step = segment - round(segment / 2)
     n = blocks * ((WELCH_BLOCK - 1) * step + segment) + step - 1
@@ -626,6 +648,36 @@ def test_spectrum_psd_is_psd_welch_of_the_whole_record(
     whole = psd_welch([record], segment)
     assert np.array_equal(streamed.power_dbr, whole.power_dbr)
     assert np.array_equal(streamed.freq, whole.freq)
+
+
+def _small_source(name, c2=0.0, K=2):
+    """A small AFBM source, (L, P, N) = (16, 24, 32) with the Hermite 1.5
+    or PHYDYAS 4 prototype, or a small baseline of L_a = 16, cpp_len = 2."""
+    if name == "afdm":
+        return AfdmParams(L_a=16, K=K, chirps=ChirpPair(3 / 32, c2),
+                          cpp_len=2)
+    overlap = {"hermite": 1.5, "phydyas": 4}[name]
+    return WaveformParams(dims=DaftDims(16, 24, 32), K=K,
+                          chirps=ChirpPair(0.017, c2),
+                          filter=prototype_filter(name, overlap, 32))
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 16, 40])
+@pytest.mark.parametrize("waveform", ["phydyas", "afdm"])
+def test_spectrum_psd_is_the_same_for_every_chunk(waveform, chunk,
+                                                  monkeypatch):
+    import afbm.metrics as metrics
+    # the record's own cuts: chunks that end inside a segment, and chunks
+    # of 40 frames longer than a Welch block
+    source, frames, segment = _small_source(waveform), 70, 64
+    step = segment - round(segment / 2)
+    span = (WELCH_BLOCK - 1) * step + segment
+    frame = len(source.spectrum(np.zeros(source.data_per_frame)))
+    assert frames * frame >= 2 * span and 40 * frame > span
+    default = spectrum_psd(source, frames, seed=13, segment=segment)
+    monkeypatch.setattr(metrics, "TRIAL_CHUNK", chunk)
+    chunked = spectrum_psd(source, frames, seed=13, segment=segment)
+    assert np.array_equal(chunked.power_dbr, default.power_dbr)
 
 
 def test_spectrum_psd_validation(ref_params_frame):
@@ -729,6 +781,25 @@ def test_afdm_spectrum_is_the_zero_padded_interpolation(cpp_len, c2, batch):
     assert z.shape == (F * source.M,) + batch
     assert np.abs(z - expected).max() <= 1e-13 * np.abs(expected).max()
     assert np.array_equal(z[::F], s)  # phase 0 is the signal itself
+
+
+@pytest.mark.parametrize("K", [1, 2, 5])
+@pytest.mark.parametrize("c2", [0.0, 0.002])
+@pytest.mark.parametrize("waveform", ["hermite", "phydyas", "afdm"])
+def test_exact_density_of_k_symbols_is_k_times_one_symbols(waveform, c2, K):
+    # the exact density of the spectrum record, the sum over its data
+    # columns of |FFT|^2 zero padded to G: each symbol repeats the first,
+    # shifted in time, so K symbols give K times the density of one
+    G = 4096
+
+    def density(source):
+        b = source.spectrum(np.eye(source.data_per_frame))
+        assert len(b) <= G
+        return np.sum(np.abs(np.fft.fft(b, G, axis=0)) ** 2, axis=1)
+
+    one = density(_small_source(waveform, c2, K=1))
+    many = density(_small_source(waveform, c2, K=K))
+    assert np.abs(many - K * one).max() <= 1e-13 * K * one.max()
 
 
 def test_band_edges(ref_params_frame):
